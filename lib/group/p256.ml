@@ -9,10 +9,10 @@
    ([jp]) is three preallocated flat limb buffers, the curve formulas write
    through [Modarith.S] sessions, and every temporary comes from the
    per-domain arena — a whole scalar ladder allocates nothing beyond its
-   destination point. The boxed affine world exists only at the public API
-   edge ([to_affine]/[to_affine_batch] canonicalize whatever Jacobian
-   representative the in-place schedule produced, so public results are
-   unchanged).
+   destination point and its 65-digit scalar recoding. The boxed affine
+   world exists only at the public API edge ([to_affine]/[to_affine_batch]
+   canonicalize whatever Jacobian representative the in-place schedule
+   produced, so public results are unchanged).
 
    Message embedding is try-and-increment: a 28-byte payload is placed in a
    fixed slice of the x-coordinate together with a 16-bit counter, and the
@@ -109,8 +109,6 @@ let jp_copy ~dst src =
   Modarith.copy_into ~dst:dst.x src.x;
   Modarith.copy_into ~dst:dst.y src.y;
   Modarith.copy_into ~dst:dst.z src.z
-
-let jp_of_point pt = function Inf -> jp_set_inf pt | Aff (x, y) -> jp_set_aff pt x y
 
 (* pt <- 2·pt: dbl-2001-b for a = -3. *)
 let jdbl (s : Modarith.S.t) (pt : jp) : unit =
@@ -300,12 +298,12 @@ let generator = Aff (Modarith.of_nat fp gx, Modarith.of_nat fp gy)
      general Jacobian add, used everywhere a precomputed table is affine;
    - batch affine normalization (Montgomery's simultaneous-inversion
      trick): k points cost one Fermat inversion instead of k;
-   - a precomputed fixed-base comb table for the generator (64 4-bit
-     windows × 15 entries), making [pow_gen] a doubling-free sum of ≤ 64
-     table lookups;
-   - an MRU cache of per-base affine window tables for long-lived bases
-     (public keys): the table is built on a base's second sighting, so
-     one-shot bases never pay the normalization inversion. *)
+   - fixed-base comb tables (65 signed 4-bit windows × 8 entries in one
+     flat limb buffer), making a power of the generator or of a promoted
+     long-lived base a doubling-free sum of ≤ 65 table lookups;
+   - two per-domain tiers of tables for the other long-lived bases
+     (public keys): one-row window tables from a base's second scalar on,
+     and a comb from its sixteenth. *)
 
 let nibble_of (e : Nat.t) (w : int) : int =
   (if Nat.test_bit e ((4 * w) + 3) then 8 else 0)
@@ -313,124 +311,140 @@ let nibble_of (e : Nat.t) (w : int) : int =
   lor (if Nat.test_bit e ((4 * w) + 1) then 2 else 0)
   lor if Nat.test_bit e (4 * w) then 1 else 0
 
-(* Fixed-base comb table: gen_table.(w).(d-1) = (d·16^w)·G in affine,
-   for the 64 4-bit windows of a P-256 scalar. d·16^w is never ≡ 0 mod n
-   (it is positive, < 2^256 < 2n, and ≠ n by parity), so every entry is
-   finite. Built on first use with one batch normalization (~1 ms, once);
-   [Once] rather than [lazy] because pool workers may race to force it. *)
-let gen_table : t array array Atom_exec.Once.t =
-  Atom_exec.Once.make (fun () ->
-      let windows = 64 in
-      let flat = Array.init (windows * 15) (fun _ -> jp_fresh ()) in
-      let base = jp_fresh () in
+(* ---- Flat affine tables ----
+
+   A table is [rows] rows of 8 affine points in one flat limb buffer: row
+   w holds d·16^w·B for d = 1..8, entry (w, d) at word offset
+   (8w + d − 1)·2k, x then y. Signed digits (below) make 8 entries cover a
+   4-bit window: −P = (x, −y) is negated on read. A comb table has
+   [comb_rows] rows; a window table is its first row alone. Every entry
+   is finite: for a base B ≠ O, d·16^w·B = O would need the prime order
+   n > 8 to divide d·2^{4w}. *)
+
+type table = int array
+
+let limbs = Array.length (Modarith.alloc fp)
+let entry_words = 2 * limbs
+let comb_rows = 65 (* the 64 nibbles of a scalar < 2^256, plus the recoding carry *)
+let zero_fp = Modarith.zero fp
+
+(* Signed 4-bit recoding: e = Σ d_w·16^w with every d_w in [−8, 7]; a
+   window that would reach 8 borrows 16 from the next one. *)
+let signed_digits (e : Nat.t) : int array =
+  let ds = Array.make comb_rows 0 in
+  let carry = ref 0 in
+  for w = 0 to comb_rows - 1 do
+    let v = nibble_of e w + !carry in
+    if v >= 8 then begin
+      ds.(w) <- v - 16;
+      carry := 1
+    end
+    else begin
+      ds.(w) <- v;
+      carry := 0
+    end
+  done;
+  ds
+
+(* Index of the highest nonzero digit, or −1 for e = 0. *)
+let top_digit (ds : int array) : int =
+  let w = ref (Array.length ds - 1) in
+  while !w >= 0 && ds.(!w) = 0 do
+    decr w
+  done;
+  !w
+
+(* Normalize finite Jacobian points into a flat table: one inversion for
+   the lot, through [to_affine_batch]. *)
+let flat_of_jps (js : jp array) : table =
+  let data = Array.make (Array.length js * entry_words) 0 in
+  Array.iteri
+    (fun i pt ->
+      match pt with
+      | Aff (x, y) ->
+          Array.blit x 0 data (i * entry_words) limbs;
+          Array.blit y 0 data ((i * entry_words) + limbs) limbs
+      | Inf -> assert false)
+    (to_affine_batch js);
+  data
+
+let comb_count = Atomic.make 0
+let window_count = Atomic.make 0
+let comb_builds () = Atomic.get comb_count
+let window_builds () = Atomic.get window_count
+
+(* One builder for every table: within a row each entry adds 16^w·B to
+   the previous one, and the next row starts at 2·(8·16^w·B) — 7 additions
+   and 1 doubling per row, then one normalization. *)
+let table_of ~(rows : int) (base : t) : table =
+  match base with
+  | Inf -> invalid_arg "P256.table_of: the identity has no table"
+  | Aff (bx, by) ->
+      Atomic.incr (if rows = 1 then window_count else comb_count);
+      let js = Array.init (rows * 8) (fun _ -> jp_fresh ()) in
+      let b = jp_fresh () in
       Modarith.with_session fp (fun s ->
-          jp_of_point base generator;
-          for w = 0 to windows - 1 do
-            jp_copy ~dst:flat.(w * 15) base;
-            for d = 2 to 15 do
-              jp_copy ~dst:flat.((w * 15) + d - 1) flat.((w * 15) + d - 2);
-              jadd s flat.((w * 15) + d - 1) base
+          jp_set_aff b bx by;
+          for w = 0 to rows - 1 do
+            let row = w * 8 in
+            jp_copy ~dst:js.(row) b;
+            for d = 2 to 8 do
+              jp_copy ~dst:js.(row + d - 1) js.(row + d - 2);
+              jadd s js.(row + d - 1) b
             done;
-            if w < windows - 1 then begin
-              jdbl s base;
-              jdbl s base;
-              jdbl s base;
-              jdbl s base
+            if w < rows - 1 then begin
+              jp_copy ~dst:b js.(row + 7);
+              jdbl s b
             end
           done);
-      let aff = to_affine_batch flat in
-      Array.init windows (fun w -> Array.sub aff (w * 15) 15))
+      flat_of_jps js
 
-(* dst <- g^e: one mixed addition per nonzero nibble, no doublings at all.
-   Callers force [gen_table] before entering the session. *)
-let comb_into (s : Modarith.S.t) (dst : jp) (e : Nat.t) : unit =
-  let table = Atom_exec.Once.get gen_table in
-  let windows = (Nat.bit_length e + 3) / 4 in
+let comb_table_of (base : t) : table = table_of ~rows:comb_rows base
+
+(* The generator's comb, built on first use (about 5 ms on a 2-vCPU
+   shared host, once); [Once] rather than [lazy] because pool workers may
+   race to force it. *)
+let gen_table : table Atom_exec.Once.t = Atom_exec.Once.make (fun () -> comb_table_of generator)
+
+(* dst <- dst + d·16^w·B for a signed digit d ≠ 0, read from row [w];
+   [ex]/[ey] are scratch for the entry. *)
+let add_entry (s : Modarith.S.t) (dst : jp) (tab : table) (w : int) (d : int) (ex : Modarith.el)
+    (ey : Modarith.el) : unit =
+  let off = ((w * 8) + abs d - 1) * entry_words in
+  Array.blit tab off ex 0 limbs;
+  Array.blit tab (off + limbs) ey 0 limbs;
+  if d < 0 then Modarith.S.sub s ~dst:ey zero_fp ey;
+  jadd_aff s dst ex ey
+
+(* acc <- acc + B^e over B's comb: one mixed addition per nonzero signed
+   digit and no doublings at all. *)
+let comb_add_into (s : Modarith.S.t) (acc : jp) (tab : table) (e : Nat.t) : unit =
+  let ds = signed_digits e in
+  let m = Modarith.S.mark s in
+  let ex = Modarith.S.take s and ey = Modarith.S.take s in
+  for w = 0 to comb_rows - 1 do
+    if ds.(w) <> 0 then add_entry s acc tab w ds.(w) ex ey
+  done;
+  Modarith.S.release s m
+
+(* dst <- B^e, signed 4-bit windowed double-and-add over B's window
+   table. *)
+let windowed_into (s : Modarith.S.t) (dst : jp) (tab : table) (e : Nat.t) : unit =
+  let ds = signed_digits e in
+  let top = top_digit ds in
+  let m = Modarith.S.mark s in
+  let ex = Modarith.S.take s and ey = Modarith.S.take s in
   jp_set_inf dst;
-  for w = 0 to windows - 1 do
-    let d = nibble_of e w in
-    if d <> 0 then
-      match table.(w).(d - 1) with Inf -> () | Aff (x, y) -> jadd_aff s dst x y
-  done
-
-let comb_point (e : Nat.t) : t =
-  ignore (Atom_exec.Once.get gen_table);
-  let r = jp_fresh () in
-  Modarith.with_session fp (fun s -> comb_into s r e);
-  to_affine r
-
-let pow_gen (k : scalar) : t =
-  Atom_obs.Opcount.note_pow_gen ();
-  let e = Scalar.to_nat k in
-  if Nat.is_zero e then Inf else comb_point e
-
-(* 15-entry affine window table for an arbitrary base: one batch
-   normalization (one inversion) per table. *)
-let affine_table (base : t) : t array =
-  let jt = Array.init 15 (fun _ -> jp_fresh ()) in
-  (match base with
-  | Inf -> Array.iter jp_set_inf jt
-  | Aff (bx, by) ->
-      Modarith.with_session fp (fun s ->
-          jp_set_aff jt.(0) bx by;
-          for d = 1 to 14 do
-            jp_copy ~dst:jt.(d) jt.(d - 1);
-            jadd_aff s jt.(d) bx by
-          done));
-  to_affine_batch jt
-
-(* MRU cache of per-base affine tables, for long-lived bases (group public
-   keys, DKG share keys). A base's first sighting only records its key; the
-   table is built — and the inversion spent — from the second sighting on,
-   so one-shot bases (shuffle commitments, fresh ciphertext components)
-   cost nothing beyond an O(cap) key scan. Domain-local: each pool worker
-   warms its own copy, so there is no cross-domain sharing to synchronize
-   (systhread interleavings within a domain can at worst waste a rebuild —
-   tables are deterministic in the base). *)
-type base_entry = { key : t; mutable table : t array option }
-
-let base_cache_key : base_entry list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-let base_cache_cap = 16
-
-let cached_table (base : t) : t array option =
-  let base_cache = Domain.DLS.get base_cache_key in
-  let rec extract acc = function
-    | [] -> None
-    | e :: rest when equal e.key base -> Some (e, List.rev_append acc rest)
-    | e :: rest -> extract (e :: acc) rest
-  in
-  match extract [] !base_cache with
-  | Some (e, rest) ->
-      base_cache := e :: rest;
-      let table =
-        match e.table with
-        | Some t -> t
-        | None ->
-            let t = affine_table base in
-            e.table <- Some t;
-            t
-      in
-      Some table
-  | None ->
-      let tail = List.filteri (fun i _ -> i < base_cache_cap - 1) !base_cache in
-      base_cache := { key = base; table = None } :: tail;
-      None
-
-(* dst <- base^e, 4-bit windowed double-and-add over an affine table. *)
-let windowed_into (s : Modarith.S.t) (dst : jp) (tab : t array) (e : Nat.t) : unit =
-  let windows = (Nat.bit_length e + 3) / 4 in
-  jp_set_inf dst;
-  for w = windows - 1 downto 0 do
-    if w <> windows - 1 then begin
+  for w = top downto 0 do
+    if w <> top then begin
       jdbl s dst;
       jdbl s dst;
       jdbl s dst;
       jdbl s dst
     end;
-    let d = nibble_of e w in
-    if d <> 0 then
-      match tab.(d - 1) with Inf -> () | Aff (x, y) -> jadd_aff s dst x y
-  done
+    if ds.(w) <> 0 then add_entry s dst tab 0 ds.(w) ex ey
+  done;
+  Modarith.S.release s m
 
 (* One-shot path: per-call Jacobian table on the arena, no inversion spent
    on it. *)
@@ -457,46 +471,131 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
   done;
   Modarith.S.release s m
 
+(* ---- Per-domain tables for long-lived bases ----
+
+   Two tiers, both domain-local: each pool worker warms its own, so there
+   is no cross-domain sharing to synchronize, and systhread interleavings
+   within a domain can at worst waste a rebuild (tables are deterministic
+   in the base).
+   - The window tier is a 16-slot MRU that counts the scalars each base
+     has carried. A base's first single-scalar sighting only records its
+     key, so one-shot bases (shuffle commitments, ReEnc strip bases) cost
+     an O(cap) key scan and no inversion. From 2 scalars on the base has a
+     window table.
+   - The comb tier holds at most 4 comb tables. A base moves there once it
+     has carried ≥ 16 scalars in total ([pow_batch] counts its whole
+     batch). Only another promotion evicts a comb, so a flood of one-shot
+     bases through the window tier cannot push a group key out. A comb
+     costs ~4 ms and saves ~1.1 ms per exponentiation over the window
+     table, so the threshold sits above the ~4-scalar break-even. *)
+
+type cover = Comb of table | Window of table | Miss
+type window_entry = { key : t; mutable scalars : int; mutable window : table option }
+type tiers = { mutable windows : window_entry list; mutable combs : (t * table) list }
+
+let tiers_key : tiers Domain.DLS.key = Domain.DLS.new_key (fun () -> { windows = []; combs = [] })
+let window_cap = 16
+let comb_cap = 4
+let promote_at = 16
+
+(* The table to raise [base] (≠ generator, identity) by, given that the
+   caller is about to use it for [scalars] exponents. *)
+let lookup (base : t) ~(scalars : int) : cover =
+  let tr = Domain.DLS.get tiers_key in
+  match List.find_opt (fun (key, _) -> equal key base) tr.combs with
+  | Some ((_, tab) as hit) ->
+      tr.combs <- hit :: List.filter (fun c -> c != hit) tr.combs;
+      Comb tab
+  | None ->
+      let entry, rest =
+        match List.find_opt (fun e -> equal e.key base) tr.windows with
+        | Some e -> (e, List.filter (fun e' -> e' != e) tr.windows)
+        | None ->
+            ( { key = base; scalars = 0; window = None },
+              List.filteri (fun i _ -> i < window_cap - 1) tr.windows )
+      in
+      entry.scalars <- entry.scalars + scalars;
+      if entry.scalars >= promote_at then begin
+        let tab = comb_table_of base in
+        (* Re-read both tiers: another systhread may have moved them
+           during the build. *)
+        tr.windows <- List.filter (fun e -> not (equal e.key base)) tr.windows;
+        tr.combs <-
+          (base, tab)
+          :: List.filteri
+               (fun i _ -> i < comb_cap - 1)
+               (List.filter (fun (key, _) -> not (equal key base)) tr.combs);
+        Comb tab
+      end
+      else begin
+        tr.windows <- entry :: rest;
+        if entry.scalars < 2 then Miss
+        else
+          match entry.window with
+          | Some tab -> Window tab
+          | None ->
+              let tab = table_of ~rows:1 base in
+              entry.window <- Some tab;
+              Window tab
+      end
+
+let cover_of (base : t) ~(scalars : int) : cover =
+  if equal base generator then Comb (Atom_exec.Once.get gen_table) else lookup base ~scalars
+
+(* dst <- base^e for e ≠ 0, on the ladder [cover] selects. Callers take
+   the cover before entering the session, so any table build runs
+   outside it. *)
+let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Nat.t) : unit =
+  match (cover, base) with
+  | Comb tab, _ ->
+      jp_set_inf dst;
+      comb_add_into s dst tab e
+  | Window tab, _ -> windowed_into s dst tab e
+  | Miss, Aff (bx, by) -> windowed_oneshot_into s dst bx by e
+  | Miss, Inf -> jp_set_inf dst
+
+let pow_cover (base : t) (cover : cover) (e : Nat.t) : t =
+  let r = jp_fresh () in
+  Modarith.with_session fp (fun s -> ladder_into base cover s r e);
+  to_affine r
+
+let pow_gen (k : scalar) : t =
+  Atom_obs.Opcount.note_pow_gen ();
+  let e = Scalar.to_nat k in
+  if Nat.is_zero e then Inf else pow_cover generator (cover_of generator ~scalars:1) e
+
 let pow (base : t) (k : scalar) : t =
   Atom_obs.Opcount.note_pow ();
   let e = Scalar.to_nat k in
-  if Nat.is_zero e || is_one base then Inf
-  else if equal base generator then comb_point e
-  else begin
-    let r = jp_fresh () in
-    (match (cached_table base, base) with
-    | Some tab, _ -> Modarith.with_session fp (fun s -> windowed_into s r tab e)
-    | None, Aff (bx, by) -> Modarith.with_session fp (fun s -> windowed_oneshot_into s r bx by e)
-    | None, Inf -> assert false);
-    to_affine r
-  end
+  if Nat.is_zero e || is_one base then Inf else pow_cover base (cover_of base ~scalars:1) e
 
 (* ---- Multi-scalar multiplication ---- *)
 
 (* Straus (shared doublings, per-base 4-bit window tables) for small
-   batches, over the pair slice [lo, hi). A pair's window table is either a
-   cached affine table or a per-call Jacobian table on the arena, built
-   only up to the largest nibble the scalar can produce — tiny scalars
-   (e.g. the all-ones MSM of combine_pks) skip table construction
-   entirely. *)
-type straus_tab = T_aff of t array | T_jac of jp array
+   batches, over the pair slice [lo, hi). A pair's window table is either
+   its base's cached flat table (signed digits) or a per-call Jacobian
+   table on the arena (unsigned nibbles), built only up to the largest
+   nibble the scalar can produce — tiny scalars (e.g. the all-ones MSM of
+   combine_pks) skip table construction entirely. *)
+type straus_tab = T_win of table * int array | T_jac of jp array
 
-let msm_straus (bases : t array) (exps : Nat.t array) ~(lo : int) ~(hi : int)
-    ~(use_cache : bool) : jp =
+let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array) ~(lo : int)
+    ~(hi : int) : jp =
   let n = hi - lo in
   let acc = jp_fresh () in
   Modarith.with_session fp (fun s ->
       let m0 = Modarith.S.mark s in
-      let max_bits = ref 0 in
-      for i = lo to hi - 1 do
-        max_bits := max !max_bits (Nat.bit_length exps.(i))
-      done;
+      let windows = ref 0 in
       let tabs =
         Array.init n (fun j ->
             let i = lo + j in
-            match (if use_cache then cached_table bases.(i) else None) with
-            | Some tab -> T_aff tab
+            match wins.(i) with
+            | Some tab ->
+                let ds = signed_digits exps.(i) in
+                windows := max !windows (top_digit ds + 1);
+                T_win (tab, ds)
             | None ->
+                windows := max !windows ((Nat.bit_length exps.(i) + 3) / 4);
                 let max_d = if Nat.bit_length exps.(i) > 4 then 15 else Nat.to_int_exn exps.(i) in
                 let table = Array.init (max_d + 1) (fun _ -> jp_take s) in
                 (match bases.(i) with
@@ -509,7 +608,8 @@ let msm_straus (bases : t array) (exps : Nat.t array) ~(lo : int) ~(hi : int)
                     done);
                 T_jac table)
       in
-      let windows = (!max_bits + 3) / 4 in
+      let ex = Modarith.S.take s and ey = Modarith.S.take s in
+      let windows = !windows in
       jp_set_inf acc;
       for w = windows - 1 downto 0 do
         if w <> windows - 1 then begin
@@ -519,12 +619,11 @@ let msm_straus (bases : t array) (exps : Nat.t array) ~(lo : int) ~(hi : int)
           jdbl s acc
         end;
         for j = 0 to n - 1 do
-          let d = nibble_of exps.(lo + j) w in
-          if d <> 0 then
-            match tabs.(j) with
-            | T_aff tab -> (
-                match tab.(d - 1) with Inf -> () | Aff (x, y) -> jadd_aff s acc x y)
-            | T_jac table -> jadd s acc table.(d)
+          match tabs.(j) with
+          | T_win (tab, ds) -> if ds.(w) <> 0 then add_entry s acc tab 0 ds.(w) ex ey
+          | T_jac table ->
+              let d = nibble_of exps.(lo + j) w in
+              if d <> 0 then jadd s acc table.(d)
         done
       done;
       Modarith.S.release s m0);
@@ -602,10 +701,11 @@ let pippenger_threshold = 200
 let msm_straus_pooled pool (bases : t array) (exps : Nat.t array) : jp =
   let n = Array.length bases in
   let nchunks = min n (Atom_exec.Pool.size pool * 4) in
+  let wins = Array.make n None in
   let partials =
     Atom_exec.Pool.tabulate ~pool nchunks (fun ci ->
         let lo = ci * n / nchunks and hi = (ci + 1) * n / nchunks in
-        msm_straus bases exps ~lo ~hi ~use_cache:false)
+        msm_straus bases exps wins ~lo ~hi)
   in
   let acc = jp_fresh () in
   Modarith.with_session fp (fun s ->
@@ -616,46 +716,60 @@ let msm_straus_pooled pool (bases : t array) (exps : Nat.t array) : jp =
 let msm_pool_threshold = 64
 
 let msm_raw ?pool (pairs : (t * scalar) array) : t =
-  (* Generator terms collapse into a single comb exponent (g^a·g^b = g^{a+b});
-     identity bases and zero scalars drop out. The cache is consulted only
-     for small MSMs — flooding it with a shuffle-sized batch of one-shot
-     bases would evict the long-lived public keys. *)
+  (* Terms on a comb are added doubling-free after the rest: the
+     generator's (its scalars summed first, g^a·g^b = g^{a+b}) and, in
+     small MSMs, every promoted base's. Identity bases and zero scalars
+     drop out. The tiers are consulted only for small MSMs — flooding them
+     with a shuffle-sized batch of one-shot bases would evict the
+     long-lived public keys. *)
+  let small = Array.length pairs <= 8 in
   let gen_k = ref Scalar.zero in
-  let rest = ref [] in
+  let combs = ref [] and rest = ref [] in
   Array.iter
     (fun (x, k) ->
       if is_one x || Scalar.is_zero k then ()
       else if equal x generator then gen_k := Scalar.add !gen_k k
-      else rest := (x, Scalar.to_nat k) :: !rest)
+      else begin
+        let e = Scalar.to_nat k in
+        match if small then lookup x ~scalars:1 else Miss with
+        | Comb tab -> combs := (tab, e) :: !combs
+        | Window tab -> rest := (x, e, Some tab) :: !rest
+        | Miss -> rest := (x, e, None) :: !rest
+      end)
     pairs;
+  let combs =
+    if Scalar.is_zero !gen_k then !combs
+    else (Atom_exec.Once.get gen_table, Scalar.to_nat !gen_k) :: !combs
+  in
   let rest = Array.of_list !rest in
   let n = Array.length rest in
-  let main =
-    if n = 0 then None
+  let acc =
+    if n = 0 then begin
+      let j = jp_fresh () in
+      jp_set_inf j;
+      j
+    end
     else begin
-      let bases = Array.map fst rest and exps = Array.map snd rest in
-      if n > pippenger_threshold then Some (msm_pippenger ?pool bases exps)
+      let bases = Array.map (fun (x, _, _) -> x) rest
+      and exps = Array.map (fun (_, e, _) -> e) rest
+      and wins = Array.map (fun (_, _, w) -> w) rest in
+      if n > pippenger_threshold then msm_pippenger ?pool bases exps
       else begin
         match Atom_exec.Pool.resolve pool with
         | Some pl when n >= msm_pool_threshold && Atom_exec.Pool.size pl > 1 ->
-            (* The cache is never consulted here: it only applies to MSMs
-               of <= 8 pairs, far below the pooling threshold. *)
-            Some (msm_straus_pooled pl bases exps)
-        | _ -> Some (msm_straus bases exps ~lo:0 ~hi:n ~use_cache:(Array.length pairs <= 8))
+            (* No tables here: the tiers only serve MSMs of <= 8 pairs, far
+               below the pooling threshold. *)
+            msm_straus_pooled pl bases exps
+        | _ -> msm_straus bases exps wins ~lo:0 ~hi:n
       end
     end
   in
-  match (main, Scalar.is_zero !gen_k) with
-  | None, true -> Inf
-  | None, false -> comb_point (Scalar.to_nat !gen_k)
-  | Some j, true -> to_affine j
-  | Some j, false ->
-      ignore (Atom_exec.Once.get gen_table);
-      let g = jp_fresh () in
+  (match combs with
+  | [] -> ()
+  | _ ->
       Modarith.with_session fp (fun s ->
-          comb_into s g (Scalar.to_nat !gen_k);
-          jadd s j g);
-      to_affine j
+          List.iter (fun (tab, e) -> comb_add_into s acc tab e) combs));
+  to_affine acc
 
 let msm ?pool (pairs : (t * scalar) array) : t =
   Atom_obs.Opcount.note_msm ~terms:(Array.length pairs);
@@ -672,42 +786,30 @@ let pow2 (a : t) (j : scalar) (b : t) (k : scalar) : t =
    The per-scalar ladders are independent and go to the pool, each worker
    running in its own session on its own arena; the single shared
    normalization inversion stays on the caller. Any table the ladders read
-   (the comb table, a per-base affine table) is built on the caller before
-   the parallel region and only read inside it. *)
+   is looked up (and built) on the caller before the parallel region and
+   only read inside it. *)
 
-let pow_gen_batch_raw ?pool (ks : scalar array) : t array =
-  ignore (Atom_exec.Once.get gen_table);
+let batch_raw ?pool (base : t) (ks : scalar array) : t array =
+  let cover = cover_of base ~scalars:(Array.length ks) in
   to_affine_batch
     (Atom_exec.Pool.map ?pool
        (fun k ->
          let e = Scalar.to_nat k in
          let r = jp_fresh () in
          if Nat.is_zero e then jp_set_inf r
-         else Modarith.with_session fp (fun s -> comb_into s r e);
+         else Modarith.with_session fp (fun s -> ladder_into base cover s r e);
          r)
        ks)
 
 let pow_gen_batch ?pool (ks : scalar array) : t array =
   Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
-  pow_gen_batch_raw ?pool ks
+  batch_raw ?pool generator ks
 
 let pow_batch ?pool (base : t) (ks : scalar array) : t array =
   Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
   if Array.length ks = 0 then [||]
   else if is_one base then Array.map (fun _ -> Inf) ks
-  else if equal base generator then pow_gen_batch_raw ?pool ks
-  else begin
-    let tab = match cached_table base with Some t -> t | None -> affine_table base in
-    to_affine_batch
-      (Atom_exec.Pool.map ?pool
-         (fun k ->
-           let e = Scalar.to_nat k in
-           let r = jp_fresh () in
-           if Nat.is_zero e then jp_set_inf r
-           else Modarith.with_session fp (fun s -> windowed_into s r tab e);
-           r)
-         ks)
-  end
+  else batch_raw ?pool base ks
 
 let element_bytes = 33
 
@@ -721,7 +823,7 @@ let to_bytes = function
 (* Square root mod p via (p+1)/4; returns None if the input is a
    non-residue. *)
 let sqrt (v : Modarith.el) : Modarith.el option =
-  let r = Modarith.pow fp v sqrt_exp in
+  let r = Modarith.pow_oneshot fp v sqrt_exp in
   if Modarith.equal (Modarith.sqr fp r) v then Some r else None
 
 (* Decode [element_bytes] at [pos] without materializing the slice (the

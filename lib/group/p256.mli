@@ -28,3 +28,13 @@ val n : Nat.t
 
 val fp : Modarith.ctx
 (** The field context, for tests that inspect coordinates. *)
+
+(** {1 Test hooks} *)
+
+val comb_builds : unit -> int
+(** Comb tables built so far by this process, the generator's included. A
+    base gets one once it has carried 16 scalars in a domain. *)
+
+val window_builds : unit -> int
+(** One-row window tables built so far by this process. A base gets one
+    once it has carried 2 scalars in a domain. *)

@@ -45,6 +45,7 @@ type ctx = {
   r2 : int array; (* R^2 mod m, for entering Montgomery form *)
   one_m : int array; (* R mod m, i.e. 1 in Montgomery form *)
   one_plain : int array; (* plain 1, the fixed second operand of to_nat *)
+  inv_exp : Nat.t; (* m - 2, the Fermat inversion exponent *)
   tls : tls Domain.DLS.key;
 }
 
@@ -65,19 +66,25 @@ let fresh_tls (k : int) : tls =
    mid-operation), fall back to a throwaway allocation — correctness
    first, the fast path second. Internal helpers take the [tls] record
    explicitly and never re-enter [with_tls] while holding it. *)
-let with_tls (ctx : ctx) (f : tls -> 'a) : 'a =
+let checkout (ctx : ctx) : tls =
   let t = Domain.DLS.get ctx.tls in
-  if t.in_use then f (fresh_tls ctx.k)
+  if t.in_use then fresh_tls ctx.k
   else begin
     t.in_use <- true;
-    match f t with
-    | v ->
-        t.in_use <- false;
-        v
-    | exception e ->
-        t.in_use <- false;
-        raise e
+    t
   end
+
+let checkin (t : tls) : unit = t.in_use <- false
+
+let with_tls (ctx : ctx) (f : tls -> 'a) : 'a =
+  let t = checkout ctx in
+  match f t with
+  | v ->
+      checkin t;
+      v
+  | exception e ->
+      checkin t;
+      raise e
 
 (* ---- the arena: preallocated k-limb slots, stack discipline ---- *)
 
@@ -211,6 +218,7 @@ let create (modulus : Nat.t) : ctx =
     r2;
     one_m;
     one_plain;
+    inv_exp = Nat.sub modulus Nat.two;
     tls = Domain.DLS.new_key (fun () -> fresh_tls k);
   }
 
@@ -409,7 +417,15 @@ let one (ctx : ctx) : el = Array.copy ctx.one_m
 let of_int ctx i = of_nat ctx (Nat.of_int i)
 
 let equal (a : el) (b : el) : bool = cmp_limbs a b = 0
-let is_zero (a : el) = Array.for_all (fun x -> x = 0) a
+(* A plain loop: [Array.for_all]'s inner recursive function captures its
+   arguments in a heap-allocated closure, and the curve engine tests its
+   points for infinity on every addition and doubling. *)
+let is_zero (a : el) : bool =
+  let i = ref 0 in
+  while !i < Array.length a && Array.unsafe_get a !i = 0 do
+    incr i
+  done;
+  !i = Array.length a
 
 let alloc (ctx : ctx) : el = Array.make ctx.k 0
 let copy_into ~(dst : el) (a : el) : unit = Array.blit a 0 dst 0 (Array.length dst)
@@ -444,10 +460,10 @@ let double ctx a = add ctx a a
    construction. The cache is part of the domain-local state, so each
    domain of a pool warms its own copy. Lookup is a linear scan with limb
    comparison — at most [pow_cache_cap] k-limb compares, negligible next
-   to an exponentiation. One-shot bases cost one table build either way;
-   they merely churn the tail of the list. Cached tables are built once
-   and only read afterwards, so the steady-state pow of a warm base
-   allocates nothing beyond its result. *)
+   to an exponentiation. Callers that know a base is one-shot use
+   [pow_oneshot] instead, which leaves the cache alone. Cached tables are
+   built once and only read afterwards, so the steady-state pow of a warm
+   base allocates nothing beyond its result. *)
 let pow_cache_cap = 8
 
 let pow_table (ctx : ctx) (tl : tls) (base : el) : el array =
@@ -477,27 +493,50 @@ let nibble_of (e : Nat.t) (w : int) : int =
   lor (if Nat.test_bit e ((4 * w) + 1) then 2 else 0)
   lor if Nat.test_bit e (4 * w) then 1 else 0
 
-(* Fixed 4-bit-window exponentiation into [dst]; the accumulator IS the
-   destination, squared and multiplied in place, so a warm-cache pow
-   allocates nothing. [dst] may alias [base]: the window table is built
-   (from copies) before [dst] is first written. *)
+(* Fixed 4-bit-window exponentiation into [dst] over a window table whose
+   entry for digit d is [table.(off + d)]; the accumulator IS the
+   destination, squared and multiplied in place, so the ladder allocates
+   nothing. *)
+let pow_window_into (ctx : ctx) (tl : tls) (dst : el) (table : el array) (off : int) (e : Nat.t)
+    : unit =
+  let windows = (Nat.bit_length e + 3) / 4 in
+  set_one ctx dst;
+  for w = windows - 1 downto 0 do
+    if w <> windows - 1 then begin
+      mont_sqr_into ctx tl dst dst;
+      mont_sqr_into ctx tl dst dst;
+      mont_sqr_into ctx tl dst dst;
+      mont_sqr_into ctx tl dst dst
+    end;
+    let nibble = nibble_of e w in
+    if nibble <> 0 then mont_mul_into ctx tl dst dst table.(off + nibble)
+  done
+
+(* Cached-table pow: a warm-cache call allocates nothing. [dst] may alias
+   [base]: the window table is built (from copies) before [dst] is first
+   written. *)
 let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit =
+  if Nat.is_zero e then set_one ctx dst else pow_window_into ctx tl dst (pow_table ctx tl base) 0 e
+
+(* One-shot pow for a base that will never recur (a Fermat inversion's
+   operand, a square-root candidate): the window table lives in arena
+   slots, so the call neither allocates a table nor pushes one into the MRU
+   cache, where it would evict the long-lived bases' tables. Entry d is
+   arena slot [mark + d - 1]; the slots are read through [tl.slots] only
+   after the last take, when any arena growth has already happened. *)
+let pow_oneshot_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit =
   if Nat.is_zero e then set_one ctx dst
   else begin
-    let table = pow_table ctx tl base in
-    let bits = Nat.bit_length e in
-    let windows = (bits + 3) / 4 in
-    set_one ctx dst;
-    for w = windows - 1 downto 0 do
-      if w <> windows - 1 then begin
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst;
-        mont_sqr_into ctx tl dst dst
-      end;
-      let nibble = nibble_of e w in
-      if nibble <> 0 then mont_mul_into ctx tl dst dst table.(nibble)
-    done
+    let mark = arena_mark tl in
+    let prev = ref (arena_take ctx tl) in
+    copy_into ~dst:!prev base;
+    for _ = 2 to 15 do
+      let slot = arena_take ctx tl in
+      mont_mul_into ctx tl slot !prev base;
+      prev := slot
+    done;
+    pow_window_into ctx tl dst tl.slots (mark - 1) e;
+    arena_release tl mark
   end
 
 let pow (ctx : ctx) (base : el) (e : Nat.t) : el =
@@ -505,6 +544,17 @@ let pow (ctx : ctx) (base : el) (e : Nat.t) : el =
       let out = Array.make ctx.k 0 in
       pow_into_t ctx t out base e;
       out)
+
+(* Without [with_tls]'s closure, so a call allocates only its result. *)
+let pow_oneshot (ctx : ctx) (base : el) (e : Nat.t) : el =
+  let out = Array.make ctx.k 0 in
+  let t = checkout ctx in
+  (match pow_oneshot_into_t ctx t out base e with
+  | () -> checkin t
+  | exception ex ->
+      checkin t;
+      raise ex);
+  out
 
 (* Straus interleaved multi-scalar multiplication over [lo, hi):
    dst <- Π base_i^{e_i} with one shared run of squarings across all pairs
@@ -579,10 +629,7 @@ let msm (ctx : ctx) (pairs : (el * Nat.t) array) : el =
    holds for every context in this repo (field primes and group orders). *)
 let inv (ctx : ctx) (a : el) : el =
   if is_zero a then raise Division_by_zero;
-  with_tls ctx (fun t ->
-      let out = Array.make ctx.k 0 in
-      pow_into_t ctx t out a (Nat.sub ctx.modulus Nat.two);
-      out)
+  pow_oneshot ctx a ctx.inv_exp
 
 let modulus ctx = ctx.modulus
 

@@ -89,6 +89,12 @@ val pow : ctx -> el -> Nat.t -> el
     cache, so repeated exponentiations of a fixed base (a generator, a
     public key) skip table construction. *)
 
+val pow_oneshot : ctx -> el -> Nat.t -> el
+(** [pow_oneshot ctx b e] = [pow ctx b e] for a base that will not recur:
+    the window table lives in the per-domain arena and is never cached, so
+    the call allocates only its result and evicts no long-lived base's
+    table. *)
+
 val msm : ctx -> (el * Nat.t) array -> el
 (** [msm ctx [|(b1, e1); ...|]] is Π bᵢ^eᵢ mod m via Straus interleaving:
     all pairs share one run of squarings, so an n-term product costs about
@@ -101,7 +107,8 @@ val msm_slice : ctx -> (el * Nat.t) array -> lo:int -> hi:int -> el
     @raise Invalid_argument on an out-of-range slice. *)
 
 val inv : ctx -> el -> el
-(** Inverse via Fermat (prime modulus only).
+(** Inverse via Fermat (prime modulus only), through {!pow_oneshot}: it
+    allocates only its result.
     @raise Division_by_zero on zero. *)
 
 (** {1 Flat-buffer / in-place API}

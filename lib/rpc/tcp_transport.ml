@@ -235,15 +235,23 @@ let create ?(obs = Atom_obs.Ctx.noop) ?(host = "127.0.0.1") ?(port = 0)
 let self (t : t) : int = t.node_id
 let port (t : t) : int = t.port
 
+(* Re-adding a peer at its known address keeps the pooled connection (a
+   node re-registers a client on every Submit). A changed address replaces
+   the entry and closes the old connection rather than leaking it. *)
 let add_peer (t : t) ~(node_id : int) ~(host : string) ~(port : int) : unit =
+  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   Mutex.lock t.peers_mu;
-  Hashtbl.replace t.peers node_id
-    {
-      addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port);
-      mu = Mutex.create ();
-      fd = None;
-    };
-  Mutex.unlock t.peers_mu
+  let old = Hashtbl.find_opt t.peers node_id in
+  let moved = match old with Some p -> p.addr <> addr | None -> true in
+  if moved then Hashtbl.replace t.peers node_id { addr; mu = Mutex.create (); fd = None };
+  Mutex.unlock t.peers_mu;
+  match old with
+  | Some p when moved ->
+      Mutex.lock p.mu;
+      Option.iter close_quietly p.fd;
+      p.fd <- None;
+      Mutex.unlock p.mu
+  | _ -> ()
 
 (* Forcibly drop the pooled outgoing connection to [dst]; the next send
    re-establishes it through the ordinary reconnect path. Chaos injection

@@ -95,8 +95,10 @@ struct
 
     (* Each leg g^u = a·h^t is checked as g^u·h^{-t} = a (one double-scalar
        multiplication). g1 is the group generator in every caller, so that
-       half rides the comb table, and long-lived h bases (eff_pk, the next
-       group's key) hit the per-base table cache. *)
+       half rides the generator's comb. A long-lived h (eff_pk, the next
+       group's key) gets a comb of its own on P-256 once it has carried 16
+       scalars, after which the first leg is two doubling-free comb sums;
+       one-shot h and g2 bases take Straus. *)
     let verify ~(context : string) ~(g1 : G.t) ~(h1 : G.t) ~(g2 : G.t) ~(h2 : G.t) (pi : t) : bool
         =
       let t = challenge ~context (g1, h1, g2, h2) pi.a1 pi.a2 in
@@ -136,10 +138,8 @@ struct
        where x_eff = coeff·share is the effective exponent this server uses
        (for anytrust groups coeff = 1 and eff_pk is the server's public
        key; for many-trust groups it is share_pk^λ). *)
-    let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
-        ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
+    let prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context (ct : El.cipher) : El.cipher * t =
       let x_eff = G.Scalar.mul coeff share in
-      let eff_pk = G.pow_gen x_eff in
       let y_in, r_in = match ct.El.y with None -> (ct.El.r, G.one) | Some y -> (y, ct.El.r) in
       let ct', wit = El.reenc rng ~share ~coeff ~next_pk ct in
       let d = wit.El.stripped in
@@ -155,6 +155,11 @@ struct
             Some (Dleq.prove rng ~context ~g1:G.generator ~h1 ~g2:pk' ~h2 ~x:wit.El.fresh)
       in
       (ct', { stripped = d; strip_proof; rerand_proof })
+
+    let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
+        ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
+      let eff_pk = G.pow_gen (G.Scalar.mul coeff share) in
+      prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context ct
 
     let verify ~(eff_pk : G.t) ~(next_pk : G.t option) ~(context : string) ~(input : El.cipher)
         ~(output : El.cipher) (pi : t) : bool =
@@ -176,13 +181,17 @@ struct
           Dleq.verify ~context ~g1:G.generator ~h1 ~g2:pk' ~h2 rp
       | _ -> false
 
-    let reenc_vec_with_proof rng ~share ?coeff ~next_pk ~context (v : El.vec) :
+    (* One effective key for the whole vector: [eff_pk] draws no
+       randomness, so the proofs are the same bytes as per-component
+       [reenc_with_proof] calls. *)
+    let reenc_vec_with_proof rng ~share ?(coeff = G.Scalar.one) ~next_pk ~context (v : El.vec) :
         El.vec * t array =
+      let eff_pk = G.pow_gen (G.Scalar.mul coeff share) in
       let proofs = Array.make (Array.length v) None in
       let out =
         Array.mapi
           (fun i ct ->
-            let ct', pi = reenc_with_proof rng ~share ?coeff ~next_pk ~context ct in
+            let ct', pi = prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context ct in
             proofs.(i) <- Some pi;
             ct')
           v

@@ -146,8 +146,87 @@ end = struct
     ]
 end
 
+(* The P-256 table tiers. A base is a miss on its first scalar, has a
+   window table from its second and a comb from its sixteenth; every
+   entry point must agree with a double-and-add over [mul], which reads
+   no table at all, in each of those states. *)
+module P256_tiers = struct
+  module P = Atom_group.P256
+  module S = P.Scalar
+
+  let check msg expected got = Alcotest.(check bool) msg true (P.equal expected got)
+
+  let ref_pow x k =
+    let e = S.to_nat k in
+    let acc = ref P.one in
+    for i = Atom_nat.Nat.bit_length e - 1 downto 0 do
+      acc := P.mul !acc !acc;
+      if Atom_nat.Nat.test_bit e i then acc := P.mul !acc x
+    done;
+    !acc
+
+  let builds () = (P.window_builds (), P.comb_builds ())
+
+  let test_cache_states () =
+    let r = Atom_util.Rng.create 0x71e5 in
+    let x = P.random r in
+    let j = S.random r and k = S.random r in
+    let xj = ref_pow x j and xk = ref_pow x k and gk = ref_pow P.generator k in
+    (* pow, pow_batch, pow2 and a small msm, each checked in [state]. The
+       msm mixes [x], the generator, a fresh one-shot base and zero
+       scalars; each round adds 1 + 3 + 1 + 1 = 6 scalars to x's count. *)
+    let agree state =
+      check (state ^ " pow") xj (P.pow x j);
+      let batch = P.pow_batch x [| j; S.zero; k |] in
+      check (state ^ " pow_batch[0]") xj batch.(0);
+      Alcotest.(check bool) (state ^ " pow_batch zero") true (P.is_one batch.(1));
+      check (state ^ " pow_batch[2]") xk batch.(2);
+      check (state ^ " pow2 with generator") (P.mul xj gk) (P.pow2 x j P.generator k);
+      let y = P.random r and z = P.random r in
+      check (state ^ " pow2 with one-shot") (P.mul (ref_pow y k) xj) (P.pow2 y k x j);
+      let pairs = [| (x, j); (P.generator, k); (P.random r, S.zero); (z, k); (x, S.zero) |] in
+      check (state ^ " msm") (P.mul (P.mul xj gk) (ref_pow z k)) (P.msm pairs)
+    in
+    let w0, c0 = builds () in
+    check "miss pow" xj (P.pow x j);
+    Alcotest.(check (pair int int)) "a miss builds nothing" (w0, c0) (builds ());
+    agree "window";
+    Alcotest.(check (pair int int)) "one window table, no comb" (w0 + 1, c0) (builds ());
+    agree "window again";
+    Alcotest.(check (pair int int)) "window table reused" (w0 + 1, c0) (builds ());
+    (* 13 scalars so far: the sixteenth promotes x. *)
+    for i = 14 to 16 do
+      check (Printf.sprintf "pow #%d" i) xk (P.pow x k)
+    done;
+    Alcotest.(check (pair int int)) "promoted to one comb" (w0 + 1, c0 + 1) (builds ());
+    agree "comb";
+    agree "comb again";
+    Alcotest.(check (pair int int)) "comb reused" (w0 + 1, c0 + 1) (builds ())
+
+  (* One-shot bases pass through the window tier only: 64 of them cannot
+     evict a promoted key's comb, and build no table themselves. *)
+  let test_comb_survives_oneshots () =
+    let r = Atom_util.Rng.create 0xe71c in
+    let key = P.random r in
+    let k = S.random r in
+    let w0, c0 = builds () in
+    ignore (P.pow_batch key (Array.init 16 (fun _ -> S.random r)));
+    Alcotest.(check (pair int int)) "a 16-scalar batch promotes at once" (w0, c0 + 1) (builds ());
+    for _ = 1 to 64 do
+      ignore (P.pow (P.random r) k)
+    done;
+    check "key pow after the flood" (ref_pow key k) (P.pow key k);
+    Alcotest.(check (pair int int)) "nothing rebuilt" (w0, c0 + 1) (builds ())
+
+  let cases =
+    [
+      Alcotest.test_case "p256 miss -> window -> comb agree" `Quick test_cache_states;
+      Alcotest.test_case "p256 comb survives one-shot bases" `Quick test_comb_survives_oneshots;
+    ]
+end
+
 let suite () =
   let module Zp_laws = Laws ((val Atom_group.Registry.zp_test ())) in
   let module Zp256_laws = Laws ((val Atom_group.Registry.zp_medium ())) in
   let module P256_laws = Laws (Atom_group.P256) in
-  ("fastpath", Zp_laws.cases @ Zp256_laws.cases @ P256_laws.cases)
+  ("fastpath", Zp_laws.cases @ Zp256_laws.cases @ P256_laws.cases @ P256_tiers.cases)

@@ -273,6 +273,32 @@ let test_kernels_zero_alloc () =
       if dm >= 256.0 then
         Alcotest.failf "steady-state kernels allocated %.0f minor words over 40k calls" dm)
 
+(* Fermat inversion runs a one-shot pow: its window table lives in the
+   arena, so a call allocates only its k-limb result (k + 1 words with the
+   header) and pushes nothing into the pow cache — a warm base's table
+   survives any number of inversions. *)
+let test_inv_allocates_only_result () =
+  let m = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
+  let ctx = Modarith.create m in
+  let rng = Atom_util.Rng.create 0x1a7 in
+  let k = Array.length (Modarith.alloc ctx) in
+  let xs = Array.init 64 (fun _ -> Modarith.of_nat ctx (Nat.random_below rng m)) in
+  let g = Modarith.of_nat ctx (Nat.random_below rng m) and e = Nat.random_below rng m in
+  ignore (Modarith.pow ctx g e);
+  (* warm up: any arena growth happens on the first call *)
+  ignore (Modarith.inv ctx xs.(0));
+  let m0 = Gc.minor_words () in
+  Array.iter (fun x -> ignore (Sys.opaque_identity (Modarith.inv ctx x))) xs;
+  let per_call = (Gc.minor_words () -. m0) /. float_of_int (Array.length xs) in
+  if per_call > float_of_int (k + 1) +. 0.5 then
+    Alcotest.failf "inv allocated %.1f words per call, result is %d" per_call (k + 1);
+  (* A rebuilt 16-entry table would cost over 15·(k + 1) words. *)
+  let m1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Modarith.pow ctx g e));
+  let dm = Gc.minor_words () -. m1 in
+  if dm >= float_of_int (8 * (k + 1)) then
+    Alcotest.failf "warm pow allocated %.0f words after 64 inversions" dm
+
 let test_prime_known () =
   let primes = [ 2; 3; 5; 7; 97; 65537; 1_000_000_007 ] in
   List.iter
@@ -369,6 +395,7 @@ let suite =
       Alcotest.test_case "flat kernels match reference (all backends)" `Quick test_flat_vs_ref;
       Alcotest.test_case "session in-place ops match reference" `Quick test_session_inplace;
       Alcotest.test_case "montgomery kernels allocation-free" `Quick test_kernels_zero_alloc;
+      Alcotest.test_case "inverse allocates only its result" `Quick test_inv_allocates_only_result;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;
       Alcotest.test_case "random prime" `Quick test_random_prime;
       Alcotest.test_case "safe prime" `Quick test_safe_prime;

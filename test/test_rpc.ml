@@ -72,6 +72,41 @@ let test_tcp_loopback () =
         (match r with Ok () -> "accepted" | Error e -> Atom_rpc.Transport.error_to_string e));
   TcpT.close b
 
+(* Re-adding a known peer keeps its pooled connection: no reconnect, no
+   second accept at the receiver, no leaked descriptor. Moving the peer to
+   a new address closes the old connection. *)
+let test_tcp_add_peer_keeps_connection () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let counter obs name = Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) name in
+  let a_obs = Atom_obs.Ctx.create () and b_obs = Atom_obs.Ctx.create () in
+  let a = TcpT.create ~obs:a_obs ~node_id:0 () in
+  let b = TcpT.create ~obs:b_obs ~node_id:1 () in
+  let frame = Ctrl.encode (Ctrl.Ack { token = 7 }) in
+  let deliver label dst =
+    Alcotest.(check bool) (label ^ " sent") true (TcpT.send a ~dst:1 frame = Ok ());
+    match TcpT.recv dst ~timeout:5.0 with
+    | Ok (src, got) ->
+        Alcotest.(check int) (label ^ " src") 0 src;
+        Alcotest.(check string) (label ^ " frame") frame got
+    | Error e -> Alcotest.failf "%s: %s" label (Atom_rpc.Transport.error_to_string e)
+  in
+  TcpT.add_peer a ~node_id:1 ~host:"127.0.0.1" ~port:(TcpT.port b);
+  deliver "first" b;
+  let fds = open_fds () and reconnects = counter a_obs "rpc.reconnects" in
+  TcpT.add_peer a ~node_id:1 ~host:"127.0.0.1" ~port:(TcpT.port b);
+  deliver "after re-add" b;
+  Alcotest.(check (float 0.)) "no reconnect" reconnects (counter a_obs "rpc.reconnects");
+  Alcotest.(check (float 0.)) "one connection accepted" 1. (counter b_obs "rpc.accepts");
+  Alcotest.(check bool) "no descriptor leaked" true (open_fds () <= fds);
+  (* The peer moves: the old socket closes as the new one opens, and the
+     new endpoint's reader adds one descriptor. *)
+  let c = TcpT.create ~node_id:1 () in
+  let fds = open_fds () in
+  TcpT.add_peer a ~node_id:1 ~host:"127.0.0.1" ~port:(TcpT.port c);
+  deliver "after move" c;
+  Alcotest.(check bool) "old connection closed" true (open_fds () <= fds + 1);
+  List.iter TcpT.close [ a; b; c ]
+
 (* ---- ReEnc proof blobs (the one node-layer codec) ---- *)
 
 let test_reenc_blob_roundtrip () =
@@ -646,6 +681,8 @@ let suite =
     [
       Alcotest.test_case "tcp loopback" `Quick test_tcp_loopback;
       Alcotest.test_case "tcp typed errors" `Quick test_tcp_typed_errors;
+      Alcotest.test_case "tcp re-added peer keeps its connection" `Quick
+        test_tcp_add_peer_keeps_connection;
       Alcotest.test_case "reenc blob roundtrip" `Quick test_reenc_blob_roundtrip;
       Alcotest.test_case "chaos spec roundtrip" `Quick test_chaos_spec_roundtrip;
       Alcotest.test_case "chaos deterministic drops" `Quick test_chaos_deterministic_drops;
