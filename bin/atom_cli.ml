@@ -448,8 +448,6 @@ type fleet_summary = {
   fs_node_counters : (string * float) list; (* summed across node dumps *)
   fs_recovery_seconds : float list; (* coordinator: sweep → pipeline resumption *)
   fs_join_times : (int * float) list;
-      (* node → coordinator-clock Join receipt: the clock-alignment offset
-         for that node's lane in the merged trace *)
   fs_node_snapshots : (int * Atom_obs.Snapshot.t) list; (* live-collected, decoded *)
   fs_snapshot_errors : (int * string) list; (* nodes whose snapshot was missing/bad *)
   fs_child_failures : (int * string) list;
@@ -459,28 +457,39 @@ type fleet_summary = {
 
 exception Fleet_failure of string
 
-(* Spawn N atom_node processes on loopback, drive a full round over real
-   TCP, and check the published plaintexts against the single-process
-   reference run for the same seed. [chaos] is forwarded to every node's
-   transport wrapper; [kills] schedules SIGKILLs (seconds after the round
-   starts, server ids) from a watcher thread that also samples the
-   children's peak RSS. One call = one epoch; the soak loops this. *)
-let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log_dir ~obs
-    ~(chaos : string) ~(kills : (float * int list) option)
-    ~(node_metrics_dir : string option) ~(label : string) ?(trace = false) () :
-    fleet_summary =
-  let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
+(* A fleet of atom_node processes on loopback, past the bring-up
+   handshake, as the coordinator sees it. *)
+type fleet = {
+  fl_t0 : float; (* before the first spawn: the coordinator's clock origin *)
+  fl_t : Atom_rpc.Tcp_transport.t; (* the coordinator's endpoint *)
+  fl_ports : (int, int) Hashtbl.t; (* node -> listen port *)
+  fl_join_times : (int * float) list;
+      (* node → coordinator-clock Join receipt: the clock-alignment offset
+         for that node's lane in the merged trace *)
+  fl_pool : Atom_exec.Pool.t option; (* the coordinator's domain pool *)
+  fl_land : unit -> (int * string) list * int;
+      (* stop the watcher, release the pool, reap the children and close
+         the endpoint: child failures and the children's peak RSS (kB) *)
+}
+
+(* The launcher both fleet commands share. Spawn one atom_node per server
+   ([node_args i] appended to node i's argument vector), run the
+   Join → Peers → Ack handshake, pick the coordinator's domain pool, and
+   start a watcher that fires [kills] (seconds after the fleet is up,
+   server ids) and samples the children's peak RSS. [who] prefixes the
+   progress lines, [label] the per-node log files. A bring-up that fails
+   reaps the children and returns the reason with their failures. *)
+let launch_fleet ~(config : Config.t) ~domains ~node_bin ~timeout ~log_dir ~obs ~(who : string)
+    ~(label : string) ~(chaos : string) ~(node_args : int -> string array)
+    ~(kills : (float * int list) option) : (fleet, string * (int * string) list) result =
   let module Tcp = Atom_rpc.Tcp_transport in
   let module Ctrl = Atom_wire.Control in
   Config.validate config;
   if log_dir <> None then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
   let servers = config.Config.n_servers in
-  let seed = config.Config.seed in
-  let coord = servers in
   (* A 2s send budget keeps death detection cheap: a probe to a dead peer
      fails within ~1.75s instead of the default 5s ladder. *)
-  let t = Tcp.create ~obs ~node_id:coord ~send_timeout:2.0 () in
+  let t = Tcp.create ~obs ~node_id:servers ~send_timeout:2.0 () in
   let port = Tcp.port t in
   let node_bin =
     match node_bin with
@@ -494,17 +503,9 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
   in
   let t0 = Unix.gettimeofday () in
   let poll = 0.2 in
-  List.iter
-    (fun d ->
-      match d with
-      | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-      | _ -> ())
-    [ log_dir; node_metrics_dir ];
-  let node_metrics_file i =
-    Option.map
-      (fun dir -> Filename.concat dir (Printf.sprintf "%s-node-%d.metrics" label i))
-      node_metrics_dir
-  in
+  (match log_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | _ -> ());
   let pids =
     Array.init servers (fun i ->
         let args =
@@ -521,19 +522,14 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
             | Config.Square n -> string_of_int n
             | _ -> failwith "cluster runs use the Square topology");
             "--msg-bytes"; string_of_int config.Config.msg_bytes;
-            "--seed"; string_of_int seed;
+            "--seed"; string_of_int config.Config.seed;
             "--domains"; string_of_int domains;
             "--recv-timeout"; Printf.sprintf "%g" poll;
             "--max-idle"; string_of_int (max 1 (int_of_float (timeout /. poll)));
           |]
         in
         let args = if chaos = "" then args else Array.append args [| "--chaos"; chaos |] in
-        let args = if trace then Array.append args [| "--trace" |] else args in
-        let args =
-          match node_metrics_file i with
-          | None -> args
-          | Some path -> Array.append args [| "--metrics-out"; path |]
-        in
+        let args = Array.append args (node_args i) in
         match log_dir with
         | None -> Unix.create_process node_bin args Unix.stdin Unix.stdout Unix.stderr
         | Some dir ->
@@ -551,24 +547,6 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
   in
   let deliberate = Hashtbl.create 4 in
   let reap ~kill = reap_children ~pids ~deliberate ~kill in
-  let peak_child = ref 0 in
-  let collect_node_counters () =
-    let tbl = Hashtbl.create 32 in
-    for i = 0 to servers - 1 do
-      match node_metrics_file i with
-      | None -> ()
-      | Some path -> (
-          match load_snapshot path with
-          | Ok snap ->
-              List.iter
-                (fun (name, v) ->
-                  Hashtbl.replace tbl name
-                    (v +. Option.value ~default:0. (Hashtbl.find_opt tbl name)))
-                (Atom_obs.Snapshot.counters snap)
-          | Error _ -> () (* killed mid-epoch: no exit dump to fold in *))
-    done;
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
   try
     (* Bring-up: every node joins with its listen port, learns the fleet,
        and acks — only then does protocol traffic start. The peer list is
@@ -622,12 +600,13 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
       raise
         (Fleet_failure
            (Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers));
-    Printf.printf "cluster[%s]: %d node processes on loopback (coordinator port %d) [%.2fs]\n%!"
-      label servers port
+    Printf.printf "%s: %d node processes on loopback (coordinator port %d) [%.2fs]\n%!" who
+      servers port
       (Unix.gettimeofday () -. t0);
     (* Watcher: fires the scheduled kills and tracks the children's peak
-       RSS (VmHWM) while the round runs. *)
-    let t_round = Unix.gettimeofday () in
+       RSS (VmHWM) while the fleet runs. *)
+    let t_up = Unix.gettimeofday () in
+    let peak_child = ref 0 in
     let stop_watch = Atomic.make false in
     let watcher =
       Thread.create
@@ -635,14 +614,12 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
           let killed = ref false in
           while not (Atomic.get stop_watch) do
             (match kills with
-            | Some (at, victims)
-              when (not !killed) && Unix.gettimeofday () -. t_round >= at ->
+            | Some (at, victims) when (not !killed) && Unix.gettimeofday () -. t_up >= at ->
                 killed := true;
                 List.iter
                   (fun sid ->
-                    Printf.printf "cluster[%s]: killing node %d (pid %d) at %.2fs\n%!" label
-                      sid pids.(sid)
-                      (Unix.gettimeofday () -. t_round);
+                    Printf.printf "%s: killing node %d (pid %d) at %.2fs\n%!" who sid pids.(sid)
+                      (Unix.gettimeofday () -. t_up);
                     Hashtbl.replace deliberate sid ();
                     try Unix.kill pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
                   victims
@@ -657,7 +634,7 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
     (* --domains 0 (the default): honor ATOM_DOMAINS when set, otherwise
        use the measured recommendation (host cores capped by the
        recommended_domains a bench parallel run recorded on matching
-       hardware). Only pools this process created are shut down here. *)
+       hardware). Only pools this process created are shut down. *)
     let pool, own_pool =
       if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
       else if domains = 1 then (None, false)
@@ -666,87 +643,152 @@ let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log
         | Some _ -> (Atom_exec.Pool.default (), false)
         | None ->
             let d = Atom_exec.Pool.auto_domains () in
-            Printf.printf "cluster: coordinator using %d worker domain%s (measured default)\n%!"
-              d
+            Printf.printf "%s: coordinator using %d worker domain%s (measured default)\n%!" who d
               (if d = 1 then "" else "s");
             if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
       end
     in
-    let result =
-      Node.run_coordinator ~obs
-        ~clock:(fun () -> Unix.gettimeofday () -. t0)
-        ~collect_stats:trace ?pool t ~config ~users ~recv_timeout:0.25
-        ~max_idle:(max 1 (int_of_float (timeout /. 0.25)))
-        ()
+    let land_fleet () =
+      if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
+      Atomic.set stop_watch true;
+      Thread.join watcher;
+      let child_failures = reap ~kill:false in
+      Tcp.close t;
+      (child_failures, !peak_child)
     in
-    if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
-    Atomic.set stop_watch true;
-    Thread.join watcher;
-    let child_failures = reap ~kill:false in
-    Tcp.close t;
-    (* Strict decode of the live-collected snapshots; when stats were
-       requested, a live node that never answered is an error too — the
-       schema gate in CI must see every lane. *)
-    let node_snapshots, snapshot_errors =
-      List.fold_left
-        (fun (oks, errs) (sid, json) ->
-          match Atom_obs.Snapshot.of_json json with
-          | Ok s -> ((sid, s) :: oks, errs)
-          | Error e -> (oks, (sid, e) :: errs))
-        ([], []) result.Node.node_snapshots
-    in
-    let snapshot_errors =
-      if not trace then snapshot_errors
-      else
-        List.fold_left
-          (fun errs sid ->
-            if
-              List.mem sid result.Node.failed_nodes
-              || List.mem_assoc sid result.Node.node_snapshots
-            then errs
-            else (sid, "no Stats_reply received") :: errs)
-          snapshot_errors
-          (List.init servers Fun.id)
-    in
-    {
-      fs_matched = result.Node.matched;
-      fs_abort = result.Node.cluster_abort;
-      fs_delivered = result.Node.delivered;
-      fs_rejected = result.Node.rejected_submissions;
-      fs_recovery_rounds = result.Node.recovery_rounds;
-      fs_failed_nodes = result.Node.failed_nodes;
-      fs_exit_dups =
-        int_of_float (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups");
-      fs_wall_s = Unix.gettimeofday () -. t0;
-      fs_peak_child_rss_kb = !peak_child;
-      fs_node_counters = collect_node_counters ();
-      fs_recovery_seconds = result.Node.recovery_seconds;
-      fs_join_times =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) join_times []);
-      fs_node_snapshots = List.sort compare node_snapshots;
-      fs_snapshot_errors = List.sort compare snapshot_errors;
-      fs_child_failures = child_failures;
-    }
+    Ok
+      {
+        fl_t0 = t0;
+        fl_t = t;
+        fl_ports = ports;
+        fl_join_times =
+          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) join_times []);
+        fl_pool = pool;
+        fl_land = land_fleet;
+      }
   with Fleet_failure msg ->
     let child_failures = reap ~kill:true in
     Tcp.close t;
-    {
-      fs_matched = false;
-      fs_abort = Some msg;
-      fs_delivered = [];
-      fs_rejected = [];
-      fs_recovery_rounds = 0;
-      fs_failed_nodes = [];
-      fs_exit_dups = 0;
-      fs_wall_s = Unix.gettimeofday () -. t0;
-      fs_peak_child_rss_kb = !peak_child;
-      fs_node_counters = collect_node_counters ();
-      fs_recovery_seconds = [];
-      fs_join_times = [];
-      fs_node_snapshots = [];
-      fs_snapshot_errors = [];
-      fs_child_failures = child_failures;
-    }
+    Error (msg, child_failures)
+
+(* Spawn N atom_node processes on loopback, drive a full round over real
+   TCP, and check the published plaintexts against the single-process
+   reference run for the same seed. [chaos] is forwarded to every node's
+   transport wrapper; [kills] schedules SIGKILLs (seconds after the round
+   starts, server ids). One call = one epoch; the soak loops this. *)
+let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log_dir ~obs
+    ~(chaos : string) ~(kills : (float * int list) option)
+    ~(node_metrics_dir : string option) ~(label : string) ?(trace = false) () :
+    fleet_summary =
+  let module G = (val Atom_group.Registry.zp_test ()) in
+  let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
+  let servers = config.Config.n_servers in
+  (match node_metrics_dir with
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | _ -> ());
+  let node_metrics_file i =
+    Option.map
+      (fun dir -> Filename.concat dir (Printf.sprintf "%s-node-%d.metrics" label i))
+      node_metrics_dir
+  in
+  let collect_node_counters () =
+    let tbl = Hashtbl.create 32 in
+    for i = 0 to servers - 1 do
+      match node_metrics_file i with
+      | None -> ()
+      | Some path -> (
+          match load_snapshot path with
+          | Ok snap ->
+              List.iter
+                (fun (name, v) ->
+                  Hashtbl.replace tbl name
+                    (v +. Option.value ~default:0. (Hashtbl.find_opt tbl name)))
+                (Atom_obs.Snapshot.counters snap)
+          | Error _ -> () (* killed mid-epoch: no exit dump to fold in *))
+    done;
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let node_args i =
+    Array.append
+      (if trace then [| "--trace" |] else [||])
+      (match node_metrics_file i with None -> [||] | Some path -> [| "--metrics-out"; path |])
+  in
+  let t_start = Unix.gettimeofday () in
+  match
+    launch_fleet ~config ~domains ~node_bin ~timeout ~log_dir ~obs
+      ~who:(Printf.sprintf "cluster[%s]" label)
+      ~label ~chaos ~node_args ~kills
+  with
+  | Error (msg, child_failures) ->
+      {
+        fs_matched = false;
+        fs_abort = Some msg;
+        fs_delivered = [];
+        fs_rejected = [];
+        fs_recovery_rounds = 0;
+        fs_failed_nodes = [];
+        fs_exit_dups = 0;
+        fs_wall_s = Unix.gettimeofday () -. t_start;
+        fs_peak_child_rss_kb = 0;
+        fs_node_counters = collect_node_counters ();
+        fs_recovery_seconds = [];
+        fs_join_times = [];
+        fs_node_snapshots = [];
+        fs_snapshot_errors = [];
+        fs_child_failures = child_failures;
+      }
+  | Ok fl ->
+      let result =
+        Node.run_coordinator ~obs
+          ~clock:(fun () -> Unix.gettimeofday () -. fl.fl_t0)
+          ~collect_stats:trace ?pool:fl.fl_pool fl.fl_t ~config ~users ~recv_timeout:0.25
+          ~max_idle:(max 1 (int_of_float (timeout /. 0.25)))
+          ()
+      in
+      let child_failures, peak_child = fl.fl_land () in
+      (* Strict decode of the live-collected snapshots; when stats were
+         requested, a live node that never answered is an error too — the
+         schema gate in CI must see every lane. *)
+      let node_snapshots, snapshot_errors =
+        List.fold_left
+          (fun (oks, errs) (sid, json) ->
+            match Atom_obs.Snapshot.of_json json with
+            | Ok s -> ((sid, s) :: oks, errs)
+            | Error e -> (oks, (sid, e) :: errs))
+          ([], []) result.Node.node_snapshots
+      in
+      let snapshot_errors =
+        if not trace then snapshot_errors
+        else
+          List.fold_left
+            (fun errs sid ->
+              if
+                List.mem sid result.Node.failed_nodes
+                || List.mem_assoc sid result.Node.node_snapshots
+              then errs
+              else (sid, "no Stats_reply received") :: errs)
+            snapshot_errors
+            (List.init servers Fun.id)
+      in
+      {
+        fs_matched = result.Node.matched;
+        fs_abort = result.Node.cluster_abort;
+        fs_delivered = result.Node.delivered;
+        fs_rejected = result.Node.rejected_submissions;
+        fs_recovery_rounds = result.Node.recovery_rounds;
+        fs_failed_nodes = result.Node.failed_nodes;
+        fs_exit_dups =
+          int_of_float
+            (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups");
+        fs_wall_s = Unix.gettimeofday () -. fl.fl_t0;
+        fs_peak_child_rss_kb = peak_child;
+        fs_node_counters = collect_node_counters ();
+        fs_recovery_seconds = result.Node.recovery_seconds;
+        fs_join_times = fl.fl_join_times;
+        fs_node_snapshots = List.sort compare node_snapshots;
+        fs_snapshot_errors = List.sort compare snapshot_errors;
+        fs_child_failures = child_failures;
+      }
 
 let cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed =
   {
@@ -1304,157 +1346,50 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed
   in
   Config.validate config;
-  if log_dir <> None then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
   let obs = Atom_obs.Ctx.create () in
-  let coord = servers in
-  let t = Tcp.create ~obs ~node_id:coord ~send_timeout:2.0 () in
-  let port = Tcp.port t in
-  let node_bin =
-    match node_bin with
-    | Some p -> p
-    | None ->
-        let dir = Filename.dirname Sys.executable_name in
-        let exe = Filename.concat dir "atom_node.exe" in
-        if Sys.file_exists exe then exe else Filename.concat dir "atom_node"
-  in
-  let t0 = Unix.gettimeofday () in
-  let poll = 0.2 in
-  (match log_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
-  (* The [after] guard keeps the bring-up handshake clean; everything past
-     it — Submits, acks, step frames, announcements — rides the lossy
-     transport and must still satisfy the exactly-once gate. *)
-  let chaos = if loss > 0. then Printf.sprintf "after=1.0;drop=%g;seed=%d" loss seed else "" in
-  let pids =
-    Array.init servers (fun i ->
-        let args =
-          [|
-            node_bin; "--node-id"; string_of_int i;
-            "--coordinator-port"; string_of_int port;
-            "--variant"; variant_name config.Config.variant;
-            "--servers"; string_of_int servers;
-            "--groups"; string_of_int groups;
-            "--group-size"; string_of_int group_size;
-            "--honest"; string_of_int h;
-            "--iterations"; string_of_int iterations;
-            "--msg-bytes"; string_of_int msg_bytes;
-            "--seed"; string_of_int seed;
-            "--domains"; string_of_int domains;
-            "--recv-timeout"; Printf.sprintf "%g" poll;
-            "--max-idle"; string_of_int (max 1 (int_of_float (timeout /. poll)));
-            "--ingest";
-            "--ingest-rate"; Printf.sprintf "%g" ingest_rate;
-            "--ingest-burst"; Printf.sprintf "%g" ingest_burst;
-            "--ingest-pow-bits"; string_of_int pow_bits;
-            "--ingest-queue-cap"; string_of_int queue_cap;
-          |]
-        in
-        let args = if chaos = "" then args else Array.append args [| "--chaos"; chaos |] in
-        match log_dir with
-        | None -> Unix.create_process node_bin args Unix.stdin Unix.stdout Unix.stderr
-        | Some dir ->
-            let log =
-              Unix.openfile
-                (Filename.concat dir (Printf.sprintf "clients-node-%d.log" i))
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            let pid =
-              Unix.create_process node_bin (Array.append args [| "--verbose" |]) Unix.stdin log
-                log
-            in
-            Unix.close log;
-            pid)
-  in
-  let deliberate = Hashtbl.create 4 in
-  let reap ~kill = reap_children ~pids ~deliberate ~kill in
-  let ports = Hashtbl.create servers in
-  (try
-     let deadline = Unix.gettimeofday () +. timeout in
-     while Hashtbl.length ports < servers && Unix.gettimeofday () < deadline do
-       match Tcp.recv t ~timeout:0.5 with
-       | Ok (_, frame) -> (
-           match Ctrl.decode frame with
-           | Some (Ctrl.Join { node_id; port }) ->
-               Hashtbl.replace ports node_id port;
-               Tcp.add_peer t ~node_id ~host:"127.0.0.1" ~port
-           | _ -> ())
-       | Error _ -> ()
-     done;
-     if Hashtbl.length ports < servers then
-       raise
-         (Fleet_failure
-            (Printf.sprintf "%d/%d nodes joined before timeout" (Hashtbl.length ports) servers));
-     let peers = Array.init servers (fun i -> (i, Hashtbl.find ports i)) in
-     let send_peers () =
-       for i = 0 to servers - 1 do
-         ignore (Tcp.send t ~dst:i (Ctrl.encode (Ctrl.Peers { peers })))
-       done
-     in
-     send_peers ();
-     let acked = Hashtbl.create servers in
-     let last_bcast = ref (Unix.gettimeofday ()) in
-     while Hashtbl.length acked < servers && Unix.gettimeofday () < deadline do
-       (match Tcp.recv t ~timeout:0.5 with
-       | Ok (_, frame) -> (
-           match Ctrl.decode frame with
-           | Some (Ctrl.Ack { token }) -> Hashtbl.replace acked token ()
-           | _ -> ())
-       | Error _ -> ());
-       if Hashtbl.length acked < servers && Unix.gettimeofday () -. !last_bcast > 2. then begin
-         last_bcast := Unix.gettimeofday ();
-         send_peers ()
-       end
-     done;
-     if Hashtbl.length acked < servers then
-       raise
-         (Fleet_failure
-            (Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers))
-   with Fleet_failure msg ->
-     ignore (reap ~kill:true);
-     Tcp.close t;
-     Printf.printf "clients: fleet bring-up failed: %s\n" msg;
-     exit 1);
-  Printf.printf "clients: %d ingest nodes up (coordinator port %d) [%.2fs]\n%!" servers port
-    (Unix.gettimeofday () -. t0);
-  (* The same deterministic setup every node derived from --seed: the
-     client threads need it to build onions, the harness to know who the
-     entry heads are. Read-only from here on, so sharing across threads is
-     safe. *)
-  let net = Pr.setup (Atom_util.Rng.create seed) config () in
-  let heads = Array.init groups (fun gid -> net.Pr.groups.(gid).Pr.members.(0)) in
-  let is_head sid = Array.exists (fun hd -> hd = sid) heads in
-  let _, bulletin_pk = Node.bulletin_keypair config in
   (* Chaos kill: a non-entry-head only. A dead entry head loses the units
      only it had admitted — the documented loss bound — so the zero-loss
      gate pins the kill to a mixing-only node (§4.5 recovers its roles). *)
-  let victim =
+  let heads = Array.init groups (fun gid -> (members_of_group ~config gid).(0)) in
+  let is_head sid = Array.exists (fun hd -> hd = sid) heads in
+  let kills =
     if kill_at <= 0. then None
     else
       match List.find_opt (fun sid -> not (is_head sid)) (List.init servers Fun.id) with
       | None ->
           Printf.printf "clients: every server heads an entry group; skipping --kill-at\n";
           None
-      | v -> v
+      | Some sid -> Some (kill_at, [ sid ])
   in
-  let stop_watch = Atomic.make false in
-  let watcher =
-    Thread.create
-      (fun () ->
-        let killed = ref false in
-        while not (Atomic.get stop_watch) do
-          (match victim with
-          | Some sid when (not !killed) && Unix.gettimeofday () -. t0 >= kill_at ->
-              killed := true;
-              Hashtbl.replace deliberate sid ();
-              Printf.printf "clients: killing node %d (pid %d) at %.2fs\n%!" sid pids.(sid)
-                (Unix.gettimeofday () -. t0);
-              (try Unix.kill pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
-          | _ -> ());
-          Thread.delay 0.05
-        done)
-      ()
+  (* The [after] guard keeps the bring-up handshake clean; everything past
+     it — Submits, acks, step frames, announcements — rides the lossy
+     transport and must still satisfy the exactly-once gate. *)
+  let chaos = if loss > 0. then Printf.sprintf "after=1.0;drop=%g;seed=%d" loss seed else "" in
+  let node_args _ =
+    [|
+      "--ingest";
+      "--ingest-rate"; Printf.sprintf "%g" ingest_rate;
+      "--ingest-burst"; Printf.sprintf "%g" ingest_burst;
+      "--ingest-pow-bits"; string_of_int pow_bits;
+      "--ingest-queue-cap"; string_of_int queue_cap;
+    |]
   in
+  let fl =
+    match
+      launch_fleet ~config ~domains ~node_bin ~timeout ~log_dir ~obs ~who:"clients"
+        ~label:"clients" ~chaos ~node_args ~kills
+    with
+    | Ok fl -> fl
+    | Error (msg, _) ->
+        Printf.printf "clients: fleet bring-up failed: %s\n" msg;
+        exit 1
+  in
+  let t0 = fl.fl_t0 in
+  (* The same deterministic setup every node derived from --seed: the
+     client threads need it to build onions. Read-only from here on, so
+     sharing across threads is safe. *)
+  let net = Pr.setup (Atom_util.Rng.create seed) config () in
+  let _, bulletin_pk = Node.bulletin_keypair config in
   let active = Atomic.make n_clients in
   let stop_all = Atomic.make false in
   let stats =
@@ -1471,7 +1406,7 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     let gid = j mod groups in
     let head = heads.(gid) in
     let ct = Tcp.create ~node_id:cid ~send_timeout:2.0 () in
-    Tcp.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(Hashtbl.find ports head);
+    Tcp.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(Hashtbl.find fl.fl_ports head);
     let rng = Atom_util.Rng.create (seed lxor (0x5eed0 + cid)) in
     let on_announce ~epoch ~digest ~signature ~posts =
       st.cs_announces <- st.cs_announces + 1;
@@ -1570,32 +1505,18 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     Tcp.close ct
   in
   let threads = List.init n_clients (fun j -> Thread.create run_client j) in
-  let pool, own_pool =
-    if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
-    else if domains = 1 then (None, false)
-    else
-      match Sys.getenv_opt "ATOM_DOMAINS" with
-      | Some _ -> (Atom_exec.Pool.default (), false)
-      | None ->
-          let d = Atom_exec.Pool.auto_domains () in
-          if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
-  in
   let outcome =
     Node.run_ingest_coordinator ~obs
       ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ?pool t ~config ~recv_timeout:0.1
+      ?pool:fl.fl_pool fl.fl_t ~config ~recv_timeout:0.1
       ~max_idle:(max 1 (int_of_float (timeout /. 0.1)))
       ~epoch_s ~min_epochs
       ~keep_collecting:(fun () -> Atomic.get active > 0)
       ()
   in
-  if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
   Atomic.set stop_all true;
   List.iter Thread.join threads;
-  Atomic.set stop_watch true;
-  Thread.join watcher;
-  let child_failures = reap ~kill:false in
-  Tcp.close t;
+  let child_failures, _ = fl.fl_land () in
   let wall = Unix.gettimeofday () -. t0 in
   let epochs = outcome.Node.ing_epochs in
   let posts_of e = Array.to_list e.Node.ep_sealed.Bulletin.posts in
@@ -1785,7 +1706,7 @@ let clients_cmd =
     Arg.(
       value & opt float 0.
       & info [ "kill-at" ]
-          ~doc:"SIGKILL one non-entry-head node this many seconds in (0 disables).")
+          ~doc:"SIGKILL one non-entry-head node this many seconds after the fleet is up (0 disables).")
   in
   let json_out =
     Arg.(value & opt (some string) None & info [ "json-out" ] ~doc:"Write the run summary JSON here.")

@@ -253,7 +253,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     outbox : Outbox.t; (* retained sent frames, for Retransmit *)
     handled : (string, unit) Hashtbl.t; (* semantic dedup of pipeline steps *)
     adopted : (int * int, unit) Hashtbl.t; (* (gid, pos) ceremonies done *)
-    mutable barrier : bool;
+    mutable sealed : int; (* epochs whose Barrier arrived: 0..sealed-1 *)
     mutable stop : bool;
     obs : Atom_obs.Ctx.t;
     (* Exclusive wall-clock phase tracker for the event loop (tid 0). The
@@ -572,13 +572,14 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       begin_iter n gid iter (Array.concat (List.rev st.parts))
     end
 
-  (* Start entry mixing for (gid, epoch) exactly once. Legacy flow waits
-     for the coordinator's Submissions frame; ingest flow has already
-     sealed the epoch's units locally, so an absent entry means an empty
-     epoch and the (empty) batch flow still runs to keep downstream
-     in-degree counting uniform. *)
+  (* Start entry mixing for a sealed (gid, epoch) exactly once. A round's
+     head waits for the coordinator's Submissions frame (under chaos drops
+     the Barrier can overtake it); ingest flow has already sealed the
+     epoch's units locally, so an absent entry means an empty epoch and
+     the (empty) batch flow still runs to keep downstream in-degree
+     counting uniform. *)
   let maybe_start_entry (n : node) (gid : int) ~(epoch : int) : unit =
-    if n.barrier && not (Hashtbl.mem n.entry_started (gid, epoch)) then begin
+    if epoch < n.sealed && not (Hashtbl.mem n.entry_started (gid, epoch)) then begin
       let units =
         match Hashtbl.find_opt n.entry_units (gid, epoch) with
         | Some units -> Some units
@@ -792,6 +793,14 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
                  retry_ms = 0; queue_len })
     end
 
+  (* Sealing hands an epoch's verified units to the entry head. *)
+  let take_pending (n : node) (ing : ingest_state) ~(gid : int) ~(epoch : int) : unit =
+    match Hashtbl.find_opt ing.ingest_pending (gid, epoch) with
+    | Some l ->
+        Hashtbl.replace n.entry_units (gid, epoch) (Array.of_list (List.rev !l));
+        Hashtbl.remove ing.ingest_pending (gid, epoch)
+    | None -> ()
+
   let handle_control (n : node) ~(src : int) (msg : Ctrl.t) : unit =
     match msg with
     | Ctrl.Peers _ | Ctrl.Hello _ | Ctrl.Join _ | Ctrl.Ack _ | Ctrl.Published _
@@ -818,36 +827,24 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           || gid >= Array.length n.net.Pr.groups
           || n.net.Pr.groups.(gid).Pr.members <> members
         then abort n ~code:Ctrl.abort_bad_assignment (Printf.sprintf "group %d assignment mismatch" gid)
-    | Ctrl.Barrier { iter } -> (
-        match n.ingest with
-        | None ->
-            if iter = 0 then begin
-              n.barrier <- true;
-              List.iter
-                (fun (gid, pos) -> if pos = 1 then maybe_start_entry n gid ~epoch:0)
-                n.roles
-            end
-        | Some ing ->
-            (* Ingest mode: Barrier e seals epoch e — collection moves on to
-               e+1 (that's the pipelining: e mixes while e+1 collects) and
-               e's verified units become the entry batch. Idempotent under
-               barrier retransmission. *)
+    | Ctrl.Barrier { iter = epoch } ->
+        (* Barrier e seals epoch e and starts its entry mixing; idempotent
+           under barrier retransmission. With ingest on, collection moves
+           on to e+1 (that's the pipelining: e mixes while e+1 collects)
+           and e's verified units become the entry batch. *)
+        n.sealed <- max n.sealed (epoch + 1);
+        Option.iter
+          (fun ing ->
             phase n "ingest";
-            n.barrier <- true;
-            let epoch = iter in
-            ignore (Intake.seal ing.intake ~epoch);
-            List.iter
-              (fun (gid, pos) ->
-                if pos = 1 then begin
-                  (match Hashtbl.find_opt ing.ingest_pending (gid, epoch) with
-                  | Some l ->
-                      Hashtbl.replace n.entry_units (gid, epoch)
-                        (Array.of_list (List.rev !l));
-                      Hashtbl.remove ing.ingest_pending (gid, epoch)
-                  | None -> ());
-                  maybe_start_entry n gid ~epoch
-                end)
-              n.roles)
+            ignore (Intake.seal ing.intake ~epoch))
+          n.ingest;
+        List.iter
+          (fun (gid, pos) ->
+            if pos = 1 then begin
+              Option.iter (fun ing -> take_pending n ing ~gid ~epoch) n.ingest;
+              maybe_start_entry n gid ~epoch
+            end)
+          n.roles
     | Ctrl.Submit { client; port; token; gid; epoch = _; blob; pow } -> (
         match n.ingest with
         | None -> bad_frame n "submit without ingest enabled"
@@ -872,24 +869,24 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         (* Dedup is load-bearing here: reprocessing would trip the
            duplicate-ciphertext check against the first pass's [seen]
            entries and replace the verified units with an empty set. *)
-        if fresh n (Printf.sprintf "U%d" gid) then on_submissions n gid blobs
+        if gid < 0 || gid >= Array.length n.net.Pr.groups then
+          bad_frame n "submissions for an unknown group"
+        else if fresh n (Printf.sprintf "U%d" gid) then on_submissions n gid blobs
     | Ctrl.Failed { sids } ->
         phase n "recovery";
         Array.iter (mark_failed n) sids;
         (* Adoption may have handed this node an entry-head role whose
            submissions were rerouted here before the death was known —
-           idempotent thanks to the entry_started guard. Ingest mode
-           revisits every sealed epoch (the replacement starts an empty
+           idempotent thanks to the entry_started guard. Every sealed epoch
+           is revisited (in ingest mode the replacement starts an empty
            entry; units accepted only by the dead head are the documented
            loss bound, which the harness avoids by killing non-heads). *)
-        let epochs =
-          match n.ingest with
-          | None -> [ 0 ]
-          | Some ing -> List.init (Intake.epoch ing.intake) Fun.id
-        in
         List.iter
           (fun (gid, pos) ->
-            if pos = 1 then List.iter (fun e -> maybe_start_entry n gid ~epoch:e) epochs)
+            if pos = 1 then
+              for epoch = 0 to n.sealed - 1 do
+                maybe_start_entry n gid ~epoch
+              done)
           n.roles
     | Ctrl.Retransmit ->
         (* Recovery nudge: re-send every retained frame toward its current
@@ -902,6 +899,26 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         Atom_obs.Log.warn "node %d: abort relayed: %s" n.node_id detail;
         n.stop <- true
     | Ctrl.Shutdown -> n.stop <- true
+
+  (* The indices the senders above produce: a gid names a group, a step a
+     pipeline position (shuffle 2..q+1, ReEnc 2..q), a batch index the
+     fan-out of its (gid, iter), and a Batch an edge of the topology.
+     Anything else would index past the key material or the topology, so
+     it is dropped like any other malformed frame. *)
+  let in_range (n : node) (msg : C.msg) : bool =
+    let net = n.net in
+    let group g = g >= 0 && g < Array.length net.Pr.groups in
+    let quorum = Config.quorum net.Pr.config in
+    match msg with
+    | C.Group_key _ | C.Exit_batch _ -> true
+    | C.Shuffle_step { gid; iter; step; _ } ->
+        group gid && iter >= 0 && step >= 2 && step <= quorum + 1
+    | C.Reenc_step { gid; iter; batch_idx; step; _ } ->
+        group gid && iter >= 0 && step >= 2 && step <= quorum && batch_idx >= 0
+        && batch_idx < Array.length (neighbors net ~iter ~gid)
+    | C.Batch { gid; iter; src_gid; _ } ->
+        group gid && group src_gid && iter >= 1
+        && Array.mem gid (neighbors net ~iter:(iter - 1) ~gid:src_gid)
 
   let handle_codec (n : node) (msg : C.msg) : unit =
     match msg with
@@ -948,14 +965,18 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
            frame — no per-element validation work. Decoding deferred and
            discharging explicitly (rather than [~policy:Batched]) keeps
            the non-member index for the abort detail. *)
+        let handle msg =
+          if in_range n msg then handle_codec n msg
+          else bad_frame n (Printf.sprintf "%s index out of range" (Frame.kind_name k))
+        in
         match C.decode ~policy:Atom_wire.Validation.Deferred frame with
         | Some (C.Unchecked d) -> (
             match C.discharge ?pool:n.pool d with
-            | Ok msg -> handle_codec n msg
+            | Ok msg -> handle msg
             | Error i ->
                 bad_frame n
                   (Printf.sprintf "non-member element %d in %s" i (Frame.kind_name k)))
-        | Some (C.Msg msg) -> handle_codec n msg
+        | Some (C.Msg msg) -> handle msg
         | None -> bad_frame n (Printf.sprintf "bad %s body" (Frame.kind_name k)))
     | Some k -> (
         match Ctrl.decode frame with
@@ -1011,7 +1032,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         outbox = Outbox.create ();
         handled = Hashtbl.create 64;
         adopted = Hashtbl.create 8;
-        barrier = false;
+        sealed = 0;
         stop = false;
         obs;
         ph = Trace.Phase.start tr ~tid:0 "barrier";
@@ -1034,7 +1055,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
          ("barrier") or blocked on upstream pipeline traffic ("recv-wait");
          handlers switch to their own phase on arrival, so the tid-0 phase
          spans tile the whole loop lifetime. *)
-      phase n (if n.barrier then "recv-wait" else "barrier");
+      phase n (if n.sealed > 0 then "recv-wait" else "barrier");
       match T.recv t ~timeout:recv_timeout with
       | Error Transport.Closed -> n.stop <- true
       | Error _ -> incr idle
@@ -1050,6 +1071,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           handle_frame n ~src frame
     done;
     Trace.Phase.stop n.ph
+
 
   (* ---- coordinator ---- *)
 
@@ -1070,299 +1092,6 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
            before shutdown; [] unless [collect_stats] was set. *)
   }
 
-  (* Drive a full round over [t]: ship submissions to entry heads, release
-     the barrier, collect and verify exit batches, run the variant endgame,
-     and compare against the in-process reference execution.
-
-     Failure detection is timeout-driven, per §4.5: [stall_strikes]
-     consecutive empty receives trigger a recovery sweep — probe every
-     presumed-live server with a cheap control send (a typed transport
-     error is the death certificate), broadcast the updated failure set,
-     re-send the coordinator's retained frames toward the replacements,
-     and nudge the fleet to do the same ([Retransmit]). A partitioned
-     server yields no send error; for that case the sweep's retransmission
-     alone completes the round once the partition heals. Sweeps are
-     bounded by [max_recovery_rounds] and the whole wait by [max_idle]. *)
-  let run_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
-      ~(config : Config.t) ~(users : int) ?(recv_timeout = 0.5) ?(max_idle = 240)
-      ?(stall_strikes = 8) ?(max_recovery_rounds = 16) ?(collect_stats = false) () :
-      cluster_outcome =
-    (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
-    let tr = Atom_obs.Ctx.tracer obs in
-    Trace.thread_name tr ~tid:0 "event loop";
-    let cph = Trace.Phase.start tr ~tid:0 "send" in
-    (* Repair times ride on whatever clock the caller bound; unbound (the
-       deterministic sim harness) it reads a constant and yields zeros. *)
-    let mono = match clock with Some c -> c | None -> fun () -> Trace.now tr in
-    let rng = Atom_util.Rng.create config.Config.seed in
-    let net = Pr.setup rng config () in
-    let n_groups = config.Config.n_groups in
-    let msgs = List.init users (fun i -> Printf.sprintf "anonymous message #%d" i) in
-    let subs =
-      List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod n_groups) m) msgs
-    in
-    (* The reference execution: same seed, same submissions, one process. *)
-    let reference = Pr.run rng net subs in
-    (* Entry accounting mirrors [Pr.run]: the heads verify on their side;
-       the coordinator's own pass supplies reject lists and commitments. *)
-    let seen = Hashtbl.create 256 in
-    let accepted, rejected = List.partition (Pr.verify_submission net seen) subs in
-    let rejected_submissions = List.map (fun s -> s.Pr.user) rejected in
-    let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun s ->
-        match s.Pr.commitment with
-        | Some c ->
-            Hashtbl.replace commitments s.Pr.entry_gid
-              (c :: Option.value ~default:[] (Hashtbl.find_opt commitments s.Pr.entry_gid))
-        | None -> ())
-      accepted;
-    (* Routed, retained sends: the failure set starts empty and grows as
-       sends error out or stall sweeps find dead servers. *)
-    let reg = Atom_obs.Ctx.metrics obs in
-    let m_recovery_rounds = Atom_obs.Metrics.counter reg "coord.recovery_rounds" in
-    let m_failed_nodes = Atom_obs.Metrics.counter reg "coord.failed_nodes" in
-    let m_exit_dups = Atom_obs.Metrics.counter reg "coord.exit_dups" in
-    let m_recovery_s =
-      Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:60. "coord.recovery_seconds"
-    in
-    let n_servers = config.Config.n_servers in
-    let failed = Array.make n_servers false in
-    let outbox = Outbox.create ~cap:64 () in
-    let newly_failed = ref [] in
-    let mark sid =
-      if sid >= 0 && sid < n_servers && not failed.(sid) then begin
-        failed.(sid) <- true;
-        Atom_obs.Metrics.incr m_failed_nodes;
-        newly_failed := sid :: !newly_failed;
-        Atom_obs.Log.warn "coordinator: node %d presumed dead" sid
-      end
-    in
-    let rec send_raw ~dst frame =
-      let target = resolve net failed dst in
-      match T.send t ~dst:target frame with
-      | Ok () -> ()
-      | Error _ ->
-          mark target;
-          if resolve net failed dst <> target then send_raw ~dst frame
-    in
-    let send_c ~dst frame =
-      Outbox.note outbox ~dst frame;
-      send_raw ~dst frame
-    in
-    (* Consistency cross-checks + submissions + barrier. *)
-    for gid = 0 to n_groups - 1 do
-      let g = net.Pr.groups.(gid) in
-      let head = g.Pr.members.(0) in
-      Array.iter
-        (fun sid ->
-          send_c ~dst:sid (Ctrl.encode (Ctrl.Group_assign { gid; members = g.Pr.members }));
-          send_c ~dst:sid (C.encode (C.Group_key { gid; pk = Pr.group_pk net gid })))
-        g.Pr.members;
-      send_c ~dst:head
-        (Pr.Wire.submissions_to_frame ~gid
-           (List.filter (fun s -> s.Pr.entry_gid = gid) subs))
-    done;
-    for sid = 0 to n_servers - 1 do
-      send_c ~dst:sid (Ctrl.encode (Ctrl.Barrier { iter = 0 }))
-    done;
-    (* One recovery sweep: probe, publish deaths, retransmit. *)
-    let recoveries = ref 0 in
-    (* Sweep start times awaiting a resumption mark: each is closed out by
-       the next exit-batch arrival, which is the first proof the pipeline
-       is moving again. That delta is the §4.5 repair time the error
-       budget histograms. *)
-    let pending_sweeps = ref [] in
-    let recovery_seconds = ref [] in
-    let recovery_sweep () =
-      Trace.Phase.switch cph "recovery";
-      incr recoveries;
-      pending_sweeps := mono () :: !pending_sweeps;
-      Atom_obs.Metrics.incr m_recovery_rounds;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then
-          match T.send t ~dst:sid (Ctrl.encode (Ctrl.Ack { token = 0xbeef })) with
-          | Ok () -> ()
-          | Error _ -> mark sid
-      done;
-      if !newly_failed <> [] then begin
-        let sids = Array.of_list !newly_failed in
-        newly_failed := [];
-        for sid = 0 to n_servers - 1 do
-          if not failed.(sid) then
-            ignore (T.send t ~dst:sid (Ctrl.encode (Ctrl.Failed { sids })))
-        done;
-        (* Feed each replacement the frames its dead predecessor was sent. *)
-        Array.iter
-          (fun dead -> Outbox.iter_dst outbox ~dst:dead (fun fr -> send_raw ~dst:dead fr))
-          sids
-      end;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Retransmit))
-      done
-    in
-    (* Collect exit batches. *)
-    let last = iterations net - 1 in
-    let quorum = Config.quorum config in
-    let want = expected_exits net in
-    let holdings = Array.make n_groups [] in
-    let seen_exits = Hashtbl.create 16 in
-    let got = ref 0 in
-    let idle = ref 0 in
-    let strikes = ref 0 in
-    let cluster_abort = ref None in
-    while !got < want && !cluster_abort = None && !idle < max_idle do
-      Trace.Phase.switch cph "recv-wait";
-      match T.recv t ~timeout:recv_timeout with
-      | Error Transport.Closed ->
-          cluster_abort := Some "coordinator transport closed"
-      | Error _ ->
-          incr idle;
-          incr strikes;
-          if !strikes >= stall_strikes && !recoveries < max_recovery_rounds then begin
-            strikes := 0;
-            recovery_sweep ()
-          end
-      | Ok (_src, frame) -> (
-          idle := 0;
-          strikes := 0;
-          match C.decode ?pool ~policy:Atom_wire.Validation.Batched frame with
-          | Some (C.Msg (C.Exit_batch { gid; iter = _; batch_idx; input; output; proofs })) ->
-              if Hashtbl.mem seen_exits (gid, batch_idx) then
-                Atom_obs.Metrics.incr m_exit_dups
-              else begin
-                Trace.Phase.switch cph "verify";
-                if !pending_sweeps <> [] then begin
-                  let now = mono () in
-                  List.iter
-                    (fun t0 ->
-                      let d = now -. t0 in
-                      recovery_seconds := d :: !recovery_seconds;
-                      Atom_obs.Metrics.observe m_recovery_s d)
-                    (List.rev !pending_sweeps);
-                  pending_sweeps := []
-                end;
-                let ok =
-                  config.Config.variant <> Config.Nizk
-                  || verify_hop ?pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
-                       ~context:(iter_ctx net gid last) ~input ~output proofs
-                in
-                if ok then begin
-                  Hashtbl.add seen_exits (gid, batch_idx) ();
-                  Array.iter (fun v -> holdings.(gid) <- v :: holdings.(gid)) output;
-                  incr got
-                end
-                else cluster_abort := Some (Printf.sprintf "exit proofs rejected gid=%d" gid)
-              end
-          | Some _ -> ()
-          | None -> (
-              match Ctrl.decode frame with
-              | Some (Ctrl.Abort { detail; _ }) -> cluster_abort := Some detail
-              | Some (Ctrl.Failed { sids }) ->
-                  (* A node saw a peer die before we did: adopt its view
-                     and run a sweep now rather than waiting for a stall. *)
-                  Array.iter mark sids;
-                  if !newly_failed <> [] && !recoveries < max_recovery_rounds then
-                    recovery_sweep ()
-              | _ -> ()))
-    done;
-    if !cluster_abort = None && !got < want then
-      cluster_abort := Some (Printf.sprintf "timed out with %d/%d exit batches" !got want);
-    (* Variant endgame over the assembled holdings, as in [Pr.run]. *)
-    Trace.Phase.switch cph "decrypt";
-    let delivered =
-      if !cluster_abort <> None then []
-      else begin
-        let holdings = Array.map (fun l -> Array.of_list (List.rev l)) holdings in
-        let exits = Pr.decode_exit net holdings in
-        match config.Config.variant with
-        | Config.Basic | Config.Nizk ->
-            List.filter_map
-              (fun u ->
-                if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload)
-                else None)
-              exits
-        | Config.Trap -> (
-            match Pr.trap_checks net ~commitments exits with
-            | Some _, _ ->
-                cluster_abort := Some "trap checks failed";
-                []
-            | None, inner_payloads ->
-                List.map Pr.Msg.unpad_plaintext (Pr.open_inners net inner_payloads))
-      end
-    in
-    (* Stats harvest, while the fleet is still alive (Shutdown would race
-       the replies): ask every presumed-live node for its atom-metrics/1
-       snapshot; chaos can eat a request, so laggards get re-asked. Only
-       the trace-merging launcher pays this cost. *)
-    let node_snapshots =
-      if not collect_stats then []
-      else begin
-        Trace.Phase.switch cph "recv-wait";
-        let live = List.filter (fun sid -> not failed.(sid)) (List.init n_servers Fun.id) in
-        let req = Ctrl.encode (Ctrl.Stats_request { token = 1 }) in
-        List.iter (fun sid -> ignore (T.send t ~dst:sid req)) live;
-        let got_stats : (int, string) Hashtbl.t = Hashtbl.create 16 in
-        let polls = ref 0 in
-        let empties = ref 0 in
-        let max_polls = max 16 (4 * n_servers) in
-        while Hashtbl.length got_stats < List.length live && !polls < max_polls do
-          incr polls;
-          match T.recv t ~timeout:recv_timeout with
-          | Ok (_src, frame) -> (
-              match Ctrl.decode frame with
-              | Some (Ctrl.Stats_reply { node_id; snapshot; _ }) ->
-                  Hashtbl.replace got_stats node_id snapshot
-              | _ -> ())
-          | Error Transport.Closed -> polls := max_polls
-          | Error _ ->
-              incr empties;
-              if !empties mod 4 = 0 then
-                List.iter
-                  (fun sid ->
-                    if not (Hashtbl.mem got_stats sid) then ignore (T.send t ~dst:sid req))
-                  live
-        done;
-        List.filter_map
-          (fun sid -> Option.map (fun s -> (sid, s)) (Hashtbl.find_opt got_stats sid))
-          live
-      end
-    in
-    (* Publish and shut the fleet down (best effort — dead peers are
-       skipped rather than paid for: each send to a dead peer would burn
-       the full bounded reconnect budget). *)
-    Trace.Phase.switch cph "send";
-    for sid = 0 to n_servers - 1 do
-      if not failed.(sid) then begin
-        ignore
-          (T.send t ~dst:sid
-             (Ctrl.encode (Ctrl.Published { plaintexts = Array.of_list delivered })));
-        ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Shutdown))
-      end
-    done;
-    let matched =
-      !cluster_abort = None
-      && reference.Pr.aborted = None
-      && List.sort compare delivered = List.sort compare reference.Pr.delivered
-    in
-    let failed_nodes =
-      List.filter (fun sid -> failed.(sid)) (List.init n_servers Fun.id)
-    in
-    Trace.Phase.stop cph;
-    {
-      delivered;
-      reference = reference.Pr.delivered;
-      matched;
-      cluster_abort = !cluster_abort;
-      rejected_submissions;
-      recovery_rounds = !recoveries;
-      failed_nodes;
-      recovery_seconds = List.rev !recovery_seconds;
-      node_snapshots;
-    }
-
-  (* ---- ingest coordinator: pipelined epochs over client submissions ---- *)
-
   type epoch_outcome = {
     ep_epoch : int;
     ep_sealed : Bulletin.sealed;
@@ -1379,296 +1108,461 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     ing_board : Bulletin.t; (* all sealed epochs, published under round = epoch *)
   }
 
-  type exit_accum = {
-    ea_holdings : Pr.El.vec list array;
-    ea_seen : (int * int, unit) Hashtbl.t; (* (gid, batch_idx) *)
-    mutable ea_got : int;
-    mutable ea_sealed_at : float;
-  }
+  (* One coordinator loop for both flows (paper §4, Algorithm 2). It seals
+     epochs with [Barrier {iter = e}], collects and verifies each sealed
+     epoch's exit batches, and hands a complete epoch to the caller's
+     endgame. A single round is a run whose one epoch is sealed at once;
+     an ingest run seals one every [epoch_s] while clients keep submitting,
+     so epoch e mixes while e+1 collects. Exit batches carry their
+     absolute iteration, which keys them back to an epoch (iter / T).
 
-  (* Drive pipelined epochs: nodes collect client submissions continuously
-     (they run with [?ingest]); every [epoch_s] this coordinator broadcasts
-     [Barrier {iter = e}] — the seal for epoch e — so epoch e mixes while
-     epoch e+1 collects. Exit batches carry their absolute iteration, which
-     keys them back to an epoch (iter / T); a completed epoch is decoded,
+     Failure detection is timeout-driven, per §4.5: [stall_strikes]
+     consecutive empty receives trigger a recovery sweep — probe every
+     presumed-live server with a cheap control send (a typed transport
+     error is the death certificate), broadcast the updated failure set,
+     re-send the coordinator's retained frames toward the replacements,
+     and nudge the fleet to do the same ([Retransmit]). A partitioned
+     server yields no send error; for that case the sweep's retransmission
+     alone completes the run once the partition heals. Sweeps are bounded
+     by [max_recovery_rounds] and the whole wait by [max_idle]. *)
+  module Coord = struct
+    let outbox_cap = 128 (* retained frames per logical destination *)
+    let max_recovery_rounds = 32
+    let max_epochs = 64 (* bounds a [keep_collecting] that never yields *)
+
+    type schedule =
+      | Once (* seal epoch 0 at once, then only collect *)
+      | Every of { epoch_s : float; min_epochs : int; keep_collecting : unit -> bool }
+          (* seal every [epoch_s]: at least [min_epochs], then one flush
+             epoch once [keep_collecting] turns false — the caller stops
+             its clients before flipping it, so the flush epoch drains
+             anything admitted after the previous barrier *)
+
+    (* The exit batches of one sealed epoch. *)
+    type accum = {
+      holdings : Pr.El.vec list array; (* per exit group, newest first *)
+      seen : (int * int, unit) Hashtbl.t; (* (gid, batch_idx) *)
+      mutable got : int;
+      sealed_at : float;
+    }
+
+    type t = {
+      t : T.t;
+      net : Pr.network;
+      pool : Atom_exec.Pool.t option;
+      now : unit -> float;
+      ph : Trace.Phase.tracker;
+      failed : bool array; (* routing input; grows on send errors and sweeps *)
+      outbox : Outbox.t;
+      mutable newly_failed : int list; (* not yet announced with Failed *)
+      mutable recoveries : int;
+      (* Sweep start times awaiting a resumption mark: each is closed out
+         by the next accepted exit batch, the first proof the pipeline is
+         moving again. That delta is the §4.5 repair time the error budget
+         histograms. *)
+      mutable pending_sweeps : float list;
+      mutable recovery_seconds : float list; (* newest first *)
+      mutable abort : string option;
+      m_recovery_rounds : Atom_obs.Metrics.counter;
+      m_failed_nodes : Atom_obs.Metrics.counter;
+      m_exit_dups : Atom_obs.Metrics.counter;
+      m_recovery_s : Atom_obs.Metrics.histogram;
+    }
+
+    let create ~obs ?clock ?pool (t : T.t) (net : Pr.network) : t =
+      (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
+      let tr = Atom_obs.Ctx.tracer obs in
+      let reg = Atom_obs.Ctx.metrics obs in
+      Trace.thread_name tr ~tid:0 "event loop";
+      {
+        t;
+        net;
+        pool;
+        (* Pacing and repair times ride on the caller's clock. Unbound,
+           they read the tracer's, which the deterministic round harness
+           leaves constant, so its repair times come out zero. *)
+        now = (match clock with Some c -> c | None -> fun () -> Trace.now tr);
+        ph = Trace.Phase.start tr ~tid:0 "send";
+        failed = Array.make net.Pr.config.Config.n_servers false;
+        outbox = Outbox.create ~cap:outbox_cap ();
+        newly_failed = [];
+        recoveries = 0;
+        pending_sweeps = [];
+        recovery_seconds = [];
+        abort = None;
+        m_recovery_rounds = Atom_obs.Metrics.counter reg "coord.recovery_rounds";
+        m_failed_nodes = Atom_obs.Metrics.counter reg "coord.failed_nodes";
+        m_exit_dups = Atom_obs.Metrics.counter reg "coord.exit_dups";
+        m_recovery_s =
+          Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:60. "coord.recovery_seconds";
+      }
+
+    let phase (c : t) (name : string) : unit = Trace.Phase.switch c.ph name
+
+    let mark (c : t) (sid : int) : unit =
+      if sid >= 0 && sid < Array.length c.failed && not c.failed.(sid) then begin
+        c.failed.(sid) <- true;
+        Atom_obs.Metrics.incr c.m_failed_nodes;
+        c.newly_failed <- sid :: c.newly_failed;
+        Atom_obs.Log.warn "coordinator: node %d presumed dead" sid
+      end
+
+    (* Routed send: a typed send error marks the target dead and retries
+       toward its replacement (bounded by fleet size, as on the nodes). *)
+    let rec send_raw (c : t) ~(dst : int) (frame : string) : unit =
+      let target = resolve c.net c.failed dst in
+      match T.send c.t ~dst:target frame with
+      | Ok () -> ()
+      | Error _ ->
+          mark c target;
+          if resolve c.net c.failed dst <> target then send_raw c ~dst frame
+
+    (* Routed and retained, so a sweep can replay it to a replacement. *)
+    let send (c : t) ~(dst : int) (frame : string) : unit =
+      Outbox.note c.outbox ~dst frame;
+      send_raw c ~dst frame
+
+    let broadcast (c : t) (frame : string) : unit =
+      Array.iteri (fun sid _ -> send c ~dst:sid frame) c.failed
+
+    (* Neither routed nor retained: best effort to every presumed-live
+       server. Dead peers are skipped rather than paid for — each send to
+       one would burn the full bounded reconnect budget. *)
+    let tell_live (c : t) (frame : string) : unit =
+      Array.iteri (fun sid dead -> if not dead then ignore (T.send c.t ~dst:sid frame)) c.failed
+
+    (* One recovery sweep: probe, publish deaths, retransmit. *)
+    let sweep (c : t) : unit =
+      phase c "recovery";
+      c.recoveries <- c.recoveries + 1;
+      c.pending_sweeps <- c.now () :: c.pending_sweeps;
+      Atom_obs.Metrics.incr c.m_recovery_rounds;
+      let probe = Ctrl.encode (Ctrl.Ack { token = 0xbeef }) in
+      Array.iteri
+        (fun sid dead ->
+          if not dead then
+            match T.send c.t ~dst:sid probe with Ok () -> () | Error _ -> mark c sid)
+        c.failed;
+      if c.newly_failed <> [] then begin
+        let sids = Array.of_list c.newly_failed in
+        c.newly_failed <- [];
+        tell_live c (Ctrl.encode (Ctrl.Failed { sids }));
+        (* Feed each replacement the frames its dead predecessor was sent. *)
+        Array.iter (fun dead -> Outbox.iter_dst c.outbox ~dst:dead (send_raw c ~dst:dead)) sids
+      end;
+      tell_live c (Ctrl.encode Ctrl.Retransmit)
+
+    let resumed (c : t) : unit =
+      if c.pending_sweeps <> [] then begin
+        let now = c.now () in
+        List.iter
+          (fun t0 ->
+            let d = now -. t0 in
+            c.recovery_seconds <- d :: c.recovery_seconds;
+            Atom_obs.Metrics.observe c.m_recovery_s d)
+          (List.rev c.pending_sweeps);
+        c.pending_sweeps <- []
+      end
+
+    (* Ship the bring-up frames — the group assignment and key cross-checks
+       to every member, then [entry gid]'s frames to the entry head — and
+       drive epochs until every sealed epoch has been handed to [on_epoch]
+       (with its exit holdings per group, in arrival order), the run
+       aborts, or [max_idle] empty receives pass in a row. *)
+    let drive (c : t) ~(recv_timeout : float) ~(max_idle : int) ~(stall_strikes : int)
+        ~(entry : int -> string list) ~(schedule : schedule)
+        ~(on_epoch : int -> sealed_at:float -> Pr.El.vec array array -> unit) : unit =
+      let net = c.net in
+      let n_groups = net.Pr.config.Config.n_groups in
+      for gid = 0 to n_groups - 1 do
+        let g = net.Pr.groups.(gid) in
+        Array.iter
+          (fun sid ->
+            send c ~dst:sid (Ctrl.encode (Ctrl.Group_assign { gid; members = g.Pr.members }));
+            send c ~dst:sid (C.encode (C.Group_key { gid; pk = Pr.group_pk net gid })))
+          g.Pr.members;
+        List.iter (send c ~dst:g.Pr.members.(0)) (entry gid)
+      done;
+      let quorum = Config.quorum net.Pr.config in
+      let want = expected_exits net in
+      let accums : (int, accum) Hashtbl.t = Hashtbl.create 8 in
+      let sealed = ref 0 (* barriers broadcast: epochs 0..sealed-1 *) in
+      let completed = ref 0 in
+      let last_epoch = ref None in
+      let t0 = c.now () in
+      let due e =
+        match schedule with
+        | Once -> t0
+        | Every { epoch_s; _ } -> t0 +. (float_of_int (e + 1) *. epoch_s)
+      in
+      let done_sealing () = match !last_epoch with Some e -> !sealed > e | None -> false in
+      let seal now =
+        phase c "send";
+        let e = !sealed in
+        Hashtbl.replace accums e
+          { holdings = Array.make n_groups []; seen = Hashtbl.create 16; got = 0; sealed_at = now };
+        broadcast c (Ctrl.encode (Ctrl.Barrier { iter = e }));
+        sealed := e + 1;
+        if !last_epoch = None then
+          match schedule with
+          | Once -> last_epoch := Some e
+          | Every { min_epochs; keep_collecting; _ } ->
+              if e + 1 >= max_epochs then last_epoch := Some e
+              else if e + 1 >= min_epochs && not (keep_collecting ()) then
+                last_epoch := Some (e + 1)
+      in
+      (* Bounds first: an exit batch is held only for a sealed epoch, from
+         a real exit group on the last layer, at a real fan-out index, and
+         once. Anything else counts as a duplicate and changes nothing. *)
+      let on_exit ~gid ~iter ~batch_idx ~input ~output ~proofs =
+        let epoch = iter / iterations net in
+        let accum =
+          if
+            gid < 0 || gid >= n_groups || iter < 0
+            || (not (last_layer net iter))
+            || batch_idx < 0
+            || batch_idx >= Array.length (neighbors net ~iter ~gid)
+          then None
+          else Hashtbl.find_opt accums epoch
+        in
+        match accum with
+        | Some a when not (Hashtbl.mem a.seen (gid, batch_idx)) ->
+            phase c "verify";
+            resumed c;
+            let ok =
+              net.Pr.config.Config.variant <> Config.Nizk
+              || verify_hop ?pool:c.pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
+                   ~context:(iter_ctx net gid iter) ~input ~output proofs
+            in
+            if not ok then
+              c.abort <- Some (Printf.sprintf "exit proofs rejected gid=%d epoch=%d" gid epoch)
+            else begin
+              Hashtbl.add a.seen (gid, batch_idx) ();
+              Array.iter (fun v -> a.holdings.(gid) <- v :: a.holdings.(gid)) output;
+              a.got <- a.got + 1;
+              if a.got = want then begin
+                phase c "decrypt";
+                incr completed;
+                let holdings = Array.map (fun l -> Array.of_list (List.rev l)) a.holdings in
+                (* The seen table stays, so stragglers keep counting as
+                   duplicates; the units are the caller's now. *)
+                Array.fill a.holdings 0 n_groups [];
+                on_epoch epoch ~sealed_at:a.sealed_at holdings
+              end
+            end
+        | _ -> Atom_obs.Metrics.incr c.m_exit_dups
+      in
+      let finished () = done_sealing () && !completed >= !sealed in
+      let idle = ref 0 in
+      let strikes = ref 0 in
+      while (not (finished ())) && c.abort = None && !idle < max_idle do
+        let now = c.now () in
+        if (not (done_sealing ())) && now >= due !sealed then seal now
+        else begin
+          phase c "recv-wait";
+          let timeout =
+            if done_sealing () then recv_timeout
+            else Float.min recv_timeout (Float.max 0.01 (due !sealed -. now))
+          in
+          match T.recv c.t ~timeout with
+          | Error Transport.Closed -> c.abort <- Some "coordinator transport closed"
+          | Error _ ->
+              incr idle;
+              incr strikes;
+              if !strikes >= stall_strikes && c.recoveries < max_recovery_rounds then begin
+                strikes := 0;
+                sweep c
+              end
+          | Ok (_src, frame) -> (
+              idle := 0;
+              strikes := 0;
+              match C.decode ?pool:c.pool ~policy:Atom_wire.Validation.Batched frame with
+              | Some (C.Msg (C.Exit_batch { gid; iter; batch_idx; input; output; proofs })) ->
+                  on_exit ~gid ~iter ~batch_idx ~input ~output ~proofs
+              | Some _ -> ()
+              | None -> (
+                  match Ctrl.decode frame with
+                  | Some (Ctrl.Abort { detail; _ }) -> c.abort <- Some detail
+                  | Some (Ctrl.Failed { sids }) ->
+                      (* A node saw a peer die before we did: adopt its
+                         view and sweep now rather than waiting for a
+                         stall. *)
+                      Array.iter (mark c) sids;
+                      if c.newly_failed <> [] && c.recoveries < max_recovery_rounds then sweep c
+                  | _ -> ()))
+        end
+      done;
+      if c.abort = None && not (finished ()) then begin
+        let got = Hashtbl.fold (fun _ a acc -> acc + a.got) accums 0 in
+        c.abort <-
+          Some (Printf.sprintf "timed out with %d/%d exit batches" got (want * max 1 !sealed))
+      end
+
+    (* Stats harvest, while the fleet is still alive (Shutdown would race
+       the replies): ask every presumed-live node for its atom-metrics/1
+       snapshot; chaos can eat a request, so laggards get re-asked. *)
+    let harvest (c : t) ~(recv_timeout : float) : (int * string) list =
+      phase c "recv-wait";
+      let n_servers = Array.length c.failed in
+      let live = List.filter (fun sid -> not c.failed.(sid)) (List.init n_servers Fun.id) in
+      let req = Ctrl.encode (Ctrl.Stats_request { token = 1 }) in
+      List.iter (fun sid -> ignore (T.send c.t ~dst:sid req)) live;
+      let got : (int, string) Hashtbl.t = Hashtbl.create 16 in
+      let polls = ref 0 in
+      let empties = ref 0 in
+      let max_polls = max 16 (4 * n_servers) in
+      while Hashtbl.length got < List.length live && !polls < max_polls do
+        incr polls;
+        match T.recv c.t ~timeout:recv_timeout with
+        | Ok (_src, frame) -> (
+            match Ctrl.decode frame with
+            | Some (Ctrl.Stats_reply { node_id; snapshot; _ }) ->
+                Hashtbl.replace got node_id snapshot
+            | _ -> ())
+        | Error Transport.Closed -> polls := max_polls
+        | Error _ ->
+            incr empties;
+            if !empties mod 4 = 0 then
+              List.iter
+                (fun sid -> if not (Hashtbl.mem got sid) then ignore (T.send c.t ~dst:sid req))
+                live
+      done;
+      List.filter_map (fun sid -> Option.map (fun s -> (sid, s)) (Hashtbl.find_opt got sid)) live
+
+    (* Shut the fleet down and close the lane; returns the servers presumed
+       dead. *)
+    let finish (c : t) : int list =
+      phase c "send";
+      tell_live c (Ctrl.encode Ctrl.Shutdown);
+      Trace.Phase.stop c.ph;
+      List.filter (fun sid -> c.failed.(sid)) (List.init (Array.length c.failed) Fun.id)
+  end
+
+  let plaintexts (exits : Pr.exit_unit list) : string list =
+    List.filter_map
+      (fun u ->
+        if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload) else None)
+      exits
+
+  (* Drive a full round over [t]: ship submissions to entry heads, seal
+     epoch 0, collect and verify its exit batches, run the variant endgame,
+     and compare against the in-process reference execution. *)
+  let run_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
+      ~(config : Config.t) ~(users : int) ?(recv_timeout = 0.25) ?(max_idle = 240)
+      ?(stall_strikes = 8) ?(collect_stats = false) () : cluster_outcome =
+    let rng = Atom_util.Rng.create config.Config.seed in
+    let net = Pr.setup rng config () in
+    let c = Coord.create ~obs ?clock ?pool t net in
+    let n_groups = config.Config.n_groups in
+    let msgs = List.init users (fun i -> Printf.sprintf "anonymous message #%d" i) in
+    let subs =
+      List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod n_groups) m) msgs
+    in
+    (* The reference execution: same seed, same submissions, one process. *)
+    let reference = Pr.run rng net subs in
+    (* Entry accounting mirrors [Pr.run]: the heads verify on their side;
+       the coordinator's own pass supplies reject lists and commitments. *)
+    let seen = Hashtbl.create 256 in
+    let accepted, rejected = List.partition (Pr.verify_submission net seen) subs in
+    let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (fun s ->
+        match s.Pr.commitment with
+        | Some cm ->
+            Hashtbl.replace commitments s.Pr.entry_gid
+              (cm :: Option.value ~default:[] (Hashtbl.find_opt commitments s.Pr.entry_gid))
+        | None -> ())
+      accepted;
+    let delivered = ref [] in
+    (* Variant endgame over the assembled holdings, as in [Pr.run]. *)
+    let endgame _epoch ~sealed_at:_ holdings =
+      let exits = Pr.decode_exit net holdings in
+      (match config.Config.variant with
+      | Config.Basic | Config.Nizk -> delivered := plaintexts exits
+      | Config.Trap -> (
+          match Pr.trap_checks net ~commitments exits with
+          | Some _, _ -> c.Coord.abort <- Some "trap checks failed"
+          | None, inner_payloads ->
+              delivered := List.map Pr.Msg.unpad_plaintext (Pr.open_inners net inner_payloads)));
+      Coord.phase c "send";
+      Coord.tell_live c
+        (Ctrl.encode (Ctrl.Published { plaintexts = Array.of_list !delivered }))
+    in
+    Coord.drive c ~recv_timeout ~max_idle ~stall_strikes ~schedule:Coord.Once
+      ~entry:(fun gid ->
+        [ Pr.Wire.submissions_to_frame ~gid (List.filter (fun s -> s.Pr.entry_gid = gid) subs) ])
+      ~on_epoch:endgame;
+    (* Only the trace-merging launcher pays for the harvest. *)
+    let node_snapshots = if collect_stats then Coord.harvest c ~recv_timeout else [] in
+    let failed_nodes = Coord.finish c in
+    let cluster_abort = c.Coord.abort in
+    {
+      delivered = !delivered;
+      reference = reference.Pr.delivered;
+      matched =
+        cluster_abort = None
+        && reference.Pr.aborted = None
+        && List.sort compare !delivered = List.sort compare reference.Pr.delivered;
+      cluster_abort;
+      rejected_submissions = List.map (fun s -> s.Pr.user) rejected;
+      recovery_rounds = c.Coord.recoveries;
+      failed_nodes;
+      recovery_seconds = List.rev c.Coord.recovery_seconds;
+      node_snapshots;
+    }
+
+  (* Drive pipelined epochs over client submissions: nodes collect
+     continuously (they run with [?ingest]) and every [epoch_s] a barrier
+     seals the collecting epoch. A completed epoch is decoded,
      canonicalized, signed, published locally and announced to the fleet
-     (entry heads fan the announcement out to their clients).
-
-     Epoch cadence: at least [min_epochs]; after that, one *flush* epoch is
-     sealed once [keep_collecting] turns false — the load generator stops
-     its clients before flipping it, so the flush epoch drains anything
-     admitted after the previous barrier and nothing can land beyond it.
-     [max_epochs] bounds a keep_collecting that never yields.
-
-     Recovery matches [run_coordinator]: stall-triggered §4.5 sweeps
-     (probe, publish deaths, replay retained frames, Retransmit nudge).
-     Trap-variant endgames need per-round trap commitments the submission
-     plane doesn't carry, so only Basic/Nizk are accepted. *)
-  let run_ingest_coordinator ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t)
-      ~(config : Config.t) ?(recv_timeout = 0.25) ?(max_idle = 240)
-      ?(stall_strikes = 8) ?(max_recovery_rounds = 32) ~(epoch_s : float)
-      ~(min_epochs : int) ?(max_epochs = 64) ?(keep_collecting = fun () -> false) () :
-      ingest_outcome =
+     (entry heads fan the announcement out to their clients). Trap-variant
+     endgames need per-round trap commitments the submission plane doesn't
+     carry, so only Basic/Nizk are accepted. *)
+  let run_ingest_coordinator ?(obs = Atom_obs.Ctx.noop) ~(clock : unit -> float) ?pool
+      (t : T.t) ~(config : Config.t) ?(recv_timeout = 0.25) ?(max_idle = 240)
+      ?(stall_strikes = 8) ~(epoch_s : float) ~(min_epochs : int)
+      ?(keep_collecting = fun () -> false) () : ingest_outcome =
     if config.Config.variant = Config.Trap then
       invalid_arg "run_ingest_coordinator: Trap endgame needs per-round commitments";
-    (match clock with Some c -> Atom_obs.Ctx.bind_clock obs c | None -> ());
-    let tr = Atom_obs.Ctx.tracer obs in
-    Trace.thread_name tr ~tid:0 "event loop";
-    let cph = Trace.Phase.start tr ~tid:0 "send" in
-    (* Unclocked callers (the deterministic sim harness) get a synthetic
-       monotonic clock advanced by each empty receive — epoch pacing then
-       counts receive timeouts instead of wall seconds. *)
-    let synth = ref 0. in
-    let mono = match clock with Some c -> c | None -> fun () -> !synth in
-    let tick () = if clock = None then synth := !synth +. recv_timeout in
     let net = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
+    let c = Coord.create ~obs ~clock ?pool t net in
     let bulletin_sk, _ = bulletin_keypair config in
-    let n_groups = config.Config.n_groups in
-    let n_servers = config.Config.n_servers in
-    let iters = iterations net in
-    let quorum = Config.quorum config in
-    let want = expected_exits net in
     let reg = Atom_obs.Ctx.metrics obs in
-    let m_recovery_rounds = Atom_obs.Metrics.counter reg "coord.recovery_rounds" in
-    let m_failed_nodes = Atom_obs.Metrics.counter reg "coord.failed_nodes" in
-    let m_exit_dups = Atom_obs.Metrics.counter reg "coord.exit_dups" in
     let m_epochs = Atom_obs.Metrics.counter reg "coord.epochs_published" in
     let m_epoch_s =
       Atom_obs.Metrics.histogram reg ~buckets:24 ~lo:0. ~hi:120. "coord.epoch_seconds"
     in
-    let failed = Array.make n_servers false in
-    let outbox = Outbox.create ~cap:128 () in
-    let newly_failed = ref [] in
-    let mark sid =
-      if sid >= 0 && sid < n_servers && not failed.(sid) then begin
-        failed.(sid) <- true;
-        Atom_obs.Metrics.incr m_failed_nodes;
-        newly_failed := sid :: !newly_failed;
-        Atom_obs.Log.warn "ingest coordinator: node %d presumed dead" sid
-      end
-    in
-    let rec send_raw ~dst frame =
-      let target = resolve net failed dst in
-      match T.send t ~dst:target frame with
-      | Ok () -> ()
-      | Error _ ->
-          mark target;
-          if resolve net failed dst <> target then send_raw ~dst frame
-    in
-    let send_c ~dst frame =
-      Outbox.note outbox ~dst frame;
-      send_raw ~dst frame
-    in
-    let broadcast frame =
-      for sid = 0 to n_servers - 1 do
-        send_c ~dst:sid frame
-      done
-    in
-    (* Bring-up: consistency cross-checks only — submissions arrive from
-       clients at the nodes, not through us. *)
-    for gid = 0 to n_groups - 1 do
-      let g = net.Pr.groups.(gid) in
-      Array.iter
-        (fun sid ->
-          send_c ~dst:sid (Ctrl.encode (Ctrl.Group_assign { gid; members = g.Pr.members }));
-          send_c ~dst:sid (C.encode (C.Group_key { gid; pk = Pr.group_pk net gid })))
-        g.Pr.members
-    done;
-    let recoveries = ref 0 in
-    let recovery_sweep () =
-      Trace.Phase.switch cph "recovery";
-      incr recoveries;
-      Atom_obs.Metrics.incr m_recovery_rounds;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then
-          match T.send t ~dst:sid (Ctrl.encode (Ctrl.Ack { token = 0xbeef })) with
-          | Ok () -> ()
-          | Error _ -> mark sid
-      done;
-      if !newly_failed <> [] then begin
-        let sids = Array.of_list !newly_failed in
-        newly_failed := [];
-        for sid = 0 to n_servers - 1 do
-          if not failed.(sid) then
-            ignore (T.send t ~dst:sid (Ctrl.encode (Ctrl.Failed { sids })))
-        done;
-        Array.iter
-          (fun dead -> Outbox.iter_dst outbox ~dst:dead (fun fr -> send_raw ~dst:dead fr))
-          sids
-      end;
-      for sid = 0 to n_servers - 1 do
-        if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Retransmit))
-      done
-    in
-    (* Epoch bookkeeping. [sealed] = number of barriers broadcast; epochs
-       0..sealed-1 are sealed and owe a published bulletin. *)
     let board = Bulletin.create () in
-    let accums : (int, exit_accum) Hashtbl.t = Hashtbl.create 8 in
-    let published : (int, epoch_outcome) Hashtbl.t = Hashtbl.create 8 in
-    let sealed = ref 0 in
-    let stop_after = ref None in
-    let cluster_abort = ref None in
-    let t0 = mono () in
-    let deadline e = t0 +. (float_of_int (e + 1) *. epoch_s) in
-    let accum epoch =
-      match Hashtbl.find_opt accums epoch with
-      | Some a -> a
-      | None ->
-          let a =
-            {
-              ea_holdings = Array.make n_groups [];
-              ea_seen = Hashtbl.create 16;
-              ea_got = 0;
-              ea_sealed_at = mono ();
-            }
-          in
-          Hashtbl.add accums epoch a;
-          a
-    in
-    let publish_epoch epoch (a : exit_accum) =
-      Trace.Phase.switch cph "decrypt";
-      let holdings = Array.map (fun l -> Array.of_list (List.rev l)) a.ea_holdings in
+    let epochs = ref [] in
+    let publish epoch ~sealed_at holdings =
       let mixed = Array.fold_left (fun acc h -> acc + Array.length h) 0 holdings in
-      let exits = Pr.decode_exit net holdings in
-      let posts =
-        List.filter_map
-          (fun u ->
-            if u.Pr.tag = Pr.Msg.tag_message then Some (Pr.Msg.unpad_plaintext u.Pr.payload)
-            else None)
-          exits
-      in
-      let sb = Bulletin.seal ~epoch posts in
+      let sb = Bulletin.seal ~epoch (plaintexts (Pr.decode_exit net holdings)) in
       let signature = BSign.sign_sealed ~sk:bulletin_sk sb in
       Bulletin.publish_sealed board sb;
-      let latency = Float.max 0. (mono () -. a.ea_sealed_at) in
+      let latency = Float.max 0. (clock () -. sealed_at) in
       Atom_obs.Metrics.incr m_epochs;
       Atom_obs.Metrics.observe m_epoch_s latency;
-      Atom_obs.Log.info
-        "ingest coordinator: epoch %d published (%d posts, %d units, %.3fs)" epoch
-        (Array.length sb.Bulletin.posts) mixed latency;
-      Hashtbl.remove accums epoch;
-      Hashtbl.replace published epoch
-        {
-          ep_epoch = epoch;
-          ep_sealed = sb;
-          ep_signature = signature;
-          ep_mixed = mixed;
-          ep_latency_s = latency;
-        };
-      Trace.Phase.switch cph "send";
-      broadcast
+      Atom_obs.Log.info "ingest coordinator: epoch %d published (%d posts, %d units, %.3fs)"
+        epoch (Array.length sb.Bulletin.posts) mixed latency;
+      epochs :=
+        { ep_epoch = epoch; ep_sealed = sb; ep_signature = signature; ep_mixed = mixed;
+          ep_latency_s = latency }
+        :: !epochs;
+      Coord.phase c "send";
+      Coord.broadcast c
         (Ctrl.encode
            (Ctrl.Bulletin_announce
               { epoch; digest = sb.Bulletin.digest; signature; posts = sb.Bulletin.posts }))
     in
-    let done_collecting () =
-      match !stop_after with Some e -> !sealed > e | None -> false
-    in
-    let all_published () = done_collecting () && Hashtbl.length published >= !sealed in
-    let idle = ref 0 in
-    let strikes = ref 0 in
-    while (not (all_published ())) && !cluster_abort = None && !idle < max_idle do
-      let now = mono () in
-      if (not (done_collecting ())) && now >= deadline !sealed then begin
-        (* Seal the collecting epoch: its accumulator starts the latency
-           clock, the barrier starts its mixing, and collection rolls over
-           to the next epoch on every entry head. *)
-        Trace.Phase.switch cph "send";
-        let e = !sealed in
-        (accum e).ea_sealed_at <- now;
-        broadcast (Ctrl.encode (Ctrl.Barrier { iter = e }));
-        sealed := e + 1;
-        (match !stop_after with
-        | Some _ -> ()
-        | None ->
-            if e + 1 >= max_epochs then stop_after := Some e
-            else if e + 1 >= min_epochs && not (keep_collecting ()) then
-              stop_after := Some (e + 1))
-      end
-      else begin
-        Trace.Phase.switch cph "recv-wait";
-        let tmo =
-          if done_collecting () then recv_timeout
-          else Float.min recv_timeout (Float.max 0.01 (deadline !sealed -. now))
-        in
-        match T.recv t ~timeout:tmo with
-        | Error Transport.Closed -> cluster_abort := Some "coordinator transport closed"
-        | Error _ ->
-            tick ();
-            incr idle;
-            incr strikes;
-            if !strikes >= stall_strikes && !recoveries < max_recovery_rounds then begin
-              strikes := 0;
-              recovery_sweep ()
-            end
-        | Ok (_src, frame) -> (
-            idle := 0;
-            strikes := 0;
-            match C.decode ?pool ~policy:Atom_wire.Validation.Batched frame with
-            | Some (C.Msg (C.Exit_batch { gid; iter; batch_idx; input; output; proofs })) ->
-                let epoch = if iters > 0 then iter / iters else 0 in
-                if
-                  gid < 0 || gid >= n_groups || iter < 0
-                  || not (last_layer net iter)
-                  || epoch >= !sealed
-                then Atom_obs.Metrics.incr m_exit_dups
-                else begin
-                  let a = accum epoch in
-                  if Hashtbl.mem a.ea_seen (gid, batch_idx) then
-                    Atom_obs.Metrics.incr m_exit_dups
-                  else begin
-                    Trace.Phase.switch cph "verify";
-                    let ok =
-                      config.Config.variant <> Config.Nizk
-                      || verify_hop ?pool ~eff_pk:(eff_pk net gid quorum) ~next_pk:None
-                           ~context:(iter_ctx net gid iter) ~input ~output proofs
-                    in
-                    if ok then begin
-                      Hashtbl.add a.ea_seen (gid, batch_idx) ();
-                      Array.iter
-                        (fun v -> a.ea_holdings.(gid) <- v :: a.ea_holdings.(gid))
-                        output;
-                      a.ea_got <- a.ea_got + 1;
-                      if a.ea_got = want then publish_epoch epoch a
-                    end
-                    else
-                      cluster_abort :=
-                        Some (Printf.sprintf "exit proofs rejected gid=%d epoch=%d" gid epoch)
-                  end
-                end
-            | Some _ -> ()
-            | None -> (
-                match Ctrl.decode frame with
-                | Some (Ctrl.Abort { detail; _ }) -> cluster_abort := Some detail
-                | Some (Ctrl.Failed { sids }) ->
-                    Array.iter mark sids;
-                    if !newly_failed <> [] && !recoveries < max_recovery_rounds then
-                      recovery_sweep ()
-                | _ -> ()))
-      end
-    done;
-    if !cluster_abort = None && not (all_published ()) then
-      cluster_abort :=
-        Some
-          (Printf.sprintf "timed out with %d/%d epochs published" (Hashtbl.length published)
-             !sealed);
-    Trace.Phase.switch cph "send";
-    for sid = 0 to n_servers - 1 do
-      if not failed.(sid) then ignore (T.send t ~dst:sid (Ctrl.encode Ctrl.Shutdown))
-    done;
-    let failed_nodes =
-      List.filter (fun sid -> failed.(sid)) (List.init n_servers Fun.id)
-    in
-    let epochs =
-      List.sort
-        (fun a b -> compare a.ep_epoch b.ep_epoch)
-        (Hashtbl.fold (fun _ e acc -> e :: acc) published [])
-    in
-    Trace.Phase.stop cph;
+    Coord.drive c ~recv_timeout ~max_idle ~stall_strikes
+      ~schedule:(Coord.Every { epoch_s; min_epochs; keep_collecting })
+      ~entry:(fun _ -> [])
+      ~on_epoch:publish;
+    let failed_nodes = Coord.finish c in
     {
-      ing_epochs = epochs;
-      ing_abort = !cluster_abort;
-      ing_recovery_rounds = !recoveries;
+      ing_epochs = List.sort (fun a b -> compare a.ep_epoch b.ep_epoch) !epochs;
+      ing_abort = c.Coord.abort;
+      ing_recovery_rounds = c.Coord.recoveries;
       ing_failed_nodes = failed_nodes;
       ing_board = board;
     }

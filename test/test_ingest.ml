@@ -8,13 +8,17 @@
      and seal idempotence;
    - bulletin: canonical ordering, duplicate collapse, and signature
      forgery rejection on the sealed per-epoch output;
-   - a threaded TCP cluster running ingest-mode nodes, real clients and
-     the pipelined-epoch coordinator: every accepted submission must land
-     on the signed bulletin of exactly its acked epoch. *)
+   - ingest clusters — one in the simulator, one over threaded TCP —
+     running ingest-mode nodes, clients and the pipelined-epoch
+     coordinator: every accepted submission must land on the signed
+     bulletin of exactly its acked epoch, and the simulated run replays
+     bit-identically. *)
 
 module G = (val Atom_group.Registry.zp_test ())
 module TcpT = Atom_rpc.Tcp_transport
 module Node = Atom_rpc.Node.Make (G) (TcpT.Check)
+module SimT = Atom_rpc.Sim_transport
+module NodeSim = Atom_rpc.Node.Make (G) (SimT.Check)
 module Pr = Node.Pr
 module Adm = Atom_ingest.Admission
 module Intake = Atom_ingest.Intake
@@ -185,6 +189,106 @@ let test_bulletin_publish_sealed () =
   Alcotest.(check (list string)) "epoch 0" [ "a"; "b" ] (Bulletin.read_round board ~round:0);
   Alcotest.(check (list string)) "epoch 1" [ "c" ] (Bulletin.read_round board ~round:1)
 
+let ingest_config ~seed =
+  {
+    (Config.tiny ~variant:Config.Basic ~seed ()) with
+    Config.n_servers = 4;
+    n_groups = 2;
+    group_size = 2;
+    h = 1;
+    topology = Config.Square 2;
+  }
+
+(* ---- end-to-end: ingest cluster in the simulator ---- *)
+
+(* 4 ingest-mode servers, the coordinator and one client endpoint, all on
+   the engine's virtual clock. The client submits one onion every 0.4 s
+   to alternating entry heads while 1 s epochs seal, so its acks name
+   several epochs. Returns the outcome and the (post, acked epoch) pairs. *)
+let run_sim_ingest ~(seed : int) : NodeSim.ingest_outcome * (string * int) list =
+  let open Atom_sim in
+  let config = ingest_config ~seed in
+  let n = config.Config.n_servers in
+  let coord = n and client = n + 1 in
+  let e = Engine.create () in
+  let machines =
+    Array.init (n + 2) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+  in
+  let fleet = SimT.fleet e (Net.create e) ~machines in
+  let clock () = Engine.now e in
+  let policy = { Adm.default_policy with Adm.rate = 1000.; burst = 1000. } in
+  for sid = 0 to n - 1 do
+    Engine.spawn e (fun () ->
+        NodeSim.run_node ~clock fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.1
+          ~max_idle:300 ~ingest:policy ())
+  done;
+  let net = Pr.setup (Atom_util.Rng.create seed) config () in
+  let submitting = ref true in
+  let accepted = ref [] in
+  Engine.spawn e (fun () ->
+      let rng = Atom_util.Rng.create (seed + 1) in
+      for s = 0 to 5 do
+        Engine.sleep e 0.4;
+        let gid = s mod 2 in
+        let msg = Printf.sprintf "sim post %d" s in
+        let blob =
+          Pr.Wire.submission_to_bytes (Pr.submit rng net ~user:s ~entry_gid:gid msg)
+        in
+        ignore
+          (SimT.send fleet.(client) ~dst:net.Pr.groups.(gid).Pr.members.(0)
+             (Ctrl.encode
+                (Ctrl.Submit { client; port = 0; token = s; gid; epoch = 0; blob; pow = "" })));
+        let rec await () =
+          match SimT.recv fleet.(client) ~timeout:5.0 with
+          | Ok (_, frame) -> (
+              match Ctrl.decode frame with
+              | Some (Ctrl.Submit_ack { token; status; epoch; _ }) when token = s ->
+                  if status = Ctrl.submit_accepted then accepted := (msg, epoch) :: !accepted
+              | _ -> await ())
+          | Error _ -> ()
+        in
+        await ()
+      done;
+      submitting := false);
+  let outcome = ref None in
+  Engine.spawn e (fun () ->
+      outcome :=
+        Some
+          (NodeSim.run_ingest_coordinator ~clock fleet.(coord) ~config ~recv_timeout:0.1
+             ~max_idle:300 ~epoch_s:1.0 ~min_epochs:2
+             ~keep_collecting:(fun () -> !submitting)
+             ()));
+  ignore (Engine.run e);
+  match !outcome with
+  | Some o -> (o, List.rev !accepted)
+  | None -> Alcotest.fail "ingest coordinator never completed"
+
+let test_sim_ingest_cluster () =
+  let o, accepted = run_sim_ingest ~seed:11 in
+  Alcotest.(check (option string)) "no abort" None o.NodeSim.ing_abort;
+  Alcotest.(check int) "every submission accepted" 6 (List.length accepted);
+  Alcotest.(check bool) "acks span two epochs or more" true
+    (List.length (List.sort_uniq compare (List.map snd accepted)) >= 2);
+  let posts_of ep = Array.to_list ep.NodeSim.ep_sealed.Bulletin.posts in
+  List.iter
+    (fun (msg, e) ->
+      match List.find_opt (fun ep -> ep.NodeSim.ep_epoch = e) o.NodeSim.ing_epochs with
+      | Some ep ->
+          Alcotest.(check bool) (Printf.sprintf "%S in epoch %d" msg e) true
+            (List.mem msg (posts_of ep))
+      | None -> Alcotest.failf "acked epoch %d never published" e)
+    accepted;
+  Alcotest.(check int) "published exactly the accepted set" (List.length accepted)
+    (List.length (List.concat_map posts_of o.NodeSim.ing_epochs));
+  (* Same seed, same virtual clock: the same bulletins, byte for byte. *)
+  let digests o =
+    List.map
+      (fun ep -> (ep.NodeSim.ep_epoch, ep.NodeSim.ep_sealed.Bulletin.digest))
+      o.NodeSim.ing_epochs
+  in
+  let o', _ = run_sim_ingest ~seed:11 in
+  Alcotest.(check (list (pair int string))) "replay digests" (digests o) (digests o')
+
 (* ---- end-to-end: ingest cluster over threaded TCP ---- *)
 
 (* 4 ingest-mode servers (2 entry groups of 2), real client transports
@@ -194,16 +298,7 @@ let test_bulletin_publish_sealed () =
    submit is re-acked idempotently; garbage is rejected and never
    published; the epoch-info query answers. *)
 let test_tcp_ingest_cluster () =
-  let config =
-    {
-      (Config.tiny ~variant:Config.Basic ~seed:9 ()) with
-      Config.n_servers = 4;
-      n_groups = 2;
-      group_size = 2;
-      h = 1;
-      topology = Config.Square 2;
-    }
-  in
+  let config = ingest_config ~seed:9 in
   let n = config.Config.n_servers in
   let coord = n in
   let ts = Array.init (n + 1) (fun node_id -> TcpT.create ~node_id ()) in
@@ -364,5 +459,6 @@ let suite =
       Alcotest.test_case "bulletin canonical seal" `Quick test_bulletin_canonical;
       Alcotest.test_case "bulletin signatures" `Quick test_bulletin_signatures;
       Alcotest.test_case "bulletin publish sealed" `Quick test_bulletin_publish_sealed;
+      Alcotest.test_case "sim ingest cluster" `Quick test_sim_ingest_cluster;
       Alcotest.test_case "tcp ingest cluster" `Quick test_tcp_ingest_cluster;
     ] )

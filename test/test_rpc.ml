@@ -145,13 +145,18 @@ let cluster_config variant =
     topology = Config.Square 3;
   }
 
-let run_sim_cluster (config : Config.t) ~(users : int) : NodeSim.cluster_outcome =
+(* [inject] frames reach the coordinator at time 0 from one extra
+   endpoint outside the fleet. *)
+let run_sim_cluster ?obs ?(inject = []) (config : Config.t) ~(users : int) :
+    NodeSim.cluster_outcome =
   let e = Engine.create () in
   let net = Net.create e in
   let n = config.Config.n_servers in
   let coord = n in
+  let extra = if inject = [] then 0 else 1 in
   let machines =
-    Array.init (n + 1) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+    Array.init (n + 1 + extra) (fun id ->
+        Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
   in
   let fleet = SimT.fleet e net ~machines in
   for sid = 0 to n - 1 do
@@ -162,7 +167,12 @@ let run_sim_cluster (config : Config.t) ~(users : int) : NodeSim.cluster_outcome
   let outcome = ref None in
   Engine.spawn e (fun () ->
       outcome :=
-        Some (NodeSim.run_coordinator fleet.(coord) ~config ~users ~recv_timeout:1.0 ~max_idle:120 ()));
+        Some
+          (NodeSim.run_coordinator ?obs fleet.(coord) ~config ~users ~recv_timeout:1.0
+             ~max_idle:120 ()));
+  if inject <> [] then
+    Engine.spawn e (fun () ->
+        List.iter (fun frame -> ignore (SimT.send fleet.(n + 1) ~dst:coord frame)) inject);
   ignore (Engine.run e);
   match !outcome with
   | Some o -> o
@@ -186,10 +196,41 @@ let test_sim_cluster_deterministic () =
   Alcotest.(check (list string)) "delivery order replays" o1.NodeSim.delivered
     o2.NodeSim.delivered
 
+(* Exit batches the coordinator must not hold: an unknown exit group, a
+   layer that is not the last, a fan-out index past the topology, and an
+   epoch nobody sealed. Each counts as a duplicate, the real batches still
+   complete the round, and none of them raises. *)
+let test_sim_cluster_ignores_bad_exits () =
+  let config = cluster_config Config.Nizk in
+  let exit_batch ~gid ~iter ~batch_idx =
+    NodeSim.C.encode
+      (NodeSim.C.Exit_batch { gid; iter; batch_idx; input = [||]; output = [||]; proofs = [||] })
+  in
+  let last = Config.iterations config - 1 in
+  let obs = Atom_obs.Ctx.create () in
+  let o =
+    run_sim_cluster ~obs config ~users:8
+      ~inject:
+        [
+          exit_batch ~gid:99 ~iter:last ~batch_idx:0;
+          exit_batch ~gid:0 ~iter:0 ~batch_idx:0;
+          exit_batch ~gid:0 ~iter:last ~batch_idx:99;
+          exit_batch ~gid:0 ~iter:(last + Config.iterations config) ~batch_idx:0;
+        ]
+  in
+  Alcotest.(check (option string)) "no abort" None o.NodeSim.cluster_abort;
+  Alcotest.(check bool) "matches single-process reference" true o.NodeSim.matched;
+  Alcotest.(check (float 0.))
+    "each counted as a duplicate" 4.
+    (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups")
+
 (* A node that receives unparseable bytes drops them, counts them, and
    keeps running — line noise is not evidence of misbehaviour (§4.4
    aborts are reserved for failed proofs), and a crash would turn one
-   corrupt frame into a dead server. *)
+   corrupt frame into a dead server. Well-formed frames whose indices no
+   sender produces (a group past the fleet, a pipeline step past the
+   quorum, a batch past the fan-out, a Batch along no topology edge) are
+   line noise too. *)
 let test_sim_node_survives_bad_frame () =
   let e = Engine.create () in
   let net = Net.create e in
@@ -203,8 +244,36 @@ let test_sim_node_survives_bad_frame () =
       NodeSim.run_node ~obs fleet.(0) ~config ~node_id:0 ~coord:1 ~recv_timeout:1.0
         ~max_idle:60 ());
   let got = ref None in
+  let v = [| [| { El.r = G.one; c = G.one; y = None } |] |] in
+  let bad =
+    [
+      "this is not a frame";
+      NodeSim.C.encode
+        (NodeSim.C.Shuffle_step
+           { gid = 99; iter = 0; step = 2; sent_at = 0; input = v; output = v; proof = "" });
+      NodeSim.C.encode
+        (NodeSim.C.Shuffle_step
+           { gid = 0; iter = 0; step = 9; sent_at = 0; input = v; output = v; proof = "" });
+      NodeSim.C.encode
+        (NodeSim.C.Reenc_step
+           { gid = 0; iter = 0; batch_idx = 99; step = 2; sent_at = 0; input = v; output = v;
+             proofs = [| "" |] });
+      NodeSim.C.encode
+        (NodeSim.C.Reenc_step
+           { gid = 99; iter = 0; batch_idx = 0; step = 2; sent_at = 0; input = v; output = v;
+             proofs = [| "" |] });
+      NodeSim.C.encode
+        (NodeSim.C.Batch
+           { gid = 0; iter = 1; src_gid = 99; sent_at = 0; input = v; output = v;
+             proofs = [| "" |] });
+      (* Once the barrier is up, submissions would start entry mixing. *)
+      Ctrl.encode (Ctrl.Barrier { iter = 0 });
+      Ctrl.encode (Ctrl.Submissions { gid = 99; blobs = [||] });
+    ]
+  in
   Engine.spawn e (fun () ->
-      ignore (SimT.send fleet.(1) ~dst:0 "this is not a frame");
+      List.iter (fun frame -> ignore (SimT.send fleet.(1) ~dst:0 frame)) bad;
+      Engine.sleep e 5.0;
       ignore (SimT.send fleet.(1) ~dst:0 (Ctrl.encode Ctrl.Shutdown));
       match SimT.recv fleet.(1) ~timeout:60.0 with
       | Ok (0, frame) -> got := Ctrl.decode frame
@@ -214,7 +283,8 @@ let test_sim_node_survives_bad_frame () =
   | Some (Ctrl.Abort { detail; _ }) -> Alcotest.failf "node aborted on garbage: %s" detail
   | _ -> ());
   Alcotest.(check (float 0.))
-    "bad frame counted" 1.0
+    "bad frames counted"
+    (float_of_int (List.length bad - 1))
     (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "node.bad_frames")
 
 (* ---- Typed transport errors on real TCP ---- *)
@@ -690,6 +760,8 @@ let suite =
       Alcotest.test_case "sim cluster all variants" `Quick test_sim_cluster_all_variants;
       Alcotest.test_case "sim cluster deterministic" `Quick test_sim_cluster_deterministic;
       Alcotest.test_case "node survives bad frame" `Quick test_sim_node_survives_bad_frame;
+      Alcotest.test_case "sim cluster ignores bad exits" `Quick
+        test_sim_cluster_ignores_bad_exits;
       Alcotest.test_case "tcp threaded cluster" `Quick test_tcp_threaded_cluster;
       Alcotest.test_case "tcp traced cluster stats" `Quick test_tcp_traced_cluster_stats;
       Alcotest.test_case "tcp cluster kill recovery" `Quick test_tcp_cluster_kill_recovery;
