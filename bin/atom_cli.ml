@@ -3,8 +3,7 @@
    Subcommands:
    - round       run a full round with real cryptography at a small scale
    - simulate    modeled large-scale run over the discrete-event simulator
-   - distributed run the real protocol asynchronously over the simulated network
-   - trace       distributed round with virtual-time tracing; Chrome trace JSON
+   - trace       virtual-time round on the simulated fleet; merged Chrome trace JSON
    - sizing      anytrust / many-trust group-size tables (Appendix B)
    - calibrate   measure this host's crypto costs for a group backend *)
 
@@ -163,142 +162,68 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Modeled large-scale round over the discrete-event simulator.")
     Term.(const run_simulate $ app_arg $ servers $ messages $ measured $ sim_metrics_flag)
 
-(* ---- distributed ---- *)
+(* ---- trace ---- *)
 
-(* Fault-plan construction shared by [distributed] and [trace]: kill a
-   whole group and/or a random fraction of the fleet at [fail_at]. The
-   group membership lookup needs the protocol network, so the builder is
-   applied after setup. *)
-let build_fault_plan ~(config : Config.t) ~seed ~kill_group ~kill_fraction ~fail_at
-    (group_members : int -> int array) : Atom_sim.Faults.plan =
+(* Fault plan for a simulated round: kill a whole group and/or a random
+   fraction of the fleet at virtual time [fail_at]. *)
+let build_fault_plan ~(config : Config.t) ~kill_group ~kill_fraction ~fail_at :
+    Atom_sim.Faults.plan =
   (match kill_group with
-  | Some gid when gid < 0 || gid >= config.Config.n_groups ->
-      failwith
-        (Printf.sprintf "--kill-group %d: group ids are 0..%d" gid (config.Config.n_groups - 1))
-  | Some gid -> Atom_sim.Faults.fail_machines ~at:fail_at (group_members gid)
+  | Some gid -> Atom_sim.Faults.fail_machines ~at:fail_at (Atom_rpc.Sim_fleet.members config gid)
   | None -> [])
   @
   match kill_fraction with
   | Some fraction ->
       Atom_sim.Faults.fail_fraction
-        (Atom_util.Rng.create (seed lxor 0xc4a5))
+        (Atom_util.Rng.create (config.Config.seed lxor 0xc4a5))
         ~at:fail_at ~fraction ~n:config.Config.n_servers
   | None -> []
 
-let run_distributed users seed kill_group kill_fraction fail_at loss metrics =
-  let ops0 = opcounts_before () in
-  let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Pr = Protocol.Make (G) in
-  let module Dist = Distributed.Make (G) (Pr) in
-  let config = Config.tiny ~variant:Config.Trap ~seed () in
-  let rng = Atom_util.Rng.create seed in
-  let net = Pr.setup rng config () in
-  let msgs = List.init users (fun i -> Printf.sprintf "distributed message #%d" i) in
-  let subs =
-    List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod config.Config.n_groups) m) msgs
-  in
-  let faults =
-    build_fault_plan ~config ~seed ~kill_group ~kill_fraction ~fail_at (fun gid ->
-        net.Pr.groups.(gid).Pr.members)
-  in
-  (* Injected churn makes latency the interesting output: charge calibrated
-     per-op costs so the number is reproducible across hosts. *)
-  let costs = if faults = [] && loss = 0. then Dist.Measured else Dist.Calibrated Calibration.paper in
-  let obs = Atom_obs.Ctx.create () in
-  let t0 = Unix.gettimeofday () in
-  let report = Dist.run ~obs ~faults ~loss_prob:loss ~costs rng net subs in
-  Printf.printf
-    "real crypto over simulated network: %d messages through %d groups in %.3f virtual s\n(%d DES events, %.0f bytes on the wire, %.2f s wall)\n"
-    (List.length report.Dist.outcome.Pr.delivered)
-    config.Config.n_groups report.Dist.latency report.Dist.events report.Dist.bytes_sent
-    (Unix.gettimeofday () -. t0);
-  let f = report.Dist.faults in
-  if faults <> [] || loss > 0. then
-    Printf.printf
-      "churn: %d failures injected, %d recoveries (%.2fs inside recovery), %d timeouts, %d retransmits, %d drops\n"
-      f.Dist.failures_injected f.Dist.recoveries f.Dist.recovery_latency f.Dist.timeouts_fired
-      f.Dist.retransmits f.Dist.messages_dropped;
-  (match report.Dist.abort_error with
-  | Some err -> Printf.printf "pipeline error: %s\n" err
-  | None -> ());
-  List.iter (fun m -> Printf.printf "  %s\n" m) report.Dist.outcome.Pr.delivered;
-  if metrics then begin
-    print_registry obs;
-    print_opcounts ops0
-  end
+let write_trace (path : string) (lanes : Atom_obs.Trace.lane list) : unit =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (Atom_obs.Trace.to_chrome_json_lanes lanes))
 
-let distributed_cmd =
-  let users = Arg.(value & opt int 8 & info [ "users" ] ~doc:"Number of users.") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed.") in
-  let kill_group =
-    Arg.(value & opt (some int) None & info [ "kill-group" ] ~doc:"Fail every member of this group mid-round.")
-  in
-  let kill_fraction =
-    Arg.(value & opt (some float) None & info [ "kill-fraction" ] ~doc:"Fail a random fraction of all servers mid-round.")
-  in
-  let fail_at =
-    Arg.(value & opt float 0.05 & info [ "fail-at" ] ~doc:"Virtual time (s) at which injected failures fire.")
-  in
-  let loss =
-    Arg.(value & opt float 0. & info [ "loss" ] ~doc:"Per-message loss probability on every link.")
-  in
-  Cmd.v
-    (Cmd.info "distributed"
-       ~doc:"Run the real protocol asynchronously over the simulated network.")
-    Term.(
-      const run_distributed $ users $ seed $ kill_group $ kill_fraction $ fail_at $ loss
-      $ metrics_flag)
-
-(* ---- trace ---- *)
-
+(* A virtual-time round on the simulated fleet: the node runtime with
+   calibrated compute charges, so the merged trace is a pure function of
+   (seed, fault plan, loss) and two identical invocations write
+   byte-identical JSON. Exits non-zero unless the round matched the
+   single-process reference. *)
 let run_trace scenario users seed kill_group kill_fraction fail_at loss out metrics =
   let ops0 = opcounts_before () in
   let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Pr = Protocol.Make (G) in
-  let module Dist = Distributed.Make (G) (Pr) in
+  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
   let config =
     match scenario with
     | "microblog" -> Config.tiny ~variant:Config.Trap ~seed ()
     | "dialing" -> { (Config.tiny ~variant:Config.Basic ~seed ()) with Config.msg_bytes = 80 }
     | other -> failwith (Printf.sprintf "unknown scenario %S (microblog|dialing)" other)
   in
-  let rng = Atom_util.Rng.create seed in
-  let net = Pr.setup rng config () in
-  let msgs = List.init users (fun i -> Printf.sprintf "traced message #%d" i) in
-  let subs =
-    List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod config.Config.n_groups) m) msgs
-  in
-  let faults =
-    build_fault_plan ~config ~seed ~kill_group ~kill_fraction ~fail_at (fun gid ->
-        net.Pr.groups.(gid).Pr.members)
-  in
-  (* Always calibrated: the trace is a pure function of (seed, fault plan),
-     so two identical invocations serialize byte-identical JSON. *)
+  let faults = build_fault_plan ~config ~kill_group ~kill_fraction ~fail_at in
   let obs = Atom_obs.Ctx.create ~tracing:true () in
-  let report =
-    Dist.run ~obs ~faults ~loss_prob:loss ~costs:(Dist.Calibrated Calibration.paper) rng net subs
-  in
-  let tracer = Atom_obs.Ctx.tracer obs in
-  let events = Atom_obs.Trace.events tracer in
-  Printf.printf "%s: %d messages, %d groups, %d delivered; %.3f virtual s, %d trace events\n"
+  let r = Fleet.run ~obs ~faults ~loss_prob:loss config ~users in
+  let o = r.Fleet.outcome in
+  Printf.printf
+    "%s: %d messages, %d groups, %d delivered; %.3f virtual s, %d DES events, %.0f bytes on the wire\n"
     scenario users config.Config.n_groups
-    (List.length report.Dist.outcome.Pr.delivered)
-    report.Dist.latency
-    (Atom_obs.Trace.event_count tracer);
-  (match report.Dist.abort_error with
-  | Some err -> Printf.printf "pipeline error: %s\n" err
-  | None -> ());
-  print_string (Atom_obs.Trace.Breakdown.render ~label:"group" ~latency:report.Dist.latency events);
-  (match out with
-  | Some path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc (Atom_obs.Trace.to_chrome_json tracer));
-      Printf.printf "wrote %s (load it at https://ui.perfetto.dev or chrome://tracing)\n" path
-  | None -> ());
+    (List.length o.Fleet.N.delivered)
+    r.Fleet.latency r.Fleet.events r.Fleet.bytes_sent;
+  if faults <> [] || loss > 0. then
+    Printf.printf
+      "churn: %d failures injected, %d recovery sweeps, %d role recoveries (%.2fs summed sweep-to-resume), %d retransmits, %d drops\n"
+      r.Fleet.failures_injected r.Fleet.recovery_sweeps r.Fleet.recoveries
+      r.Fleet.recovery_seconds r.Fleet.retransmits r.Fleet.messages_dropped;
+  Option.iter (Printf.printf "round aborted: %s\n") o.Fleet.N.cluster_abort;
+  print_string (Atom_obs.Trace.Breakdown.render ~latency:r.Fleet.latency r.Fleet.lanes);
+  Option.iter
+    (fun path ->
+      write_trace path r.Fleet.lanes;
+      Printf.printf "wrote %s (load it at https://ui.perfetto.dev or chrome://tracing)\n" path)
+    out;
   if metrics then begin
     print_registry obs;
     print_opcounts ops0
-  end
+  end;
+  if not o.Fleet.N.matched then exit 1
 
 let trace_cmd =
   let scenario =
@@ -319,12 +244,12 @@ let trace_cmd =
     Arg.(value & opt float 0. & info [ "loss" ] ~doc:"Per-message loss probability on every link.")
   in
   let out =
-    Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Write Chrome trace_event JSON here.")
+    Arg.(value & opt (some string) None & info [ "out" ] ~doc:"Write merged Chrome trace_event JSON here.")
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Distributed round with virtual-time tracing: per-phase breakdown on stdout, \
-             Perfetto-loadable trace JSON with --out.")
+       ~doc:"Virtual-time round on the simulated fleet: per-phase breakdown on stdout, \
+             Perfetto-loadable merged trace JSON with --out.")
     Term.(
       const run_trace $ scenario $ users $ seed $ kill_group $ kill_fraction $ fail_at $ loss
       $ out $ metrics_flag)
@@ -367,19 +292,6 @@ let load_snapshot (path : string) : (Atom_obs.Snapshot.t, string) result =
   match In_channel.with_open_bin path In_channel.input_all with
   | s -> Atom_obs.Snapshot.of_json s
   | exception Sys_error e -> Error e
-
-(* Group membership without the full (expensive) protocol setup: the same
-   beacon-driven formation [Pr.setup] uses, for --kill-group → victim pids. *)
-let members_of_group ~(config : Config.t) (gid : int) : int array =
-  if gid < 0 || gid >= config.Config.n_groups then
-    failwith
-      (Printf.sprintf "--kill-group %d: group ids are 0..%d" gid (config.Config.n_groups - 1));
-  let beacon = Beacon.create ~seed:config.Config.seed in
-  let formation =
-    Group_formation.form beacon ~round:0 ~n_servers:config.Config.n_servers
-      ~n_groups:config.Config.n_groups ~group_size:config.Config.group_size ()
-  in
-  formation.Group_formation.groups.(gid).Group_formation.members
 
 (* Reap child node processes and report *unexpected* failures: a child
    that exited non-zero or died to a signal nobody meant to send.
@@ -868,7 +780,7 @@ let run_cluster variant users servers groups group_size h iterations msg_bytes s
   in
   let kills =
     match kill_group with
-    | Some gid -> Some (fail_at, Array.to_list (members_of_group ~config gid))
+    | Some gid -> Some (fail_at, Array.to_list (Atom_rpc.Sim_fleet.members config gid))
     | None -> None
   in
   (* --loss synthesizes a drop-only chaos spec (appended, so it wins over a
@@ -940,9 +852,7 @@ let run_cluster variant users servers groups group_size h iterations msg_bytes s
             })
           r.fs_node_snapshots
       in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (Atom_obs.Trace.to_chrome_json_lanes (node_lanes @ [ coord_lane ])));
+      write_trace path (node_lanes @ [ coord_lane ]);
       Printf.printf "wrote %s (%d lanes; load it at https://ui.perfetto.dev)\n" path
         (List.length node_lanes + 1);
       print_string (phase_summary_table r.fs_node_snapshots));
@@ -993,7 +903,7 @@ let cluster_kill_group =
   Arg.(
     value & opt (some int) None
     & info [ "kill-group" ]
-        ~doc:"SIGKILL every member process of this group mid-round (mirrors `distributed`).")
+        ~doc:"SIGKILL every member process of this group mid-round (mirrors `trace`).")
 
 let cluster_fail_at =
   Arg.(
@@ -1004,7 +914,7 @@ let cluster_loss =
   Arg.(
     value & opt float 0.
     & info [ "loss" ]
-        ~doc:"Per-message drop probability on every node's transport (mirrors `distributed`).")
+        ~doc:"Per-message drop probability on every node's transport (mirrors `trace`).")
 
 let cluster_chaos =
   Arg.(
@@ -1350,7 +1260,7 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
   (* Chaos kill: a non-entry-head only. A dead entry head loses the units
      only it had admitted — the documented loss bound — so the zero-loss
      gate pins the kill to a mixing-only node (§4.5 recovers its roles). *)
-  let heads = Array.init groups (fun gid -> (members_of_group ~config gid).(0)) in
+  let heads = Array.init groups (fun gid -> (Atom_rpc.Sim_fleet.members config gid).(0)) in
   let is_head sid = Array.exists (fun hd -> hd = sid) heads in
   let kills =
     if kill_at <= 0. then None
@@ -1765,6 +1675,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            round_cmd; simulate_cmd; distributed_cmd; trace_cmd; cluster_cmd; clients_cmd;
+            round_cmd; simulate_cmd; trace_cmd; cluster_cmd; clients_cmd;
             sizing_cmd; calibrate_cmd;
           ]))

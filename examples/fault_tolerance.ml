@@ -5,7 +5,7 @@
 
 module G = (val Atom_group.Registry.zp_test ())
 module Proto = Atom_core.Protocol.Make (G)
-module Dist = Atom_core.Distributed.Make (G) (Proto)
+module Fleet = Atom_rpc.Sim_fleet.Make (G)
 open Atom_core
 
 let config : Config.t =
@@ -62,39 +62,28 @@ let () =
   assert (Proto.recover_group net 0);
   ignore (run_and_report "after recovery:" rng net msgs);
 
-  (* The same story under the distributed runtime: a fault plan kills an
-     entire group *mid-round* on the virtual clock, the group detects it
-     through receive timeouts, and buddy recovery happens inside the round
-     — completing it with degraded latency instead of stalling. *)
-  Printf.printf "\n== distributed runtime: churn injected mid-round ==\n";
-  let dist_round label faults =
-    let rng = Atom_util.Rng.create 0xd15c in
-    let net = Proto.setup rng config () in
-    let submissions =
-      List.mapi
-        (fun i m -> Proto.submit rng net ~user:i ~entry_gid:(i mod config.Config.n_groups) m)
-        msgs
-    in
-    let faults = faults net in
-    let report =
-      Dist.run ~faults ~costs:(Dist.Calibrated Calibration.paper) rng net submissions
-    in
+  (* The same story on the node runtime over the simulated fleet: a fault
+     plan kills an entire group *mid-round* on the virtual clock, the
+     survivors' failed sends report the dead servers, the coordinator's
+     recovery sweep publishes them, and their buddies'
+     replacements take over their roles — completing the round with
+     degraded latency instead of stalling. *)
+  Printf.printf "\n== simulated fleet: churn injected mid-round ==\n";
+  let fleet_round label faults =
+    let r = Fleet.run ~faults config ~users:(List.length msgs) in
     Printf.printf
-      "%-28s delivered %d/%d  latency %6.2fs  failures %d  recoveries %d  timeouts %d  retransmits %d\n"
+      "%-28s delivered %d/%d  latency %6.2fs  failures %d  sweeps %d  recoveries %d  retransmits %d\n"
       label
-      (List.length report.Dist.outcome.Proto.delivered)
-      (List.length msgs) report.Dist.latency report.Dist.faults.Dist.failures_injected
-      report.Dist.faults.Dist.recoveries report.Dist.faults.Dist.timeouts_fired
-      report.Dist.faults.Dist.retransmits;
-    report
+      (List.length r.Fleet.outcome.Fleet.N.delivered)
+      (List.length msgs) r.Fleet.latency r.Fleet.failures_injected r.Fleet.recovery_sweeps
+      r.Fleet.recoveries r.Fleet.retransmits;
+    r
   in
-  let clean = dist_round "fault-free round:" (fun _ -> []) in
+  let clean = fleet_round "fault-free round:" [] in
   let faulty =
-    dist_round "group 1 dies at t=0.05s:" (fun net ->
-        Atom_sim.Faults.fail_machines ~at:0.05 net.Proto.groups.(1).Proto.members)
+    fleet_round "group 1 dies at t=0.05s:"
+      (Atom_sim.Faults.fail_machines ~at:0.05 (Atom_rpc.Sim_fleet.members config 1))
   in
-  (* Recovery runs while the other groups keep mixing, so the time spent
-     inside it can exceed the end-to-end slowdown. *)
-  Printf.printf "\nrecovery cost: %.2fs inside buddy recovery; round slowed by %.2fs end to end\n"
-    faulty.Dist.faults.Dist.recovery_latency
-    (faulty.Dist.latency -. clean.Dist.latency)
+  Printf.printf "\nrecovery cost: %.2fs from recovery sweep to resumption; round slowed by %.2fs end to end\n"
+    faulty.Fleet.recovery_seconds
+    (faulty.Fleet.latency -. clean.Fleet.latency)

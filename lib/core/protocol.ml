@@ -126,7 +126,6 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
   let op_counts () = ops
 
   let fail_server (net : network) (sid : int) : unit = net.failed.(sid) <- true
-  let recover_server (net : network) (sid : int) : unit = net.failed.(sid) <- false
 
   (* The quorum actually routing for a group: the first k−(h−1) live
      members (1-based Shamir positions). Returns None if the group has too
@@ -218,9 +217,6 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     | Duplicate_inner
     | Count_mismatch of { traps : int; inners : int }
     | Group_down of { gid : int }
-    | Runtime_failure of { gid : int; detail : string }
-        (* An exception escaped a group pipeline (distributed runtime). The
-           carried text distinguishes real crypto/logic bugs from churn. *)
 
   type outcome = {
     delivered : string list; (* plaintexts, unpadded, in exit order *)
@@ -587,26 +583,13 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
      reconstruct the dead members' shares; the group then operates with the
      recovered key material. Here we recover the shares in place
      (replacement servers adopt the dead members' Shamir indices). *)
-  let dead_positions (net : network) (g : group_state) : int list =
-    List.filter (fun pos -> net.failed.(g.members.(pos - 1)))
-      (List.init (Array.length g.members) (fun i -> i + 1))
-
-  (* Recover one dead member's share from the buddy sub-shares; the
-     replacement server takes over the dead member's Shamir index. The
-     distributed runtime calls this per position so it can charge each
-     reconstruction to the replacement machine individually. *)
-  let recover_position (net : network) (gid : int) (pos : int) : unit =
-    let g = net.groups.(gid) in
-    let quorum = Config.quorum net.config in
-    let rs = g.reshares.(pos - 1) in
-    let recovered = Dkg.recover rs ~from:(List.init quorum (fun i -> i + 1)) in
-    g.keys.Dkg.shares.(pos - 1) <- recovered;
-    net.failed.(g.members.(pos - 1)) <- false
-
   let recover_group (net : network) (gid : int) : bool =
     let g = net.groups.(gid) in
     let quorum = Config.quorum net.config in
-    let dead = dead_positions net g in
+    let dead =
+      List.filter (fun pos -> net.failed.(g.members.(pos - 1)))
+        (List.init (Array.length g.members) (fun i -> i + 1))
+    in
     let live = Array.length g.members - List.length dead in
     if live >= quorum then true (* nothing to do *)
     else begin
@@ -614,7 +597,14 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
          sub-shares exist (created at setup), so recovery succeeds whenever
          at least [quorum] sub-shares per dead member survive — with whole
          buddy groups alive this always holds. *)
-      List.iter (fun pos -> recover_position net gid pos) dead;
+      List.iter
+        (fun pos ->
+          (* The replacement server takes over the dead member's Shamir
+             index. *)
+          g.keys.Dkg.shares.(pos - 1) <-
+            Dkg.recover g.reshares.(pos - 1) ~from:(List.init quorum (fun i -> i + 1));
+          net.failed.(g.members.(pos - 1)) <- false)
+        dead;
       true
     end
 

@@ -132,9 +132,8 @@ type result = {
 (* Modeled cost of one §4.5 buddy-group recovery: each dead member's
    replacement server waits for the slowest of [quorum] sub-share transfers
    from the buddy group and pays a Lagrange reconstruction, charged like
-   [quorum] re-encryptions. Sequential over dead members, matching the
-   distributed runtime's accounting — the closed-form hook behind capacity
-   planning for churny fleets. *)
+   [quorum] re-encryptions. Sequential over dead members — the closed-form
+   hook behind capacity planning for churny fleets. *)
 let recovery_seconds ~(cal : Calibration.t) ~(quorum : int) ~(dead : int)
     ?(hop_latency = 0.040) ?(bandwidth = 12.5e6) ?(share_bytes = 36.) () : float =
   if dead <= 0 then 0.

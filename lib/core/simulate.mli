@@ -71,8 +71,7 @@ val recovery_seconds :
   float
 (** Closed-form cost of §4.5 buddy-group recovery for [dead] lost members:
     per member, one sub-share transfer round from the buddy group plus a
-    Lagrange reconstruction charged like [quorum] re-encryptions. Matches
-    the distributed runtime's virtual-time accounting. *)
+    Lagrange reconstruction charged like [quorum] re-encryptions. *)
 
 val run : ?obs:Atom_obs.Ctx.t -> params -> result
 (** One full round, end to end (entry verification through trustee

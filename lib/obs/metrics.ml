@@ -198,7 +198,7 @@ let find (t : t) (name : string) : view option =
   | None -> None
 
 (* Counter value by name, 0 if absent — the "registry read" shape used by
-   report builders (e.g. [Distributed.report]'s fault stats). *)
+   report builders (e.g. the simulated fleet's per-node recovery sum). *)
 let counter_value (t : t) (name : string) : float =
   match Hashtbl.find_opt t.tbl name with Some (Counter c) -> c.c | _ -> 0.
 

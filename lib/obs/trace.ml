@@ -1,9 +1,9 @@
 (* Span-based tracing against a pluggable clock.
 
    The clock is whatever the host binds — the discrete-event engine's
-   virtual [now] for simulator and distributed runs (making traces a pure
-   function of (seed, plan): two identical runs serialize byte-identically),
-   or a wall clock for the crypto bench. Spans are Chrome trace_event
+   virtual [now] for simulated runs (making traces a pure function of
+   (seed, plan): two identical runs serialize byte-identically), or a wall
+   clock for the crypto bench. Spans are Chrome trace_event
    "complete" events ('X': ts + dur); tracks (tid) are protocol entities —
    one per group pipeline, one per coordinator — named via metadata events
    so Perfetto renders a labelled lane per group.
@@ -268,10 +268,10 @@ module Breakdown = struct
   }
 
   (* Fixed presentation order for the protocol phases; anything else
-     follows alphabetically. The simulator uses the virtual-time subset
-     (verify/shuffle/decrypt/network/...); the wall-clock node runtime adds
-     reenc/send/recv-wait. Relative order of the original names is
-     unchanged, so pre-existing breakdowns render identically. *)
+     follows alphabetically. The node runtime's vocabulary (verify,
+     shuffle, reenc, decrypt, send, recv-wait, recovery, barrier) is the
+     same over TCP and over the simulator; the modeled [Simulate] adds
+     network and exit. *)
   let canonical =
     [ "verify"; "shuffle"; "reenc"; "decrypt"; "network"; "send"; "recv-wait"; "recovery";
       "barrier"; "exit" ]
@@ -329,42 +329,52 @@ module Breakdown = struct
       tbl []
     |> List.sort (fun a b -> compare a.tid b.tid)
 
-  (* The critical track: the one whose final phase segment closes last —
-     the chain that determined the round's end. Ties break toward the
-     lowest tid, deterministically. *)
-  let critical (evs : event list) : track option =
+  (* Every lane's tracks, each named by its lane and ending on the shared
+     timebase (lane offset applied). *)
+  let lane_tracks (lanes : lane list) : (string * track) list =
+    List.concat_map
+      (fun l ->
+        List.map
+          (fun t -> (l.lane_name, { t with t_end = t.t_end +. l.lane_offset }))
+          (tracks l.lane_events))
+      lanes
+
+  (* The critical track across lanes: the one whose final phase segment
+     closes last — the chain that determined the round's end. Ties break
+     toward the earlier lane and the lower tid, deterministically. *)
+  let critical (lanes : lane list) : (string * track) option =
     List.fold_left
-      (fun best t ->
+      (fun best (name, t) ->
         match best with
-        | Some b when b.t_end >= t.t_end -> best
-        | _ -> Some t)
-      None (tracks evs)
+        | Some (_, b) when b.t_end >= t.t_end -> best
+        | _ -> Some (name, t))
+      None (lane_tracks lanes)
 
   (* Aggregate phase totals across every track (core-seconds view). *)
-  let totals (evs : event list) : (string * float) list =
+  let totals (lanes : lane list) : (string * float) list =
     let acc : (string, float) Hashtbl.t = Hashtbl.create 8 in
     List.iter
-      (fun tr ->
+      (fun (_, tr) ->
         List.iter
           (fun (name, v) ->
             Hashtbl.replace acc name
               ((match Hashtbl.find_opt acc name with Some x -> x | None -> 0.) +. v))
           tr.phases)
-      (tracks evs);
+      (lane_tracks lanes);
     order_phases (Hashtbl.fold (fun k v l -> (k, v) :: l) acc [])
 
   (* Render the per-phase table for the critical track next to the
      all-track totals. [latency] is the reported round latency; the
      critical track's phases tile its lifetime, so their sum matches it
      (the coverage line makes the invariant visible). *)
-  let render ?(label = "track") ~(latency : float) (evs : event list) : string =
+  let render ~(latency : float) (lanes : lane list) : string =
     let buf = Buffer.create 512 in
-    (match critical evs with
+    (match critical lanes with
     | None -> Buffer.add_string buf "(no phase spans recorded)\n"
-    | Some crit ->
-        let tot = totals evs in
+    | Some (name, crit) ->
+        let tot = totals lanes in
         Buffer.add_string buf
-          (Printf.sprintf "per-phase round breakdown (critical %s %d):\n" label crit.tid);
+          (Printf.sprintf "per-phase round breakdown (critical: %s):\n" name);
         Buffer.add_string buf
           (Printf.sprintf "  %-10s %14s %7s %18s\n" "phase" "critical (s)" "share" "all tracks (s)");
         List.iter

@@ -116,16 +116,15 @@ module Breakdown : sig
 
   val tracks : event list -> track list
 
-  val critical : event list -> track option
-  (** The track whose final phase segment closes last — the chain that
-      determined the round's end. Its [total] equals the round latency
-      when phases tile the track (see {!Phase}). *)
+  val critical : lane list -> (string * track) option
+  (** Across every lane's tracks (lane offsets applied to [t_end]): the
+      lane name and track whose final phase segment closes last — the
+      chain that determined the round's end. Its [total] equals the round
+      latency when phases tile the track (see {!Phase}) and the lane's
+      clock starts with the round. *)
 
-  val totals : event list -> (string * float) list
-  (** Phase totals summed across all tracks (core-seconds view). *)
-
-  val render : ?label:string -> latency:float -> event list -> string
+  val render : latency:float -> lane list -> string
   (** Plain-text table: critical-track seconds and share of [latency] per
-      phase, all-track totals, and a coverage line showing the sum-vs-
-      latency invariant. *)
+      phase, totals over all lanes' tracks, and a coverage line showing
+      the sum-vs-latency invariant. *)
 end

@@ -35,6 +35,12 @@
 
 open Atom_core
 
+(* The compute a pipeline step is charged for, per unit of its input:
+   entry verification of the submissions' EncProofs, a shuffle step, a
+   ReEnc step. Over the simulator each is priced in virtual time; over
+   TCP the charge does nothing. *)
+type step_cost = Verify | Shuffle | Reenc
+
 module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
   module Pr = Protocol.Make (G)
   module C = Atom_wire.Codec.Make (G) (Pr.El)
@@ -137,18 +143,19 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
 
   (* ---- §4.5 failure routing ----
 
-     The simulator recovers a dead group in place (buddy sub-shares →
-     [Pr.recover_position]); the message-passing runtime realises the same
-     mechanism as deterministic *role replacement*: every process computes
-     the same replacement for a dead server from the shared network state,
-     so routing re-converges without coordination. The replacement is drawn
-     from the dead server's buddy group first (§4.5: the buddies hold the
-     re-sharing of its share), falling back to any live server. The
-     replacement can execute the dead member's pipeline steps because
-     handlers take (gid, pos) from the message, not from local identity —
-     and it proves it holds the position's share by running the buddy
-     recovery ceremony ([Pr.Dkg.recover] over the retained re-sharing)
-     before adopting the role. *)
+     The single-process reference recovers a dead group in place (buddy
+     sub-shares → [Pr.recover_group]); the message-passing runtime
+     realises the same mechanism as deterministic *role replacement*:
+     every process computes the same replacement for a dead server from
+     the shared network state, so routing re-converges without
+     coordination. The replacement is drawn from the dead server's buddy
+     group first (§4.5: the buddies hold the re-sharing of its share),
+     falling back to any live server. The replacement can execute the dead
+     member's pipeline steps because handlers take (gid, pos) from the
+     message, not from local identity — and it proves it holds the
+     position's share by running the buddy recovery ceremony
+     ([Pr.Dkg.recover] over the retained re-sharing) before adopting the
+     role. *)
 
   let candidates (net : Pr.network) (sid : int) : int list =
     let buddy =
@@ -248,6 +255,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     entry_started : (int * int, unit) Hashtbl.t;
     ingest : ingest_state option;
     now : unit -> float; (* caller clock; constant 0.0 when unbound *)
+    charge : step_cost -> units:int -> unit; (* virtual-time compute cost hook *)
     seen : (string, int) Hashtbl.t; (* duplicate-submission check, per head *)
     failed : bool array; (* server id -> presumed dead (routing input) *)
     outbox : Outbox.t; (* retained sent frames, for Retransmit *)
@@ -316,10 +324,17 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
   (* Step-granularity detail spans: each (gid, iter, step) pipeline hop as
      a span on the group's own track (tid 1+gid, cat "step"), tagged with
      the executing node so it stays attributable after lane merging. Args
-     are built lazily so the disabled path allocates nothing. *)
-  let step_spanned (n : node) (name : string) ~(tid : int)
+     are built lazily so the disabled path allocates nothing. A step with
+     a [cost] is charged for it (over its input's unit count) before it
+     computes, so over the simulator its frames leave after the charged
+     virtual time. *)
+  let step_spanned (n : node) (name : string) ?cost ~(tid : int)
       ~(argf : unit -> (string * Trace.arg) list) (f : unit -> 'a) : 'a =
     let tr = Atom_obs.Ctx.tracer n.obs in
+    let f () =
+      Option.iter (fun (c, units) -> n.charge c ~units) cost;
+      f ()
+    in
     if Trace.enabled tr then Trace.with_span tr ~cat:"step" ~args:(argf ()) ~tid name f
     else f ()
 
@@ -388,6 +403,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       let target = route n dst in
       match T.send n.t ~dst:target frame with
       | Ok () -> ()
+      | Error Transport.Closed -> n.stop <- true (* this process is dead *)
       | Error e ->
           if target = n.coord then begin
             Atom_obs.Log.warn "node %d: coordinator unreachable: %s" n.node_id
@@ -460,7 +476,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       (fun bi batch ->
         if not n.stop then begin
           phase n "reenc";
-          step_spanned n "head_reenc" ~tid:(1 + gid)
+          step_spanned n "head_reenc" ~cost:(Reenc, Array.length batch) ~tid:(1 + gid)
             ~argf:(fun () ->
               [ ("node", Trace.I n.node_id); ("gid", Trace.I gid);
                 ("iter", Trace.I iter); ("batch", Trace.I bi) ])
@@ -526,7 +542,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       divide_and_reenc n gid iter units
     else begin
       phase n "shuffle";
-      step_spanned n "shuffle_head" ~tid:(1 + gid)
+      step_spanned n "shuffle_head" ~cost:(Shuffle, Array.length units) ~tid:(1 + gid)
         ~argf:(fun () ->
           [ ("node", Trace.I n.node_id); ("gid", Trace.I gid);
             ("iter", Trace.I iter); ("step", Trace.I 1) ])
@@ -612,12 +628,13 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
               Array.iter (fun u -> units := u.Pr.vec :: !units) s.Pr.units
             else Atom_obs.Metrics.incr n.m_verify_failures)
       blobs;
-    Hashtbl.replace n.entry_units (gid, 0) (Array.of_list (List.rev !units));
+    let units = Array.of_list (List.rev !units) in
+    n.charge Verify ~units:(Array.length units);
+    Hashtbl.replace n.entry_units (gid, 0) units;
     maybe_start_entry n gid ~epoch:0
 
   let on_shuffle_step (n : node) ~(gid : int) ~(iter : int) ~(step : int)
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proof : string) : unit =
-    phase n "verify";
     let net = n.net in
     let quorum = Config.quorum net.Pr.config in
     let pk = Pr.group_pk net gid in
@@ -661,7 +678,6 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
 
   let on_reenc_step (n : node) ~(gid : int) ~(iter : int) ~(batch_idx : int) ~(step : int)
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proofs : string array) : unit =
-    phase n "verify";
     let net = n.net in
     let quorum = Config.quorum net.Pr.config in
     let ctx = iter_ctx net gid iter in
@@ -710,7 +726,6 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proofs : string array) : unit =
     (* Next-layer head verifies the sending tail's final ReEnc step, then
        strips the carried Y components before mixing. *)
-    phase n "verify";
     let net = n.net in
     let quorum = Config.quorum net.Pr.config in
     let ok =
@@ -920,6 +935,9 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         group gid && group src_gid && iter >= 1
         && Array.mem gid (neighbors net ~iter:(iter - 1) ~gid:src_gid)
 
+  (* A fresh pipeline step enters "verify" (its handler's first work)
+     before its span opens, so a charged step is never booked as
+     recv-wait. *)
   let handle_codec (n : node) (msg : C.msg) : unit =
     match msg with
     | C.Group_key { gid; pk } ->
@@ -928,33 +946,39 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         then abort n ~code:Ctrl.abort_bad_assignment (Printf.sprintf "group %d key mismatch" gid)
     | C.Shuffle_step { gid; iter; step; sent_at; input; output; proof } ->
         observe_flight n sent_at;
-        if fresh n (Printf.sprintf "S%d.%d.%d" gid iter step) then
-          step_spanned n "shuffle_step" ~tid:(1 + gid)
+        if fresh n (Printf.sprintf "S%d.%d.%d" gid iter step) then begin
+          phase n "verify";
+          step_spanned n "shuffle_step" ~cost:(Shuffle, Array.length input) ~tid:(1 + gid)
             ~argf:(fun () ->
               [ ("node", Trace.I n.node_id); ("gid", Trace.I gid);
                 ("iter", Trace.I iter); ("step", Trace.I step) ])
             (fun () -> on_shuffle_step n ~gid ~iter ~step ~input ~output proof)
+        end
     | C.Reenc_step { gid; iter; batch_idx; step; sent_at; input; output; proofs } ->
         observe_flight n sent_at;
-        if fresh n (Printf.sprintf "R%d.%d.%d.%d" gid iter batch_idx step) then
-          step_spanned n "reenc_step" ~tid:(1 + gid)
+        if fresh n (Printf.sprintf "R%d.%d.%d.%d" gid iter batch_idx step) then begin
+          phase n "verify";
+          step_spanned n "reenc_step" ~cost:(Reenc, Array.length input) ~tid:(1 + gid)
             ~argf:(fun () ->
               [ ("node", Trace.I n.node_id); ("gid", Trace.I gid);
                 ("iter", Trace.I iter); ("batch", Trace.I batch_idx);
                 ("step", Trace.I step) ])
             (fun () -> on_reenc_step n ~gid ~iter ~batch_idx ~step ~input ~output proofs)
+        end
     | C.Batch { gid; iter; src_gid; sent_at; input; output; proofs } ->
         (* One batch per (src, dst) pair per layer: the square topology
            never fans a group out twice to the same neighbor in a layer,
            so this key distinguishes every legitimate batch (iter is
            absolute, so the key is also epoch-unique). *)
         observe_flight n sent_at;
-        if fresh n (Printf.sprintf "B%d.%d.%d" gid iter src_gid) then
+        if fresh n (Printf.sprintf "B%d.%d.%d" gid iter src_gid) then begin
+          phase n "verify";
           step_spanned n "batch_verify" ~tid:(1 + gid)
             ~argf:(fun () ->
               [ ("node", Trace.I n.node_id); ("gid", Trace.I gid);
                 ("iter", Trace.I iter); ("src_gid", Trace.I src_gid) ])
             (fun () -> on_batch n ~gid ~iter ~src_gid ~input ~output proofs)
+        end
     | C.Exit_batch _ -> () (* coordinator-only traffic *)
 
   let handle_frame (n : node) ~(src : int) (frame : string) : unit =
@@ -986,8 +1010,11 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
 
   (* Run one server's event loop until Shutdown / abort / idle expiry.
      [on_peers] lets the transport register discovered peers (TCP needs
-     host:port; the simulator transport knows everyone already). *)
-  let run_node ?(obs = Atom_obs.Ctx.noop) ?clock ?pool (t : T.t) ~(config : Config.t)
+     host:port; the simulator transport knows everyone already). [charge]
+     is told each pipeline step's cost kind and input size before the
+     step computes; the simulated fleet prices it in virtual time. *)
+  let run_node ?(obs = Atom_obs.Ctx.noop) ?clock ?pool
+      ?(charge = fun (_ : step_cost) ~units:(_ : int) -> ()) (t : T.t) ~(config : Config.t)
       ~(node_id : int) ~(coord : int) ?(recv_timeout = 0.5) ?(max_idle = 240)
       ?(on_peers = fun (_ : (int * int) array) -> ())
       ?(ingest : Admission.policy option)
@@ -1028,6 +1055,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         seen = Hashtbl.create 64;
         ingest;
         now;
+        charge;
         failed = Array.make config.Config.n_servers false;
         outbox = Outbox.create ();
         handled = Hashtbl.create 64;

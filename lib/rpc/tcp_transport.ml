@@ -68,8 +68,6 @@ type t = {
   m_send_seconds : Atom_obs.Metrics.histogram;
 }
 
-let default_send_timeout = 5.0
-
 (* Inbox bound: a flooding or byzantine peer must exhaust its own socket
    buffers, not this process's heap. Generous enough that healthy rounds
    never hit it (a round's whole traffic toward one node is a few hundred
@@ -78,6 +76,7 @@ let default_send_timeout = 5.0
 let default_max_inbox = 8192
 
 (* Mirror the simulator Net's retransmission policy. *)
+let default_send_timeout = Atom_sim.Net.default_send_timeout
 let default_max_retries = Atom_sim.Net.default_max_retries
 let default_retry_backoff = Atom_sim.Net.default_retry_backoff
 

@@ -13,9 +13,10 @@
    Delivery is retried, not fire-and-forget: a transmission toward a dead
    machine (or one eaten by probabilistic loss, sampled from a dedicated
    seeded RNG so runs replay bit-identically) is retransmitted with
-   exponential backoff up to [max_retries] times before being dropped for
-   good. Every retransmit and terminal drop is counted, so churn leaves an
-   audit trail in the stats instead of silently vanishing traffic. *)
+   exponential backoff up to [max_retries] times (toward a dead machine,
+   for at most [default_send_timeout]) before being dropped for good.
+   Every retransmit and terminal drop is counted, so churn leaves an audit
+   trail in the stats instead of silently vanishing traffic. *)
 
 type t = {
   engine : Engine.t;
@@ -47,6 +48,12 @@ type t = {
 let default_tls_cpu = 0.001
 let default_max_retries = 8
 let default_retry_backoff = 0.25
+
+(* A send toward a dead machine gives up once its retries would outlast
+   this, as a TCP connect to a refused peer does: the typed failure is a
+   death certificate, so it must come promptly. Random loss on a live
+   link keeps the full retry ladder. *)
+let default_send_timeout = 5.0
 
 let create ?(intra_latency = 0.040) ?(inter_min = 0.080) ?(inter_max = 0.160)
     ?(tls_cpu = default_tls_cpu) ?(loss_prob = 0.) ?(loss_seed = 0x10ad)
@@ -117,17 +124,21 @@ let ensure_connection (net : t) (src : Machine.t) (dst : Machine.t) : unit =
    happens asynchronously. Returns [true] iff delivery was scheduled. *)
 let send_tracked (net : t) ~(src : Machine.t) ~(dst : Machine.t) ~(bytes : float)
     (mailbox : 'a Mailbox.t) (msg : 'a) : bool =
-  let give_up () =
+  let give_up tries =
     net.messages_dropped <- net.messages_dropped + 1;
     net.bytes_dropped <- net.bytes_dropped +. bytes;
     Atom_obs.Metrics.incr net.m_drops;
     Atom_obs.Log.warn "net: dropped %.0f bytes %d->%d after %d retries" bytes src.Machine.id
-      dst.Machine.id net.max_retries;
+      dst.Machine.id tries;
     false
   in
+  let t0 = Engine.now net.engine in
   let rec attempt tries backoff =
-    let retry () =
-      if tries >= net.max_retries then give_up ()
+    let retry ~dead =
+      if
+        tries >= net.max_retries
+        || (dead && Engine.now net.engine -. t0 +. backoff > default_send_timeout)
+      then give_up tries
       else begin
         Engine.sleep net.engine backoff;
         net.retransmits <- net.retransmits + 1;
@@ -135,7 +146,7 @@ let send_tracked (net : t) ~(src : Machine.t) ~(dst : Machine.t) ~(bytes : float
         attempt (tries + 1) (backoff *. 2.)
       end
     in
-    if not dst.Machine.alive then retry () (* fail-stop peer: back off, re-probe *)
+    if not dst.Machine.alive then retry ~dead:true (* fail-stop peer: back off, re-probe *)
     else begin
       ensure_connection net src dst;
       let tx = transfer_time src dst ~bytes in
@@ -154,7 +165,7 @@ let send_tracked (net : t) ~(src : Machine.t) ~(dst : Machine.t) ~(bytes : float
       if net.loss_prob > 0. && Atom_util.Rng.float net.loss_rng < net.loss_prob then begin
         net.messages_lost <- net.messages_lost + 1;
         Atom_obs.Metrics.incr net.m_losses;
-        retry ()
+        retry ~dead:false
       end
       else begin
         let lat = latency net src dst in

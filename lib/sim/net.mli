@@ -39,6 +39,10 @@ val default_tls_cpu : float
 val default_max_retries : int
 val default_retry_backoff : float
 
+val default_send_timeout : float
+(** Seconds after which retries toward a dead machine stop (5 s, as for a
+    refused TCP peer); random loss on a live link keeps the full ladder. *)
+
 val create :
   ?intra_latency:float ->
   ?inter_min:float ->
@@ -66,8 +70,9 @@ val send : t -> src:Machine.t -> dst:Machine.t -> bytes:float -> 'a Mailbox.t ->
 (** Blocking send (back-pressure on the sender's NIC); delivery is
     scheduled after propagation. Transmissions toward a dead machine (or
     eaten by random loss) are retried with exponential backoff up to
-    [max_retries] times, then dropped and counted in [messages_dropped] /
-    [bytes_dropped]. Must run inside a process. *)
+    [max_retries] times — toward a dead machine only while the next retry
+    starts within {!default_send_timeout} — then dropped and counted in
+    [messages_dropped] / [bytes_dropped]. Must run inside a process. *)
 
 val send_tracked :
   t -> src:Machine.t -> dst:Machine.t -> bytes:float -> 'a Mailbox.t -> 'a -> bool

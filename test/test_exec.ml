@@ -231,19 +231,11 @@ let traced_round () =
   let seed = 23 in
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Nizk ~seed () in
   let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Pr = Atom_core.Protocol.Make (G) in
-  let module Dist = Atom_core.Distributed.Make (G) (Pr) in
-  let rng = Atom_util.Rng.create seed in
-  let net = Pr.setup rng config () in
-  let subs =
-    List.init 6 (fun i ->
-        Pr.submit rng net ~user:i
-          ~entry_gid:(i mod config.Atom_core.Config.n_groups)
-          (Printf.sprintf "pooled-%d" i))
-  in
+  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
   let obs = Atom_obs.Ctx.create ~tracing:true () in
-  let report = Dist.run ~obs ~costs:(Dist.Calibrated Atom_core.Calibration.paper) rng net subs in
-  (report.Dist.latency, Atom_obs.Trace.to_chrome_json (Atom_obs.Ctx.tracer obs))
+  let report = Fleet.run ~obs config ~users:6 in
+  Alcotest.(check bool) "round matched" true report.Fleet.outcome.Fleet.N.matched;
+  (report.Fleet.latency, Atom_obs.Trace.to_chrome_json_lanes report.Fleet.lanes)
 
 let test_sim_trace_unchanged_with_pool () =
   let prev = Pool.default () in

@@ -367,54 +367,6 @@ let test_op_counts_match_model () =
   Alcotest.(check int) "encproof verifies" (units * net.Pr.width) ops.Pr.encproof_verifies;
   Alcotest.(check int) "kem opens = messages" users ops.Pr.kem_opens
 
-(* ---- Distributed runtime: real crypto over the simulated network ---- *)
-
-module Dist = Atom_core.Distributed.Make (G) (Pr)
-
-let test_distributed_round () =
-  let r = rng () in
-  let config = Config.tiny ~variant:Config.Trap ~seed:77 () in
-  let net = Pr.setup r config () in
-  let msgs = List.init 6 (fun i -> Printf.sprintf "dist-%d" i) in
-  let subs = List.mapi (fun i m -> Pr.submit r net ~user:i ~entry_gid:(i mod 4) m) msgs in
-  let report = Dist.run r net subs in
-  Alcotest.(check bool) "no abort" true (report.Dist.outcome.Pr.aborted = None);
-  Alcotest.(check (list string)) "delivered over the network" (List.sort compare msgs)
-    (List.sort compare report.Dist.outcome.Pr.delivered);
-  (* The round took virtual time: compute charges + link latencies. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "latency %.3fs > pure network floor" report.Dist.latency)
-    true
-    (report.Dist.latency > 0.1);
-  Alcotest.(check bool) "network carried bytes" true (report.Dist.bytes_sent > 0.)
-
-let test_distributed_matches_synchronous () =
-  (* Same network, same submissions: the asynchronous runtime delivers the
-     same message multiset as the synchronous ground-truth engine. *)
-  let config = Config.tiny ~variant:Config.Basic ~seed:78 () in
-  let msgs = List.init 5 (fun i -> Printf.sprintf "match-%d" i) in
-  let run_with engine_runner =
-    let r = Atom_util.Rng.create 4242 in
-    let net = Pr.setup r config () in
-    let subs = List.mapi (fun i m -> Pr.submit r net ~user:i ~entry_gid:(i mod 4) m) msgs in
-    engine_runner r net subs
-  in
-  let sync = run_with (fun r net subs -> (Pr.run r net subs).Pr.delivered) in
-  let dist = run_with (fun r net subs -> (Dist.run r net subs).Dist.outcome.Pr.delivered) in
-  Alcotest.(check (list string)) "same multiset" (List.sort compare sync) (List.sort compare dist)
-
-let test_distributed_basic_and_trap () =
-  List.iter
-    (fun variant ->
-      let r = rng () in
-      let config = Config.tiny ~variant ~seed:79 () in
-      let net = Pr.setup r config () in
-      let msgs = List.init 4 (fun i -> Printf.sprintf "dv-%d" i) in
-      let subs = List.mapi (fun i m -> Pr.submit r net ~user:i ~entry_gid:(i mod 4) m) msgs in
-      let report = Dist.run r net subs in
-      Alcotest.(check int) "all delivered" 4 (List.length report.Dist.outcome.Pr.delivered))
-    [ Config.Basic; Config.Trap ]
-
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   ( "extended",
@@ -433,9 +385,6 @@ let suite =
       Alcotest.test_case "intersection attack caught" `Slow test_intersection_attack_is_caught;
       Alcotest.test_case "op counts match simulator model" `Quick test_op_counts_match_model;
       Alcotest.test_case "wide messages end-to-end" `Quick test_wide_messages_end_to_end;
-      Alcotest.test_case "distributed round" `Quick test_distributed_round;
-      Alcotest.test_case "distributed matches synchronous" `Quick test_distributed_matches_synchronous;
-      Alcotest.test_case "distributed basic and trap" `Quick test_distributed_basic_and_trap;
       Alcotest.test_case "message framing errors" `Quick test_message_framing_errors;
       Alcotest.test_case "p256 protocol smoke" `Slow test_p256_protocol_smoke;
       q prop_cipher_of_bytes_total;

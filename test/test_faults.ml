@@ -1,23 +1,22 @@
-(* Churn and fault-injection coverage: the §4.5 buddy-group recovery path
-   exercised end to end through the distributed runtime, plus the Faults
-   plan machinery itself.
+(* Churn and fault-injection coverage: the §4.5 recovery path exercised
+   end to end on the node runtime over the simulated fleet, plus the
+   Faults plan machinery itself.
 
-   All distributed runs here use the [Calibrated] cost model so latency is
-   a pure function of (seed, fault plan) — the determinism test depends on
-   it, and the comparisons between faulty and fault-free rounds stay
-   meaningful across hosts. *)
+   Fleet rounds charge calibrated per-op costs in virtual time, so latency
+   is a pure function of (config, fault plan, loss) — the determinism test
+   depends on it, and the comparisons between faulty and fault-free rounds
+   stay meaningful across hosts. *)
 
 module G = (val Atom_group.Registry.zp_test ())
 module Pr = Atom_core.Protocol.Make (G)
-module Dist = Atom_core.Distributed.Make (G) (Pr)
+module Fleet = Atom_rpc.Sim_fleet.Make (G)
 open Atom_core
 open Atom_sim
 
 let rng () = Atom_util.Rng.create 0xfa17
 
-(* 16 servers in 3 groups of k = 4 with h = 2: quorum 3, each group rides
-   out k - quorum = 1 fail-stop without recovery, and buddy recovery can
-   resurrect the rest. *)
+(* 16 servers in 3 groups of k = 4 with h = 2: quorum 3, and buddy
+   recovery can stand in for any dead member. *)
 let churn_config ?(variant = Config.Trap) seed : Config.t =
   {
     (Config.tiny ~variant ~seed ()) with
@@ -39,7 +38,11 @@ let check_delivery msgs (outcome : Pr.outcome) =
   Alcotest.(check (list string)) "all messages delivered" (List.sort compare msgs)
     (List.sort compare outcome.Pr.delivered)
 
-let calibrated = Dist.Calibrated Calibration.paper
+let check_fleet ~users (r : Fleet.report) =
+  let o = r.Fleet.outcome in
+  Alcotest.(check (option string)) "no abort" None o.Fleet.N.cluster_abort;
+  Alcotest.(check int) "all messages delivered" users (List.length o.Fleet.N.delivered);
+  Alcotest.(check bool) "matches single-process reference" true o.Fleet.N.matched
 
 (* ---- Faults plan machinery ---- *)
 
@@ -90,82 +93,60 @@ let test_install_rejects_unknown_machine () =
   Alcotest.check_raises "out-of-range sid" (Invalid_argument "Faults.install: no machine 7")
     (fun () -> ignore (Faults.install e ~machines [ Faults.fail ~at:1. 7 ]))
 
-(* ---- Churn matrix: k - quorum failures mid-round, every variant ---- *)
+(* ---- Churn matrix: one member per group fails mid-round, every variant ---- *)
 
 let test_churn_matrix () =
   List.iter
     (fun variant ->
-      let r = rng () in
       let config = churn_config ~variant 31 in
-      let net = Pr.setup r config () in
-      let msgs = messages_of 6 in
-      let subs = submit_all r net msgs in
-      (* Fail one member (= k - quorum) of every group mid-round: the live
-         quorums carry on without any buddy recovery. *)
       let faults =
-        List.concat_map
-          (fun (g : Pr.group_state) -> [ Faults.fail ~at:0.05 g.Pr.members.(1) ])
-          (Array.to_list net.Pr.groups)
+        List.init config.Config.n_groups (fun gid ->
+            Faults.fail ~at:0.05 (Atom_rpc.Sim_fleet.members config gid).(1))
       in
-      let report = Dist.run ~faults ~costs:calibrated r net subs in
+      let report = Fleet.run ~faults config ~users:6 in
       let vname =
         match variant with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap"
       in
       Alcotest.(check int)
         (Printf.sprintf "all failures injected (%s)" vname)
-        config.Config.n_groups report.Dist.faults.Dist.failures_injected;
-      check_delivery msgs report.Dist.outcome)
+        config.Config.n_groups report.Fleet.failures_injected;
+      check_fleet ~users:6 report)
     [ Config.Basic; Config.Nizk; Config.Trap ]
 
 (* ---- Acceptance: h-1 failures per group, round still completes ---- *)
 
-let test_tolerated_failures_no_recovery_needed () =
-  let r = rng () in
+let test_tolerated_failures () =
   let config = churn_config 32 in
-  let net = Pr.setup r config () in
-  let msgs = messages_of 6 in
-  let subs = submit_all r net msgs in
   let faults =
-    List.concat_map
-      (fun (g : Pr.group_state) ->
-        List.init (config.Config.h - 1) (fun i -> Faults.fail ~at:0.04 g.Pr.members.(i)))
-      (Array.to_list net.Pr.groups)
+    List.concat
+      (List.init config.Config.n_groups (fun gid ->
+           let members = Atom_rpc.Sim_fleet.members config gid in
+           List.init (config.Config.h - 1) (fun i -> Faults.fail ~at:0.04 members.(i))))
   in
-  let report = Dist.run ~faults ~costs:calibrated r net subs in
-  check_delivery msgs report.Dist.outcome;
-  Alcotest.(check bool) "delivered non-empty" true (report.Dist.outcome.Pr.delivered <> [])
+  check_fleet ~users:6 (Fleet.run ~faults config ~users:6)
 
-(* ---- Acceptance: a fully dead group is resurrected via its buddies ---- *)
+(* ---- Acceptance: a fully dead group is replaced via its buddies ---- *)
 
 let test_dead_group_buddy_recovery () =
   let config = churn_config 33 in
-  let msgs = messages_of 6 in
-  let run_with faults =
-    let r = rng () in
-    let net = Pr.setup r config () in
-    let subs = submit_all r net msgs in
-    Dist.run ~faults ~costs:calibrated r net subs
-  in
-  let baseline = run_with [] in
-  check_delivery msgs baseline.Dist.outcome;
+  let baseline = Fleet.run config ~users:6 in
+  check_fleet ~users:6 baseline;
+  Alcotest.(check int) "no recovery sweep in the clean round" 0 baseline.Fleet.recovery_sweeps;
   (* Kill every member of group 1 mid-round. *)
-  let victims =
-    let r = rng () in
-    let net = Pr.setup r config () in
-    Array.copy net.Pr.groups.(1).Pr.members
+  let faulty =
+    Fleet.run
+      ~faults:(Faults.fail_machines ~at:0.05 (Atom_rpc.Sim_fleet.members config 1))
+      config ~users:6
   in
-  let faulty = run_with (Faults.fail_machines ~at:0.05 victims) in
-  check_delivery msgs faulty.Dist.outcome;
+  check_fleet ~users:6 faulty;
   Alcotest.(check bool)
-    (Printf.sprintf "recoveries %d >= 1" faulty.Dist.faults.Dist.recoveries)
-    true
-    (faulty.Dist.faults.Dist.recoveries >= 1);
+    (Printf.sprintf "recoveries %d >= 1" faulty.Fleet.recoveries)
+    true (faulty.Fleet.recoveries >= 1);
   Alcotest.(check bool)
-    (Printf.sprintf "faulty latency %.3fs > clean %.3fs" faulty.Dist.latency baseline.Dist.latency)
+    (Printf.sprintf "faulty latency %.3fs > clean %.3fs" faulty.Fleet.latency baseline.Fleet.latency)
     true
-    (faulty.Dist.latency > baseline.Dist.latency);
-  Alcotest.(check bool) "recovery time accounted" true
-    (faulty.Dist.faults.Dist.recovery_latency > 0.)
+    (faulty.Fleet.latency > baseline.Fleet.latency);
+  Alcotest.(check bool) "recovery time accounted" true (faulty.Fleet.recovery_seconds > 0.)
 
 (* ---- recover_group under maximal churn (synchronous engine) ---- *)
 
@@ -189,41 +170,41 @@ let test_recover_group_maximal_churn () =
 
 let test_fault_replay_deterministic () =
   let config = churn_config 35 in
-  let msgs = messages_of 5 in
   let one () =
-    let r = Atom_util.Rng.create 0xd0d0 in
-    let net = Pr.setup r config () in
-    let subs = submit_all r net msgs in
+    let members = Atom_rpc.Sim_fleet.members config in
     let faults =
-      Faults.fail_machines ~at:0.05 net.Pr.groups.(2).Pr.members
-      @ [ Faults.fail ~at:0.02 net.Pr.groups.(0).Pr.members.(0) ]
+      Faults.fail_machines ~at:0.05 (members 2) @ [ Faults.fail ~at:0.02 (members 0).(0) ]
     in
-    Dist.run ~faults ~loss_prob:0.05 ~costs:calibrated r net subs
+    Fleet.run ~faults ~loss_prob:0.05 config ~users:5
   in
   let a = one () and b = one () in
-  Alcotest.(check (float 0.)) "identical latency" a.Dist.latency b.Dist.latency;
-  Alcotest.(check int) "identical event counts" a.Dist.events b.Dist.events;
-  Alcotest.(check (list string)) "identical deliveries"
-    (List.sort compare a.Dist.outcome.Pr.delivered)
-    (List.sort compare b.Dist.outcome.Pr.delivered);
-  Alcotest.(check int) "identical retransmits" a.Dist.faults.Dist.retransmits
-    b.Dist.faults.Dist.retransmits;
-  Alcotest.(check int) "identical timeouts" a.Dist.faults.Dist.timeouts_fired
-    b.Dist.faults.Dist.timeouts_fired
+  check_fleet ~users:5 a;
+  Alcotest.(check (float 0.)) "identical latency" a.Fleet.latency b.Fleet.latency;
+  Alcotest.(check int) "identical event counts" a.Fleet.events b.Fleet.events;
+  Alcotest.(check (list string)) "identical deliveries" a.Fleet.outcome.Fleet.N.delivered
+    b.Fleet.outcome.Fleet.N.delivered;
+  Alcotest.(check int) "identical retransmits" a.Fleet.retransmits b.Fleet.retransmits;
+  Alcotest.(check int) "identical recovery sweeps" a.Fleet.recovery_sweeps b.Fleet.recovery_sweeps
+
+(* A fleet node stops with its machine and never restarts, so a plan that
+   brings a machine back is refused rather than silently stalling. *)
+let test_fleet_rejects_recover () =
+  Alcotest.check_raises "recover plan"
+    (Invalid_argument "Sim_fleet.run: a stopped node cannot recover") (fun () ->
+      ignore
+        (Fleet.run
+           ~faults:[ Faults.fail ~at:0.05 0; Faults.recover ~at:1. 0 ]
+           (churn_config 37) ~users:1))
 
 (* ---- Telemetry plumbing ---- *)
 
 let test_report_carries_drop_counters () =
-  (* A lossy round surfaces link-layer telemetry in the report. *)
-  let r = rng () in
-  let config = churn_config 36 in
-  let net = Pr.setup r config () in
-  let msgs = messages_of 5 in
-  let report = Dist.run ~loss_prob:0.3 ~costs:calibrated r net (submit_all r net msgs) in
-  check_delivery msgs report.Dist.outcome;
-  Alcotest.(check bool) "retransmits observed" true (report.Dist.faults.Dist.retransmits > 0);
-  Alcotest.(check int) "nothing dropped at this loss rate" 0
-    report.Dist.faults.Dist.messages_dropped
+  (* A lossy round surfaces link-layer telemetry in the report: every loss
+     on a live link is retried, so nothing is abandoned. *)
+  let report = Fleet.run ~loss_prob:0.3 (churn_config 36) ~users:5 in
+  check_fleet ~users:5 report;
+  Alcotest.(check bool) "retransmits observed" true (report.Fleet.retransmits > 0);
+  Alcotest.(check int) "nothing dropped at this loss rate" 0 report.Fleet.messages_dropped
 
 let test_controller_recovery_telemetry () =
   let c = Controller.create () in
@@ -244,10 +225,11 @@ let suite =
       Alcotest.test_case "install rejects unknown machine" `Quick
         test_install_rejects_unknown_machine;
       Alcotest.test_case "churn matrix (all variants)" `Quick test_churn_matrix;
-      Alcotest.test_case "h-1 failures tolerated" `Quick test_tolerated_failures_no_recovery_needed;
+      Alcotest.test_case "h-1 failures tolerated" `Quick test_tolerated_failures;
       Alcotest.test_case "dead group buddy recovery" `Quick test_dead_group_buddy_recovery;
       Alcotest.test_case "recover_group maximal churn" `Quick test_recover_group_maximal_churn;
       Alcotest.test_case "fault replay determinism" `Quick test_fault_replay_deterministic;
+      Alcotest.test_case "fleet rejects recover plans" `Quick test_fleet_rejects_recover;
       Alcotest.test_case "report drop counters" `Quick test_report_carries_drop_counters;
       Alcotest.test_case "controller recovery telemetry" `Quick test_controller_recovery_telemetry;
     ] )

@@ -1,13 +1,12 @@
 (* Observability layer: metrics-registry semantics, virtual-time span
    tracing and exclusive phase accounting, Chrome trace_event JSON
    well-formedness, leveled logging, group-op tallies — and the end-to-end
-   guarantee the layer is built around: a distributed round's trace is a
-   pure function of (seed, fault plan), and the critical track's per-phase
-   breakdown tiles the round latency. *)
+   guarantee the layer is built around: a simulated fleet round's merged
+   trace is a pure function of (seed, fault plan), and the critical lane's
+   per-phase breakdown tiles the round latency. *)
 
 module G = (val Atom_group.Registry.zp_test ())
-module Pr = Atom_core.Protocol.Make (G)
-module Dist = Atom_core.Distributed.Make (G) (Pr)
+module Fleet = Atom_rpc.Sim_fleet.Make (G)
 open Atom_obs
 
 (* ---- metrics registry ---- *)
@@ -457,28 +456,17 @@ let test_opcount () =
   Alcotest.(check int) "batch scalars" 5 d.Opcount.batch_scalars;
   Alcotest.(check int) "total calls" 6 (Opcount.total_calls d)
 
-(* ---- end-to-end: traced distributed round ---- *)
+(* ---- end-to-end: traced simulated fleet round ---- *)
 
 let traced_round seed =
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Trap ~seed () in
-  let rng = Atom_util.Rng.create seed in
-  let net = Pr.setup rng config () in
-  let msgs = List.init 6 (fun i -> Printf.sprintf "traced-%d" i) in
-  let subs =
-    List.mapi
-      (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod config.Atom_core.Config.n_groups) m)
-      msgs
-  in
   let obs = Ctx.create ~tracing:true () in
-  let report =
-    Dist.run ~obs ~costs:(Dist.Calibrated Atom_core.Calibration.paper) rng net subs
-  in
-  (config, net, report, obs)
+  (config, Fleet.run ~obs config ~users:6)
 
 let test_trace_determinism () =
   let run () =
-    let _, _, report, obs = traced_round 11 in
-    (report.Dist.latency, Trace.to_chrome_json (Ctx.tracer obs))
+    let _, report = traced_round 11 in
+    (report.Fleet.latency, Trace.to_chrome_json_lanes report.Fleet.lanes)
   in
   let l1, j1 = run () in
   let l2, j2 = run () in
@@ -487,57 +475,61 @@ let test_trace_determinism () =
   validate_json j1
 
 let test_trace_coverage () =
-  let config, net, report, obs = traced_round 11 in
-  let evs = Trace.events (Ctx.tracer obs) in
-  let iters = net.Pr.topo.Atom_topology.Topology.iterations in
+  let config, report = traced_round 11 in
+  let topo = Atom_core.Config.topology config in
+  let iters = topo.Atom_topology.Topology.iterations in
   let n_groups = config.Atom_core.Config.n_groups in
-  let iteration_spans =
-    List.filter (fun (e : Trace.event) -> e.Trace.cat = "iteration" && e.Trace.ph = 'X') evs
+  let head_reencs =
+    List.concat_map
+      (fun (l : Trace.lane) ->
+        List.filter
+          (fun (e : Trace.event) -> e.Trace.name = "head_reenc" && e.Trace.ph = 'X')
+          l.Trace.lane_events)
+      report.Fleet.lanes
   in
-  (* Every (group, iteration) pair gets exactly one span. *)
-  Alcotest.(check int) "iteration spans" (n_groups * iters) (List.length iteration_spans);
-  let pairs =
+  (* Every (group, iteration, batch) head step gets exactly one span:
+     n_groups x T x beta of them. *)
+  let expected = ref 0 in
+  for iter = 0 to iters - 1 do
+    for group = 0 to n_groups - 1 do
+      expected :=
+        !expected + Array.length (topo.Atom_topology.Topology.neighbors ~iter ~group)
+    done
+  done;
+  Alcotest.(check int) "head_reenc spans" !expected (List.length head_reencs);
+  let triples =
     List.sort_uniq compare
       (List.map
          (fun (e : Trace.event) ->
-           (List.assoc "group" e.Trace.args, List.assoc "iter" e.Trace.args))
-         iteration_spans)
+           List.map (fun k -> List.assoc k e.Trace.args) [ "gid"; "iter"; "batch" ])
+         head_reencs)
   in
-  Alcotest.(check int) "all pairs distinct" (n_groups * iters) (List.length pairs);
-  (* The critical track's phase durations sum to the round latency. *)
-  match Trace.Breakdown.critical evs with
+  Alcotest.(check int) "all (gid, iter, batch) distinct" !expected (List.length triples);
+  (* The critical lane's phase durations sum to the round latency. *)
+  let latency = report.Fleet.latency in
+  match Trace.Breakdown.critical report.Fleet.lanes with
   | None -> Alcotest.fail "no phase tracks"
-  | Some crit ->
-      let cover = crit.Trace.Breakdown.total /. report.Dist.latency in
+  | Some (_, crit) ->
+      let cover = crit.Trace.Breakdown.total /. latency in
       Alcotest.(check bool)
         (Printf.sprintf "coverage within 1%% (got %.4f)" cover)
         true
         (Float.abs (cover -. 1.) <= 0.01);
       (* The breakdown table renders and agrees with the totals line. *)
-      let table =
-        Trace.Breakdown.render ~label:"group" ~latency:report.Dist.latency evs
-      in
+      let table = Trace.Breakdown.render ~latency report.Fleet.lanes in
       Alcotest.(check bool) "table mentions every canonical phase seen" true
         (List.for_all
-           (fun (name, _) ->
-             let needle = name in
-             count_occurrences needle table >= 1)
+           (fun (name, _) -> count_occurrences name table >= 1)
            crit.Trace.Breakdown.phases)
 
 let test_noop_obs_round () =
-  (* With the noop context the run still works; churn telemetry reads 0
-     because there is no registry to accumulate into (documented caveat). *)
+  (* With the noop context the run still works; node-side telemetry reads
+     0 because there is no registry to accumulate into. *)
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Trap ~seed:11 () in
-  let rng = Atom_util.Rng.create 11 in
-  let net = Pr.setup rng config () in
-  let subs =
-    [ Pr.submit rng net ~user:0 ~entry_gid:0 "noop-obs" ]
-  in
-  let report =
-    Dist.run ~obs:Ctx.noop ~costs:(Dist.Calibrated Atom_core.Calibration.paper) rng net subs
-  in
-  Alcotest.(check bool) "round completes" true (report.Dist.latency > 0.);
-  Alcotest.(check int) "no recoveries recorded" 0 report.Dist.faults.Dist.recoveries
+  let report = Fleet.run ~obs:Ctx.noop config ~users:1 in
+  Alcotest.(check bool) "round completes" true (report.Fleet.latency > 0.);
+  Alcotest.(check bool) "matches reference" true report.Fleet.outcome.Fleet.N.matched;
+  Alcotest.(check int) "no recoveries recorded" 0 report.Fleet.recoveries
 
 (* ---- engine binding ---- *)
 

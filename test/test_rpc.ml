@@ -287,6 +287,100 @@ let test_sim_node_survives_bad_frame () =
     (float_of_int (List.length bad - 1))
     (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "node.bad_frames")
 
+(* ---- Fail-stop machines under the simulator transport ---- *)
+
+(* Two endpoints on one fresh engine. *)
+let sim_pair ?(loss_prob = 0.) () =
+  let e = Engine.create () in
+  let net = Net.create e ~loss_prob in
+  let machines =
+    Array.init 2 (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
+  in
+  (e, machines, SimT.fleet e net ~machines)
+
+let probe = Ctrl.encode (Ctrl.Ack { token = 3 })
+
+let error_name = function
+  | Ok _ -> "ok"
+  | Error e -> Atom_rpc.Transport.error_to_string e
+
+(* A refused TCP peer fails the send within the send timeout; a dead
+   simulated machine must too, or the coordinator's sweep waits out the
+   whole retry ladder before it learns of the death. *)
+let test_sim_send_to_dead_fails_fast () =
+  let e, machines, fleet = sim_pair () in
+  Machine.fail machines.(1);
+  let result = ref None in
+  Engine.spawn e (fun () ->
+      let r = SimT.send fleet.(0) ~dst:1 probe in
+      result := Some (r, Engine.now e));
+  ignore (Engine.run e);
+  match !result with
+  | Some (Error (Atom_rpc.Transport.Send_failed { dst = 1; _ }), t) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gave up after %.2fs virtual, within %.0fs" t Net.default_send_timeout)
+        true
+        (t <= Net.default_send_timeout)
+  | Some (r, _) -> Alcotest.failf "send to a dead machine: %s" (error_name r)
+  | None -> Alcotest.fail "send never returned"
+
+(* An endpoint whose own machine is dead behaves as a killed process:
+   [Closed] from both calls, including a receive that was parked when the
+   machine died. *)
+let test_sim_dead_endpoint_closed () =
+  let e, machines, fleet = sim_pair () in
+  let parked = ref None and after = ref [] in
+  Engine.spawn e (fun () -> parked := Some (SimT.recv fleet.(0) ~timeout:10.));
+  Engine.schedule e ~delay:1. (fun () -> Machine.fail machines.(0));
+  Engine.spawn e ~delay:2. (fun () ->
+      after :=
+        [ ("send", Result.map ignore (SimT.send fleet.(0) ~dst:1 probe));
+          ("recv", Result.map ignore (SimT.recv fleet.(0) ~timeout:1.)) ]);
+  ignore (Engine.run e);
+  let closed what r =
+    match r with
+    | Error Atom_rpc.Transport.Closed -> ()
+    | r -> Alcotest.failf "%s on a dead machine: %s" what (error_name r)
+  in
+  (match !parked with
+  | Some r -> closed "parked recv" (Result.map ignore r)
+  | None -> Alcotest.fail "parked recv never returned");
+  Alcotest.(check int) "both calls ran" 2 (List.length !after);
+  List.iter (fun (what, r) -> closed what r) !after
+
+(* Loss on a live link keeps the full retry ladder: every frame lands. *)
+let test_sim_lossy_link_delivers () =
+  let e, _, fleet = sim_pair ~loss_prob:0.3 () in
+  let frames = 50 in
+  let sent = ref 0 and got = ref 0 in
+  Engine.spawn e (fun () ->
+      for _ = 1 to frames do
+        if SimT.send fleet.(0) ~dst:1 probe = Ok () then incr sent
+      done);
+  Engine.spawn e (fun () ->
+      while !got < frames && SimT.recv fleet.(1) ~timeout:30. <> Error Atom_rpc.Transport.Timeout do
+        incr got
+      done);
+  ignore (Engine.run e);
+  Alcotest.(check int) "every send accepted" frames !sent;
+  Alcotest.(check int) "every frame delivered" frames !got
+
+(* ---- The simulated fleet runner ---- *)
+
+(* A virtual-time round: real crypto through the node runtime, with
+   calibrated compute and modeled links. *)
+let test_sim_fleet_round () =
+  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
+  let config = Config.tiny ~variant:Config.Trap ~seed:77 () in
+  let r = Fleet.run config ~users:6 in
+  Alcotest.(check (option string)) "no abort" None r.Fleet.outcome.Fleet.N.cluster_abort;
+  Alcotest.(check int) "all delivered" 6 (List.length r.Fleet.outcome.Fleet.N.delivered);
+  Alcotest.(check bool) "matches single-process reference" true r.Fleet.outcome.Fleet.N.matched;
+  Alcotest.(check bool)
+    (Printf.sprintf "latency %.3fs > pure network floor" r.Fleet.latency)
+    true (r.Fleet.latency > 0.1);
+  Alcotest.(check bool) "network carried bytes" true (r.Fleet.bytes_sent > 0.)
+
 (* ---- Typed transport errors on real TCP ---- *)
 
 (* All four [Transport.error] cases, plus recovery after [Closed] via a
@@ -762,6 +856,11 @@ let suite =
       Alcotest.test_case "node survives bad frame" `Quick test_sim_node_survives_bad_frame;
       Alcotest.test_case "sim cluster ignores bad exits" `Quick
         test_sim_cluster_ignores_bad_exits;
+      Alcotest.test_case "sim send to a dead machine fails fast" `Quick
+        test_sim_send_to_dead_fails_fast;
+      Alcotest.test_case "sim dead endpoint is closed" `Quick test_sim_dead_endpoint_closed;
+      Alcotest.test_case "sim lossy link delivers" `Quick test_sim_lossy_link_delivers;
+      Alcotest.test_case "sim fleet round" `Quick test_sim_fleet_round;
       Alcotest.test_case "tcp threaded cluster" `Quick test_tcp_threaded_cluster;
       Alcotest.test_case "tcp traced cluster stats" `Quick test_tcp_traced_cluster_stats;
       Alcotest.test_case "tcp cluster kill recovery" `Quick test_tcp_cluster_kill_recovery;
