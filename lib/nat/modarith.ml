@@ -1,9 +1,10 @@
 (* Montgomery modular arithmetic for a fixed odd modulus.
 
    Elements are fixed-width little-endian limb arrays (base 2^26) kept in
-   Montgomery form (x·R mod m with R = 2^(26k)).  Multiplication uses the
-   CIOS (coarsely integrated operand scanning) algorithm; with 26-bit limbs
-   every intermediate product fits comfortably in a 63-bit native int.
+   Montgomery form (x·R mod m with R = 2^(26k)).  Multiplication and
+   squaring scan products column by column (the product-scanning, or FIPS,
+   Montgomery form): with 26-bit limbs a whole column of 52-bit products
+   sums in one 63-bit native int and is carried once, not per product.
 
    Memory discipline (the flat-limb refactor): an [el] is a flat unboxed
    buffer of native-int limbs, and every hot kernel is *destination-passing*
@@ -22,15 +23,14 @@ let limb_mask = (1 lsl limb_bits) - 1
 
 type el = int array
 
-(* The mutable working state of a context: CIOS accumulators reused across
-   calls, the arena of k-limb scratch slots, and the MRU window-table
-   cache. Kept per-domain via [Domain.DLS] so one ctx can serve every
-   domain of a pool, and checked out per operation (the [in_use] flag) so
-   systhreads sharing a domain's storage can't interleave mid-
-   multiplication — see [with_tls]. *)
+(* The mutable working state of a context: the Montgomery kernels'
+   column buffer reused across calls, the arena of k-limb scratch slots,
+   and the MRU window-table cache. Kept per-domain via [Domain.DLS] so one
+   ctx can serve every domain of a pool, and checked out per operation
+   (the [in_use] flag) so systhreads sharing a domain's storage can't
+   interleave mid-multiplication — see [with_tls]. *)
 type tls = {
-  scratch : int array; (* k+2 CIOS accumulator for mont_mul *)
-  scratch_sqr : int array; (* 2k+1 accumulator for mont_sqr *)
+  scratch : int array; (* 2k columns of mont_mul/mont_sqr: q, then the result *)
   mutable slots : int array array; (* arena of k-limb scratch elements *)
   mutable top : int; (* arena stack pointer *)
   mutable pow_cache : (el * el array) list; (* MRU base -> window table *)
@@ -51,8 +51,7 @@ type ctx = {
 
 let fresh_tls (k : int) : tls =
   {
-    scratch = Array.make (k + 2) 0;
-    scratch_sqr = Array.make ((2 * k) + 1) 0;
+    scratch = Array.make (2 * k) 0;
     slots = [||];
     top = 0;
     pow_cache = [];
@@ -174,10 +173,15 @@ let sub_in_place (a : int array) (b : int array) : unit =
     end
   done
 
+(* The widest modulus whose product columns stay below 2^62: 2k products
+   below 2^52 each, plus a carry below 2^36. *)
+let max_limbs = 511
+
 let create (modulus : Nat.t) : ctx =
   if Nat.is_even modulus || Nat.compare modulus (Nat.of_int 3) < 0 then
     invalid_arg "Modarith.create: modulus must be odd and >= 3";
   let k = (Nat.bit_length modulus + limb_bits - 1) / limb_bits in
+  if k > max_limbs then invalid_arg "Modarith.create: modulus wider than 511 limbs";
   let m = widen k modulus in
   (* m0inv = -m[0]^{-1} mod 2^26 via Newton iteration. *)
   let m0 = m.(0) in
@@ -225,99 +229,92 @@ let create (modulus : Nat.t) : ctx =
 (* ---- allocation-free kernels ----
 
    Every [_into] kernel writes its result into a caller-provided k-limb
-   destination and allocates nothing: the CIOS accumulator lives in the
+   destination and allocates nothing: the column buffer lives in the
    checked-out [tls], the operands are only read, and the final copy-out
    happens after every operand read, so [dst] may alias [a] or [b].
    Inner loops use unsafe accessors — widths are fixed at [ctx.k] by
    construction and the kernels are pinned against {!Ref} by property
    tests. *)
 
-(* dst <- a*b*R^{-1} mod m (CIOS). *)
-let mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
-  let k = ctx.k and m = ctx.m and m0inv = ctx.m0inv in
-  let t = tl.scratch in
-  Array.fill t 0 (k + 2) 0;
-  for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    (* t += ai * b *)
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* reduce one limb *)
-    let mfac = t.(0) * m0inv land limb_mask in
-    let s0 = t.(0) + (mfac * Array.unsafe_get m 0) in
-    let c = ref (s0 lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let s = Array.unsafe_get t j + (mfac * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k - 1) <- s land limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr limb_bits);
-    t.(k + 1) <- 0
-  done;
-  let over = t.(k) <> 0 in
-  Array.blit t 0 dst 0 k;
-  if over || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
-
-(* dst <- a*a*R^{-1} mod m. Exploits product symmetry — each cross term
-   a_i·a_j (i<j) is computed once and doubled, so the schoolbook phase
-   does ~k²/2 limb products instead of CIOS's k². The doubling-heavy
-   curve ladder (jdbl is 5 squarings per step) lands here. Bounds: a
-   doubled cross product is < 2^53 and carries stay < 2^28, so every
-   intermediate fits a 62-bit native int. *)
-let mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
-  let k = ctx.k and m = ctx.m and m0inv = ctx.m0inv in
-  let t = tl.scratch_sqr in
-  Array.fill t 0 ((2 * k) + 1) 0;
-  (* t <- a·a, with symmetry. *)
-  for i = 0 to k - 1 do
-    let ai = Array.unsafe_get a i in
-    let s = t.(2 * i) + (ai * ai) in
-    t.(2 * i) <- s land limb_mask;
-    let c = ref (s lsr limb_bits) in
-    let idx = ref ((2 * i) + 1) in
-    for j = i + 1 to k - 1 do
-      let p = ai * Array.unsafe_get a j in
-      let s = Array.unsafe_get t !idx + p + p + !c in
-      Array.unsafe_set t !idx (s land limb_mask);
-      c := s lsr limb_bits;
-      incr idx
-    done;
-    while !c <> 0 do
-      let s = t.(!idx) + !c in
-      t.(!idx) <- s land limb_mask;
-      c := s lsr limb_bits;
-      incr idx
-    done
-  done;
-  (* Montgomery reduction of the 2k-limb product, one limb at a time. *)
-  for i = 0 to k - 1 do
-    let mfac = t.(i) * m0inv land limb_mask in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = Array.unsafe_get t (i + j) + (mfac * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (i + j) (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    let idx = ref (i + k) in
-    while !c <> 0 do
-      let s = t.(!idx) + !c in
-      t.(!idx) <- s land limb_mask;
-      c := s lsr limb_bits;
-      incr idx
-    done
-  done;
-  let over = t.(2 * k) <> 0 in
+(* Product-scanning Montgomery: column i of a*b + q*m, the carry in plus
+   every limb product, is summed in one native int and carried once. Each
+   product is below 2^52 and a column holds at most 2k of them plus a
+   carry below 2^36, so it stays below 2^62 while k <= [max_limbs]. A low
+   column (i < k) picks q_i = sum*m0inv mod 2^26, zeroing its low limb; a
+   high column yields result limb i-k. Both land in [tl.scratch].(i), one
+   2k-limb buffer. [finish] writes the last column, whose carry is the top
+   bit of a result below 2m, and subtracts m once if needed. *)
+let finish (ctx : ctx) (t : int array) (dst : el) (c : int) : unit =
+  let k = ctx.k in
+  t.((2 * k) - 1) <- c land limb_mask;
+  let over = c lsr limb_bits <> 0 in
   Array.blit t k dst 0 k;
   if over || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
+
+(* dst <- a*b*R^{-1} mod m. *)
+let mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
+  let k = ctx.k and m = ctx.m and t = tl.scratch in
+  let c = ref 0 in
+  for i = 0 to k - 1 do
+    let acc = ref (!c + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
+    for j = 0 to i - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get t j * Array.unsafe_get m (i - j))
+    done;
+    let q = !acc * ctx.m0inv land limb_mask in
+    Array.unsafe_set t i q;
+    c := (!acc + (q * Array.unsafe_get m 0)) lsr limb_bits
+  done;
+  for i = k to (2 * k) - 2 do
+    let acc = ref !c in
+    for j = i - k + 1 to k - 1 do
+      acc :=
+        !acc
+        + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+        + (Array.unsafe_get t j * Array.unsafe_get m (i - j))
+    done;
+    Array.unsafe_set t i (!acc land limb_mask);
+    c := !acc lsr limb_bits
+  done;
+  finish ctx t dst !c
+
+(* dst <- a*a*R^{-1} mod m. Column i sums its cross products a_j*a_(i-j),
+   j < i-j, once and doubles them, adds the diagonal a_(i/2)^2, and pairs
+   the terms q_j*m_(i-j) and q_(i-j)*m_j in the same loop: half a
+   multiply's iterations. A low column zeroes q_i until it is known. The
+   curve ladder's doublings (5 squarings each) land here. *)
+let mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
+  let k = ctx.k and m = ctx.m and t = tl.scratch in
+  let c = ref 0 in
+  for i = 0 to (2 * k) - 2 do
+    if i < k then Array.unsafe_set t i 0;
+    let x = ref 0 and acc = ref !c in
+    for j = (if i < k then 0 else i - k + 1) to ((i + 1) / 2) - 1 do
+      x := !x + (Array.unsafe_get a j * Array.unsafe_get a (i - j));
+      acc :=
+        !acc
+        + (Array.unsafe_get t j * Array.unsafe_get m (i - j))
+        + (Array.unsafe_get t (i - j) * Array.unsafe_get m j)
+    done;
+    acc := !acc + !x + !x;
+    if i land 1 = 0 then begin
+      let h = i / 2 in
+      let ah = Array.unsafe_get a h in
+      acc := !acc + (ah * ah) + (Array.unsafe_get t h * Array.unsafe_get m h)
+    end;
+    if i < k then begin
+      let q = !acc * ctx.m0inv land limb_mask in
+      Array.unsafe_set t i q;
+      c := (!acc + (q * Array.unsafe_get m 0)) lsr limb_bits
+    end
+    else begin
+      Array.unsafe_set t i (!acc land limb_mask);
+      c := !acc lsr limb_bits
+    end
+  done;
+  finish ctx t dst !c
 
 (* dst <- a + b mod m; no scratch needed, dst may alias a or b. *)
 let add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
@@ -670,11 +667,12 @@ let with_session (ctx : ctx) (f : S.t -> 'a) : 'a =
 
 (* ---- retained reference implementations ----
 
-   Deliberately naive and structurally independent of the CIOS kernels:
-   products via [Nat]'s schoolbook multiply, reduction via [Nat]'s binary
-   long division, exponentiation by square-and-multiply over those. The
-   property suite pins every flat kernel byte-identical to these across
-   random operands on all three backend moduli. Cold-path only. *)
+   Deliberately naive and structurally independent of the product-scanning
+   kernels: products via [Nat]'s schoolbook multiply, reduction via [Nat]'s
+   binary long division, exponentiation by square-and-multiply over those.
+   The property suite pins every flat kernel byte-identical to these on
+   random and carry-extreme operands, over every backend modulus and two
+   all-ones moduli that maximise the column sums. Cold-path only. *)
 module Ref = struct
   let mul (ctx : ctx) (a : el) (b : el) : el =
     of_nat ctx (Nat.rem (Nat.mul (to_nat ctx a) (to_nat ctx b)) ctx.modulus)

@@ -5,8 +5,12 @@
     and therefore requires a prime modulus — every context in this repository
     (field primes, curve orders, Schnorr subgroup orders) is prime.
 
+    Multiplication and squaring are product-scanning Montgomery kernels:
+    each column of limb products is summed in one native int and carried
+    once, which bounds the modulus width (see {!create}).
+
     A ctx is safe to share across domains and systhreads: the mutable
-    working state (CIOS scratch accumulators, the window-table cache) is
+    working state (the kernels' column buffer, the window-table cache) is
     kept per-domain via [Domain.DLS] and checked out per operation, so a
     single group instance can back an {!Atom_exec.Pool} worker set or a
     threaded TCP cluster without per-thread instances. *)
@@ -20,7 +24,11 @@ type el = int array
     below; treat the limbs themselves as opaque. *)
 
 val create : Nat.t -> ctx
-(** @raise Invalid_argument if the modulus is even or < 3. *)
+(** The modulus may be at most 511 limbs of 26 bits (13,286 bits) wide:
+    a column sums up to 2k products below 2^52 plus a carry, which must
+    stay below 2^62.
+    @raise Invalid_argument if the modulus is even, < 3, or wider than
+    511 limbs. *)
 
 val modulus : ctx -> Nat.t
 
@@ -74,9 +82,9 @@ val neg : ctx -> el -> el
 val mul : ctx -> el -> el -> el
 
 val mont_sqr : ctx -> el -> el
-(** Specialized Montgomery squaring: computes each cross-limb product once
-    and doubles it, roughly halving the schoolbook work of a general
-    multiplication. *)
+(** Specialized Montgomery squaring: each column sums its cross-limb
+    products once and doubles them, and pairs its reduction terms, so a
+    column takes half the loop iterations of a general multiplication. *)
 
 val sqr : ctx -> el -> el
 (** [sqr ctx a] = [mont_sqr ctx a]. *)
@@ -168,7 +176,8 @@ val with_session : ctx -> (S.t -> 'a) -> 'a
 
     Structurally independent slow paths ([Nat] schoolbook multiply +
     binary long division, square-and-multiply pow) used by property tests
-    to pin the CIOS kernels byte-identical. Not for production use. *)
+    to pin the product-scanning kernels byte-identical. Not for production
+    use. *)
 module Ref : sig
   val mul : ctx -> el -> el -> el
   val sqr : ctx -> el -> el

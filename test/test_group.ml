@@ -153,6 +153,48 @@ let test_p256_double_g () =
       Alcotest.(check string) "2G y-coordinate" expected_y
         (Atom_util.Hex.encode (Atom_nat.Nat.to_bytes_be ~length:32 y_nat))
 
+(* Full-width known answers, cross-checked with an independent big-int
+   implementation, through the three ladders: the generator's comb
+   ([pow_gen]), the one-shot window ladder of a base seen once ([pow] of
+   3G by k/3, in a fresh domain so no earlier sighting gave 3G a table),
+   and decompression ([of_bytes] runs the field square root). *)
+let test_p256_full_width_kats () =
+  let module P = Atom_group.P256 in
+  let three_g = P.mul P.generator (P.mul P.generator P.generator) in
+  let third = P.Scalar.inv (P.Scalar.of_int 3) in
+  List.iter
+    (fun (label, k, x, y) ->
+      let check path pt =
+        match pt with
+        | P.Inf -> Alcotest.failf "%s %s: infinity" label path
+        | P.Aff (px, py) ->
+            let hex v =
+              Atom_util.Hex.encode (Nat.to_bytes_be ~length:32 (Modarith.to_nat P.fp v))
+            in
+            Alcotest.(check string) (label ^ " " ^ path ^ " x") x (hex px);
+            Alcotest.(check string) (label ^ " " ^ path ^ " y") y (hex py)
+      in
+      check "pow_gen" (P.pow_gen k);
+      let windows = P.window_builds () and combs = P.comb_builds () in
+      let k3 = P.Scalar.mul k third in
+      check "one-shot pow" (Domain.join (Domain.spawn (fun () -> P.pow three_g k3)));
+      Alcotest.(check (pair int int)) (label ^ " no table built") (windows, combs)
+        (P.window_builds (), P.comb_builds ());
+      let y_odd = Nat.is_odd (Nat.of_hex y) in
+      match P.of_bytes (Atom_util.Hex.decode ((if y_odd then "03" else "02") ^ x)) with
+      | Some pt -> check "decode" pt
+      | None -> Alcotest.failf "%s: compressed point rejected" label)
+    [
+      ( "k=112233445566778899",
+        P.Scalar.of_nat (Nat.of_decimal "112233445566778899"),
+        "339150844ec15234807fe862a86be77977dbfb3ae3d96f4c22795513aeaab82f",
+        "b1c14ddfdc8ec1b2583f51e85a5eb3a155840f2034730e9b5ada38b674336a21" );
+      ( "(n-2)G",
+        P.Scalar.of_nat (Nat.sub P.n Nat.two),
+        "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978",
+        "f888aaee24712fc0d6c26539608bcf244582521ac3167dd661fb4862dd878c2e" );
+    ]
+
 let test_p256_order () =
   let module P = Atom_group.P256 in
   (* (n-1)·G + G = nG = O *)
@@ -224,6 +266,7 @@ let suite () =
     @ [
         Alcotest.test_case "p256 generator on curve" `Quick test_p256_generator_on_curve;
         Alcotest.test_case "p256 2G known answer" `Quick test_p256_double_g;
+        Alcotest.test_case "p256 full-width known answers" `Quick test_p256_full_width_kats;
         Alcotest.test_case "p256 group order" `Quick test_p256_order;
         Alcotest.test_case "p256 pow = repeated addition" `Quick test_p256_pow_matches_additions;
         Alcotest.test_case "p256 parameters prime" `Slow test_p256_field_prime_is_prime;

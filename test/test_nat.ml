@@ -142,11 +142,15 @@ let test_modarith_small_modulus () =
 
 (* ---- flat kernels vs retained reference implementations ----
 
-   The CIOS kernels must be byte-identical (same limbs, via Modarith.equal)
-   to Modarith.Ref — the structurally independent Nat-based slow path —
-   across random operands on every modulus the three group backends use:
-   the P-256 field prime and curve order, and both Schnorr groups' p and q
-   (recovered from the cached group instances: p = 2q + 1). *)
+   The product-scanning kernels must be byte-identical (same limbs, via
+   Modarith.equal) to Modarith.Ref — the structurally independent Nat-based
+   slow path — on every modulus the three group backends use: the P-256
+   field prime and curve order, and both Schnorr groups' p and q (recovered
+   from the cached group instances: p = 2q + 1). Random operands never
+   reach the carry extremes, so every modulus also crosses a set of edge
+   operands pairwise, and two synthetic all-ones moduli (every limb
+   2^26 - 1) maximise the column sums: one at the P-256 width, one at the
+   widest width [Modarith.create] accepts. *)
 
 let backend_moduli () =
   let module Z96 = (val Atom_group.Registry.zp_test ()) in
@@ -163,37 +167,108 @@ let backend_moduli () =
   @ schnorr_pair "zp96" Z96.Scalar.order
   @ schnorr_pair "zp256" Z256.Scalar.order
 
+let all_ones_limbs (k : int) : Nat.t = Nat.sub (Nat.shift_left Nat.one (26 * k)) Nat.one
+let synthetic_moduli () = [ ("ones-10", all_ones_limbs 10); ("ones-511", all_ones_limbs 511) ]
+let width (ctx : Modarith.ctx) : int = Array.length (Modarith.alloc ctx)
+
+(* Raw limbs (base 2^26) of a value below the modulus. The carry extremes
+   live in the limbs a kernel reads, whatever value those stand for in
+   Montgomery form, so edge operands are built limb by limb. *)
+let limbs_of (ctx : Modarith.ctx) (x : Nat.t) : Modarith.el =
+  Array.init (width ctx) (fun i -> Nat.mod_small (Nat.shift_right x (26 * i)) (1 lsl 26))
+
+let nat_of_limbs (l : Modarith.el) : Nat.t =
+  Array.fold_right (fun limb acc -> Nat.add (Nat.shift_left acc 26) (Nat.of_int limb)) l Nat.zero
+
+(* 0, 1, 2, m-1, m-2, R mod m, and the largest value below m with the most
+   all-ones limbs: m cut below its highest limb that is not all ones, minus
+   one, which sets every limb but that one. *)
+let edge_operands (ctx : Modarith.ctx) : Modarith.el list =
+  let m = Modarith.modulus ctx and k = width ctx in
+  let j = ref (k - 1) in
+  while !j > 0 && Nat.mod_small (Nat.shift_right m (26 * !j)) (1 lsl 26) = (1 lsl 26) - 1 do
+    decr j
+  done;
+  let cut = Nat.shift_left (Nat.shift_right m (26 * !j)) (26 * !j) in
+  List.map (limbs_of ctx)
+    (List.sort_uniq Nat.compare
+       [
+         Nat.zero;
+         Nat.one;
+         Nat.two;
+         Nat.sub m Nat.one;
+         Nat.sub m Nat.two;
+         Nat.rem (Nat.shift_left Nat.one (26 * k)) m;
+         Nat.sub cut Nat.one;
+       ])
+
+(* An oracle that shares no code with Modarith: z is the Montgomery
+   product of x and y iff z < m and z·R = x·y (mod m). *)
+let is_mont_product (ctx : Modarith.ctx) (z : Modarith.el) (x : Modarith.el) (y : Modarith.el) :
+    bool =
+  let m = Modarith.modulus ctx and zv = nat_of_limbs z in
+  Nat.lt zv m
+  && Nat.equal
+       (Nat.rem (Nat.shift_left zv (26 * width ctx)) m)
+       (Nat.rem (Nat.mul (nat_of_limbs x) (nat_of_limbs y)) m)
+
 let test_flat_vs_ref () =
   List.iter
     (fun (name, m) ->
       let ctx = Modarith.create m in
       let rng = Atom_util.Rng.create 0x51a7 in
       let check label cond = Alcotest.(check bool) (name ^ " " ^ label) true cond in
-      for _ = 1 to 25 do
-        let a = Nat.random_below rng m and b = Nat.random_below rng m in
-        let ma = Modarith.of_nat ctx a and mb = Modarith.of_nat ctx b in
-        check "mul" (Modarith.equal (Modarith.mul ctx ma mb) (Modarith.Ref.mul ctx ma mb));
-        check "sqr" (Modarith.equal (Modarith.sqr ctx ma) (Modarith.Ref.sqr ctx ma));
-        check "add" (Modarith.equal (Modarith.add ctx ma mb) (Modarith.Ref.add ctx ma mb));
-        check "sub" (Modarith.equal (Modarith.sub ctx ma mb) (Modarith.Ref.sub ctx ma mb))
-      done;
-      for _ = 1 to 4 do
-        let base = Modarith.of_nat ctx (Nat.random_below rng m) in
-        let e = Nat.random_below rng m in
-        check "pow" (Modarith.equal (Modarith.pow ctx base e) (Modarith.Ref.pow ctx base e))
-      done;
-      let pairs =
-        Array.init 5 (fun i ->
-            ( Modarith.of_nat ctx (Nat.random_below rng m),
-              (* mix tiny and full-width exponents so both table shapes run *)
-              if i mod 2 = 0 then Nat.of_int i else Nat.random_below rng m ))
+      (* The Nat oracle's long divisions are too slow at 511 limbs, where
+         Ref alone checks. *)
+      let agrees z x y reference =
+        Modarith.equal z reference && (width ctx > 10 || is_mont_product ctx z x y)
       in
-      check "msm" (Modarith.equal (Modarith.msm ctx pairs) (Modarith.Ref.msm ctx pairs));
-      check "msm_slice"
-        (Modarith.equal
-           (Modarith.msm_slice ctx pairs ~lo:1 ~hi:4)
-           (Modarith.Ref.msm ctx (Array.sub pairs 1 3))))
-    (backend_moduli ())
+      let edges = edge_operands ctx in
+      List.iter
+        (fun a ->
+          check "edge sqr" (agrees (Modarith.sqr ctx a) a a (Modarith.Ref.sqr ctx a));
+          List.iter
+            (fun b ->
+              check "edge mul" (agrees (Modarith.mul ctx a b) a b (Modarith.Ref.mul ctx a b)))
+            edges)
+        edges;
+      (* Random operands on all but the widest modulus, where Ref.pow's
+         13,286 squarings by long division would take minutes. *)
+      if width ctx <= 10 then begin
+        for _ = 1 to 25 do
+          let a = Nat.random_below rng m and b = Nat.random_below rng m in
+          let ma = Modarith.of_nat ctx a and mb = Modarith.of_nat ctx b in
+          check "mul" (Modarith.equal (Modarith.mul ctx ma mb) (Modarith.Ref.mul ctx ma mb));
+          check "sqr" (Modarith.equal (Modarith.sqr ctx ma) (Modarith.Ref.sqr ctx ma));
+          check "add" (Modarith.equal (Modarith.add ctx ma mb) (Modarith.Ref.add ctx ma mb));
+          check "sub" (Modarith.equal (Modarith.sub ctx ma mb) (Modarith.Ref.sub ctx ma mb))
+        done;
+        for _ = 1 to 4 do
+          let base = Modarith.of_nat ctx (Nat.random_below rng m) in
+          let e = Nat.random_below rng m in
+          check "pow" (Modarith.equal (Modarith.pow ctx base e) (Modarith.Ref.pow ctx base e))
+        done;
+        let pairs =
+          Array.init 5 (fun i ->
+              ( Modarith.of_nat ctx (Nat.random_below rng m),
+                (* mix tiny and full-width exponents so both table shapes run *)
+                if i mod 2 = 0 then Nat.of_int i else Nat.random_below rng m ))
+        in
+        check "msm" (Modarith.equal (Modarith.msm ctx pairs) (Modarith.Ref.msm ctx pairs));
+        check "msm_slice"
+          (Modarith.equal
+             (Modarith.msm_slice ctx pairs ~lo:1 ~hi:4)
+             (Modarith.Ref.msm ctx (Array.sub pairs 1 3)))
+      end)
+    (backend_moduli () @ synthetic_moduli ())
+
+(* A column of 2k products below 2^52 stays below 2^62 up to k = 511, so
+   [create] takes a 511-limb modulus and refuses the next width. *)
+let test_width_limit () =
+  ignore (Modarith.create (all_ones_limbs 511));
+  Alcotest.check_raises "512 limbs"
+    (Invalid_argument "Modarith.create: modulus wider than 511 limbs") (fun () ->
+      ignore (Modarith.create (Nat.add (Nat.shift_left Nat.one (26 * 511)) Nat.one)))
 
 (* The in-place session surface against the same reference, including the
    documented aliasing cases (dst == operand). *)
@@ -224,6 +299,9 @@ let test_session_inplace () =
             Modarith.copy_into ~dst a;
             Modarith.S.sqr s ~dst dst;
             check "S.sqr dst=a" (Modarith.equal dst (Modarith.Ref.sqr ctx a));
+            Modarith.copy_into ~dst a;
+            Modarith.S.mul s ~dst dst dst;
+            check "S.mul dst=a=b" (Modarith.equal dst (Modarith.Ref.sqr ctx a));
             (* pow, with dst aliasing the base *)
             Modarith.S.pow s ~dst a e;
             check "S.pow" (Modarith.equal dst (Modarith.Ref.pow ctx a e));
@@ -239,11 +317,34 @@ let test_session_inplace () =
             Modarith.S.mul s ~dst:t2 b a;
             check "arena reuse" (Modarith.equal t2 (Modarith.Ref.mul ctx a b));
             Modarith.S.release s mark)
-      done)
+      done;
+      (* edge operands, each operand also the destination *)
+      let edges = edge_operands ctx in
+      Modarith.with_session ctx (fun s ->
+          let dst = Modarith.S.take s in
+          List.iter
+            (fun a ->
+              Modarith.copy_into ~dst a;
+              Modarith.S.sqr s ~dst dst;
+              check "edge S.sqr dst=a" (Modarith.equal dst (Modarith.Ref.sqr ctx a));
+              Modarith.copy_into ~dst a;
+              Modarith.S.mul s ~dst dst dst;
+              check "edge S.mul dst=a=b" (Modarith.equal dst (Modarith.Ref.sqr ctx a));
+              List.iter
+                (fun b ->
+                  Modarith.copy_into ~dst a;
+                  Modarith.S.mul s ~dst dst b;
+                  check "edge S.mul dst=a" (Modarith.equal dst (Modarith.Ref.mul ctx a b));
+                  Modarith.copy_into ~dst b;
+                  Modarith.S.mul s ~dst a dst;
+                  check "edge S.mul dst=b" (Modarith.equal dst (Modarith.Ref.mul ctx a b)))
+                edges)
+            edges))
     [
       ( "p256-p",
         Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
       ("small", Nat.of_int 65537);
+      ("ones-10", all_ones_limbs 10);
     ]
 
 (* The tentpole's contract: steady-state Montgomery mul/sqr (and the
@@ -394,6 +495,7 @@ let suite =
       Alcotest.test_case "montgomery small modulus exhaustive" `Slow test_modarith_small_modulus;
       Alcotest.test_case "flat kernels match reference (all backends)" `Quick test_flat_vs_ref;
       Alcotest.test_case "session in-place ops match reference" `Quick test_session_inplace;
+      Alcotest.test_case "montgomery width limit" `Quick test_width_limit;
       Alcotest.test_case "montgomery kernels allocation-free" `Quick test_kernels_zero_alloc;
       Alcotest.test_case "inverse allocates only its result" `Quick test_inv_allocates_only_result;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;
