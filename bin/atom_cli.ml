@@ -547,19 +547,12 @@ let launch_fleet ~(config : Config.t) ~domains ~node_bin ~timeout ~log_dir ~obs 
        use the measured recommendation (host cores capped by the
        recommended_domains a bench parallel run recorded on matching
        hardware). Only pools this process created are shut down. *)
-    let pool, own_pool =
-      if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
-      else if domains = 1 then (None, false)
-      else begin
-        match Sys.getenv_opt "ATOM_DOMAINS" with
-        | Some _ -> (Atom_exec.Pool.default (), false)
-        | None ->
-            let d = Atom_exec.Pool.auto_domains () in
-            Printf.printf "%s: coordinator using %d worker domain%s (measured default)\n%!" who d
-              (if d = 1 then "" else "s");
-            if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
-      end
-    in
+    let pool, own_pool = Atom_exec.Pool.of_domains domains in
+    if domains <= 0 && Sys.getenv_opt "ATOM_DOMAINS" = None then begin
+      let d = Option.fold ~none:1 ~some:Atom_exec.Pool.size pool in
+      Printf.printf "%s: coordinator using %d worker domain%s (measured default)\n%!" who d
+        (if d = 1 then "" else "s")
+    end;
     let land_fleet () =
       if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
       Atomic.set stop_watch true;
@@ -1007,19 +1000,6 @@ let plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~(chaos_seed : int) (e : 
     | _ -> clean
   else match e mod 4 with 0 -> clean | 1 -> kill | 2 -> partition | _ -> corrupt_ep
 
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chaos_fault_counters =
   [
     "chaos.drops"; "chaos.delays"; "chaos.dups"; "chaos.corruptions"; "chaos.partition_drops";
@@ -1103,9 +1083,9 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
              \"recovery_sweeps\": %d, \"share_recoveries\": %d, \"failed_nodes\": [%s], \
              \"bad_frames\": %d, \"dups_dropped\": %d, \"resends\": %d, \"exit_dups\": %d, \
              \"recovery_seconds\": [%s], \"coord_rss_kb\": %d, \"peak_child_rss_kb\": %d}"
-            e epoch_seed (json_escape plan.ep_descr) r.fs_matched
+            e epoch_seed (Atom_obs.Trace.json_escape plan.ep_descr) r.fs_matched
             (match r.fs_abort with
-            | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
+            | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
             | None -> "null")
             r.fs_wall_s
             (List.length r.fs_delivered)
@@ -1556,10 +1536,11 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
            (String.concat ", " (List.map string_of_int outcome.Node.ing_failed_nodes))
            (String.concat ", "
               (List.map
-                 (fun (sid, why) -> Printf.sprintf "[%d, \"%s\"]" sid (json_escape why))
+                 (fun (sid, why) ->
+                   Printf.sprintf "[%d, \"%s\"]" sid (Atom_obs.Trace.json_escape why))
                  child_failures))
            (match outcome.Node.ing_abort with
-           | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
+           | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
            | None -> "null")
            (if ok then "ok" else "failed"));
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b));

@@ -69,19 +69,12 @@ let run node_id coord_port host variant servers groups group_size h iterations m
      fall back to the measured default — host cores capped by the
      recommended_domains a bench parallel run recorded on matching
      hardware. --domains 1 forces sequential; N > 1 builds a pool. *)
-  let pool, own_pool =
-    if domains > 1 then (Some (Atom_exec.Pool.create ~domains ()), true)
-    else if domains = 1 then (None, false)
-    else begin
-      match Sys.getenv_opt "ATOM_DOMAINS" with
-      | Some _ -> (Atom_exec.Pool.default (), false)
-      | None ->
-          let d = Atom_exec.Pool.auto_domains () in
-          Atom_obs.Log.info "atom_node %d: using %d worker domain%s (measured default)" node_id d
-            (if d = 1 then "" else "s");
-          if d > 1 then (Some (Atom_exec.Pool.create ~domains:d ()), true) else (None, false)
-    end
-  in
+  let pool, own_pool = Atom_exec.Pool.of_domains domains in
+  if domains <= 0 && Sys.getenv_opt "ATOM_DOMAINS" = None then begin
+    let d = Option.fold ~none:1 ~some:Atom_exec.Pool.size pool in
+    Atom_obs.Log.info "atom_node %d: using %d worker domain%s (measured default)" node_id d
+      (if d = 1 then "" else "s")
+  end;
   (* Bounded send budget: a dead peer costs at most ~2s before the typed
      Send_failed error triggers §4.5 rerouting. *)
   let t = Atom_rpc.Tcp_transport.create ~obs ~host ~node_id ~send_timeout:2.0 () in

@@ -347,3 +347,9 @@ let auto_domains () =
   match measured_recommendation () with
   | Some (r, hc) when hc = cores -> max 1 (min cores r)
   | _ -> cores
+
+let of_domains n =
+  let d = if n <= 0 && Sys.getenv_opt "ATOM_DOMAINS" = None then auto_domains () else n in
+  if d > 1 then (Some (create ~domains:d ()), true)
+  else if d = 1 then (None, false)
+  else (default (), false)

@@ -88,3 +88,11 @@ val auto_domains : unit -> int
     this host's core count: a recommendation measured on different
     hardware (say a 1-core CI runner) says nothing about this machine.
     Always in [1, 64]. *)
+
+val of_domains : int -> t option * bool
+(** [of_domains n] is the pool a [--domains n] option asks for, and
+    whether the caller owns it (and must {!shutdown} it): [n > 1] is a
+    fresh pool of [n] domains, [n = 1] is sequential ([None]), and
+    [n <= 0] is the {!default} pool when [ATOM_DOMAINS] is set, otherwise
+    a fresh pool of {!auto_domains} size ([None] when that is 1). Prints
+    nothing; callers log the size they got. *)

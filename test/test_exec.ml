@@ -107,6 +107,27 @@ let test_auto_domains_host_guard () =
            (cores + 1));
       Alcotest.(check int) "foreign host ignored" cores (Pool.auto_domains ()))
 
+(* --domains resolution: 1 runs sequentially, N > 1 is a pool the caller
+   owns, and 0 with ATOM_DOMAINS set is the shared default, which the
+   caller must not shut down. *)
+let test_of_domains () =
+  Alcotest.(check bool) "1: no pool" true (Pool.of_domains 1 = (None, false));
+  (match Pool.of_domains 3 with
+  | Some p, true ->
+      Alcotest.(check int) "3: pool size" 3 (Pool.size p);
+      Pool.shutdown p
+  | _ -> Alcotest.fail "3: expected an owned pool");
+  let old = Sys.getenv_opt "ATOM_DOMAINS" in
+  (* "1" reads like unset to the default pool, so the shared default is
+     the same whether or not this test created it. *)
+  if old = None then Unix.putenv "ATOM_DOMAINS" "1";
+  Fun.protect
+    ~finally:(fun () -> if old = None then Unix.putenv "ATOM_DOMAINS" "")
+    (fun () ->
+      let p, owned = Pool.of_domains 0 in
+      Alcotest.(check bool) "0: not owned" false owned;
+      Alcotest.(check bool) "0: the default pool" true (p == Pool.default ()))
+
 exception Boom of int
 
 let test_pool_propagates_exception () =
@@ -256,6 +277,7 @@ let suite =
       Alcotest.test_case "tabulate matches init" `Quick test_pool_tabulate_matches_init;
       Alcotest.test_case "chunk override identity" `Quick test_pool_chunk_identity;
       Alcotest.test_case "auto_domains host guard" `Quick test_auto_domains_host_guard;
+      Alcotest.test_case "of_domains resolution" `Quick test_of_domains;
       Alcotest.test_case "exceptions propagate" `Quick test_pool_propagates_exception;
       Alcotest.test_case "nested run degrades" `Quick test_pool_nested_run_degrades;
       Alcotest.test_case "pooled ops identical (zp)" `Quick test_pooled_group_ops_identical_zp;

@@ -178,14 +178,21 @@ let run_sim_cluster ?obs ?(inject = []) (config : Config.t) ~(users : int) :
   | Some o -> o
   | None -> Alcotest.fail "coordinator never completed"
 
+(* Every variant at quorum q = k − (h−1) of 2, 1 and 3. At q = 1 the head
+   is its own tail: it shuffles and re-encrypts alone and hands off
+   directly; at q = 3 both chains pass through a middle member. *)
 let test_sim_cluster_all_variants () =
   List.iter
-    (fun variant ->
-      let o = run_sim_cluster (cluster_config variant) ~users:12 in
-      Alcotest.(check (option string)) "no abort" None o.NodeSim.cluster_abort;
-      Alcotest.(check int) "all delivered" 12 (List.length o.NodeSim.delivered);
-      Alcotest.(check bool) "matches single-process reference" true o.NodeSim.matched)
-    [ Config.Basic; Config.Nizk; Config.Trap ]
+    (fun (group_size, h) ->
+      List.iter
+        (fun (name, variant) ->
+          let o = run_sim_cluster { (cluster_config variant) with group_size; h } ~users:12 in
+          let what = Printf.sprintf "k=%d h=%d %s" group_size h name in
+          Alcotest.(check (option string)) (what ^ ": no abort") None o.NodeSim.cluster_abort;
+          Alcotest.(check int) (what ^ ": all delivered") 12 (List.length o.NodeSim.delivered);
+          Alcotest.(check bool) (what ^ ": matches reference") true o.NodeSim.matched)
+        [ ("basic", Config.Basic); ("nizk", Config.Nizk); ("trap", Config.Trap) ])
+    [ (2, 1); (2, 2); (3, 1) ]
 
 let test_sim_cluster_deterministic () =
   let o1 = run_sim_cluster (cluster_config Config.Nizk) ~users:10 in
