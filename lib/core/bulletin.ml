@@ -81,11 +81,10 @@ let publish_sealed (t : t) (s : sealed) : unit =
    the round seed; a deployment would run the DKG used for group keys. *)
 
 module Signer (G : Atom_group.Group_intf.GROUP) = struct
+  module Io = Atom_group.Group_intf.Bin_io (G)
+
   type sk = G.Scalar.t
   type pk = G.t
-
-  let scalar_bytes = String.length (G.Scalar.to_bytes G.Scalar.zero)
-  let signature_bytes = G.element_bytes + scalar_bytes
 
   let keypair ~(seed : int) : sk * pk =
     let sk = G.hash_to_scalar (Printf.sprintf "atom-bulletin-signer/%d" seed) in
@@ -102,12 +101,13 @@ module Signer (G : Atom_group.Group_intf.GROUP) = struct
     G.to_bytes r ^ G.Scalar.to_bytes s
 
   let verify ~(pk : pk) ~(msg : string) (signature : string) : bool =
-    String.length signature = signature_bytes
-    &&
-    match G.of_bytes (String.sub signature 0 G.element_bytes) with
+    match
+      Atom_util.Bin.R.decode signature (fun rd ->
+          let r = Io.element rd in
+          (r, Io.scalar rd))
+    with
     | None -> false
-    | Some r ->
-        let s = G.Scalar.of_bytes_mod (String.sub signature G.element_bytes scalar_bytes) in
+    | Some (r, s) ->
         (* g^s = R · pk^c *)
         let c = challenge ~pk ~r msg in
         G.equal (G.pow_gen s) (G.mul r (G.pow pk c))

@@ -22,8 +22,6 @@ val seal : epoch:int -> string list -> sealed
     plaintexts. Deterministic in the multiset of posts — exit arrival
     order never changes the sealed output. *)
 
-val digest_of : epoch:int -> string array -> string
-
 val sealed_consistent : sealed -> bool
 (** The posts are in canonical order and hash to [digest]. *)
 
@@ -36,8 +34,6 @@ val publish_sealed : t -> sealed -> unit
 module Signer (G : Atom_group.Group_intf.GROUP) : sig
   type sk = G.Scalar.t
   type pk = G.t
-
-  val signature_bytes : int
 
   val keypair : seed:int -> sk * pk
   (** Deterministic publisher keypair for the harness (a deployment would

@@ -617,104 +617,55 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
        u8 has_commitment | 32-byte commitment?
      Decoding validates every group element (via the backend codecs). *)
   module Wire = struct
-    let u32 (n : int) : string =
-      String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
-
     let submission_to_bytes (s : submission) : string =
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf (u32 s.user);
-      Buffer.add_string buf (u32 s.entry_gid);
-      Buffer.add_char buf (Char.chr (Array.length s.units));
+      let open Atom_util.Bin in
+      let b = Buffer.create 1024 in
+      W.u32 b s.user;
+      W.u32 b s.entry_gid;
+      W.u8 b (Array.length s.units);
       Array.iter
         (fun u ->
-          let vec = El.vec_to_bytes u.vec in
-          Buffer.add_string buf (u32 (String.length vec));
-          Buffer.add_string buf vec;
-          Buffer.add_string buf (u32 (Array.length u.proofs));
-          Array.iter
-            (fun pi ->
-              let b = P.Enc_proof.to_bytes pi in
-              Buffer.add_string buf (u32 (String.length b));
-              Buffer.add_string buf b)
-            u.proofs)
+          W.str32 b (El.vec_to_bytes u.vec);
+          W.u32 b (Array.length u.proofs);
+          Array.iter (fun pi -> W.str32 b (P.Enc_proof.to_bytes pi)) u.proofs)
         s.units;
       (match s.commitment with
-      | None -> Buffer.add_char buf '\000'
+      | None -> W.u8 b 0
       | Some c ->
-          Buffer.add_char buf '\001';
-          Buffer.add_string buf c);
-      Buffer.contents buf
-
-    exception Malformed
+          W.u8 b 1;
+          Buffer.add_string b c);
+      Buffer.contents b
 
     let submission_of_bytes (b : string) : submission option =
-      let pos = ref 0 in
-      let need n = if !pos + n > String.length b then raise Malformed in
-      let read_u32 () =
-        need 4;
-        let v =
-          (Char.code b.[!pos] lsl 24)
-          lor (Char.code b.[!pos + 1] lsl 16)
-          lor (Char.code b.[!pos + 2] lsl 8)
-          lor Char.code b.[!pos + 3]
-        in
-        pos := !pos + 4;
-        v
-      in
-      let read_bytes n =
-        need n;
-        let s = String.sub b !pos n in
-        pos := !pos + n;
-        s
-      in
-      let read_byte () =
-        need 1;
-        let c = Char.code b.[!pos] in
-        incr pos;
-        c
-      in
-      (* One Y=None cipher is (2*element_bytes + 1) bytes. *)
+      let open Atom_util.Bin in
+      (* One Y = ⊥ cipher is (2·element_bytes + 1) bytes; ciphers are read
+         in place, so [vec_len] must be a whole number of them. *)
       let cipher_bytes = (2 * G.element_bytes) + 1 in
-      try
-        let user = read_u32 () in
-        let entry_gid = read_u32 () in
-        let n_units = read_byte () in
-        if n_units > 2 then raise Malformed;
-        let units =
-          Array.init n_units (fun _ ->
-              let vec_len = read_u32 () in
-              if vec_len > 1 lsl 20 || vec_len mod cipher_bytes <> 0 then raise Malformed;
-              let vec_bytes = read_bytes vec_len in
-              let width = vec_len / cipher_bytes in
-              let vec =
-                Array.init width (fun i ->
-                    match
-                      El.cipher_of_bytes (String.sub vec_bytes (i * cipher_bytes) cipher_bytes)
-                    with
-                    | Some ct when ct.El.y = None -> ct
-                    | _ -> raise Malformed)
-              in
-              let n_proofs = read_u32 () in
-              if n_proofs > 4096 then raise Malformed;
-              let proofs =
-                Array.init n_proofs (fun _ ->
-                    let len = read_u32 () in
-                    if len > 4096 then raise Malformed;
-                    match P.Enc_proof.of_bytes (read_bytes len) with
-                    | Some pi -> pi
-                    | None -> raise Malformed)
-              in
-              { vec; proofs })
+      let read_unit r =
+        let vec_len = R.count r ~max:(1 lsl 20) in
+        if vec_len mod cipher_bytes <> 0 then R.fail ();
+        let vec =
+          Array.init (vec_len / cipher_bytes) (fun _ ->
+              match El.read_cipher r with { El.y = None; _ } as ct -> ct | _ -> R.fail ())
         in
-        let commitment =
-          match read_byte () with
-          | 0 -> None
-          | 1 -> Some (read_bytes 32)
-          | _ -> raise Malformed
+        let proofs =
+          Array.init (R.count r ~max:4096) (fun _ ->
+              match P.Enc_proof.of_bytes (R.str32 ~max:4096 r) with
+              | Some pi -> pi
+              | None -> R.fail ())
         in
-        if !pos <> String.length b then raise Malformed;
-        Some { user; entry_gid; units; commitment }
-      with Malformed -> None
+        { vec; proofs }
+      in
+      R.decode b (fun r ->
+          let user = R.u32 r in
+          let entry_gid = R.u32 r in
+          let n_units = R.u8 r in
+          if n_units > 2 then R.fail ();
+          let units = Array.init n_units (fun _ -> read_unit r) in
+          let commitment =
+            match R.u8 r with 0 -> None | 1 -> Some (R.bytes r 32) | _ -> R.fail ()
+          in
+          { user; entry_gid; units; commitment })
 
     (* Atom_wire framing: one entry group's submissions as a checksummed
        [Control.Submissions] frame — what a coordinator ships to the

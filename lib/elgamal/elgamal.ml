@@ -14,6 +14,9 @@
    callers that do not need the witness simply drop it. *)
 
 module Make (G : Atom_group.Group_intf.GROUP) = struct
+  module Bin = Atom_util.Bin
+  module Io = Atom_group.Group_intf.Bin_io (G)
+
   type keypair = { sk : G.Scalar.t; pk : G.t }
 
   let keygen (rng : Atom_util.Rng.t) : keypair =
@@ -42,23 +45,16 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     let y_part = match ct.y with None -> "\000" | Some y -> "\001" ^ G.to_bytes y in
     G.to_bytes ct.r ^ G.to_bytes ct.c ^ y_part
 
-  let cipher_of_bytes (s : string) : cipher option =
-    let eb = G.element_bytes in
-    if String.length s < (2 * eb) + 1 then None
-    else begin
-      match (G.of_bytes (String.sub s 0 eb), G.of_bytes (String.sub s eb eb)) with
-      | Some r, Some c -> begin
-          match s.[2 * eb] with
-          | '\000' when String.length s = (2 * eb) + 1 -> Some { r; c; y = None }
-          | '\001' when String.length s = (3 * eb) + 1 -> begin
-              match G.of_bytes (String.sub s ((2 * eb) + 1) eb) with
-              | Some y -> Some { r; c; y = Some y }
-              | None -> None
-            end
-          | _ -> None
-        end
-      | _ -> None
-    end
+  (* R ‖ c ‖ flag [‖ Y], read in place by decoders that embed ciphers. *)
+  let read_cipher (rd : Bin.R.t) : cipher =
+    let r = Io.element rd in
+    let c = Io.element rd in
+    match Bin.R.u8 rd with
+    | 0 -> { r; c; y = None }
+    | 1 -> { r; c; y = Some (Io.element rd) }
+    | _ -> Bin.R.fail ()
+
+  let cipher_of_bytes (s : string) : cipher option = Bin.R.decode s read_cipher
 
   (* c ← Enc(X, m): fresh ElGamal encryption; also returns the randomness
      (the witness for EncProof). *)
@@ -260,27 +256,16 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
       let key = derive_key (List.fold_left G.mul G.one partials) in
       Atom_cipher.Aead.decrypt ~key ~nonce ~aad:(G.to_bytes s.share) s.box
 
+    (* R ‖ str32 box. *)
     let to_bytes (s : sealed) : string =
-      let len = String.length s.box in
-      G.to_bytes s.share
-      ^ String.init 4 (fun i -> Char.chr ((len lsr (8 * (3 - i))) land 0xff))
-      ^ s.box
+      let b = Buffer.create (G.element_bytes + 4 + String.length s.box) in
+      Buffer.add_string b (G.to_bytes s.share);
+      Bin.W.str32 b s.box;
+      Buffer.contents b
 
     let of_bytes (b : string) : sealed option =
-      let eb = G.element_bytes in
-      if String.length b < eb + 4 then None
-      else begin
-        match G.of_bytes (String.sub b 0 eb) with
-        | None -> None
-        | Some share ->
-            let len =
-              (Char.code b.[eb] lsl 24)
-              lor (Char.code b.[eb + 1] lsl 16)
-              lor (Char.code b.[eb + 2] lsl 8)
-              lor Char.code b.[eb + 3]
-            in
-            if String.length b <> eb + 4 + len then None
-            else Some { share; box = String.sub b (eb + 4) len }
-      end
+      Bin.R.decode b (fun r ->
+          let share = Io.element r in
+          { share; box = Bin.R.str32 r })
   end
 end

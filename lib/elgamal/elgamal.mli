@@ -24,6 +24,10 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
   val cipher_to_bytes : cipher -> string
   val cipher_of_bytes : string -> cipher option
 
+  val read_cipher : Atom_util.Bin.R.t -> cipher
+  (** Read one cipher in place, for decoders that embed ciphers in a
+      larger layout (run under {!Atom_util.Bin.R.decode}). *)
+
   val enc : Atom_util.Rng.t -> G.t -> G.t -> cipher * G.Scalar.t
   (** [enc rng pk m] encrypts a group element, returning the randomness
       (the EncProof witness). *)
@@ -105,7 +109,6 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
   module Kem : sig
     type sealed = { share : G.t; box : string }
 
-    val derive_key : G.t -> string
     val nonce : string
     val enc : Atom_util.Rng.t -> G.t -> string -> sealed
     val dec : G.Scalar.t -> sealed -> string option

@@ -244,3 +244,18 @@ module Naive_check (B : MEMBER_CORE) = struct
     let rec go i = if i >= n then None else if B.is_member els.(i) then go (i + 1) else Some i in
     go 0
 end
+
+(** Strict readers for a backend's canonical encodings, for decoder
+    bodies run under [Atom_util.Bin.R.decode]: an element is validated
+    exactly as by [of_bytes], a scalar is read as by
+    [Scalar.of_bytes_mod]. *)
+module Bin_io (G : GROUP) = struct
+  open Atom_util.Bin
+
+  let scalar_bytes = String.length (G.Scalar.to_bytes G.Scalar.zero)
+
+  let element (r : R.t) : G.t =
+    match G.of_bytes (R.bytes r G.element_bytes) with Some e -> e | None -> R.fail ()
+
+  let scalar (r : R.t) : G.Scalar.t = G.Scalar.of_bytes_mod (R.bytes r scalar_bytes)
+end

@@ -109,17 +109,17 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
   (* Per-unit ReEnc proof vectors travel as one opaque blob per unit. *)
   let reenc_proofs_to_blob (pis : Pr.P.Reenc_proof.t array) : string =
     let b = Buffer.create 256 in
-    Frame.W.u16 b (Array.length pis);
-    Array.iter (fun pi -> Frame.W.str32 b (Pr.P.Reenc_proof.to_bytes pi)) pis;
+    Atom_util.Bin.W.u16 b (Array.length pis);
+    Array.iter (fun pi -> Atom_util.Bin.W.str32 b (Pr.P.Reenc_proof.to_bytes pi)) pis;
     Buffer.contents b
 
   let reenc_proofs_of_blob (s : string) : Pr.P.Reenc_proof.t array option =
-    Frame.R.decode s (fun r ->
-        let n = Frame.R.u16 r in
-        Array.init n (fun _ ->
-            match Pr.P.Reenc_proof.of_bytes (Frame.R.str32 ~max:65536 r) with
+    let open Atom_util.Bin.R in
+    decode s (fun r ->
+        Array.init (u16 r) (fun _ ->
+            match Pr.P.Reenc_proof.of_bytes (str32 ~max:65536 r) with
             | Some pi -> pi
-            | None -> Frame.R.fail ()))
+            | None -> fail ()))
 
   (* Verify one proof-carrying hop: [proofs] has one blob per unit proving
      input.(u) → output.(u) under [eff_pk]/[next_pk]. Units are independent,

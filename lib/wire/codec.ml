@@ -39,7 +39,7 @@
 
    1. One structural parse of the body, strict and total. Group elements
       are decoded as [G.Unverified.elt] views straight off the receive
-      buffer ([Frame.R.view] offsets + [G.Unverified.of_bytes_sub] — no
+      buffer ([Bin.R.view] offsets + [G.Unverified.of_bytes_sub] — no
       per-element substring copies), accumulated in wire order, with a
       [raw] skeleton recording the message shape (per-cipher Y-flags) so
       the bytes are parsed exactly once.
@@ -98,28 +98,30 @@ struct
         proofs : string array;
       }
 
+  module W = Atom_util.Bin.W
+  module R = Atom_util.Bin.R
+
   let max_width = 4096
-  let max_proof = Frame.max_body
 
   (* ---- writers ---- *)
 
   (* 63-bit OCaml ints cover u64 timestamps for any plausible uptime. *)
   let write_u64 (b : Buffer.t) (v : int) =
-    Frame.W.u32 b (v lsr 32);
-    Frame.W.u32 b v
+    W.u32 b (v lsr 32);
+    W.u32 b v
 
   let write_vec (b : Buffer.t) (v : El.vec) =
     if Array.length v > max_width then invalid_arg "Codec.write_vec: width too large";
-    Frame.W.u16 b (Array.length v);
+    W.u16 b (Array.length v);
     Array.iter (fun ct -> Buffer.add_string b (El.cipher_to_bytes ct)) v
 
   let write_vecs (b : Buffer.t) (vs : El.vec array) =
-    Frame.W.u32 b (Array.length vs);
+    W.u32 b (Array.length vs);
     Array.iter (write_vec b) vs
 
   let write_proofs (b : Buffer.t) (ps : string array) =
-    Frame.W.u32 b (Array.length ps);
-    Array.iter (Frame.W.str32 b) ps
+    W.u32 b (Array.length ps);
+    Array.iter (W.str32 b) ps
 
   (* ---- structural parse (phase 1) ----
 
@@ -186,49 +188,50 @@ struct
     a.els.(a.n) <- e;
     a.n <- a.n + 1
 
-  let read_u64 (r : Frame.R.t) : int =
-    let hi = Frame.R.u32 r in
-    let lo = Frame.R.u32 r in
+  let read_u64 (r : R.t) : int =
+    let hi = R.u32 r in
+    let lo = R.u32 r in
     (hi lsl 32) lor lo
 
   (* One element: a zero-copy view into the receive buffer, structurally
      decoded in place. *)
-  let read_elt (acc : acc) (r : Frame.R.t) : unit =
-    let pos = Frame.R.view r G.element_bytes in
-    match G.Unverified.of_bytes_sub (Frame.R.src r) ~pos with
+  let read_elt (acc : acc) (r : R.t) : unit =
+    let pos = R.view r G.element_bytes in
+    match G.Unverified.of_bytes_sub (R.src r) ~pos with
     | Some e -> acc_push acc e
-    | None -> Frame.R.fail ()
+    | None -> R.fail ()
 
-  let read_cipher (acc : acc) (r : Frame.R.t) : bool =
+  let read_cipher (acc : acc) (r : R.t) : bool =
     read_elt acc r;
     (* R *)
     read_elt acc r;
     (* c *)
-    match Frame.R.u8 r with
+    match R.u8 r with
     | 0 -> false
     | 1 ->
         read_elt acc r;
         (* Y *)
         true
-    | _ -> Frame.R.fail ()
+    | _ -> R.fail ()
 
-  let read_vec (acc : acc) (r : Frame.R.t) : bool array =
-    let w = Frame.R.u16 r in
-    if w > max_width then Frame.R.fail ();
+  let read_vec (acc : acc) (r : R.t) : bool array =
+    let w = R.u16 r in
+    if w > max_width then R.fail ();
     Array.init w (fun _ -> read_cipher acc r)
 
-  let read_vecs (acc : acc) (r : Frame.R.t) : bool array array =
-    (* Each vec consumes ≥ 2 bytes, so [remaining] bounds the allocation. *)
-    let n = Frame.R.count r ~max:(Frame.R.remaining r) in
+  (* A body never exceeds [Frame.max_body]; [count] also bounds each count
+     by the bytes present (a vec takes ≥ 2 bytes, a proof ≥ 4). *)
+  let read_vecs (acc : acc) (r : R.t) : bool array array =
+    let n = R.count r ~max:Frame.max_body in
     Array.init n (fun _ -> read_vec acc r)
 
-  let read_proofs (r : Frame.R.t) : string array =
-    let n = Frame.R.count r ~max:(Frame.R.remaining r) in
-    Array.init n (fun _ -> Frame.R.str32 ~max:max_proof r)
+  let read_proofs (r : R.t) : string array =
+    let n = R.count r ~max:Frame.max_body in
+    Array.init n (fun _ -> R.str32 r)
 
   let parse_body (kind : int) (body : string) : deferred option =
     let acc = { els = [||]; n = 0 } in
-    let open Frame.R in
+    let open R in
     decode body (fun r ->
         let raw =
           if kind = Frame.kind_group_key then begin
@@ -252,7 +255,7 @@ struct
             let input = read_vecs acc r in
             let output = read_vecs acc r in
             R_shuffle_step
-              { gid; iter; step; sent_at; input; output; proof = str32 ~max:max_proof r }
+              { gid; iter; step; sent_at; input; output; proof = str32 r }
           else if kind = Frame.kind_reenc_step then
             let gid = u32 r in
             let iter = u32 r in
@@ -329,41 +332,41 @@ struct
     let kind =
       match msg with
       | Group_key { gid; pk } ->
-          Frame.W.u32 b gid;
+          W.u32 b gid;
           Buffer.add_string b (G.to_bytes pk);
           Frame.kind_group_key
       | Batch { gid; iter; src_gid; sent_at; input; output; proofs } ->
-          Frame.W.u32 b gid;
-          Frame.W.u32 b iter;
-          Frame.W.u32 b src_gid;
+          W.u32 b gid;
+          W.u32 b iter;
+          W.u32 b src_gid;
           write_u64 b sent_at;
           write_vecs b input;
           write_vecs b output;
           write_proofs b proofs;
           Frame.kind_batch
       | Shuffle_step { gid; iter; step; sent_at; input; output; proof } ->
-          Frame.W.u32 b gid;
-          Frame.W.u32 b iter;
-          Frame.W.u16 b step;
+          W.u32 b gid;
+          W.u32 b iter;
+          W.u16 b step;
           write_u64 b sent_at;
           write_vecs b input;
           write_vecs b output;
-          Frame.W.str32 b proof;
+          W.str32 b proof;
           Frame.kind_shuffle_step
       | Reenc_step { gid; iter; batch_idx; step; sent_at; input; output; proofs } ->
-          Frame.W.u32 b gid;
-          Frame.W.u32 b iter;
-          Frame.W.u32 b batch_idx;
-          Frame.W.u16 b step;
+          W.u32 b gid;
+          W.u32 b iter;
+          W.u32 b batch_idx;
+          W.u16 b step;
           write_u64 b sent_at;
           write_vecs b input;
           write_vecs b output;
           write_proofs b proofs;
           Frame.kind_reenc_step
       | Exit_batch { gid; iter; batch_idx; input; output; proofs } ->
-          Frame.W.u32 b gid;
-          Frame.W.u32 b iter;
-          Frame.W.u32 b batch_idx;
+          W.u32 b gid;
+          W.u32 b iter;
+          W.u32 b batch_idx;
           write_vecs b input;
           write_vecs b output;
           write_proofs b proofs;

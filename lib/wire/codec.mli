@@ -58,12 +58,6 @@ module Make
         proofs : string array;
       }
 
-  val max_width : int
-  (** Per-vec cipher cap (encode raises above it; decode rejects). *)
-
-  val max_proof : int
-  (** Per-proof blob cap. *)
-
   val encode : msg -> string
   (** A complete frame (header + body), ready for the transport. *)
 

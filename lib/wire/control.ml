@@ -37,6 +37,9 @@
    so the node can register a return path for the ack on transports that
    need explicit peer wiring. *)
 
+module W = Atom_util.Bin.W
+module R = Atom_util.Bin.R
+
 type t =
   | Hello of { node_id : int }
   | Join of { node_id : int; port : int }
@@ -82,8 +85,9 @@ type t =
       posts : string array;  (** The sealed epoch output, in bulletin order. *)
     }
 
-(* Abort codes (carried on the wire; the detail string is for humans). *)
-let abort_bad_frame = 1
+(* Abort codes (carried on the wire; the detail string is for humans).
+   Code 1 stays unassigned: a node drops and counts a bad frame rather
+   than aborting the round. *)
 let abort_proof_rejected = 2
 let abort_bad_assignment = 3
 let abort_internal = 4
@@ -113,44 +117,44 @@ let encode (msg : t) : string =
   let kind =
     match msg with
     | Hello { node_id } ->
-        Frame.W.u32 b node_id;
+        W.u32 b node_id;
         Frame.kind_hello
     | Join { node_id; port } ->
-        Frame.W.u32 b node_id;
-        Frame.W.u16 b port;
+        W.u32 b node_id;
+        W.u16 b port;
         Frame.kind_join
     | Peers { peers } ->
-        Frame.W.u32 b (Array.length peers);
+        W.u32 b (Array.length peers);
         Array.iter
           (fun (id, port) ->
-            Frame.W.u32 b id;
-            Frame.W.u16 b port)
+            W.u32 b id;
+            W.u16 b port)
           peers;
         Frame.kind_peers
     | Group_assign { gid; members } ->
-        Frame.W.u32 b gid;
-        Frame.W.u32 b (Array.length members);
-        Array.iter (Frame.W.u32 b) members;
+        W.u32 b gid;
+        W.u32 b (Array.length members);
+        Array.iter (W.u32 b) members;
         Frame.kind_group_assign
     | Barrier { iter } ->
-        Frame.W.u32 b iter;
+        W.u32 b iter;
         Frame.kind_barrier
     | Abort { code; detail } ->
-        Frame.W.u16 b code;
-        Frame.W.str32 b detail;
+        W.u16 b code;
+        W.str32 b detail;
         Frame.kind_abort
     | Shutdown -> Frame.kind_shutdown
     | Ack { token } ->
-        Frame.W.u32 b token;
+        W.u32 b token;
         Frame.kind_ack
     | Submissions { gid; blobs } ->
-        Frame.W.u32 b gid;
-        Frame.W.u32 b (Array.length blobs);
-        Array.iter (Frame.W.str32 b) blobs;
+        W.u32 b gid;
+        W.u32 b (Array.length blobs);
+        Array.iter (W.str32 b) blobs;
         Frame.kind_submissions
     | Trap_commitments { gid; commitments } ->
-        Frame.W.u32 b gid;
-        Frame.W.u32 b (Array.length commitments);
+        W.u32 b gid;
+        W.u32 b (Array.length commitments);
         Array.iter
           (fun c ->
             if String.length c <> commitment_bytes then
@@ -159,58 +163,58 @@ let encode (msg : t) : string =
           commitments;
         Frame.kind_trap_commitments
     | Published { plaintexts } ->
-        Frame.W.u32 b (Array.length plaintexts);
-        Array.iter (Frame.W.str32 b) plaintexts;
+        W.u32 b (Array.length plaintexts);
+        Array.iter (W.str32 b) plaintexts;
         Frame.kind_published
     | Failed { sids } ->
-        Frame.W.u32 b (Array.length sids);
-        Array.iter (Frame.W.u32 b) sids;
+        W.u32 b (Array.length sids);
+        Array.iter (W.u32 b) sids;
         Frame.kind_failed
     | Retransmit -> Frame.kind_retransmit
     | Stats_request { token } ->
-        Frame.W.u32 b token;
+        W.u32 b token;
         Frame.kind_stats_request
     | Stats_reply { token; node_id; snapshot } ->
-        Frame.W.u32 b token;
-        Frame.W.u32 b node_id;
-        Frame.W.str32 b snapshot;
+        W.u32 b token;
+        W.u32 b node_id;
+        W.str32 b snapshot;
         Frame.kind_stats_reply
     | Submit { client; port; token; gid; epoch; blob; pow } ->
-        Frame.W.u32 b client;
-        Frame.W.u16 b port;
-        Frame.W.u32 b token;
-        Frame.W.u32 b gid;
-        Frame.W.u32 b epoch;
-        Frame.W.str32 b blob;
-        Frame.W.str32 b pow;
+        W.u32 b client;
+        W.u16 b port;
+        W.u32 b token;
+        W.u32 b gid;
+        W.u32 b epoch;
+        W.str32 b blob;
+        W.str32 b pow;
         Frame.kind_submit
     | Submit_ack { token; status; epoch; retry_ms; queue_len } ->
-        Frame.W.u32 b token;
-        Frame.W.u8 b status;
-        Frame.W.u32 b epoch;
-        Frame.W.u32 b retry_ms;
-        Frame.W.u32 b queue_len;
+        W.u32 b token;
+        W.u8 b status;
+        W.u32 b epoch;
+        W.u32 b retry_ms;
+        W.u32 b queue_len;
         Frame.kind_submit_ack
     | Epoch_info { epoch; pow_bits; queue_cap; queue_len } ->
-        Frame.W.u32 b epoch;
-        Frame.W.u32 b pow_bits;
-        Frame.W.u32 b queue_cap;
-        Frame.W.u32 b queue_len;
+        W.u32 b epoch;
+        W.u32 b pow_bits;
+        W.u32 b queue_cap;
+        W.u32 b queue_len;
         Frame.kind_epoch_info
     | Bulletin_announce { epoch; digest; signature; posts } ->
         if String.length digest <> commitment_bytes then
           invalid_arg "Control.encode: bulletin digest must be 32 bytes";
-        Frame.W.u32 b epoch;
+        W.u32 b epoch;
         Buffer.add_string b digest;
-        Frame.W.str32 b signature;
-        Frame.W.u32 b (Array.length posts);
-        Array.iter (Frame.W.str32 b) posts;
+        W.str32 b signature;
+        W.u32 b (Array.length posts);
+        Array.iter (W.str32 b) posts;
         Frame.kind_bulletin_announce
   in
   Frame.encode ~kind (Buffer.contents b)
 
 let decode_body (kind : int) (body : string) : t option =
-  let open Frame.R in
+  let open R in
   decode body (fun r ->
       if kind = Frame.kind_hello then Hello { node_id = u32 r }
       else if kind = Frame.kind_join then

@@ -57,24 +57,9 @@ type t =
 
 (** {2 Abort codes} (carried on the wire; the detail string is for humans) *)
 
-val abort_bad_frame : int
 val abort_proof_rejected : int
 val abort_bad_assignment : int
 val abort_internal : int
-
-(** {2 Allocation bounds} (a hostile length prefix must never drive
-    allocation past the bytes actually present) *)
-
-val max_nodes : int
-val max_items : int
-val max_blob : int
-
-val max_snapshot : int
-(** Stats snapshots outgrow [max_blob] (they can carry a trace buffer). *)
-
-val commitment_bytes : int
-val max_pow : int
-val max_sig : int
 
 (** {2 Submit_ack statuses} *)
 
@@ -83,6 +68,10 @@ val submit_retry : int
 val submit_rejected : int
 
 (** {2 Codec} *)
+
+val max_blob : int
+(** Largest submission blob, plaintext, post or abort detail a decoded
+    frame may carry. *)
 
 val encode : t -> string
 (** A complete frame (header + body), ready for the transport.

@@ -16,11 +16,7 @@ let table : int array =
   done;
   t
 
-let update (crc : int) (s : string) ~(pos : int) ~(len : int) : int =
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
-  done;
+let string (s : string) : int =
+  let c = ref 0xFFFFFFFF in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
-
-let string (s : string) : int = update 0 s ~pos:0 ~len:(String.length s)

@@ -2,6 +2,3 @@
 
 val string : string -> int
 (** CRC of a whole string (in [0, 0xFFFFFFFF]). *)
-
-val update : int -> string -> pos:int -> len:int -> int
-(** Incremental: [update crc s ~pos ~len] extends [crc] with a slice. *)

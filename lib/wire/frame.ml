@@ -103,107 +103,10 @@ let kind_name (k : int) : string =
 
 let kind_known (k : int) : bool = List.mem_assoc k kind_names
 
-(* ---- Writer primitives ---- *)
-
-module W = struct
-  let u8 (b : Buffer.t) (v : int) = Buffer.add_char b (Char.chr (v land 0xff))
-
-  let u16 (b : Buffer.t) (v : int) =
-    u8 b (v lsr 8);
-    u8 b v
-
-  let u32 (b : Buffer.t) (v : int) =
-    u8 b (v lsr 24);
-    u8 b (v lsr 16);
-    u8 b (v lsr 8);
-    u8 b v
-
-  (* Length-prefixed byte string. *)
-  let str32 (b : Buffer.t) (s : string) =
-    u32 b (String.length s);
-    Buffer.add_string b s
-end
-
-(* ---- Strict reader ----
-
-   A cursor over an immutable string. Every read checks bounds and raises
-   the private [Malformed] exception, which only [decode] catches — so a
-   decoder body reads linearly and totality is enforced at the boundary. *)
-
-module R = struct
-  exception Malformed
-
-  type t = { s : string; mutable pos : int; limit : int }
-
-  let of_string ?(pos = 0) ?limit (s : string) : t =
-    let limit = match limit with Some l -> l | None -> String.length s in
-    { s; pos; limit }
-
-  let fail () = raise Malformed
-  let remaining (r : t) : int = r.limit - r.pos
-  let need (r : t) (n : int) = if n < 0 || r.pos + n > r.limit then fail ()
-
-  let u8 (r : t) : int =
-    need r 1;
-    let v = Char.code r.s.[r.pos] in
-    r.pos <- r.pos + 1;
-    v
-
-  let u16 (r : t) : int =
-    let a = u8 r in
-    let b = u8 r in
-    (a lsl 8) lor b
-
-  let u32 (r : t) : int =
-    let a = u16 r in
-    let b = u16 r in
-    (a lsl 16) lor b
-
-  let bytes (r : t) (n : int) : string =
-    need r n;
-    let s = String.sub r.s r.pos n in
-    r.pos <- r.pos + n;
-    s
-
-  (* Zero-copy slice: consume [n] bytes and return their start offset in
-     [src] instead of materializing a substring — decoders that parse a
-     fixed-width field in place ([Nat.of_bytes_be_sub], element decoders)
-     skip the per-field allocation. *)
-  let src (r : t) : string = r.s
-
-  let view (r : t) (n : int) : int =
-    need r n;
-    let pos = r.pos in
-    r.pos <- pos + n;
-    pos
-
-  let str32 ?(max = max_body) (r : t) : string =
-    let n = u32 r in
-    if n > max then fail ();
-    bytes r n
-
-  (* Bounded count prefix: an attacker-controlled element count must never
-     drive an allocation bigger than the bytes actually present. *)
-  let count (r : t) ~(max : int) : int =
-    let n = u32 r in
-    if n > max then fail ();
-    n
-
-  let expect_end (r : t) = if r.pos <> r.limit then fail ()
-
-  (* The totality boundary: every decoder runs under this. *)
-  let decode (s : string) (f : t -> 'a) : 'a option =
-    let r = of_string s in
-    match
-      let v = f r in
-      expect_end r;
-      v
-    with
-    | v -> Some v
-    | exception Malformed -> None
-end
-
 (* ---- Framing ---- *)
+
+module W = Atom_util.Bin.W
+module R = Atom_util.Bin.R
 
 let encode ~(kind : int) (body : string) : string =
   if String.length body > max_body then invalid_arg "Frame.encode: body too large";

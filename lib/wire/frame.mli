@@ -45,49 +45,6 @@ val kind_names : (int * string) list
     tests iterate this to cover all kinds). *)
 
 val kind_name : int -> string
-val kind_known : int -> bool
-
-(** {2 Writer / strict reader primitives} (shared by [Control] and
-    [Codec]) *)
-
-module W : sig
-  val u8 : Buffer.t -> int -> unit
-  val u16 : Buffer.t -> int -> unit
-  val u32 : Buffer.t -> int -> unit
-  val str32 : Buffer.t -> string -> unit
-end
-
-module R : sig
-  exception Malformed
-
-  type t
-
-  val of_string : ?pos:int -> ?limit:int -> string -> t
-  val fail : unit -> 'a
-  val remaining : t -> int
-  val u8 : t -> int
-  val u16 : t -> int
-  val u32 : t -> int
-  val bytes : t -> int -> string
-  val str32 : ?max:int -> t -> string
-
-  val src : t -> string
-  (** The underlying buffer, for zero-copy reads via {!view} offsets. *)
-
-  val view : t -> int -> int
-  (** [view r n] consumes [n] bytes and returns their start offset in
-      {!src} — the zero-copy alternative to {!bytes} for fixed-width
-      fields parsed in place (group elements, big-endian naturals). *)
-
-  val count : t -> max:int -> int
-  (** u32 element count, rejected above [max] (allocation bound). *)
-
-  val expect_end : t -> unit
-
-  val decode : string -> (t -> 'a) -> 'a option
-  (** The totality boundary: runs a reader body, catching [Malformed] and
-      enforcing that all input was consumed. *)
-end
 
 (** {2 Framing} *)
 

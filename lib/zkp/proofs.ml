@@ -14,20 +14,9 @@ module Make
     (G : Atom_group.Group_intf.GROUP)
     (El : module type of Atom_elgamal.Elgamal.Make (G)) =
 struct
-  (* Serialization helpers: group elements are fixed-width; scalars use the
-     backend's canonical fixed-width big-endian encoding. *)
-  let scalar_bytes = String.length (G.Scalar.to_bytes G.Scalar.zero)
+  module Bin = Atom_util.Bin
+  module Io = Atom_group.Group_intf.Bin_io (G)
 
-  let read_element (s : string) (off : int) : (G.t * int) option =
-    if off + G.element_bytes > String.length s then None
-    else
-      match G.of_bytes (String.sub s off G.element_bytes) with
-      | Some el -> Some (el, off + G.element_bytes)
-      | None -> None
-
-  let read_scalar (s : string) (off : int) : (G.Scalar.t * int) option =
-    if off + scalar_bytes > String.length s then None
-    else Some (G.Scalar.of_bytes_mod (String.sub s off scalar_bytes), off + scalar_bytes)
   module Enc_proof = struct
     type t = { a : G.t; u : G.Scalar.t }
 
@@ -56,13 +45,9 @@ struct
     let to_bytes (pi : t) : string = G.to_bytes pi.a ^ G.Scalar.to_bytes pi.u
 
     let of_bytes (s : string) : t option =
-      match read_element s 0 with
-      | Some (a, off) -> begin
-          match read_scalar s off with
-          | Some (u, off') when off' = String.length s -> Some { a; u }
-          | _ -> None
-        end
-      | None -> None
+      Bin.R.decode s (fun r ->
+          let a = Io.element r in
+          { a; u = Io.scalar r })
 
     (* Vector ciphertexts carry one proof per component. *)
     let prove_vec rng ~pk ~context (v : El.vec) ~(randomness : G.Scalar.t array) : t array =
@@ -108,23 +93,12 @@ struct
     let to_bytes (pi : t) : string =
       G.to_bytes pi.a1 ^ G.to_bytes pi.a2 ^ G.Scalar.to_bytes pi.u
 
-    let of_bytes_at (s : string) (off : int) : (t * int) option =
-      match read_element s off with
-      | None -> None
-      | Some (a1, off) -> begin
-          match read_element s off with
-          | None -> None
-          | Some (a2, off) -> begin
-              match read_scalar s off with
-              | None -> None
-              | Some (u, off) -> Some ({ a1; a2; u }, off)
-            end
-        end
+    let read (r : Bin.R.t) : t =
+      let a1 = Io.element r in
+      let a2 = Io.element r in
+      { a1; a2; u = Io.scalar r }
 
-    let of_bytes (s : string) : t option =
-      match of_bytes_at s 0 with
-      | Some (pi, off) when off = String.length s -> Some pi
-      | _ -> None
+    let of_bytes (s : string) : t option = Bin.R.decode s read
   end
 
   module Reenc_proof = struct
@@ -207,26 +181,13 @@ struct
       G.to_bytes pi.stripped ^ Dleq.to_bytes pi.strip_proof ^ tag ^ rest
 
     let of_bytes (s : string) : t option =
-      match read_element s 0 with
-      | None -> None
-      | Some (stripped, off) -> begin
-          match Dleq.of_bytes_at s off with
-          | None -> None
-          | Some (strip_proof, off) ->
-              if off >= String.length s then None
-              else begin
-                match s.[off] with
-                | '\000' when off + 1 = String.length s ->
-                    Some { stripped; strip_proof; rerand_proof = None }
-                | '\001' -> begin
-                    match Dleq.of_bytes_at s (off + 1) with
-                    | Some (rp, off') when off' = String.length s ->
-                        Some { stripped; strip_proof; rerand_proof = Some rp }
-                    | _ -> None
-                  end
-                | _ -> None
-              end
-        end
+      Bin.R.decode s (fun r ->
+          let stripped = Io.element r in
+          let strip_proof = Dleq.read r in
+          match Bin.R.u8 r with
+          | 0 -> { stripped; strip_proof; rerand_proof = None }
+          | 1 -> { stripped; strip_proof; rerand_proof = Some (Dleq.read r) }
+          | _ -> Bin.R.fail ())
 
     let verify_vec ~eff_pk ~next_pk ~context ~(input : El.vec) ~(output : El.vec)
         (pis : t array) : bool =

@@ -10,10 +10,6 @@
 module Make
     (G : Atom_group.Group_intf.GROUP)
     (El : module type of Atom_elgamal.Elgamal.Make (G)) : sig
-  val scalar_bytes : int
-  val read_element : string -> int -> (G.t * int) option
-  val read_scalar : string -> int -> (G.Scalar.t * int) option
-
   module Enc_proof : sig
     type t = { a : G.t; u : G.Scalar.t }
 
@@ -43,7 +39,6 @@ module Make
 
     val verify : context:string -> g1:G.t -> h1:G.t -> g2:G.t -> h2:G.t -> t -> bool
     val to_bytes : t -> string
-    val of_bytes_at : string -> int -> (t * int) option
     val of_bytes : string -> t option
   end
 

@@ -30,6 +30,8 @@ module Make
     (El : module type of Atom_elgamal.Elgamal.Make (G)) =
 struct
   module S = G.Scalar
+  module Bin = Atom_util.Bin
+  module Io = Atom_group.Group_intf.Bin_io (G)
 
   type t = {
     perm_comm : G.t array; (* c_j *)
@@ -289,19 +291,16 @@ struct
 
      Wire layout: u32 n, u32 width, then the fixed-width fields in a fixed
      order. Group elements and scalars use the backend's canonical
-     encodings, so decoding validates every element. *)
-
-  let scalar_bytes = String.length (S.to_bytes S.zero)
-
-  let u32 (n : int) : string =
-    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xff))
+     encodings, so decoding validates every element. n and width count
+     items at least a byte wide, so a forged header cannot size an array
+     beyond the bytes present. *)
 
   let to_bytes (pi : t) : string =
     let buf = Buffer.create 4096 in
     let el e = Buffer.add_string buf (G.to_bytes e) in
     let sc x = Buffer.add_string buf (S.to_bytes x) in
-    Buffer.add_string buf (u32 (Array.length pi.perm_comm));
-    Buffer.add_string buf (u32 (Array.length pi.t_er));
+    Bin.W.u32 buf (Array.length pi.perm_comm);
+    Bin.W.u32 buf (Array.length pi.t_er);
     Array.iter el pi.perm_comm;
     Array.iter el pi.chain;
     el pi.t_a;
@@ -319,88 +318,40 @@ struct
     Buffer.contents buf
 
   let of_bytes (s : string) : t option =
-    let pos = ref 0 in
-    let fail = ref false in
-    let read_u32 () =
-      if !pos + 4 > String.length s then begin
-        fail := true;
-        0
-      end
-      else begin
-        let v =
-          (Char.code s.[!pos] lsl 24)
-          lor (Char.code s.[!pos + 1] lsl 16)
-          lor (Char.code s.[!pos + 2] lsl 8)
-          lor Char.code s.[!pos + 3]
-        in
-        pos := !pos + 4;
-        v
-      end
-    in
-    let read_el () =
-      if !fail || !pos + G.element_bytes > String.length s then begin
-        fail := true;
-        G.one
-      end
-      else begin
-        match G.of_bytes (String.sub s !pos G.element_bytes) with
-        | Some e ->
-            pos := !pos + G.element_bytes;
-            e
-        | None ->
-            fail := true;
-            G.one
-      end
-    in
-    let read_sc () =
-      if !fail || !pos + scalar_bytes > String.length s then begin
-        fail := true;
-        S.zero
-      end
-      else begin
-        let v = S.of_bytes_mod (String.sub s !pos scalar_bytes) in
-        pos := !pos + scalar_bytes;
-        v
-      end
-    in
-    let n = read_u32 () in
-    let width = read_u32 () in
-    if !fail || n < 1 || n > 1_000_000 || width < 1 || width > 4096 then None
-    else begin
-      let els k = Array.init k (fun _ -> read_el ()) in
-      let scs k = Array.init k (fun _ -> read_sc ()) in
-      let perm_comm = els n in
-      let chain = els n in
-      let t_a = read_el () in
-      let t_b = read_el () in
-      let t_c = read_el () in
-      let t_chain = els n in
-      let t_er = els width in
-      let t_ec = els width in
-      let k_rbar = read_sc () in
-      let k_rhat = read_sc () in
-      let k_d = read_sc () in
-      let k_s = scs width in
-      let k_prime = scs n in
-      let k_hat = scs n in
-      if !fail || !pos <> String.length s then None
-      else
-        Some
-          {
-            perm_comm;
-            chain;
-            t_a;
-            t_b;
-            t_c;
-            t_chain;
-            t_er;
-            t_ec;
-            k_rbar;
-            k_rhat;
-            k_d;
-            k_s;
-            k_prime;
-            k_hat;
-          }
-    end
+    Bin.R.decode s (fun r ->
+        let n = Bin.R.count r ~max:1_000_000 in
+        let width = Bin.R.count r ~max:4096 in
+        if n < 1 || width < 1 then Bin.R.fail ();
+        let els k = Array.init k (fun _ -> Io.element r) in
+        let scs k = Array.init k (fun _ -> Io.scalar r) in
+        let perm_comm = els n in
+        let chain = els n in
+        let t_a = Io.element r in
+        let t_b = Io.element r in
+        let t_c = Io.element r in
+        let t_chain = els n in
+        let t_er = els width in
+        let t_ec = els width in
+        let k_rbar = Io.scalar r in
+        let k_rhat = Io.scalar r in
+        let k_d = Io.scalar r in
+        let k_s = scs width in
+        let k_prime = scs n in
+        let k_hat = scs n in
+        {
+          perm_comm;
+          chain;
+          t_a;
+          t_b;
+          t_c;
+          t_chain;
+          t_er;
+          t_ec;
+          k_rbar;
+          k_rhat;
+          k_d;
+          k_s;
+          k_prime;
+          k_hat;
+        })
 end

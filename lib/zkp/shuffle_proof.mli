@@ -13,9 +13,6 @@ module Make
     (El : module type of Atom_elgamal.Elgamal.Make (G)) : sig
   type t
 
-  val generator_h : string -> G.t
-  val generator_hi : string -> int -> G.t
-
   val prove :
     ?pool:Atom_exec.Pool.t ->
     Atom_util.Rng.t ->

@@ -27,4 +27,5 @@ let () =
       Test_exec.suite;
       Test_rpc.suite;
       Test_ingest.suite;
+      Test_decoders.suite ();
     ]
