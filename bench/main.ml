@@ -662,7 +662,8 @@ let time_stats ~(warmup : int) ~(reps : int) (f : unit -> unit) : timing =
   { med; mn = samples.(0); spread = (samples.(reps - 1) -. samples.(0)) /. med }
 
 let parallel () =
-  header "parallel: domain-pool scaling of the crypto batches (1/2/4/8 domains)";
+  header
+    "parallel: domain-pool scaling of the crypto batches (1/2/4/8 domains; round-sized steps 1/2)";
   let domain_counts = [ 1; 2; 4; 8 ] in
   let warmup = 1 and reps = 5 in
   (* Paper-shaped op mixes (Table 3 / §6): fixed-base batch and big MSM on
@@ -679,11 +680,11 @@ let parallel () =
       let ks = Array.init 1024 (fun _ -> G.Scalar.random rng) in
       let pairs = Array.init 1024 (fun i -> (G.pow_gen ks.((i * 31) mod 1024), ks.(i))) in
       [
-        ( "pow_gen_batch n=1024", "p256",
+        ( "pow_gen_batch n=1024", "p256", 1024, domain_counts,
           fun pool ->
             Atom_hash.Sha256.digest_list
               (Array.to_list (Array.map G.to_bytes (G.pow_gen_batch ~pool ks))) );
-        ("msm n=1024", "p256", fun pool -> G.to_bytes (G.msm ~pool pairs));
+        ("msm n=1024", "p256", 1024, domain_counts, fun pool -> G.to_bytes (G.msm ~pool pairs));
       ]
     in
     let shuffle_verify =
@@ -696,14 +697,56 @@ let parallel () =
       let shuffled, witness = Option.get (El.shuffle_vec rng kp.El.pk units) in
       let pi = Shuf.prove rng ~pk:kp.El.pk ~context:"par" ~input:units ~output:shuffled ~witness in
       [
-        ( "shuffle-verify n=1024", "zp-256",
+        ( "shuffle-verify n=1024", "zp-256", 1024, domain_counts,
           fun pool ->
             if Shuf.verify ~pool ~pk:kp.El.pk ~context:"par" ~input:units ~output:shuffled pi
             then "accept"
             else "reject" );
       ]
     in
-    p256 @ shuffle_verify
+    (* Round-sized steps, at the sizes the nizk-p256 round workload runs
+       them: a ReEnc step over 2 units of width 2 proven and then checked
+       as the receiver does ([verify_hop], blobs decoded first), and a
+       4-unit width-2 shuffle proven and verified. Here the pool has only
+       a handful of components to share out. *)
+    let round_sized =
+      let module G = Atom_group.P256 in
+      let module Ns = Atom_rpc.Node_shared.Make (G) in
+      let module El = Ns.Pr.El in
+      let rng = Atom_util.Rng.create 0xbe7e in
+      let kp = El.keygen rng and next_pk = Some (El.keygen rng).El.pk in
+      let units k =
+        Array.init k (fun _ -> fst (El.enc_vec rng kp.El.pk [| G.random rng; G.random rng |]))
+      in
+      let step_in = units 2 and shuffle_in = units 4 in
+      let digest parts = Atom_hash.Sha256.digest_list (Array.to_list parts) in
+      [
+        ( "reenc-step 2x2 prove+verify", "p256", 2, [ 1; 2 ],
+          fun pool ->
+            let output, pis =
+              Ns.Pr.P.Reenc_proof.reenc_batch_with_proof ~pool (Atom_util.Rng.create 1)
+                ~share:kp.El.sk ~next_pk ~context:"par" step_in
+            in
+            let blobs = Array.map Ns.reenc_proofs_to_blob pis in
+            if
+              Ns.verify_hop ~pool ~eff_pk:kp.El.pk ~next_pk ~context:"par" ~input:step_in ~output
+                blobs
+            then digest blobs
+            else "reject" );
+        ( "shuffle 4x2 prove+verify", "p256", 4, [ 1; 2 ],
+          fun pool ->
+            let r = Atom_util.Rng.create 2 in
+            let output, witness = Option.get (El.shuffle_vec ~pool r kp.El.pk shuffle_in) in
+            let pi =
+              Ns.Pr.Shuf.prove ~pool r ~pk:kp.El.pk ~context:"par" ~input:shuffle_in ~output
+                ~witness
+            in
+            if Ns.Pr.Shuf.verify ~pool ~pk:kp.El.pk ~context:"par" ~input:shuffle_in ~output pi
+            then digest [| Ns.Pr.Shuf.to_bytes pi |]
+            else "reject" );
+      ]
+    in
+    p256 @ shuffle_verify @ round_sized
   in
   (* The calibrated model's view of the same knob: per-core provisioning
      of one NIZK mixing iteration (Figure 7's axis), to cross-check the
@@ -718,11 +761,11 @@ let parallel () =
     let _, promoted, _ = Gc.counters () in
     promoted
   in
-  Printf.printf "%-24s %-8s %8s %11s %11s %8s %8s %10s  %s\n" "workload" "group" "domains"
+  Printf.printf "%-28s %-8s %8s %11s %11s %8s %8s %10s  %s\n" "workload" "group" "domains"
     "median_s" "min_s" "speedup" "model" "mwords/run" "identical";
   let results =
     List.map
-      (fun (name, group, run) ->
+      (fun (name, group, n, domain_counts, run) ->
         let reference = ref "" in
         let rows =
           List.map
@@ -765,16 +808,16 @@ let parallel () =
         let identical = List.for_all (fun (_, _, _, same) -> same) rows in
         List.iter
           (fun (domains, t, (cm, _, pm, _), _) ->
-            Printf.printf "%-24s %-8s %8d %11.4f %11.4f %7.2fx %7.2fx %10.2f  %s\n" name group
+            Printf.printf "%-28s %-8s %8d %11.4f %11.4f %7.2fx %7.2fx %10.2f  %s\n" name group
               domains t.med t.mn (base /. t.med)
               (model_base /. model_seconds domains)
               ((cm +. pm) /. 1e6)
               (if identical then "yes" else "NO"))
           rows;
-        (name, group, rows, base, identical))
+        (name, group, n, rows, base, identical))
       workloads
   in
-  if List.exists (fun (_, _, _, _, identical) -> not identical) results then begin
+  if List.exists (fun (_, _, _, _, _, identical) -> not identical) results then begin
     Printf.printf "FAILED: pooled output diverged from the 1-domain reference\n";
     exit 1
   end;
@@ -785,7 +828,7 @@ let parallel () =
      host_cores so a 1-core CI measurement never caps a real deployment. *)
   let recommended =
     List.fold_left
-      (fun acc (name, _, rows, base, _) ->
+      (fun acc (name, _, _, rows, base, _) ->
         if name <> "shuffle-verify n=1024" then acc
         else
           List.fold_left
@@ -811,11 +854,11 @@ let parallel () =
     Buffer.add_string buf "  \"workloads\": [\n";
     let nw = List.length results in
     List.iteri
-      (fun wi (name, group, rows, base, identical) ->
+      (fun wi (name, group, n, rows, base, identical) ->
         Buffer.add_string buf
           (Printf.sprintf
-             "    {\"name\": %S, \"group\": %S, \"n\": 1024, \"identical\": %b,\n     \"results\": [\n"
-             name group identical);
+             "    {\"name\": %S, \"group\": %S, \"n\": %d, \"identical\": %b,\n     \"results\": [\n"
+             name group n identical);
         let nr = List.length rows in
         List.iteri
           (fun i (domains, t, (cm, cp, pm, pp), _) ->

@@ -438,19 +438,24 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     (reason, inner_payloads)
 
   (* Trustees release shares only on a clean round; then inner ciphertexts
-     open. *)
-  let open_inners (net : network) (inner_payloads : string list) : string list =
-    List.filter_map
-      (fun bytes ->
-        match El.Kem.of_bytes bytes with
-        | None -> None
-        | Some sealed ->
-            ops.kem_opens <- ops.kem_opens + 1;
-            let partials =
-              Array.to_list (Array.map (fun kp -> El.Kem.partial kp.El.sk sealed) net.trustee_keys)
-            in
-            El.Kem.dec_with_partials partials sealed)
-      inner_payloads
+     open, one envelope per pool index. [ops] is shared mutable state, so
+     the opens are counted on the caller afterwards. *)
+  let open_inners ?pool (net : network) (inner_payloads : string list) : string list =
+    let opened =
+      Atom_exec.Pool.map ?pool
+        (fun bytes ->
+          Option.map
+            (fun sealed ->
+              let partials =
+                Array.to_list
+                  (Array.map (fun kp -> El.Kem.partial kp.El.sk sealed) net.trustee_keys)
+              in
+              El.Kem.dec_with_partials partials sealed)
+            (El.Kem.of_bytes bytes))
+        (Array.of_list inner_payloads)
+    in
+    Array.iter (fun o -> if Option.is_some o then ops.kem_opens <- ops.kem_opens + 1) opened;
+    List.filter_map Option.join (Array.to_list opened)
 
   (* §4.6: after a violation, entry groups reveal their keys and decrypt the
      original submissions to identify disruptive users. *)

@@ -102,22 +102,34 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
 
   type reenc_witness = { stripped : G.t; (* D = Y^(coeff·share) *) fresh : G.Scalar.t (* r' *) }
 
-  (* ReEnc(x_s, X', (R, c, Y)) — one server's decrypt-and-reencrypt step.
+  (* The strip half of ReEnc: Y (R itself on a fresh ciphertext), the R
+     carried forward (the identity on a fresh ciphertext), the stripped
+     factor D = Y^{x_eff} and c/D. *)
+  let strip ~(x_eff : G.Scalar.t) (ct : cipher) : G.t * G.t * G.t * G.t =
+    let y, r = match ct.y with None -> (ct.r, G.one) | Some y -> (y, ct.r) in
+    let d = G.pow y x_eff in
+    (y, r, d, G.div ct.c d)
+
+  (* ReEnc(x_s, X', (R, c, Y)) — one server's decrypt-and-reencrypt step,
+     as a pure function of the effective exponent x_eff = coeff·share and
+     the fresh exponent r' (ignored at the exit layer).
 
      [coeff] is the Lagrange coefficient for threshold (many-trust) groups;
      [Scalar.one] for plain anytrust groups where shares are additive.
      [next_pk = None] encodes X' = ⊥ (the exit layer: strip only). *)
-  let reenc (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
-      ~(next_pk : G.t option) (ct : cipher) : cipher * reenc_witness =
-    let y, r = match ct.y with None -> (ct.r, G.one) | Some y -> (y, ct.r) in
-    let d = G.pow y (G.Scalar.mul coeff share) in
-    let ctmp = G.div ct.c d in
+  let reenc_with ~(x_eff : G.Scalar.t) ~(next_pk : G.t option) ~(fresh : G.Scalar.t)
+      (ct : cipher) : cipher * reenc_witness =
+    let y, r, d, ctmp = strip ~x_eff ct in
     match next_pk with
     | None -> ({ r; c = ctmp; y = Some y }, { stripped = d; fresh = G.Scalar.zero })
     | Some pk' ->
-        let r' = G.Scalar.random rng in
-        ( { r = G.mul r (G.pow_gen r'); c = G.mul ctmp (G.pow pk' r'); y = Some y },
-          { stripped = d; fresh = r' } )
+        ( { r = G.mul r (G.pow_gen fresh); c = G.mul ctmp (G.pow pk' fresh); y = Some y },
+          { stripped = d; fresh } )
+
+  let reenc (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
+      ~(next_pk : G.t option) (ct : cipher) : cipher * reenc_witness =
+    let fresh = match next_pk with None -> G.Scalar.zero | Some _ -> G.Scalar.random rng in
+    reenc_with ~x_eff:(G.Scalar.mul coeff share) ~next_pk ~fresh ct
 
   (* The last server of a group clears Y before forwarding: all of this
      group's layers have been peeled and the ciphertext is now a plain
@@ -150,38 +162,52 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     let out = Atom_exec.Pool.map ?pool (dec sk) v in
     if Array.exists Option.is_none out then None else Some (Array.map Option.get out)
 
-  (* Batch re-encryption. The strip factors D_i = Y_i^{x_eff} have distinct
-     bases and cannot share tables, but they are mutually independent and
-     go to the pool one exponentiation per index; the fresh-randomness half
-     (g^{r'_i} and X'^{r'_i}) is pure fixed-base work and batches.
-     Randomness is drawn in the same order as the elementwise path, on the
-     caller, before any parallel region. *)
-  let reenc_vec ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk (v : vec) :
-      vec * reenc_witness array =
-    let n = Array.length v in
+  (* Batch re-encryption of a whole ReEnc step. The fresh-randomness half
+     (g^{r'} and X'^{r'}) is pure fixed-base work and batches across every
+     component of every unit; the strip factors D = Y^{x_eff} have distinct
+     bases and cannot share tables, but they are mutually independent, so
+     they and the per-component products go to the pool as one job over
+     all components. Randomness is drawn in the elementwise order — each
+     unit's fresh vector in turn — on the caller, before any parallel
+     region. *)
+  let reenc_batch ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk (batch : vec array) :
+      vec array * reenc_witness array array =
     let x_eff = G.Scalar.mul coeff share in
-    let ys = Array.map (fun ct -> match ct.y with None -> ct.r | Some y -> y) v in
-    let rs = Array.map (fun ct -> match ct.y with None -> G.one | Some _ -> ct.r) v in
-    match next_pk with
-    | None ->
-        let ds = Atom_exec.Pool.map ?pool (fun y -> G.pow y x_eff) ys in
-        let wits = Array.init n (fun i -> { stripped = ds.(i); fresh = G.Scalar.zero }) in
-        let out =
-          Atom_exec.Pool.tabulate ?pool n (fun i ->
-              { r = rs.(i); c = G.div v.(i).c ds.(i); y = Some ys.(i) })
-        in
-        (out, wits)
-    | Some pk' ->
-        let fresh = Array.init n (fun _ -> G.Scalar.random rng) in
-        let ds = Atom_exec.Pool.map ?pool (fun y -> G.pow y x_eff) ys in
-        let gr = G.pow_gen_batch ?pool fresh in
-        let pkr = G.pow_batch ?pool pk' fresh in
-        let wits = Array.init n (fun i -> { stripped = ds.(i); fresh = fresh.(i) }) in
-        let out =
-          Atom_exec.Pool.tabulate ?pool n (fun i ->
-              { r = G.mul rs.(i) gr.(i); c = G.mul (G.div v.(i).c ds.(i)) pkr.(i); y = Some ys.(i) })
-        in
-        (out, wits)
+    let m = ref 0 in
+    let indexed =
+      Array.map
+        (Array.map (fun ct ->
+             let i = !m in
+             incr m;
+             (i, ct)))
+        batch
+    in
+    let fresh =
+      match next_pk with
+      | None -> Array.make !m G.Scalar.zero
+      | Some _ -> Array.init !m (fun _ -> G.Scalar.random rng)
+    in
+    let rerand =
+      match next_pk with
+      | None -> None
+      | Some pk' -> Some (G.pow_gen_batch ?pool fresh, G.pow_batch ?pool pk' fresh)
+    in
+    let stepped =
+      Atom_exec.Pool.map_nested ?pool
+        (fun (i, ct) ->
+          let y, r, d, ctmp = strip ~x_eff ct in
+          match rerand with
+          | None -> ({ r; c = ctmp; y = Some y }, { stripped = d; fresh = G.Scalar.zero })
+          | Some (gr, pkr) ->
+              ( { r = G.mul r gr.(i); c = G.mul ctmp pkr.(i); y = Some y },
+                { stripped = d; fresh = fresh.(i) } ))
+        indexed
+    in
+    (Array.map (Array.map fst) stepped, Array.map (Array.map snd) stepped)
+
+  let reenc_vec ?pool rng ~share ?coeff ~next_pk (v : vec) : vec * reenc_witness array =
+    let out, wits = reenc_batch ?pool rng ~share ?coeff ~next_pk [| v |] in
+    (out.(0), wits.(0))
 
   let clear_y_vec (v : vec) : vec = Array.map clear_y v
 

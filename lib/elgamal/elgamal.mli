@@ -54,6 +54,12 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
 
   type reenc_witness = { stripped : G.t; fresh : G.Scalar.t }
 
+  val reenc_with :
+    x_eff:G.Scalar.t -> next_pk:G.t option -> fresh:G.Scalar.t -> cipher -> cipher * reenc_witness
+  (** {!reenc} as a pure function of its exponents: the effective exponent
+      [x_eff = coeff·share] and the fresh rerandomization exponent
+      (ignored when [next_pk = None]). *)
+
   val reenc :
     Atom_util.Rng.t ->
     share:G.Scalar.t ->
@@ -88,6 +94,19 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
     next_pk:G.t option ->
     vec ->
     vec * reenc_witness array
+  (** {!reenc_batch} of one vector. *)
+
+  val reenc_batch :
+    ?pool:Atom_exec.Pool.t ->
+    Atom_util.Rng.t ->
+    share:G.Scalar.t ->
+    ?coeff:G.Scalar.t ->
+    next_pk:G.t option ->
+    vec array ->
+    vec array * reenc_witness array array
+  (** One ReEnc step over a batch of vectors: the same ciphertexts and
+      witnesses as {!reenc} on every component in turn with the same
+      generator, computed as one pooled job over all components. *)
 
   val clear_y_vec : vec -> vec
 

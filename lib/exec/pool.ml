@@ -11,11 +11,16 @@
    partials) must combine in index order with an associative operation;
    see the determinism note in the interface.
 
-   Reentrancy and thread safety: a pool runs one job at a time. A nested
-   [run] from inside a job body, or a concurrent [run] from another
-   systhread, simply executes sequentially on the calling thread (the
-   [in_flight] test-and-set fails), so sharing one pool process-wide is
-   safe and deadlock-free. *)
+   Reentrancy and thread safety: a pool runs one job at a time. A [run]
+   from a systhread that is not inside a job body waits (blocked, so its
+   domain keeps serving other systhreads) until the current job ends,
+   then drives its own — unless the pool's recent jobs are too short to
+   be worth the wait ([wait_floor]), when it runs alone. A [run] from
+   inside a job body — on a worker domain, or on the systhread driving a
+   job — executes sequentially on the spot: waiting there would wait on
+   itself. No job body ever waits on another systhread, so waiting
+   callers always make progress and one pool can be shared process-wide
+   without deadlock. *)
 
 type job = {
   body : int -> unit;
@@ -34,7 +39,11 @@ type t = {
   mutable gen : int; (* bumped per job so workers never re-run one *)
   mutable active : int; (* workers currently inside the job *)
   mutable stop : bool;
-  in_flight : bool Atomic.t; (* claims the pool for a single caller *)
+  mutable held : bool; (* a systhread is driving a job; under [mu] *)
+  mutable recent : float;
+      (* job wall time, s, averaged with weight 1/8 on the newest job;
+         starts at [wait_floor], so a fresh pool waits; under [mu] *)
+  free_cv : Condition.t; (* waiting callers: the driving systhread left *)
   mutable workers : unit Domain.t list;
   busy : float array; (* per-slot busy seconds for the current job *)
   minor : float array; (* per-slot minor words allocated during the job *)
@@ -47,6 +56,8 @@ type t = {
   m_busy : Atom_obs.Metrics.histogram;
   m_minor : Atom_obs.Metrics.counter;
   m_promoted : Atom_obs.Metrics.counter;
+  m_inline : Atom_obs.Metrics.counter;
+  m_wait : Atom_obs.Metrics.histogram;
 }
 
 let size t = t.domains
@@ -90,7 +101,22 @@ let run_chunks t slot (j : job) =
     t.promoted.(slot) <- t.promoted.(slot) +. (promoted_words () -. promoted0)
   end
 
+(* Whether the running code is a job body. Worker domains run nothing
+   else; a systhread is inside one while it drives a job, which the
+   [job_callers] list records by thread id — across every pool, so a body
+   that calls into a second pool runs inline there too. *)
+let worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let job_callers : int list Atomic.t = Atomic.make []
+
+let rec update_callers f =
+  let l = Atomic.get job_callers in
+  if not (Atomic.compare_and_set job_callers l (f l)) then update_callers f
+
+let inside_job () =
+  Domain.DLS.get worker_key || List.mem (Thread.id (Thread.self ())) (Atomic.get job_callers)
+
 let worker_main t slot =
+  Domain.DLS.set worker_key true;
   let seen = ref 0 in
   let running = ref true in
   while !running do
@@ -115,6 +141,13 @@ let worker_main t slot =
     end
   done
 
+(* Waiting for another systhread's job costs the waiter a wake-up and a
+   hand-off of its domain's runtime lock: about 0.6 ms on average on the
+   2-vCPU benchmark host, where a zp-test round's jobs last ~0.1 ms and a
+   P-256 round's 5–10 ms. So a caller waits only while the pool's recent
+   jobs average at least this long; below it, it finishes sooner alone. *)
+let wait_floor = 1e-3
+
 let create ?(obs = Atom_obs.Ctx.noop) ~domains () =
   if domains < 1 || domains > 64 then
     invalid_arg "Atom_exec.Pool.create: domains must be in [1, 64]";
@@ -129,7 +162,9 @@ let create ?(obs = Atom_obs.Ctx.noop) ~domains () =
       gen = 0;
       active = 0;
       stop = false;
-      in_flight = Atomic.make false;
+      held = false;
+      recent = wait_floor;
+      free_cv = Condition.create ();
       workers = [];
       busy = Array.make domains 0.0;
       minor = Array.make domains 0.0;
@@ -143,6 +178,8 @@ let create ?(obs = Atom_obs.Ctx.noop) ~domains () =
         Atom_obs.Metrics.histogram reg ~lo:0.0 ~hi:1.0 "exec.pool.worker_busy_seconds";
       m_minor = Atom_obs.Metrics.counter reg "exec.pool.minor_words";
       m_promoted = Atom_obs.Metrics.counter reg "exec.pool.promoted_words";
+      m_inline = Atom_obs.Metrics.counter reg "exec.pool.inline";
+      m_wait = Atom_obs.Metrics.histogram reg ~lo:0.0 ~hi:1.0 "exec.pool.wait_seconds";
     }
   in
   t.workers <- List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker_main t (i + 1)));
@@ -250,43 +287,85 @@ let run_on (t : t) ?chunk n body =
   end;
   match j.failed with Some e -> raise e | None -> ()
 
-let run ?pool ?chunk ~n body =
-  if n > 0 then
-    match resolve pool with
-    | None -> sequential n body
-    | Some t ->
-        if t.domains <= 1 || n < 4 then sequential n body
-        else if not (Atomic.compare_and_set t.in_flight false true) then
-          (* Nested or concurrent entry: the pool is already driving a
-             job; degrade to the calling thread. *)
-          sequential n body
-        else
-          Fun.protect
-            ~finally:(fun () -> Atomic.set t.in_flight false)
-            (fun () ->
-              Atom_obs.Trace.with_span t.tracer ~cat:"exec"
-                ~args:[ ("n", Atom_obs.Trace.I n) ]
-                ~tid:0 "pool.run"
-                (fun () -> run_on t ?chunk n body))
+(* Take the pool for one job: [true] once the caller holds it, after
+   waiting out another systhread's job if need be; [false] when another
+   systhread's job is running and the pool's jobs are too short to be
+   worth waiting for, so the caller should run alone. *)
+let acquire t =
+  Mutex.lock t.mu;
+  if t.held && t.recent < wait_floor then begin
+    Mutex.unlock t.mu;
+    false
+  end
+  else begin
+    let waited =
+      if not t.held then None
+      else begin
+        let t0 = Unix.gettimeofday () in
+        while t.held do
+          Condition.wait t.free_cv t.mu
+        done;
+        Some (Unix.gettimeofday () -. t0)
+      end
+    in
+    t.held <- true;
+    Mutex.unlock t.mu;
+    Option.iter (Atom_obs.Metrics.observe t.m_wait) waited;
+    true
+  end
 
+let release t ~(seconds : float) =
+  Mutex.lock t.mu;
+  t.held <- false;
+  t.recent <- t.recent +. ((seconds -. t.recent) /. 8.0);
+  Condition.signal t.free_cv;
+  Mutex.unlock t.mu
+
+let run ?pool ?chunk ~n body =
+  match resolve pool with
+  | Some t when t.domains > 1 && n >= 2 ->
+      if inside_job () || not (acquire t) then begin
+        Atom_obs.Metrics.incr t.m_inline;
+        sequential n body
+      end
+      else begin
+        let me = Thread.id (Thread.self ()) in
+        let t0 = Unix.gettimeofday () in
+        update_callers (List.cons me);
+        Fun.protect
+          ~finally:(fun () ->
+            update_callers (List.filter (( <> ) me));
+            release t ~seconds:(Unix.gettimeofday () -. t0))
+          (fun () ->
+            Atom_obs.Trace.with_span t.tracer ~cat:"exec"
+              ~args:[ ("n", Atom_obs.Trace.I n) ]
+              ~tid:0 "pool.run"
+              (fun () -> run_on t ?chunk n body))
+      end
+  | _ -> sequential n body
+
+(* Every slot is written by its own index; the options only stand in for
+   an initial value the element type does not have. *)
 let tabulate ?pool ?chunk n f =
   if n <= 0 then [||]
   else begin
-    let first = f 0 in
-    let out = Array.make n first in
-    run ?pool ?chunk ~n:(n - 1) (fun i -> out.(i + 1) <- f (i + 1));
-    out
+    let out = Array.make n None in
+    run ?pool ?chunk ~n (fun i -> out.(i) <- Some (f i));
+    Array.map Option.get out
   end
 
-let map ?pool ?chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let first = f a.(0) in
-    let out = Array.make n first in
-    run ?pool ?chunk ~n:(n - 1) (fun i -> out.(i + 1) <- f a.(i + 1));
-    out
-  end
+let map ?pool ?chunk f a = tabulate ?pool ?chunk (Array.length a) (fun i -> f a.(i))
+
+let map_nested ?pool ?chunk f rows =
+  let flat = map ?pool ?chunk f (Array.concat (Array.to_list rows)) in
+  let off = ref 0 in
+  Array.map
+    (fun row ->
+      let k = Array.length row in
+      let r = Array.sub flat !off k in
+      off := !off + k;
+      r)
+    rows
 
 (* ---- measured runtime default ----
 

@@ -10,13 +10,20 @@
     must fold in index order with an exact associative operation (modular
     arithmetic qualifies; floats do not).
 
-    A pool drives one job at a time. A nested [run] from inside a job
-    body — e.g. a batched verifier calling a batched exponentiation — or
-    a concurrent [run] from another systhread silently degrades to
-    sequential execution on the calling thread, so one process-wide pool
-    can be shared without deadlock. The callback must therefore be safe
-    to run on worker domains: draw randomness and mutate shared state
-    {e before} entering the parallel region.
+    A pool drives one job at a time. A [run] from a systhread that is not
+    inside a job body waits for the job in flight to end (blocked, so the
+    domain serves its other systhreads meanwhile), then drives its own: node
+    threads sharing one pool take turns on all of its domains. A wait costs
+    a wake-up and a hand-off of the domain's runtime lock, so it only
+    happens while the pool's recent jobs average at least 1 ms; a caller
+    that finds the pool busy with shorter jobs runs its own alone. A nested
+    [run] from inside a job body — e.g. a batched verifier calling a
+    batched exponentiation, on a worker domain or on the systhread driving
+    the job — runs sequentially on the spot, so one process-wide pool can
+    be shared without deadlock. The callback must therefore be safe to run
+    on worker domains and must never wait on another systhread: draw
+    randomness and mutate shared state {e before} entering the parallel
+    region.
 
     The {e default pool} is created lazily from the [ATOM_DOMAINS]
     environment variable (unset, invalid, or [1] means "no pool":
@@ -36,8 +43,12 @@ val create : ?obs:Atom_obs.Ctx.t -> domains:int -> unit -> t
     for each job), [exec.pool.minor_words] / [exec.pool.promoted_words]
     counters (GC words allocated/promoted inside jobs, summed over the
     participating domains — OCaml 5 GC counters are per-domain, so the
-    deltas attribute allocation to the job precisely), and — when tracing
-    is on — a [pool.run] span per job.
+    deltas attribute allocation to the job precisely), an
+    [exec.pool.inline] counter (runs executed sequentially on their caller:
+    nested in a job body, or finding the pool busy with jobs too short to
+    wait for), an [exec.pool.wait_seconds] histogram (how long a caller
+    waited for another systhread's job), and — when tracing is on — a
+    [pool.run] span per job.
     @raise Invalid_argument unless [1 <= domains <= 64]. *)
 
 val size : t -> int
@@ -49,8 +60,10 @@ val shutdown : t -> unit
 
 val run : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [run ?pool ~n f] runs [f 0 .. f (n-1)], each exactly once. Without
-    [?pool] the {!default} pool (if any) is used. Small ranges, 1-domain
-    pools, and nested/concurrent entries run sequentially on the caller.
+    [?pool] the {!default} pool (if any) is used. Every range of at least
+    2 indices is dispatched to the pool; single indices, 1-domain pools,
+    runs nested in a job body and runs that find the pool busy with short
+    jobs run sequentially on the caller.
     [chunk] overrides the scheduling granularity (indices claimed per
     cursor fetch; default [n / (domains * 4)], at least 1) — results are
     identical for every chunk size, only load balance changes. If any
@@ -59,13 +72,17 @@ val run : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 
 val tabulate : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 (** [tabulate ?pool n f] is [[| f 0; ...; f (n-1) |]] with the work
-    spread over the pool. [f] must be pure (deterministic per index) —
-    [f 0] runs first on the caller to seed the result array, the rest in
-    pool order. *)
+    spread over the pool. [f] must be pure (deterministic per index):
+    indices run in pool order, none of them first on the caller. *)
 
 val map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ?pool f a] is [Array.map f a] with the work spread over the
     pool; same purity requirement as {!tabulate}. *)
+
+val map_nested : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array array -> 'b array array
+(** [map_nested ?pool f rows] is [Array.map (Array.map f) rows] as one job
+    over every element of every row — a batch of vectors fans out per
+    component, not per vector. Same purity requirement as {!tabulate}. *)
 
 val default : unit -> t option
 (** The process-wide pool, created on first use from [ATOM_DOMAINS].

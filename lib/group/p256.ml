@@ -697,10 +697,17 @@ let pippenger_threshold = 200
 (* Below the Pippenger threshold a pooled MSM splits the pairs into
    contiguous chunks, runs Straus on each slice independently (no sub-array
    materialization), and adds the chunk partials in index order on the
-   caller. *)
+   caller. Every chunk repeats the 256 doublings, so a small MSM (a
+   round-sized shuffle verification is ~60 terms) gets one chunk per
+   domain; from [msm_pool_threshold] terms on, four per domain balance
+   the load better than the doublings cost. *)
+let msm_small_pool_threshold = 16
+let msm_pool_threshold = 64
+
 let msm_straus_pooled pool (bases : t array) (exps : Nat.t array) : jp =
   let n = Array.length bases in
-  let nchunks = min n (Atom_exec.Pool.size pool * 4) in
+  let per_domain = if n >= msm_pool_threshold then 4 else 1 in
+  let nchunks = min n (Atom_exec.Pool.size pool * per_domain) in
   let wins = Array.make n None in
   let partials =
     Atom_exec.Pool.tabulate ~pool nchunks (fun ci ->
@@ -712,8 +719,6 @@ let msm_straus_pooled pool (bases : t array) (exps : Nat.t array) : jp =
       jp_set_inf acc;
       Array.iter (fun partial -> jadd s acc partial) partials);
   acc
-
-let msm_pool_threshold = 64
 
 let msm_raw ?pool (pairs : (t * scalar) array) : t =
   (* Terms on a comb are added doubling-free after the rest: the
@@ -756,7 +761,7 @@ let msm_raw ?pool (pairs : (t * scalar) array) : t =
       if n > pippenger_threshold then msm_pippenger ?pool bases exps
       else begin
         match Atom_exec.Pool.resolve pool with
-        | Some pl when n >= msm_pool_threshold && Atom_exec.Pool.size pl > 1 ->
+        | Some pl when n >= msm_small_pool_threshold && Atom_exec.Pool.size pl > 1 ->
             (* No tables here: the tiers only serve MSMs of <= 8 pairs, far
                below the pooling threshold. *)
             msm_straus_pooled pl bases exps

@@ -408,7 +408,9 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           match Pr.trap_checks net ~commitments exits with
           | Some _, _ -> c.Coord.abort <- Some "trap checks failed"
           | None, inner_payloads ->
-              delivered := List.map Pr.Msg.unpad_plaintext (Pr.open_inners net inner_payloads)));
+              delivered :=
+                List.map Pr.Msg.unpad_plaintext
+                  (Pr.open_inners ?pool:c.Coord.pool net inner_payloads)));
       Coord.phase c "send";
       Coord.tell_live c
         (Ctrl.encode (Ctrl.Published { plaintexts = Array.of_list !delivered }))

@@ -283,16 +283,14 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     let rng = step_rng n ~gid ~iter ~tag:(1000 + (batch_idx * 64) + step) in
     let output, proofs =
       if nizk n then begin
-        let stepped =
-          Array.map
-            (fun v ->
-              Pr.P.Reenc_proof.reenc_vec_with_proof rng ~share ~coeff ~next_pk ~context:ctx v)
-            batch
+        let output, pis =
+          Pr.P.Reenc_proof.reenc_batch_with_proof ?pool:n.pool rng ~share ~coeff ~next_pk
+            ~context:ctx batch
         in
-        (Array.map fst stepped, Array.map (fun (_, pis) -> reenc_proofs_to_blob pis) stepped)
+        (output, Array.map reenc_proofs_to_blob pis)
       end
       else
-        ( Array.map (fun v -> fst (Pr.El.reenc_vec rng ~share ~coeff ~next_pk v)) batch,
+        ( fst (Pr.El.reenc_batch ?pool:n.pool rng ~share ~coeff ~next_pk batch),
           Array.map (fun _ -> "") batch )
     in
     Atom_obs.Metrics.incr n.m_steps;

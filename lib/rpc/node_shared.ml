@@ -122,25 +122,15 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
             | None -> fail ()))
 
   (* Verify one proof-carrying hop: [proofs] has one blob per unit proving
-     input.(u) → output.(u) under [eff_pk]/[next_pk]. Units are independent,
-     so the checks fan out across the pool (the sequential path kept its
-     first-failure short-circuit; the pooled one checks every unit — same
-     verdict either way). *)
+     input.(u) → output.(u) under [eff_pk]/[next_pk]. Every blob is decoded
+     first; then all (unit, component) proofs are checked as one pooled
+     job. *)
   let verify_hop ?pool ~(eff_pk : G.t) ~(next_pk : G.t option) ~(context : string)
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proofs : string array) : bool =
-    Array.length input = Array.length output
-    && Array.length input = Array.length proofs
-    && begin
-         let oks =
-           Atom_exec.Pool.tabulate ?pool (Array.length proofs) (fun u ->
-               match reenc_proofs_of_blob proofs.(u) with
-               | None -> false
-               | Some pis ->
-                   Pr.P.Reenc_proof.verify_vec ~eff_pk ~next_pk ~context
-                     ~input:input.(u) ~output:output.(u) pis)
-         in
-         Array.for_all Fun.id oks
-       end
+    let pis = Array.map reenc_proofs_of_blob proofs in
+    Array.for_all Option.is_some pis
+    && Pr.P.Reenc_proof.verify_batch ?pool ~eff_pk ~next_pk ~context ~input ~output
+         (Array.map Option.get pis)
 
   (* The check on the ReEnc step that produced a frame, run by whoever
      receives it — the next member, the next layer's head, the

@@ -71,12 +71,15 @@ struct
         ];
       G.hash_to_scalar (Transcript.digest tr)
 
-    let prove (rng : Atom_util.Rng.t) ~(context : string) ~(g1 : G.t) ~(h1 : G.t) ~(g2 : G.t)
-        ~(h2 : G.t) ~(x : G.Scalar.t) : t =
-      let s = G.Scalar.random rng in
-      let a1 = G.pow g1 s and a2 = G.pow g2 s in
+    (* The proof as a pure function of its nonce. *)
+    let prove_with ~(nonce : G.Scalar.t) ~(context : string) ~(g1 : G.t) ~(h1 : G.t)
+        ~(g2 : G.t) ~(h2 : G.t) ~(x : G.Scalar.t) : t =
+      let a1 = G.pow g1 nonce and a2 = G.pow g2 nonce in
       let t = challenge ~context (g1, h1, g2, h2) a1 a2 in
-      { a1; a2; u = G.Scalar.add s (G.Scalar.mul t x) }
+      { a1; a2; u = G.Scalar.add nonce (G.Scalar.mul t x) }
+
+    let prove (rng : Atom_util.Rng.t) ~context ~g1 ~h1 ~g2 ~h2 ~x : t =
+      prove_with ~nonce:(G.Scalar.random rng) ~context ~g1 ~h1 ~g2 ~h2 ~x
 
     (* Each leg g^u = a·h^t is checked as g^u·h^{-t} = a (one double-scalar
        multiplication). g1 is the group generator in every caller, so that
@@ -108,17 +111,36 @@ struct
       rerand_proof : Dleq.t option; (* DLEQ(g, R'/R; X', c'·D/c); None at the exit layer *)
     }
 
-    (* Perform one server's ReEnc step and prove it. [eff_pk] = g^{x_eff}
-       where x_eff = coeff·share is the effective exponent this server uses
-       (for anytrust groups coeff = 1 and eff_pk is the server's public
-       key; for many-trust groups it is share_pk^λ). *)
-    let prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context (ct : El.cipher) : El.cipher * t =
-      let x_eff = G.Scalar.mul coeff share in
+    (* The randomness of one component's proven step, in the order the
+       step draws it: the fresh exponent r' (re-encrypting layers only),
+       the strip proof's nonce, the rerandomization proof's nonce
+       (re-encrypting layers only). *)
+    type draws = { fresh : G.Scalar.t; strip_nonce : G.Scalar.t; rerand_nonce : G.Scalar.t }
+
+    let draw rng ~(next_pk : G.t option) : draws =
+      match next_pk with
+      | None ->
+          let strip_nonce = G.Scalar.random rng in
+          { fresh = G.Scalar.zero; strip_nonce; rerand_nonce = G.Scalar.zero }
+      | Some _ ->
+          let fresh = G.Scalar.random rng in
+          let strip_nonce = G.Scalar.random rng in
+          let rerand_nonce = G.Scalar.random rng in
+          { fresh; strip_nonce; rerand_nonce }
+
+    (* Perform one server's ReEnc step on one component and prove it, as a
+       pure function of its draws. [eff_pk] = g^{x_eff} where
+       x_eff = coeff·share is the effective exponent this server uses (for
+       anytrust groups coeff = 1 and eff_pk is the server's public key; for
+       many-trust groups it is share_pk^λ). *)
+    let prove_step ~x_eff ~eff_pk ~next_pk ~context (dr : draws) (ct : El.cipher) :
+        El.cipher * t =
       let y_in, r_in = match ct.El.y with None -> (ct.El.r, G.one) | Some y -> (y, ct.El.r) in
-      let ct', wit = El.reenc rng ~share ~coeff ~next_pk ct in
+      let ct', wit = El.reenc_with ~x_eff ~next_pk ~fresh:dr.fresh ct in
       let d = wit.El.stripped in
       let strip_proof =
-        Dleq.prove rng ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:d ~x:x_eff
+        Dleq.prove_with ~nonce:dr.strip_nonce ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:d
+          ~x:x_eff
       in
       let rerand_proof =
         match next_pk with
@@ -126,14 +148,38 @@ struct
         | Some pk' ->
             let h1 = G.div ct'.El.r r_in in
             let h2 = G.div (G.mul ct'.El.c d) ct.El.c in
-            Some (Dleq.prove rng ~context ~g1:G.generator ~h1 ~g2:pk' ~h2 ~x:wit.El.fresh)
+            Some
+              (Dleq.prove_with ~nonce:dr.rerand_nonce ~context ~g1:G.generator ~h1 ~g2:pk' ~h2
+                 ~x:wit.El.fresh)
       in
       (ct', { stripped = d; strip_proof; rerand_proof })
 
     let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
         ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
-      let eff_pk = G.pow_gen (G.Scalar.mul coeff share) in
-      prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context ct
+      let x_eff = G.Scalar.mul coeff share in
+      prove_step ~x_eff ~eff_pk:(G.pow_gen x_eff) ~next_pk ~context (draw rng ~next_pk) ct
+
+    (* One proven ReEnc step over a batch of vectors: every component's
+       randomness is drawn on the caller in the elementwise order, then
+       the components run as one pooled job. One effective key serves the
+       whole step ([eff_pk] draws no randomness), so the proofs are the
+       same bytes as per-component [reenc_with_proof] calls. *)
+    let reenc_batch_with_proof ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk ~context
+        (batch : El.vec array) : El.vec array * t array array =
+      let x_eff = G.Scalar.mul coeff share in
+      let eff_pk = G.pow_gen x_eff in
+      let drawn = Array.map (Array.map (fun ct -> (draw rng ~next_pk, ct))) batch in
+      let stepped =
+        Atom_exec.Pool.map_nested ?pool
+          (fun (dr, ct) -> prove_step ~x_eff ~eff_pk ~next_pk ~context dr ct)
+          drawn
+      in
+      (Array.map (Array.map fst) stepped, Array.map (Array.map snd) stepped)
+
+    let reenc_vec_with_proof rng ~share ?coeff ~next_pk ~context (v : El.vec) :
+        El.vec * t array =
+      let out, pis = reenc_batch_with_proof rng ~share ?coeff ~next_pk ~context [| v |] in
+      (out.(0), pis.(0))
 
     let verify ~(eff_pk : G.t) ~(next_pk : G.t option) ~(context : string) ~(input : El.cipher)
         ~(output : El.cipher) (pi : t) : bool =
@@ -155,23 +201,6 @@ struct
           Dleq.verify ~context ~g1:G.generator ~h1 ~g2:pk' ~h2 rp
       | _ -> false
 
-    (* One effective key for the whole vector: [eff_pk] draws no
-       randomness, so the proofs are the same bytes as per-component
-       [reenc_with_proof] calls. *)
-    let reenc_vec_with_proof rng ~share ?(coeff = G.Scalar.one) ~next_pk ~context (v : El.vec) :
-        El.vec * t array =
-      let eff_pk = G.pow_gen (G.Scalar.mul coeff share) in
-      let proofs = Array.make (Array.length v) None in
-      let out =
-        Array.mapi
-          (fun i ct ->
-            let ct', pi = prove_step rng ~share ~coeff ~eff_pk ~next_pk ~context ct in
-            proofs.(i) <- Some pi;
-            ct')
-          v
-      in
-      (out, Array.map Option.get proofs)
-
     let to_bytes (pi : t) : string =
       let tag, rest =
         match pi.rerand_proof with
@@ -189,18 +218,24 @@ struct
           | 1 -> { stripped; strip_proof; rerand_proof = Some (Dleq.read r) }
           | _ -> Bin.R.fail ())
 
+    (* Every component of every unit checked as one pooled job; all of
+       them run, so the verdict is the same as the elementwise check's. *)
+    let verify_batch ?pool ~eff_pk ~next_pk ~context ~(input : El.vec array)
+        ~(output : El.vec array) (pis : t array array) : bool =
+      let same_shape a b = Array.length a = Array.length b in
+      same_shape pis input && same_shape output input
+      && Array.for_all2 same_shape pis input
+      && Array.for_all2 same_shape output input
+      && Array.for_all
+           (Array.for_all Fun.id)
+           (Atom_exec.Pool.map_nested ?pool
+              (fun (u, c) ->
+                verify ~eff_pk ~next_pk ~context ~input:input.(u).(c) ~output:output.(u).(c)
+                  pis.(u).(c))
+              (Array.mapi (fun u v -> Array.mapi (fun c _ -> (u, c)) v) input))
+
     let verify_vec ~eff_pk ~next_pk ~context ~(input : El.vec) ~(output : El.vec)
         (pis : t array) : bool =
-      Array.length pis = Array.length input
-      && Array.length output = Array.length input
-      && begin
-           let ok = ref true in
-           Array.iteri
-             (fun i pi ->
-               if not (verify ~eff_pk ~next_pk ~context ~input:input.(i) ~output:output.(i) pi)
-               then ok := false)
-             pis;
-           !ok
-         end
+      verify_batch ~eff_pk ~next_pk ~context ~input:[| input |] ~output:[| output |] [| pis |]
   end
 end

@@ -60,12 +60,29 @@ module Make
     val to_bytes : t -> string
     val of_bytes : string -> t option
 
+    val reenc_batch_with_proof :
+      ?pool:Atom_exec.Pool.t -> Atom_util.Rng.t -> share:G.Scalar.t -> ?coeff:G.Scalar.t ->
+      next_pk:G.t option -> context:string -> El.vec array -> El.vec array * t array array
+    (** One proven ReEnc step over a batch of vectors, as one pooled job
+        over every component. All randomness is drawn on the caller first,
+        in {!reenc_with_proof}'s order component by component, so the
+        ciphertexts and proofs are the same bytes for every pool size and
+        the same as per-component {!reenc_with_proof} calls. *)
+
     val reenc_vec_with_proof :
       Atom_util.Rng.t -> share:G.Scalar.t -> ?coeff:G.Scalar.t -> next_pk:G.t option ->
       context:string -> El.vec -> El.vec * t array
+    (** {!reenc_batch_with_proof} of one vector. *)
+
+    val verify_batch :
+      ?pool:Atom_exec.Pool.t -> eff_pk:G.t -> next_pk:G.t option -> context:string ->
+      input:El.vec array -> output:El.vec array -> t array array -> bool
+    (** Check a batch's proofs, one per component, as one pooled job over
+        every component. False on any shape mismatch. *)
 
     val verify_vec :
       eff_pk:G.t -> next_pk:G.t option -> context:string -> input:El.vec -> output:El.vec ->
       t array -> bool
+    (** {!verify_batch} of one vector. *)
   end
 end

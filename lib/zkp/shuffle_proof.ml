@@ -74,6 +74,25 @@ struct
       if w = 0 || Array.exists (fun v -> Array.length v <> w) vs then None else Some w
     end
 
+  (* The chain ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} (ĉ_{-1} = h) in closed form:
+     ĉ_i = g^{d_i}·h^{U_i} with d_i = ŝ_i + u'_i·d_{i-1} (d_{-1} = 0) and
+     U_i = Π_{k≤i} u'_k. Unrolled, the links no longer depend on each
+     other, so the n double exponentiations go to the pool; the exponents
+     are cheap scalar recurrences on the caller. Also returns d_{n-1},
+     the secret of relation (C). *)
+  let commitment_chain ?pool (h : G.t) ~(shat : S.t array) ~(uprime : S.t array) :
+      G.t array * S.t =
+    let n = Array.length shat in
+    let d = Array.make n S.zero and uprod = Array.make n S.one in
+    for i = 0 to n - 1 do
+      let d_prev = if i = 0 then S.zero else d.(i - 1) in
+      let u_prev = if i = 0 then S.one else uprod.(i - 1) in
+      d.(i) <- S.add shat.(i) (S.mul uprime.(i) d_prev);
+      uprod.(i) <- S.mul u_prev uprime.(i)
+    done;
+    ( Atom_exec.Pool.tabulate ?pool n (fun i -> G.pow2 G.generator d.(i) h uprod.(i)),
+      if n = 0 then S.zero else d.(n - 1) )
+
   let prove ?pool (rng : Atom_util.Rng.t) ~(pk : G.t) ~(context : string)
       ~(input : El.vec array) ~(output : El.vec array)
       ~(witness : El.vec_shuffle_witness) : t =
@@ -98,14 +117,7 @@ struct
     Array.iteri (fun j uj -> uprime.(perm.(j)) <- uj) u;
     (* 3. chain *)
     let shat = Array.init n (fun _ -> S.random rng) in
-    let chain = Array.make n G.one in
-    let d = ref S.zero in
-    let prev = ref h in
-    for i = 0 to n - 1 do
-      chain.(i) <- G.pow2 G.generator shat.(i) !prev uprime.(i);
-      d := S.add shat.(i) (S.mul uprime.(i) !d);
-      prev := chain.(i)
-    done;
+    let chain, d = commitment_chain ?pool h ~shat ~uprime in
     (* secrets of the aggregate relations *)
     let rbar = Array.fold_left ( fun acc (rj, uj) -> S.add acc (S.mul rj uj)) S.zero
         (Array.map2 (fun a b -> (a, b)) r u) in
@@ -123,31 +135,29 @@ struct
     let w_s = Array.init width (fun _ -> S.random rng) in
     let w_prime = Array.init n (fun _ -> S.random rng) in
     let w_hat = Array.init n (fun _ -> S.random rng) in
-    let t_a =
-      G.msm ?pool
-        (Array.init (n + 1) (fun i ->
-             if i = 0 then (G.generator, w_rbar) else (hi.(i - 1), w_prime.(i - 1))))
-    in
-    let t_b = G.pow_gen w_rhat in
-    let t_c = G.pow_gen w_d in
     let t_chain =
       Atom_exec.Pool.tabulate ?pool n (fun i ->
           let prev = if i = 0 then h else chain.(i - 1) in
           G.pow2 G.generator w_hat.(i) prev w_prime.(i))
     in
-    let t_er =
-      Array.init width (fun w ->
-          G.msm ?pool
-            (Array.init (n + 1) (fun i ->
-                 if i = 0 then (G.generator, w_s.(w))
-                 else (input.(i - 1).(w).El.r, w_prime.(i - 1)))))
+    (* t_a and every column's two announcements: 1 + 2·width independent
+       MSMs of n + 1 terms, one job. *)
+    let announce (b0, k0) base =
+      G.msm
+        (Array.init (n + 1) (fun i ->
+             if i = 0 then (b0, k0) else (base (i - 1), w_prime.(i - 1))))
     in
-    let t_ec =
-      Array.init width (fun w ->
-          G.msm ?pool
-            (Array.init (n + 1) (fun i ->
-                 if i = 0 then (pk, w_s.(w)) else (input.(i - 1).(w).El.c, w_prime.(i - 1)))))
+    let announced =
+      Atom_exec.Pool.tabulate ?pool ((2 * width) + 1) (fun k ->
+          if k = 0 then announce (G.generator, w_rbar) (fun i -> hi.(i))
+          else if k <= width then
+            announce (G.generator, w_s.(k - 1)) (fun i -> input.(i).(k - 1).El.r)
+          else announce (pk, w_s.(k - 1 - width)) (fun i -> input.(i).(k - 1 - width).El.c))
     in
+    let t_a = announced.(0) in
+    let t_er = Array.sub announced 1 width and t_ec = Array.sub announced (1 + width) width in
+    let t_b = G.pow_gen w_rhat in
+    let t_c = G.pow_gen w_d in
     (* 5. challenge v over everything *)
     Array.iter (fun c -> Transcript.add tr (G.to_bytes c)) chain;
     Transcript.add_list tr [ G.to_bytes t_a; G.to_bytes t_b; G.to_bytes t_c ];
@@ -168,7 +178,7 @@ struct
       t_ec;
       k_rbar = resp w_rbar rbar;
       k_rhat = resp w_rhat rhat;
-      k_d = resp w_d !d;
+      k_d = resp w_d d;
       k_s = Array.init width (fun w -> resp w_s.(w) stilde.(w));
       k_prime = Array.init n (fun i -> resp w_prime.(i) uprime.(i));
       k_hat = Array.init n (fun i -> resp w_hat.(i) shat.(i));

@@ -37,6 +37,14 @@ module Make
   (** The verifier folds every relation into one big multi-exponentiation;
       [?pool] parallelizes it (the verdict is identical for any pool). *)
 
+  val commitment_chain :
+    ?pool:Atom_exec.Pool.t -> G.t -> shat:G.Scalar.t array -> uprime:G.Scalar.t array ->
+    G.t array * G.Scalar.t
+  (** [commitment_chain h ~shat ~uprime] is the prover's chain
+      ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} with ĉ_{-1} = h, computed link by link
+      in closed form as g^{d_i}·h^{Π_{k≤i} u'_k}, and its final exponent
+      d_{n-1} (zero when empty). *)
+
   val to_bytes : t -> string
 
   val of_bytes : string -> t option

@@ -47,6 +47,116 @@ let test_pool_tabulate_matches_init () =
             (Pool.tabulate ~pool:p 513 f)))
     pool_sizes
 
+(* Every size from empty to a few items per domain: nothing runs first on
+   the caller any more, so the smallest jobs go to the pool whole. *)
+let test_pool_small_sizes () =
+  let f i = (i * i) + 1 in
+  List.iter
+    (fun domains ->
+      with_pool domains (fun p ->
+          for n = 0 to 9 do
+            let tag s = Printf.sprintf "%s n=%d (domains=%d)" s n domains in
+            Alcotest.(check (array int))
+              (tag "tabulate") (Array.init n f) (Pool.tabulate ~pool:p n f);
+            Alcotest.(check (array int)) (tag "map") (Array.init n f)
+              (Pool.map ~pool:p f (Array.init n Fun.id))
+          done))
+    pool_sizes
+
+(* A pool whose metrics the test reads back. *)
+let with_metered_pool (domains : int) (f : Pool.t -> Atom_obs.Metrics.t -> 'a) : 'a =
+  let obs = Atom_obs.Ctx.create () in
+  let p = Pool.create ~obs ~domains () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p (Atom_obs.Ctx.metrics obs))
+
+(* Two systhreads sharing one pool take turns on it: each of their jobs is
+   dispatched (none falls back to running inline) and every result is its
+   own caller's. Each item takes 2 ms, so the jobs stay long enough to be
+   worth waiting for. *)
+let test_pool_concurrent_callers () =
+  with_metered_pool 2 (fun p reg ->
+      let wrong = Atomic.make 0 in
+      let caller t () =
+        for k = 0 to 49 do
+          let base = (t * 1000) + (k * 2) in
+          let item i =
+            Unix.sleepf 0.002;
+            base + i
+          in
+          if Pool.tabulate ~pool:p 2 item <> [| base; base + 1 |] then Atomic.incr wrong
+        done
+      in
+      let threads = List.init 2 (fun t -> Thread.create (caller t) ()) in
+      List.iter Thread.join threads;
+      Alcotest.(check int) "every result right" 0 (Atomic.get wrong);
+      Alcotest.(check (float 0.)) "every job pooled" 100.
+        (Atom_obs.Metrics.counter_value reg "exec.pool.jobs");
+      Alcotest.(check (float 0.)) "nothing inline" 0.
+        (Atom_obs.Metrics.counter_value reg "exec.pool.inline"))
+
+(* Jobs far shorter than a wait: a caller that finds the pool busy runs
+   alone, and says so. Every result is still right. *)
+let test_pool_short_jobs_run_alone () =
+  with_metered_pool 2 (fun p reg ->
+      let wrong = Atomic.make 0 in
+      let caller t () =
+        for k = 0 to 499 do
+          let base = (t * 10_000) + (k * 2) in
+          if Pool.tabulate ~pool:p 2 (fun i -> base + i) <> [| base; base + 1 |] then
+            Atomic.incr wrong
+        done
+      in
+      let threads = List.init 2 (fun t -> Thread.create (caller t) ()) in
+      List.iter Thread.join threads;
+      let count name = Atom_obs.Metrics.counter_value reg name in
+      Alcotest.(check int) "every result right" 0 (Atomic.get wrong);
+      Alcotest.(check (float 0.)) "every run pooled or counted inline" 1000.
+        (count "exec.pool.jobs" +. count "exec.pool.inline"))
+
+let test_pool_nested_counted () =
+  with_metered_pool 2 (fun p reg ->
+      let outer =
+        Pool.tabulate ~pool:p 4 (fun i ->
+            Array.fold_left ( + ) 0 (Pool.tabulate ~pool:p 3 (fun j -> i + j)))
+      in
+      Alcotest.(check (array int)) "nested results" [| 3; 6; 9; 12 |] outer;
+      Alcotest.(check (float 0.)) "one pooled job" 1.
+        (Atom_obs.Metrics.counter_value reg "exec.pool.jobs");
+      Alcotest.(check (float 0.)) "each nested run inline" 4.
+        (Atom_obs.Metrics.counter_value reg "exec.pool.inline"))
+
+exception Boom of int
+
+(* A job that raises releases the pool: the systhread waiting for it
+   runs its own job next. *)
+let test_pool_failure_releases_waiter () =
+  with_metered_pool 2 (fun p reg ->
+      let started = Atomic.make false and raised = Atomic.make false in
+      let holder =
+        Thread.create
+          (fun () ->
+            try
+              Pool.run ~pool:p ~n:2 (fun i ->
+                  if i = 0 then begin
+                    Atomic.set started true;
+                    Unix.sleepf 0.3;
+                    raise (Boom i)
+                  end)
+            with Boom _ -> Atomic.set raised true)
+          ()
+      in
+      while not (Atomic.get started) do
+        Thread.yield ()
+      done;
+      let got = Pool.tabulate ~pool:p 2 (fun i -> i + 1) in
+      Thread.join holder;
+      Alcotest.(check bool) "holder saw its exception" true (Atomic.get raised);
+      Alcotest.(check (array int)) "waiter's job ran" [| 1; 2 |] got;
+      match Atom_obs.Metrics.find reg "exec.pool.wait_seconds" with
+      | Some (Atom_obs.Metrics.V_histogram h) ->
+          Alcotest.(check int) "the wait was recorded" 1 (Atom_obs.Metrics.hist_count h)
+      | _ -> Alcotest.fail "no exec.pool.wait_seconds histogram")
+
 (* [?chunk] changes only scheduling granularity, never results — from a
    single index per cursor fetch to one chunk spanning the whole range. *)
 let test_pool_chunk_identity () =
@@ -127,8 +237,6 @@ let test_of_domains () =
       let p, owned = Pool.of_domains 0 in
       Alcotest.(check bool) "0: not owned" false owned;
       Alcotest.(check bool) "0: the default pool" true (p == Pool.default ()))
-
-exception Boom of int
 
 let test_pool_propagates_exception () =
   with_pool 4 (fun p ->
@@ -275,6 +383,11 @@ let suite =
     [
       Alcotest.test_case "pool covers all indices" `Quick test_pool_covers_all_indices;
       Alcotest.test_case "tabulate matches init" `Quick test_pool_tabulate_matches_init;
+      Alcotest.test_case "pool small sizes" `Quick test_pool_small_sizes;
+      Alcotest.test_case "concurrent callers take turns" `Quick test_pool_concurrent_callers;
+      Alcotest.test_case "short jobs run alone" `Quick test_pool_short_jobs_run_alone;
+      Alcotest.test_case "nested runs inline and counted" `Quick test_pool_nested_counted;
+      Alcotest.test_case "failed job releases waiter" `Quick test_pool_failure_releases_waiter;
       Alcotest.test_case "chunk override identity" `Quick test_pool_chunk_identity;
       Alcotest.test_case "auto_domains host guard" `Quick test_auto_domains_host_guard;
       Alcotest.test_case "of_domains resolution" `Quick test_of_domains;

@@ -210,6 +210,122 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
       (List.sort compare (Array.to_list (Array.map key msgs)))
       (List.sort compare (Array.to_list out_msgs))
 
+  (* ---- pooled ReEnc steps and the closed-form shuffle chain ---- *)
+
+  module Ns = Atom_rpc.Node_shared.Make (G)
+  module RP = Ns.Pr.P.Reenc_proof (* the proofs [Ns]'s blobs carry *)
+
+  let with_pool2 (f : Atom_exec.Pool.t option -> unit) : unit =
+    f None;
+    let p = Atom_exec.Pool.create ~domains:2 () in
+    Fun.protect ~finally:(fun () -> Atom_exec.Pool.shutdown p) (fun () -> f (Some p))
+
+  let step_input r =
+    let kp = El.keygen r in
+    Array.init 3 (fun _ -> fst (El.enc_vec r kp.El.pk [| G.random r; G.random r |]))
+
+  let vecs_bytes vs = String.concat "" (Array.to_list (Array.map El.vec_to_bytes vs))
+
+  (* A step over a batch as one job over its components produces the
+     bytes of the elementwise path: per-component steps drawing from one
+     generator in unit order, component order. *)
+  let test_pooled_reenc_step_bytes () =
+    let r = rng () in
+    let batch = step_input r in
+    let share = G.Scalar.random r and coeff = G.Scalar.random r in
+    let next = (El.keygen r).El.pk in
+    let seed = 0x5e9 in
+    let each f = Array.map (Array.map f) batch in
+    List.iter
+      (fun next_pk ->
+        let layer = if next_pk = None then "exit" else "mid" in
+        let er = Atom_util.Rng.create seed in
+        let proven =
+          each (fun ct -> RP.reenc_with_proof er ~share ~coeff ~next_pk ~context:"s" ct)
+        in
+        let want_nizk = vecs_bytes (Array.map (Array.map fst) proven) in
+        let want_proofs = Array.map (fun u -> Ns.reenc_proofs_to_blob (Array.map snd u)) proven in
+        let er = Atom_util.Rng.create seed in
+        let want_plain =
+          vecs_bytes (each (fun ct -> fst (El.reenc er ~share ~coeff ~next_pk ct)))
+        in
+        with_pool2 (fun pool ->
+            let tag s =
+              Printf.sprintf "%s %s (%s)" layer s (if pool = None then "no pool" else "2 domains")
+            in
+            let out, pis =
+              RP.reenc_batch_with_proof ?pool (Atom_util.Rng.create seed) ~share ~coeff
+                ~next_pk ~context:"s" batch
+            in
+            Alcotest.(check string) (tag "nizk ciphertexts") want_nizk (vecs_bytes out);
+            Alcotest.(check (array string)) (tag "nizk proof blobs") want_proofs
+              (Array.map Ns.reenc_proofs_to_blob pis);
+            let out, _ =
+              El.reenc_batch ?pool (Atom_util.Rng.create seed) ~share ~coeff ~next_pk batch
+            in
+            Alcotest.(check string) (tag "trap/basic ciphertexts") want_plain (vecs_bytes out)))
+      [ Some next; None ]
+
+  (* The pooled hop check reaches the elementwise verdict, with and
+     without one tampered component. *)
+  let test_pooled_verify_hop_verdict () =
+    let r = rng () in
+    let input = step_input r in
+    let share = G.Scalar.random r in
+    let next_pk = Some (El.keygen r).El.pk in
+    let eff_pk = G.pow_gen share in
+    let output, pis =
+      RP.reenc_batch_with_proof r ~share ~next_pk ~context:"h" input
+    in
+    let blobs = Array.map Ns.reenc_proofs_to_blob pis in
+    let tampered = Array.map Array.copy output in
+    tampered.(1).(1) <- { (tampered.(1).(1)) with El.c = G.mul tampered.(1).(1).El.c G.generator };
+    List.iter
+      (fun (what, output) ->
+        let elementwise = ref true in
+        Array.iteri
+          (fun u v ->
+            Array.iteri
+              (fun c pi ->
+                if
+                  not
+                    (RP.verify ~eff_pk ~next_pk ~context:"h" ~input:input.(u).(c)
+                       ~output:output.(u).(c) pi)
+                then elementwise := false)
+              v)
+          pis;
+        Alcotest.(check bool) (what ^ " elementwise verdict") (what = "honest") !elementwise;
+        with_pool2 (fun pool ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s verify_hop (%s)" what
+                 (if pool = None then "no pool" else "2 domains"))
+              !elementwise
+              (Ns.verify_hop ?pool ~eff_pk ~next_pk ~context:"h" ~input ~output blobs)))
+      [ ("honest", output); ("tampered", tampered) ]
+
+  (* The chain's closed form equals the prover's recurrence
+     ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i}, link for link. *)
+  let test_commitment_chain_closed_form () =
+    let r = rng () in
+    List.iter
+      (fun n ->
+        let h = G.random r in
+        let shat = Array.init n (fun _ -> G.Scalar.random r) in
+        let uprime = Array.init n (fun _ -> G.Scalar.random r) in
+        let want = Array.make n G.one and d = ref G.Scalar.zero and prev = ref h in
+        for i = 0 to n - 1 do
+          want.(i) <- G.pow2 G.generator shat.(i) !prev uprime.(i);
+          d := G.Scalar.add shat.(i) (G.Scalar.mul uprime.(i) !d);
+          prev := want.(i)
+        done;
+        with_pool2 (fun pool ->
+            let chain, d' = Shuf.commitment_chain ?pool h ~shat ~uprime in
+            let bytes xs = Array.to_list (Array.map G.to_bytes xs) in
+            Alcotest.(check (list string))
+              (Printf.sprintf "chain n=%d" n) (bytes want) (bytes chain);
+            Alcotest.(check bool) (Printf.sprintf "d n=%d" n) true (G.Scalar.equal !d d')))
+      [ 1; 2; 5 ]
+
   let cases =
     let n = G.name in
     [
@@ -224,6 +340,10 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
       Alcotest.test_case (n ^ " shuffle proof non-permutation") `Quick
         test_shuffle_proof_not_a_permutation;
       Alcotest.test_case (n ^ " shuffle + decrypt") `Quick test_shuffle_decrypts_correctly;
+      Alcotest.test_case (n ^ " pooled reenc step bytes") `Quick test_pooled_reenc_step_bytes;
+      Alcotest.test_case (n ^ " pooled verify_hop verdict") `Quick test_pooled_verify_hop_verdict;
+      Alcotest.test_case (n ^ " shuffle chain closed form") `Quick
+        test_commitment_chain_closed_form;
     ]
 end
 
