@@ -2,6 +2,7 @@
    evaluation (§6), plus the §7 cost estimates and four ablations.
 
    Usage:  dune exec bench/main.exe [-- experiment ...]
+           dune exec bench/main.exe -- gate NAME FILE   (see gate.ml)
    With no arguments every experiment runs in order. Each block prints the
    measured/simulated series next to the paper's reported values; paper-vs-
    measured commentary lives in EXPERIMENTS.md.
@@ -24,6 +25,18 @@ let header title =
    rows) to BENCH_crypto.json in the current directory, for CI smoke runs
    and for tracking the multi-exponentiation engine. *)
 let json_mode = ref false
+
+module Json = Atom_obs.Json
+
+(* Numbers rounded to the digits a measurement carries (null when there is
+   none), printed by the one codec in its indented form. *)
+let rounded (s : string) : Json.t = Json.number (float_of_string s)
+let sig7 (x : float) : Json.t = rounded (Printf.sprintf "%.6e" x)
+let fixed (digits : int) (x : float) : Json.t = rounded (Printf.sprintf "%.*f" digits x)
+
+let write_json (file : string) (fields : (string * Json.t) list) : unit =
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc (Json.pretty (Json.Obj fields)));
+  Printf.printf "wrote %s\n\n" file
 
 (* ---- Table 3: cryptographic primitive latencies ---- *)
 
@@ -192,30 +205,18 @@ let table3 () =
     prim_rows;
   print_newline ();
   if !json_mode then begin
-    let buf = Buffer.create 2048 in
     let row name e extra =
-      Printf.sprintf
-        "    {\"name\": %S, \"seconds\": %.6e, \"seconds_min\": %.6e, \"seconds_max\": %.6e%s}"
-        name e.median e.lo e.hi extra
+      let s = [ ("seconds", sig7 e.median); ("seconds_min", sig7 e.lo); ("seconds_max", sig7 e.hi) ] in
+      Json.(Obj ((("name", Str name) :: s) @ extra))
     in
-    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-crypto/2\",\n  \"group\": \"p256\",\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"host_cores\": %d,\n  \"reps\": %d,\n"
-         (Domain.recommended_domain_count ()) table3_reps);
-    Buffer.add_string buf "  \"primitives\": [\n";
-    Buffer.add_string buf
-      (String.concat ",\n" (List.map (fun (name, e) -> row name e "") prim_rows));
-    Buffer.add_string buf "\n  ],\n  \"table3\": [\n";
-    Buffer.add_string buf
-      (String.concat ",\n"
-         (List.map
-            (fun (name, e, paper) -> row name e (Printf.sprintf ", \"paper_seconds\": %.6e" paper))
-            rows));
-    Buffer.add_string buf "\n  ]\n}\n";
-    let oc = open_out "BENCH_crypto.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_crypto.json\n\n"
+    write_json "BENCH_crypto.json"
+      Json.
+        [
+          ("schema", Str "atom-bench-crypto/2"); ("group", Str "p256");
+          ("host_cores", Int (Domain.recommended_domain_count ())); ("reps", Int table3_reps);
+          ("primitives", Arr (List.map (fun (name, e) -> row name e []) prim_rows));
+          ("table3", Arr (List.map (fun (name, e, paper) -> row name e [ ("paper_seconds", sig7 paper) ]) rows));
+        ]
   end
 
 (* ---- Table 4: anytrust group setup latency (DKG) ---- *)
@@ -609,29 +610,22 @@ let wire_bench () =
         (float_of_int bytes /. s /. 1e6))
     rows;
   print_newline ();
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-wire/2\",\n  \"group\": \"zp-test\",\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ()));
-    Buffer.add_string buf "  \"batch_units\": 1024,\n  \"items\": [\n";
-    let n = List.length rows in
-    List.iteri
-      (fun i (name, validation, bytes, s) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": %S, \"validation\": %S, \"bytes\": %d, \"seconds\": %.6e, \
-              \"mb_per_s\": %.2f}%s\n"
-             name validation bytes s
-             (float_of_int bytes /. s /. 1e6)
-             (if i = n - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_wire.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_wire.json\n\n"
-  end
+  if !json_mode then
+    write_json "BENCH_wire.json"
+      Json.
+        [
+          ("schema", Str "atom-bench-wire/2"); ("group", Str "zp-test");
+          ("host_cores", Int (Domain.recommended_domain_count ())); ("batch_units", Int 1024);
+          ( "items",
+            Arr
+              (List.map
+                 (fun (name, validation, bytes, s) ->
+                   let mb_per_s = fixed 2 (float_of_int bytes /. s /. 1e6) in
+                   Obj
+                     [ ("name", Str name); ("validation", Str validation); ("bytes", Int bytes);
+                       ("seconds", sig7 s); ("mb_per_s", mb_per_s) ])
+                 rows) );
+        ]
 
 (* ---- parallel: domain-pool scaling of the crypto hot paths ---- *)
 
@@ -843,44 +837,34 @@ let parallel () =
      host cores: %d; measured recommended_domains: %d\n\n"
     reps warmup host_cores recommended;
   if !json_mode then begin
-    let buf = Buffer.create 2048 in
-    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-parallel/2\",\n";
-    Buffer.add_string buf (Printf.sprintf "  \"recommended_domains\": %d,\n" recommended);
-    Buffer.add_string buf (Printf.sprintf "  \"host_cores\": %d,\n" host_cores);
-    Buffer.add_string buf (Printf.sprintf "  \"reps\": %d,\n  \"warmup\": %d,\n" reps warmup);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"domains\": [%s],\n"
-         (String.concat ", " (List.map string_of_int domain_counts)));
-    Buffer.add_string buf "  \"workloads\": [\n";
-    let nw = List.length results in
-    List.iteri
-      (fun wi (name, group, n, rows, base, identical) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"name\": %S, \"group\": %S, \"n\": %d, \"identical\": %b,\n     \"results\": [\n"
-             name group n identical);
-        let nr = List.length rows in
-        List.iteri
-          (fun i (domains, t, (cm, cp, pm, pp), _) ->
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "       {\"domains\": %d, \"seconds\": %.6e, \"seconds_min\": %.6e, \
-                  \"spread\": %.3f, \"speedup\": %.3f, \"model_speedup\": %.3f,\n\
-                 \        \"gc\": {\"caller_minor_words_per_run\": %.0f, \
-                  \"caller_promoted_words_per_run\": %.0f, \"pool_minor_words_per_run\": %.0f, \
-                  \"pool_promoted_words_per_run\": %.0f}}%s\n"
-                 domains t.med t.mn t.spread (base /. t.med)
-                 (model_base /. model_seconds domains)
-                 cm cp pm pp
-                 (if i = nr - 1 then "" else ",")))
-          rows;
-        Buffer.add_string buf (Printf.sprintf "     ]}%s\n" (if wi = nw - 1 then "" else ",")))
-      results;
-    Buffer.add_string buf "  ]\n}\n";
-    let oc = open_out "BENCH_parallel.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_parallel.json\n\n"
+    let result base (domains, t, (cm, cp, pm, pp), _) =
+      let words x = Json.Int (int_of_float (Float.round x)) in
+      Json.(
+        Obj
+          [
+            ("domains", Int domains); ("seconds", sig7 t.med); ("seconds_min", sig7 t.mn);
+            ("spread", fixed 3 t.spread); ("speedup", fixed 3 (base /. t.med));
+            ("model_speedup", fixed 3 (model_base /. model_seconds domains));
+            ( "gc",
+              Obj
+                [ ("caller_minor_words_per_run", words cm); ("caller_promoted_words_per_run", words cp);
+                  ("pool_minor_words_per_run", words pm); ("pool_promoted_words_per_run", words pp) ] );
+          ])
+    in
+    let workload (name, group, n, rows, base, identical) =
+      Json.(
+        Obj
+          [ ("name", Str name); ("group", Str group); ("n", Int n); ("identical", Bool identical);
+            ("results", Arr (List.map (result base) rows)) ])
+    in
+    write_json "BENCH_parallel.json"
+      Json.
+        [
+          ("schema", Str "atom-bench-parallel/2"); ("recommended_domains", Int recommended);
+          ("host_cores", Int host_cores); ("reps", Int reps); ("warmup", Int warmup);
+          ("domains", Arr (List.map (fun d -> Int d) domain_counts));
+          ("workloads", Arr (List.map workload results));
+        ]
   end
 
 (* ---- ingest: the submission plane ----
@@ -1036,40 +1020,28 @@ let ingest_bench () =
   Printf.printf
     "hostile mix: %d offered -> %.1f%% admitted, %.1f%% backpressured, %.1f%% rejected\n\n"
     offered (100. *. frac !acc) (100. *. frac !bp) (100. *. frac !rej);
-  if !json_mode then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"atom-bench-ingest/1\",\n  \"group\": \"zp-test\",\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"admission_checks_per_sec\": %.1f,\n  \"intake_submissions_per_sec\": %.1f,\n"
-         adm_rate sub_rate);
-    Buffer.add_string buf "  \"pow\": [";
-    List.iteri
-      (fun i (bits, r) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s{\"bits\": %d, \"solves_per_sec\": %.2f}"
-             (if i = 0 then "" else ", ")
-             bits r))
-      pow_rates;
-    Buffer.add_string buf "],\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"pipeline\": {\"servers\": %d, \"groups\": %d, \"users_per_epoch\": %d, \
-          \"epochs\": %d, \"admit_s_p50\": %.4f, \"epoch_latency_s\": {\"p50\": %.4f, \
-          \"p99\": %.4f}, \"submissions_per_sec\": %.2f, \"submissions_per_sec_per_node\": \
-          %.3f},\n"
-         servers groups u_per_epoch n_epochs (p admit_lats 50.) lat_p50 lat_p99 pipe_sps
-         (pipe_sps /. float_of_int servers));
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"rejection\": {\"offered\": %d, \"admitted\": %d, \"backpressured\": %d, \
-          \"rejected\": %d, \"backpressure_rate\": %.4f, \"rejected_rate\": %.4f}\n"
-         offered !acc !bp !rej (frac !bp) (frac !rej));
-    Buffer.add_string buf "}\n";
-    let oc = open_out "BENCH_ingest.json" in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "wrote BENCH_ingest.json\n\n"
-  end
+  if !json_mode then
+    write_json "BENCH_ingest.json"
+      Json.
+        [
+          ("schema", Str "atom-bench-ingest/1"); ("group", Str "zp-test");
+          ("host_cores", Int (Domain.recommended_domain_count ()));
+          ("admission_checks_per_sec", fixed 1 adm_rate); ("intake_submissions_per_sec", fixed 1 sub_rate);
+          ( "pow",
+            Arr (List.map (fun (bits, r) -> Obj [ ("bits", Int bits); ("solves_per_sec", fixed 2 r) ]) pow_rates) );
+          ( "pipeline",
+            Obj
+              [ ("servers", Int servers); ("groups", Int groups); ("users_per_epoch", Int u_per_epoch);
+                ("epochs", Int n_epochs); ("admit_s_p50", fixed 4 (p admit_lats 50.));
+                ("epoch_latency_s", Obj [ ("p50", fixed 4 lat_p50); ("p99", fixed 4 lat_p99) ]);
+                ("submissions_per_sec", fixed 2 pipe_sps);
+                ("submissions_per_sec_per_node", fixed 3 (pipe_sps /. float_of_int servers)) ] );
+          ( "rejection",
+            Obj
+              [ ("offered", Int offered); ("admitted", Int !acc); ("backpressured", Int !bp);
+                ("rejected", Int !rej);
+                ("backpressure_rate", fixed 4 (frac !bp)); ("rejected_rate", fixed 4 (frac !rej)) ] );
+        ]
 
 let experiments : (string * string * (unit -> unit)) list =
   [
@@ -1098,6 +1070,7 @@ let experiments : (string * string * (unit -> unit)) list =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  (match args with "gate" :: rest -> exit (Atom_gate.Gate.main rest) | _ -> ());
   let json, args = List.partition (fun a -> a = "--json") args in
   json_mode := json <> [];
   let selected =

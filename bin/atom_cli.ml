@@ -9,6 +9,13 @@
 
 open Cmdliner
 open Atom_core
+module Json = Atom_obs.Json
+
+(* A measurement rounded to [d] decimals for the JSON summaries; null when
+   there is none. *)
+let rounded (d : int) (x : float) : Json.t = Json.number (float_of_string (Printf.sprintf "%.*f" d x))
+
+let opt_str : string option -> Json.t = Option.fold ~none:Json.Null ~some:(fun s -> Json.Str s)
 
 (* Shared --metrics plumbing: group-op tallies around a run, plus the
    registry dump when a live one was threaded through. *)
@@ -1016,8 +1023,7 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
     node_bin timeout epochs fail_at loss corrupt smoke telemetry_out log_dir =
   let epochs = if smoke then 3 else epochs in
   let metrics_dir = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "atom-soak-%d" (Unix.getpid ())) in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"epochs\": [\n";
+  let epoch_rows = ref [] in
   let mismatches = ref 0 in
   let total_kills = ref 0 in
   let total_recoveries = ref 0 in
@@ -1075,48 +1081,36 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
          r.fs_recovery_rounds
          (int_of_float (counter "node.recoveries"))
          (List.length r.fs_failed_nodes) r.fs_peak_child_rss_kb;
-       if e > 0 then Buffer.add_string buf ",\n";
-       Buffer.add_string buf
-         (Printf.sprintf
-            "    {\"epoch\": %d, \"seed\": %d, \"plan\": \"%s\", \"matched\": %b, \
-             \"abort\": %s, \"wall_s\": %.3f, \"delivered\": %d, \"faults_injected\": %d, \
-             \"recovery_sweeps\": %d, \"share_recoveries\": %d, \"failed_nodes\": [%s], \
-             \"bad_frames\": %d, \"dups_dropped\": %d, \"resends\": %d, \"exit_dups\": %d, \
-             \"recovery_seconds\": [%s], \"coord_rss_kb\": %d, \"peak_child_rss_kb\": %d}"
-            e epoch_seed (Atom_obs.Trace.json_escape plan.ep_descr) r.fs_matched
-            (match r.fs_abort with
-            | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
-            | None -> "null")
-            r.fs_wall_s
-            (List.length r.fs_delivered)
-            (int_of_float faults_this_epoch)
-            r.fs_recovery_rounds
-            (int_of_float (counter "node.recoveries"))
-            (String.concat ", " (List.map string_of_int r.fs_failed_nodes))
-            (int_of_float (counter "node.bad_frames"))
-            (int_of_float (counter "node.dups_dropped"))
-            (int_of_float (counter "node.resends"))
-            r.fs_exit_dups
-            (String.concat ", " (List.map (Printf.sprintf "%.3f") r.fs_recovery_seconds))
-            coord_rss.(e) r.fs_peak_child_rss_kb);
+       let count name = Json.Int (int_of_float (counter name)) in
+       epoch_rows :=
+         Json.(
+           Obj
+             [ ("epoch", Int e); ("seed", Int epoch_seed); ("plan", Str plan.ep_descr);
+               ("matched", Bool r.fs_matched); ("abort", opt_str r.fs_abort); ("wall_s", rounded 3 r.fs_wall_s);
+               ("delivered", Int (List.length r.fs_delivered));
+               ("faults_injected", Int (int_of_float faults_this_epoch));
+               ("recovery_sweeps", Int r.fs_recovery_rounds); ("share_recoveries", count "node.recoveries");
+               ("failed_nodes", Arr (List.map (fun i -> Int i) r.fs_failed_nodes));
+               ("bad_frames", count "node.bad_frames"); ("dups_dropped", count "node.dups_dropped");
+               ("resends", count "node.resends"); ("exit_dups", Int r.fs_exit_dups);
+               ("recovery_seconds", Arr (List.map (rounded 3) r.fs_recovery_seconds));
+               ("coord_rss_kb", Int coord_rss.(e)); ("peak_child_rss_kb", Int r.fs_peak_child_rss_kb) ])
+         :: !epoch_rows;
        if not r.fs_matched then begin
          Printf.printf "soak: plaintext mismatch in epoch %d — stopping\n%!" e;
          raise Exit
        end
      done
    with Exit -> ());
-  Buffer.add_string buf "\n  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"summary\": {\"epochs_scheduled\": %d, \"epochs_survived\": %d, \"mismatches\": \
-        %d, \"kills\": %d, \"faults_injected\": %d, \"recovery_sweeps\": %d, \
-        \"share_recoveries\": %d, \"peak_rss_kb\": %d, \"coord_rss_first_kb\": %d, \
-        \"coord_rss_last_kb\": %d},\n"
-       epochs !survived !mismatches !total_kills
-       (int_of_float !total_faults)
-       !total_recovery_sweeps !total_recoveries !peak_rss
-       (if epochs > 0 then coord_rss.(0) else 0)
-       (if epochs > 0 then coord_rss.(max 0 (!survived + !mismatches - 1)) else 0));
+  let summary =
+    Json.(
+      Obj
+        [ ("epochs_scheduled", Int epochs); ("epochs_survived", Int !survived); ("mismatches", Int !mismatches);
+          ("kills", Int !total_kills); ("faults_injected", Int (int_of_float !total_faults));
+          ("recovery_sweeps", Int !total_recovery_sweeps); ("share_recoveries", Int !total_recoveries);
+          ("peak_rss_kb", Int !peak_rss); ("coord_rss_first_kb", Int (if epochs > 0 then coord_rss.(0) else 0));
+          ("coord_rss_last_kb", Int (if epochs > 0 then coord_rss.(max 0 (!survived + !mismatches - 1)) else 0)) ])
+  in
   (* The error budget: every injected fault must land in an epoch whose
      output matched the reference ("recovered"), and no epoch may
      mismatch. CI asserts faults_injected == faults_recovered and
@@ -1127,16 +1121,20 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
   let recovered = int_of_float !faults_recovered in
   let unrecovered = faults_injected - recovered in
   let verdict = if unrecovered = 0 && !mismatches = 0 then "met" else "missed" in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"error_budget\": {\"faults_injected\": %d, \"faults_recovered\": %d, \
-        \"faults_unrecovered\": %d, \"mismatches\": %d, \"recovery_time_s\": {\"count\": \
-        %d, \"p50\": %.3f, \"p90\": %.3f, \"p99\": %.3f, \"max\": %.3f}, \"verdict\": \
-        \"%s\"}\n"
-       faults_injected recovered unrecovered !mismatches (Array.length rec_arr) (rp 50.)
-       (rp 90.) (rp 99.) (rp 100.) verdict);
-  Buffer.add_string buf "}\n";
-  Out_channel.with_open_bin telemetry_out (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
+  let error_budget =
+    Json.(
+      Obj
+        [ ("faults_injected", Int faults_injected); ("faults_recovered", Int recovered);
+          ("faults_unrecovered", Int unrecovered); ("mismatches", Int !mismatches);
+          ( "recovery_time_s",
+            Obj
+              [ ("count", Int (Array.length rec_arr)); ("p50", rounded 3 (rp 50.)); ("p90", rounded 3 (rp 90.));
+                ("p99", rounded 3 (rp 99.)); ("max", rounded 3 (rp 100.)) ] );
+          ("verdict", Str verdict) ])
+  in
+  let epochs_json = Json.Arr (List.rev !epoch_rows) in
+  let doc = Json.Obj [ ("epochs", epochs_json); ("summary", summary); ("error_budget", error_budget) ] in
+  Out_channel.with_open_bin telemetry_out (fun oc -> Out_channel.output_string oc (Json.pretty doc));
   Printf.printf
     "soak: %d/%d epochs survived, %d mismatches, %d faults injected (%d recovered), %d \
      recovery sweeps, %d share recoveries, peak RSS %d kB\n\
@@ -1509,41 +1507,26 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
   (match json_out with
   | None -> ()
   | Some path ->
-      let b = Buffer.create 1024 in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\n  \"schema\": \"atom-clients/1\",\n  \"clients\": %d,\n  \"servers\": %d,\n\
-           \  \"groups\": %d,\n  \"epochs\": %d,\n  \"accepted\": %d,\n  \"published\": %d,\n\
-           \  \"rejected\": %d,\n  \"backpressure\": %d,\n  \"retries\": %d,\n\
-           \  \"lost_acks\": %d,\n  \"lost_published\": %d,\n  \"ghost_published\": %d,\n\
-           \  \"duplicate_published\": %d,\n  \"rejected_on_bulletin\": %d,\n\
-           \  \"anomalies\": %d,\n  \"announces\": %d,\n  \"bad_sigs\": %d,\n\
-           \  \"submissions_per_sec\": %.3f,\n  \"submissions_per_sec_per_node\": %.4f,\n\
-           \  \"epoch_latency_s\": {\"p50\": %.4f, \"p99\": %.4f},\n  \"wall_s\": %.3f,\n\
-           \  \"failed_nodes\": [%s],\n  \"child_failures\": [%s],\n  \"abort\": %s,\n\
-           \  \"verdict\": \"%s\"\n}\n"
-           n_clients servers groups (List.length epochs) n_accepted (List.length published)
-           (sum (fun st -> st.cs_rejected))
-           (sum (fun st -> st.cs_backpressure))
-           (sum (fun st -> st.cs_retries))
-           lost_acks (List.length lost) (List.length ghosts) dupes
-           (List.length rejected_on_board)
-           anomalies
-           (sum (fun st -> st.cs_announces))
-           bad_sigs sps
-           (sps /. float_of_int servers)
-           (lp 50.) (lp 99.) wall
-           (String.concat ", " (List.map string_of_int outcome.Node.ing_failed_nodes))
-           (String.concat ", "
-              (List.map
-                 (fun (sid, why) ->
-                   Printf.sprintf "[%d, \"%s\"]" sid (Atom_obs.Trace.json_escape why))
-                 child_failures))
-           (match outcome.Node.ing_abort with
-           | Some a -> Printf.sprintf "\"%s\"" (Atom_obs.Trace.json_escape a)
-           | None -> "null")
-           (if ok then "ok" else "failed"));
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Buffer.contents b));
+      let n x = Json.Int x and total f = Json.Int (sum f) in
+      let doc =
+        Json.(
+          Obj
+            [ ("schema", Str "atom-clients/1"); ("clients", n n_clients); ("servers", n servers);
+              ("groups", n groups); ("epochs", n (List.length epochs)); ("accepted", n n_accepted);
+              ("published", n (List.length published)); ("rejected", total (fun st -> st.cs_rejected));
+              ("backpressure", total (fun st -> st.cs_backpressure)); ("retries", total (fun st -> st.cs_retries));
+              ("lost_acks", n lost_acks); ("lost_published", n (List.length lost));
+              ("ghost_published", n (List.length ghosts)); ("duplicate_published", n dupes);
+              ("rejected_on_bulletin", n (List.length rejected_on_board)); ("anomalies", n anomalies);
+              ("announces", total (fun st -> st.cs_announces)); ("bad_sigs", n bad_sigs);
+              ("submissions_per_sec", rounded 3 sps);
+              ("submissions_per_sec_per_node", rounded 4 (sps /. float_of_int servers));
+              ("epoch_latency_s", Obj [ ("p50", rounded 4 (lp 50.)); ("p99", rounded 4 (lp 99.)) ]);
+              ("wall_s", rounded 3 wall); ("failed_nodes", Arr (List.map n outcome.Node.ing_failed_nodes));
+              ("child_failures", Arr (List.map (fun (sid, why) -> Arr [ n sid; Str why ]) child_failures));
+              ("abort", opt_str outcome.Node.ing_abort); ("verdict", Str (if ok then "ok" else "failed")) ])
+      in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (Json.pretty doc));
       Printf.printf "wrote %s\n" path);
   if not ok then exit 1
 

@@ -374,57 +374,22 @@ let map_nested ?pool ?chunk f rows =
    `bench parallel` run measured on comparable hardware. The committed
    BENCH_parallel.json records the core count it was measured on; a
    recommendation measured on a 1-core CI container must not cap a 32-core
-   deployment, so the cap only applies when the measuring host's core
-   count matches this one. The scan is a dumb substring search so the
-   bench JSON needs no parser dependency here. *)
+   deployment, so only a file that parses and names this host's core
+   count caps. *)
 
-let scan_json_int (s : string) (key : string) : int option =
-  let needle = "\"" ^ key ^ "\":" in
-  let nl = String.length needle and sl = String.length s in
-  let rec at i =
-    if i + nl > sl then None
-    else if String.sub s i nl = needle then begin
-      let j = ref (i + nl) in
-      while !j < sl && (s.[!j] = ' ' || s.[!j] = '\t') do
-        incr j
-      done;
-      let start = !j in
-      while !j < sl && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      if !j > start then int_of_string_opt (String.sub s start (!j - start)) else None
-    end
-    else at (i + 1)
-  in
-  at 0
-
-let bench_parallel_path () =
-  let name = "BENCH_parallel.json" in
-  match Sys.getenv_opt "ATOM_BENCH_DIR" with
-  | Some d when Sys.file_exists (Filename.concat d name) -> Some (Filename.concat d name)
-  | _ -> if Sys.file_exists name then Some name else None
-
-let measured_recommendation () : (int * int) option =
-  match bench_parallel_path () with
-  | None -> None
-  | Some path -> (
-      match
-        try
-          In_channel.with_open_bin path (fun ic ->
-              Some (In_channel.input_all ic))
-        with Sys_error _ -> None
-      with
-      | None -> None
-      | Some body -> (
-          match (scan_json_int body "recommended_domains", scan_json_int body "host_cores") with
-          | Some r, Some hc when r >= 1 -> Some (r, hc)
-          | Some r, None when r >= 1 -> Some (r, 0)
-          | _ -> None))
+module Json = Atom_obs.Json
 
 let auto_domains () =
   let cores = max 1 (min 64 (Domain.recommended_domain_count ())) in
-  match measured_recommendation () with
-  | Some (r, hc) when hc = cores -> max 1 (min cores r)
+  let file = "BENCH_parallel.json" in
+  let path =
+    match Sys.getenv_opt "ATOM_BENCH_DIR" with
+    | Some d when Sys.file_exists (Filename.concat d file) -> Filename.concat d file
+    | _ -> file
+  in
+  let measured c = (Json.int (Json.field "recommended_domains" c), Json.int (Json.field "host_cores" c)) in
+  match Result.bind (Json.of_file path) (Json.decode measured) with
+  | Ok (r, hc) when r >= 1 && hc = cores -> min cores r
   | _ -> cores
 
 let of_domains n =

@@ -5,20 +5,13 @@
    computed at encode time), the open-span summary (what each phase
    tracker is doing right now), and optionally the full trace buffer.
    It is what a node serves over Ctrl.Stats_request, writes periodically
-   with --stats-every, and dumps at exit — one format everywhere, parsed
-   back by the strict decoder below (which replaced the old text-dump
-   scraping in atom_cli).
+   with --stats-every, and dumps at exit — one format everywhere.
 
-   The codec is hand-rolled (this tree carries no JSON dependency) and
-   mirrors the wire layer's discipline: the decoder is total — truncated,
-   malformed, type-confused, schema-mismatched or over-deep input returns
-   [Error], never an exception — and strict: unknown fields in known
-   objects are rejected, so drift between encoder and decoder is loud.
-
-   Round-trip contract: [of_json (to_json s) = Ok s], bit-exact. Floats
-   serialize via %.0f when integral (parses back exactly) and %.17g
-   otherwise (shortest-round-trip superset); trace-arg floats always
-   carry a '.' or exponent so the I/F distinction survives the trip. *)
+   Through [Json] the decoder is total (malformed, type-confused,
+   schema-mismatched or over-deep input returns [Error]) and strict:
+   unknown fields in known objects are rejected. [of_json (to_json s) =
+   Ok s], bit-exact, trace-arg [I]/[F] kept; a nan or ±inf value encodes
+   as null, which the decoder rejects. *)
 
 let schema = "atom-metrics/1"
 
@@ -93,383 +86,85 @@ let counters (s : t) : (string * float) list =
 let counter_value (s : t) (name : string) : float =
   match List.assoc_opt name s.metrics with Some (Counter c) -> c | _ -> 0.
 
-(* ---- encoder ---- *)
+(* ---- codec ---- *)
 
-(* Integral floats print as plain integers (exact round-trip, compact);
-   everything else as %.17g, which OCaml's float_of_string inverts
-   bit-exactly. Never called on nan/inf — the registry normalizes the
-   only infinity source (empty-histogram min/max) to 0. *)
-let fnum (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+let metric_json ((name, m) : string * metric) : Json.t =
+  let open Json in
+  let kind k rest = Obj (("name", Str name) :: ("kind", Str k) :: rest) in
+  match m with
+  | Counter c -> kind "counter" [ ("value", number c) ]
+  | Gauge g -> kind "gauge" [ ("value", number g) ]
+  | Histogram h ->
+      kind "histogram"
+        [ ("lo", number h.h_lo); ("hi", number h.h_hi); ("count", Int h.h_count); ("sum", number h.h_sum);
+          ("min", number h.h_min); ("max", number h.h_max); ("below", Int h.h_below); ("above", Int h.h_above);
+          ("p50", number h.h_p50); ("p90", number h.h_p90); ("p99", number h.h_p99);
+          ("buckets", Arr (List.map (fun b -> Int b) (Array.to_list h.h_buckets))) ]
 
-(* Trace-arg floats must parse back as floats, not ints: force a '.' on
-   integral values so the decoder can tell [F 2.] from [I 2]. *)
-let fnum_arg (f : float) : string =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let jstr (buf : Buffer.t) (s : string) : unit =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (Trace.json_escape s);
-  Buffer.add_char buf '"'
+let event_json (ev : Trace.event) : Json.t =
+  let arg = function Trace.S s -> Json.Str s | Trace.I n -> Json.Int n | Trace.F f -> Json.number f in
+  Json.(
+    Obj
+      [ ("name", Str ev.Trace.name); ("cat", Str ev.Trace.cat); ("ph", Str (String.make 1 ev.Trace.ph));
+        ("ts", number ev.Trace.ts); ("dur", number ev.Trace.dur); ("tid", Int ev.Trace.tid);
+        ("args", Obj (List.map (fun (k, v) -> (k, arg v)) ev.Trace.args)) ])
 
 let to_json (s : t) : string =
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\"schema\":";
-  jstr buf schema;
-  add (Printf.sprintf ",\"node_id\":%d,\"now\":%s,\"metrics\":[" s.node_id (fnum s.now));
-  List.iteri
-    (fun i (name, m) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add "{\"name\":";
-      jstr buf name;
-      (match m with
-      | Counter c -> add (Printf.sprintf ",\"kind\":\"counter\",\"value\":%s" (fnum c))
-      | Gauge g -> add (Printf.sprintf ",\"kind\":\"gauge\",\"value\":%s" (fnum g))
-      | Histogram h ->
-          add
-            (Printf.sprintf
-               ",\"kind\":\"histogram\",\"lo\":%s,\"hi\":%s,\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"below\":%d,\"above\":%d,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"buckets\":[%s]"
-               (fnum h.h_lo) (fnum h.h_hi) h.h_count (fnum h.h_sum) (fnum h.h_min)
-               (fnum h.h_max) h.h_below h.h_above (fnum h.h_p50) (fnum h.h_p90)
-               (fnum h.h_p99)
-               (String.concat "," (Array.to_list (Array.map string_of_int h.h_buckets)))));
-      Buffer.add_char buf '}')
-    s.metrics;
-  add "],\"open_spans\":[";
-  List.iteri
-    (fun i os ->
-      if i > 0 then Buffer.add_char buf ',';
-      add (Printf.sprintf "{\"tid\":%d,\"phase\":" os.os_tid);
-      jstr buf os.os_phase;
-      add (Printf.sprintf ",\"since\":%s}" (fnum os.os_since)))
-    s.open_spans;
-  add "],\"trace\":[";
-  List.iteri
-    (fun i (ev : Trace.event) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add "{\"name\":";
-      jstr buf ev.Trace.name;
-      add ",\"cat\":";
-      jstr buf ev.Trace.cat;
-      add (Printf.sprintf ",\"ph\":\"%c\",\"ts\":%s,\"dur\":%s,\"tid\":%d,\"args\":{" ev.Trace.ph
-             (fnum ev.Trace.ts) (fnum ev.Trace.dur) ev.Trace.tid);
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char buf ',';
-          jstr buf k;
-          Buffer.add_char buf ':';
-          match v with
-          | Trace.S str -> jstr buf str
-          | Trace.I n -> add (string_of_int n)
-          | Trace.F f -> add (fnum_arg f))
-        ev.Trace.args;
-      add "}}")
-    s.events;
-  add "]}";
-  Buffer.contents buf
+  let span os = Json.(Obj [ ("tid", Int os.os_tid); ("phase", Str os.os_phase); ("since", number os.os_since) ]) in
+  Json.(
+    to_string
+      (Obj
+         [ ("schema", Str schema); ("node_id", Int s.node_id); ("now", number s.now);
+           ("metrics", Arr (List.map metric_json s.metrics)); ("open_spans", Arr (List.map span s.open_spans));
+           ("trace", Arr (List.map event_json s.events)) ]))
 
-(* ---- strict total decoder ---- *)
+(* Schema destructuring: every known object must carry exactly its
+   fields, so encoder/decoder drift cannot pass silently. *)
 
-type jv =
-  | Jnull
-  | Jbool of bool
-  | Jint of int
-  | Jfloat of float
-  | Jstr of string
-  | Jarr of jv list
-  | Jobj of (string * jv) list
+let num k c = Json.float (Json.field k c)
+let int k c = Json.int (Json.field k c)
+let str k c = Json.string (Json.field k c)
 
-exception Bad of string
+let decode_metric (c : Json.cursor) : string * metric =
+  let scalar mk = Json.keys [ "name"; "kind"; "value" ] c; mk (num "value" c) in
+  match str "kind" c with
+  | "counter" -> (str "name" c, scalar (fun v -> Counter v))
+  | "gauge" -> (str "name" c, scalar (fun v -> Gauge v))
+  | "histogram" ->
+      Json.keys
+        [ "name"; "kind"; "lo"; "hi"; "count"; "sum"; "min"; "max"; "below"; "above"; "p50"; "p90"; "p99";
+          "buckets" ]
+        c;
+      let f k = num k c and i k = int k c in
+      ( str "name" c,
+        Histogram
+          { h_lo = f "lo"; h_hi = f "hi"; h_count = i "count"; h_sum = f "sum"; h_min = f "min"; h_max = f "max";
+            h_below = i "below"; h_above = i "above"; h_p50 = f "p50"; h_p90 = f "p90"; h_p99 = f "p99";
+            h_buckets = Array.of_list (List.map Json.int (Json.list (Json.field "buckets" c))) } )
+  | k -> Json.fail c "unknown metric kind %S" k
 
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-let max_depth = 32
+let decode_open_span (c : Json.cursor) : open_span =
+  Json.keys [ "tid"; "phase"; "since" ] c;
+  { os_tid = int "tid" c; os_phase = str "phase" c; os_since = num "since" c }
 
-(* Minimal recursive-descent JSON parser: full grammar (the decoder must
-   be total on arbitrary bytes), bounded nesting depth, \uXXXX decoded to
-   UTF-8. Numbers keep the int/float distinction of their literal so
-   trace-arg types survive the round trip. *)
-let parse (s : string) : jv =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then bad "unexpected end of input";
-    let c = s.[!pos] in
-    incr pos;
-    c
+let decode_event (c : Json.cursor) : Trace.event =
+  Json.keys [ "name"; "cat"; "ph"; "ts"; "dur"; "tid"; "args" ] c;
+  let arg (k, a) =
+    match Json.value a with
+    | Json.Str s -> (k, Trace.S s)
+    | Json.Int n -> (k, Trace.I n)
+    | Json.Float f -> (k, Trace.F f)
+    | _ -> Json.fail a "expected string or number"
   in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    let g = next () in
-    if g <> c then bad "expected %C at byte %d, got %C" c (!pos - 1) g
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> bad "bad hex digit %C" c
-  in
-  let utf8 (buf : Buffer.t) (cp : int) =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          (match next () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-              let cp =
-                (hex (next ()) lsl 12) lor (hex (next ()) lsl 8) lor (hex (next ()) lsl 4)
-                lor hex (next ())
-              in
-              utf8 buf cp
-          | c -> bad "bad escape \\%C" c);
-          go ())
-      | c when Char.code c < 0x20 -> bad "raw control byte in string"
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        incr pos
-      done;
-      if !pos = d0 then bad "bad number at byte %d" d0
-    in
-    digits ();
-    let is_float = ref false in
-    if peek () = Some '.' then begin
-      is_float := true;
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        is_float := true;
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ());
-    let lit = String.sub s start (!pos - start) in
-    if !is_float then Jfloat (float_of_string lit)
-    else
-      match int_of_string_opt lit with
-      | Some i -> Jint i
-      | None -> Jfloat (float_of_string lit)
-  in
-  let rec value depth =
-    if depth > max_depth then bad "nesting deeper than %d" max_depth;
-    skip_ws ();
-    match peek () with
-    | None -> bad "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = value (depth + 1) in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match next () with
-            | ',' -> members ()
-            | '}' -> ()
-            | c -> bad "expected ',' or '}', got %C" c
-          in
-          members ();
-          Jobj (List.rev !fields)
-        end
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jarr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elems () =
-            let v = value (depth + 1) in
-            items := v :: !items;
-            skip_ws ();
-            match next () with
-            | ',' -> elems ()
-            | ']' -> ()
-            | c -> bad "expected ',' or ']', got %C" c
-          in
-          elems ();
-          Jarr (List.rev !items)
-        end
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "true" then (pos := !pos + 4; Jbool true)
-        else bad "bad literal at byte %d" !pos
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub s !pos 5 = "false" then (pos := !pos + 5; Jbool false)
-        else bad "bad literal at byte %d" !pos
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub s !pos 4 = "null" then (pos := !pos + 4; Jnull)
-        else bad "bad literal at byte %d" !pos
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> bad "unexpected %C at byte %d" c !pos
-  in
-  let v = value 0 in
-  skip_ws ();
-  if !pos <> n then bad "trailing bytes after document";
-  v
-
-(* Schema destructuring: every known object is matched field-for-field —
-   missing or extra keys fail, so encoder/decoder drift cannot pass
-   silently. [fields] consumes an object against a spec in order-
-   independent fashion. *)
-
-let obj (where : string) = function Jobj kvs -> kvs | _ -> bad "%s: expected an object" where
-let arr (where : string) = function Jarr vs -> vs | _ -> bad "%s: expected an array" where
-let str (where : string) = function Jstr s -> s | _ -> bad "%s: expected a string" where
-let int_ (where : string) = function Jint i -> i | _ -> bad "%s: expected an integer" where
-
-let num (where : string) = function
-  | Jint i -> float_of_int i
-  | Jfloat f -> f
-  | _ -> bad "%s: expected a number" where
-
-let get (where : string) (kvs : (string * jv) list) (k : string) : jv =
-  match List.assoc_opt k kvs with
-  | Some v -> v
-  | None -> bad "%s: missing field %S" where k
-
-let check_keys (where : string) (kvs : (string * jv) list) (known : string list) : unit =
-  List.iter
-    (fun (k, _) -> if not (List.mem k known) then bad "%s: unknown field %S" where k)
-    kvs
-
-let decode_hist (where : string) (kvs : (string * jv) list) : hist =
-  check_keys where kvs
-    [ "name"; "kind"; "lo"; "hi"; "count"; "sum"; "min"; "max"; "below"; "above"; "p50";
-      "p90"; "p99"; "buckets" ];
-  {
-    h_lo = num where (get where kvs "lo");
-    h_hi = num where (get where kvs "hi");
-    h_count = int_ where (get where kvs "count");
-    h_sum = num where (get where kvs "sum");
-    h_min = num where (get where kvs "min");
-    h_max = num where (get where kvs "max");
-    h_below = int_ where (get where kvs "below");
-    h_above = int_ where (get where kvs "above");
-    h_p50 = num where (get where kvs "p50");
-    h_p90 = num where (get where kvs "p90");
-    h_p99 = num where (get where kvs "p99");
-    h_buckets =
-      Array.of_list (List.map (int_ (where ^ ".buckets")) (arr where (get where kvs "buckets")));
-  }
-
-let decode_metric (i : int) (v : jv) : string * metric =
-  let where = Printf.sprintf "metrics[%d]" i in
-  let kvs = obj where v in
-  let name = str (where ^ ".name") (get where kvs "name") in
-  match str (where ^ ".kind") (get where kvs "kind") with
-  | "counter" ->
-      check_keys where kvs [ "name"; "kind"; "value" ];
-      (name, Counter (num where (get where kvs "value")))
-  | "gauge" ->
-      check_keys where kvs [ "name"; "kind"; "value" ];
-      (name, Gauge (num where (get where kvs "value")))
-  | "histogram" -> (name, Histogram (decode_hist where kvs))
-  | k -> bad "%s: unknown metric kind %S" where k
-
-let decode_open_span (i : int) (v : jv) : open_span =
-  let where = Printf.sprintf "open_spans[%d]" i in
-  let kvs = obj where v in
-  check_keys where kvs [ "tid"; "phase"; "since" ];
-  {
-    os_tid = int_ where (get where kvs "tid");
-    os_phase = str where (get where kvs "phase");
-    os_since = num where (get where kvs "since");
-  }
-
-let decode_event (i : int) (v : jv) : Trace.event =
-  let where = Printf.sprintf "trace[%d]" i in
-  let kvs = obj where v in
-  check_keys where kvs [ "name"; "cat"; "ph"; "ts"; "dur"; "tid"; "args" ];
-  let ph_s = str (where ^ ".ph") (get where kvs "ph") in
-  if String.length ph_s <> 1 then bad "%s.ph: expected a single character" where;
-  let args =
-    List.map
-      (fun (k, av) ->
-        match av with
-        | Jstr s -> (k, Trace.S s)
-        | Jint n -> (k, Trace.I n)
-        | Jfloat f -> (k, Trace.F f)
-        | _ -> bad "%s.args.%s: expected string or number" where k)
-      (obj (where ^ ".args") (get where kvs "args"))
-  in
-  {
-    Trace.name = str where (get where kvs "name");
-    cat = str where (get where kvs "cat");
-    ph = ph_s.[0];
-    ts = num where (get where kvs "ts");
-    dur = num where (get where kvs "dur");
-    tid = int_ where (get where kvs "tid");
-    args;
-  }
+  let ph = str "ph" c in
+  if String.length ph <> 1 then Json.fail c "ph: expected one character";
+  { Trace.name = str "name" c; cat = str "cat" c; ph = ph.[0]; ts = num "ts" c; dur = num "dur" c; tid = int "tid" c;
+    args = List.map arg (Json.assoc (Json.field "args" c)) }
 
 let of_json (doc : string) : (t, string) result =
-  match
-    let kvs = obj "snapshot" (parse doc) in
-    check_keys "snapshot" kvs [ "schema"; "node_id"; "now"; "metrics"; "open_spans"; "trace" ];
-    let got = str "schema" (get "snapshot" kvs "schema") in
-    if got <> schema then bad "schema mismatch: expected %S, got %S" schema got;
-    {
-      node_id = int_ "node_id" (get "snapshot" kvs "node_id");
-      now = num "now" (get "snapshot" kvs "now");
-      metrics = List.mapi decode_metric (arr "metrics" (get "snapshot" kvs "metrics"));
-      open_spans =
-        List.mapi decode_open_span (arr "open_spans" (get "snapshot" kvs "open_spans"));
-      events = List.mapi decode_event (arr "trace" (get "snapshot" kvs "trace"));
-    }
-  with
-  | s -> Ok s
-  | exception Bad m -> Error m
-  | exception _ -> Error "malformed snapshot"
+  Result.bind (Json.parse doc) @@ Json.decode (fun c ->
+      Json.keys [ "schema"; "node_id"; "now"; "metrics"; "open_spans"; "trace" ] c;
+      if str "schema" c <> schema then Json.fail c "schema mismatch: expected %S, got %S" schema (str "schema" c);
+      let items k f = List.map f (Json.list (Json.field k c)) in
+      { node_id = int "node_id" c; now = num "now" c; metrics = items "metrics" decode_metric;
+        open_spans = items "open_spans" decode_open_span; events = items "trace" decode_event })

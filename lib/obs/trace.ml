@@ -158,60 +158,32 @@ end
 
 (* ---- Chrome trace_event JSON ---- *)
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Json.escape
 
-let arg_json = function
-  | S s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | I i -> string_of_int i
-  | F f -> Printf.sprintf "%.6g" f
+(* Microsecond timestamps rounded to 1 ns, so equal clock readings always
+   serialize to equal bytes. *)
+let us (seconds : float) : Json.t = Json.number (Float.round (seconds *. 1e9) /. 1e3)
 
-(* Microsecond timestamps printed with fixed sub-µs precision, so equal
-   clock readings always serialize to equal bytes. *)
-let us (seconds : float) : string = Printf.sprintf "%.3f" (seconds *. 1e6)
+let event_json ?(pid = 1) ?(offset = 0.) (ev : event) : Json.t =
+  let arg = function S s -> Json.Str s | I i -> Json.Int i | F f -> Json.number f in
+  Json.Obj
+    ([
+       ("name", Json.Str ev.name);
+       ("cat", Json.Str (if ev.cat = "" then "atom" else ev.cat));
+       ("ph", Json.Str (String.make 1 ev.ph));
+       ("ts", us ((if ev.ph = 'M' then 0. else offset) +. ev.ts));
+     ]
+    @ (if ev.ph = 'X' then [ ("dur", us ev.dur) ] else [])
+    @ [ ("pid", Json.Int pid); ("tid", Json.Int ev.tid) ]
+    @ if ev.args = [] then [] else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, arg v)) ev.args)) ])
 
-let event_json ?(pid = 1) ?(offset = 0.) (buf : Buffer.t) (ev : event) : unit =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%s"
-       (json_escape ev.name)
-       (json_escape (if ev.cat = "" then "atom" else ev.cat))
-       ev.ph
-       (us ((if ev.ph = 'M' then 0. else offset) +. ev.ts)));
-  if ev.ph = 'X' then Buffer.add_string buf (Printf.sprintf ",\"dur\":%s" (us ev.dur));
-  Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d" pid ev.tid);
-  if ev.args <> [] then begin
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (json_escape k) (arg_json v)))
-      ev.args;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}'
-
-let to_chrome_json (t : t) : string =
+(* One event per line, streamed: the trace never exists as one tree. *)
+let chrome_json (events : Json.t Seq.t) : string =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      event_json buf ev)
-    (events t);
-  Buffer.add_string buf "\n]}\n";
+  Json.stream_object buf [ ("displayTimeUnit", Json.Str "ms") ] "traceEvents" events;
   Buffer.contents buf
+
+let to_chrome_json (t : t) : string = chrome_json (Seq.map event_json (List.to_seq (events t)))
 
 (* ---- Merged multi-process traces ----
 
@@ -233,29 +205,17 @@ type lane = {
 }
 
 let to_chrome_json_lanes (lanes : lane list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let put ?pid ?offset ev =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    event_json ?pid ?offset buf ev
-  in
-  List.iter
-    (fun l ->
-      put ~pid:l.lane_pid
-        {
-          name = "process_name";
-          cat = "";
-          ph = 'M';
-          ts = 0.;
-          dur = 0.;
-          tid = 0;
-          args = [ ("name", S l.lane_name) ];
-        };
-      List.iter (fun ev -> put ~pid:l.lane_pid ~offset:l.lane_offset ev) l.lane_events)
-    lanes;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  chrome_json
+    (Seq.concat_map
+       (fun l ->
+         let label =
+           let args = [ ("name", S l.lane_name) ] in
+           { name = "process_name"; cat = ""; ph = 'M'; ts = 0.; dur = 0.; tid = 0; args }
+         in
+         Seq.map
+           (event_json ~pid:l.lane_pid ~offset:l.lane_offset)
+           (Seq.cons label (List.to_seq l.lane_events)))
+       (List.to_seq lanes))
 
 (* ---- Per-phase breakdown ---- *)
 

@@ -80,8 +80,7 @@ val to_chrome_json_lanes : lane list -> string
     shifted by the lane offset. Deterministic for equal inputs. *)
 
 val json_escape : string -> string
-(** JSON string-body escaping (backslash, quote, control bytes), shared
-    with the snapshot codec. *)
+(** {!Json.escape}: a string's body as a JSON literal. *)
 
 (** Exclusive phase accounting: a tracker keeps its track inside exactly
     one leaf phase at every instant, so a track's phase durations tile its

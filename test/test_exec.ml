@@ -215,7 +215,10 @@ let test_auto_domains_host_guard () =
       write
         (Printf.sprintf {|{"schema":"atom-bench-parallel/2","host_cores":%d,"recommended_domains":1}|}
            (cores + 1));
-      Alcotest.(check int) "foreign host ignored" cores (Pool.auto_domains ()))
+      Alcotest.(check int) "foreign host ignored" cores (Pool.auto_domains ());
+      (* a file that does not parse: plain core count *)
+      write (Printf.sprintf {|{"host_cores":%d,"recommended_domains":1|} cores);
+      Alcotest.(check int) "malformed file ignored" cores (Pool.auto_domains ()))
 
 (* --domains resolution: 1 runs sequentially, N > 1 is a pool the caller
    owns, and 0 with ATOM_DOMAINS set is the shared default, which the

@@ -28,4 +28,6 @@ let () =
       Test_rpc.suite;
       Test_ingest.suite;
       Test_decoders.suite ();
+      Test_json.suite;
+      Test_gates.suite;
     ]

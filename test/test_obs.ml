@@ -299,13 +299,13 @@ let test_merged_lanes () =
   Alcotest.(check int) "one process_name per lane" 2 (count_occurrences "\"process_name\"" json);
   (* The node lane's span is shifted onto the coordinator timebase:
      (1.0 + 2.5) s = 3500000 µs. Its duration is not shifted. *)
-  Alcotest.(check int) "offset applied to span ts" 1 (count_occurrences "\"ts\":3500000.000" json);
-  Alcotest.(check int) "dur unshifted" 1 (count_occurrences "\"dur\":500000.000" json);
+  Alcotest.(check int) "offset applied to span ts" 1 (count_occurrences "\"ts\":3500000.0" json);
+  Alcotest.(check int) "dur unshifted" 1 (count_occurrences "\"dur\":500000.0" json);
   (* Metadata records keep their own timestamps — offsets apply only to
      real events, so lane labels don't wander off ts 0. *)
   Alcotest.(check int) "metadata never shifted" 0
-    (count_occurrences "\"ts\":11500000.000" json);
-  Alcotest.(check int) "metadata ts intact" 1 (count_occurrences "\"ts\":9000000.000" json);
+    (count_occurrences "\"ts\":11500000.0" json);
+  Alcotest.(check int) "metadata ts intact" 1 (count_occurrences "\"ts\":9000000.0" json);
   (* Every event lands in its lane's pid group. *)
   Alcotest.(check int) "pid 1 events" 3 (count_occurrences "\"pid\":1" json);
   Alcotest.(check int) "pid 2 events" 2 (count_occurrences "\"pid\":2" json)
@@ -412,6 +412,43 @@ let test_snapshot_strict_decode () =
   for i = 0 to String.length j - 1 do
     if ok (String.sub j 0 i) then Alcotest.failf "prefix of %d bytes accepted" i
   done
+
+(* The \uXXXX escapes the encoder writes for control bytes, and surrogate
+   pairs, decode in digit order; a lone surrogate is an error. *)
+let metrics_doc ?(now = "0") (name : string) : string =
+  Printf.sprintf
+    {|{"schema":"atom-metrics/1","node_id":0,"now":%s,"metrics":[{"name":"%s","kind":"counter","value":1}],"open_spans":[],"trace":[]}|}
+    now name
+
+let test_snapshot_escapes () =
+  let ctl = String.init 32 Char.chr in
+  let snap =
+    {
+      Snapshot.node_id = 0;
+      now = 0.;
+      metrics = [ ("a" ^ ctl ^ "b", Snapshot.Counter 1.) ];
+      open_spans = [];
+      events = [ { Trace.name = "e"; cat = ""; ph = 'i'; ts = 0.; dur = 0.; tid = 0; args = [ ("s", Trace.S ctl) ] } ];
+    }
+  in
+  (match Snapshot.of_json (Snapshot.to_json snap) with
+  | Ok s -> Alcotest.(check bool) "control bytes round-trip" true (s = snap)
+  | Error e -> Alcotest.failf "decode failed: %s" e);
+  (match Snapshot.of_json (metrics_doc {|\ud83d\ude00|}) with
+  | Ok s -> Alcotest.(check (list string)) "surrogate pair" [ "\xf0\x9f\x98\x80" ] (List.map fst s.Snapshot.metrics)
+  | Error e -> Alcotest.failf "surrogate pair rejected: %s" e);
+  Alcotest.(check bool) "lone surrogate rejected" true (Result.is_error (Snapshot.of_json (metrics_doc {|\ud83d|})))
+
+(* A number that overflows to infinity has no JSON spelling to re-encode
+   to, so the decoder rejects it. *)
+let test_snapshot_overflow () =
+  Alcotest.(check bool) "finite baseline" true (Result.is_ok (Snapshot.of_json (metrics_doc ~now:"1e300" "c")));
+  Alcotest.(check bool) "1e999 rejected" true (Result.is_error (Snapshot.of_json (metrics_doc ~now:"1e999" "c")));
+  (* A nan gauge still encodes (as null), and the decoder rejects it. *)
+  let obs = Ctx.create () in
+  Metrics.set (Metrics.gauge (Ctx.metrics obs) "g") Float.nan;
+  Alcotest.(check bool) "nan encodes, decode rejects" true
+    (Result.is_error (Snapshot.of_json (Snapshot.to_json (Snapshot.of_ctx ~node_id:0 obs))))
 
 (* ---- leveled logging ---- *)
 
@@ -562,6 +599,8 @@ let suite =
       Alcotest.test_case "open phase summary" `Quick test_open_phases;
       Alcotest.test_case "snapshot roundtrip identity" `Quick test_snapshot_roundtrip;
       Alcotest.test_case "snapshot strict decode" `Quick test_snapshot_strict_decode;
+      Alcotest.test_case "snapshot escapes and surrogates" `Quick test_snapshot_escapes;
+      Alcotest.test_case "snapshot rejects overflow" `Quick test_snapshot_overflow;
       Alcotest.test_case "log levels" `Quick test_log_levels;
       Alcotest.test_case "opcount composite semantics" `Quick test_opcount;
       Alcotest.test_case "trace determinism" `Slow test_trace_determinism;
