@@ -78,6 +78,32 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
           ( { r = G.mul ct.r (G.pow_gen r'); c = G.mul ct.c (G.pow pk r'); y = None },
             r' )
 
+  (* [flat]'s elements cut back into rows shaped like [rows]. *)
+  let reshape (rows : 'a array array) (flat : 'b array) : 'b array array =
+    let off = ref 0 in
+    Array.map
+      (fun row ->
+        let part = Array.sub flat !off (Array.length row) in
+        off := !off + Array.length row;
+        part)
+      rows
+
+  (* (a·b, c·d) elementwise as one [G.mul_batch], so both halves of a
+     ciphertext update share a single inversion on curve backends. *)
+  let mul_batch2 ((a, c) : G.t array * G.t array) ((b, d) : G.t array * G.t array) :
+      G.t array * G.t array =
+    let n = Array.length a in
+    let prod = G.mul_batch (Array.append a c) (Array.append b d) in
+    (Array.sub prod 0 n, Array.sub prod n (Array.length c))
+
+  (* Plain ciphertexts rerandomized by the precomputed factors g^{r'} and
+     X^{r'}, one batched product for the lot. *)
+  let rerand_all (cts : cipher array) ~(gr : G.t array) ~(pkr : G.t array) : cipher array =
+    let r, c =
+      mul_batch2 (Array.map (fun ct -> ct.r) cts, Array.map (fun ct -> ct.c) cts) (gr, pkr)
+    in
+    Array.mapi (fun i r -> { r; c = c.(i); y = None }) r
+
   type shuffle_witness = { permutation : int array; rerands : G.Scalar.t array }
 
   (* C' ← Shuffle(X, C): rerandomize all ciphertexts then permute, returning
@@ -92,44 +118,56 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
       let rerands = Array.init n (fun _ -> G.Scalar.random rng) in
       let gr = G.pow_gen_batch ?pool rerands in
       let pkr = G.pow_batch ?pool pk rerands in
-      let out =
-        Atom_exec.Pool.tabulate ?pool n (fun i ->
-            let src = cts.(permutation.(i)) in
-            { r = G.mul src.r gr.(i); c = G.mul src.c pkr.(i); y = None })
-      in
+      let out = rerand_all (Array.map (fun p -> cts.(p)) permutation) ~gr ~pkr in
       Some (out, { permutation; rerands })
     end
 
-  type reenc_witness = { stripped : G.t; (* D = Y^(coeff·share) *) fresh : G.Scalar.t (* r' *) }
+  type reenc_witness = {
+    stripped : G.t; (* D = Y^(coeff·share) *)
+    fresh : G.Scalar.t; (* r' *)
+    shift : G.t * G.t; (* (g^r', X'^r'); identities at the exit layer *)
+  }
 
-  (* The strip half of ReEnc: Y (R itself on a fresh ciphertext), the R
-     carried forward (the identity on a fresh ciphertext), the stripped
-     factor D = Y^{x_eff} and c/D. *)
-  let strip ~(x_eff : G.Scalar.t) (ct : cipher) : G.t * G.t * G.t * G.t =
-    let y, r = match ct.y with None -> (ct.r, G.one) | Some y -> (y, ct.r) in
-    let d = G.pow y x_eff in
-    (y, r, d, G.div ct.c d)
-
-  (* ReEnc(x_s, X', (R, c, Y)) — one server's decrypt-and-reencrypt step,
-     as a pure function of the effective exponent x_eff = coeff·share and
-     the fresh exponent r' (ignored at the exit layer).
+  (* ReEnc(x_s, X', (R, c, Y)) over a whole step — one server's
+     decrypt-and-reencrypt of every component of every unit — as a pure
+     function of the effective exponent x_eff = coeff·share and the fresh
+     exponents r' (shaped like [batch]; ignored at the exit layer).
 
      [coeff] is the Lagrange coefficient for threshold (many-trust) groups;
      [Scalar.one] for plain anytrust groups where shares are additive.
-     [next_pk = None] encodes X' = ⊥ (the exit layer: strip only). *)
-  let reenc_with ~(x_eff : G.Scalar.t) ~(next_pk : G.t option) ~(fresh : G.Scalar.t)
-      (ct : cipher) : cipher * reenc_witness =
-    let y, r, d, ctmp = strip ~x_eff ct in
-    match next_pk with
-    | None -> ({ r; c = ctmp; y = Some y }, { stripped = d; fresh = G.Scalar.zero })
-    | Some pk' ->
-        ( { r = G.mul r (G.pow_gen fresh); c = G.mul ctmp (G.pow pk' fresh); y = Some y },
-          { stripped = d; fresh } )
+     [next_pk = None] encodes X' = ⊥ (the exit layer: strip only).
 
-  let reenc (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
-      ~(next_pk : G.t option) (ct : cipher) : cipher * reenc_witness =
-    let fresh = match next_pk with None -> G.Scalar.zero | Some _ -> G.Scalar.random rng in
-    reenc_with ~x_eff:(G.Scalar.mul coeff share) ~next_pk ~fresh ct
+     Each component strips D = Y^{x_eff} (Y is R itself on a fresh
+     ciphertext, whose carried R is then the identity) and, toward a next
+     group, multiplies in g^{r'} and X'^{r'}. The step's work is three
+     batches: the strip factors share one exponent over fresh bases
+     ([G.pow_bases]), the rerandomization factors are fixed-base
+     ([G.pow_gen_batch], [G.pow_batch]), and the products are two
+     [G.mul_batch] calls — a constant number of inversions per step on
+     curve backends. *)
+  let reenc_batch_with ?pool ~(x_eff : G.Scalar.t) ~(next_pk : G.t option)
+      ~(fresh : G.Scalar.t array array) (batch : cipher array array) :
+      cipher array array * reenc_witness array array =
+    let flat = Array.concat (Array.to_list batch) in
+    let ys = Array.map (fun ct -> Option.value ct.y ~default:ct.r) flat in
+    let rs = Array.map (fun ct -> if Option.is_none ct.y then G.one else ct.r) flat in
+    let ds = G.pow_bases ?pool ys x_eff in
+    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (Array.map G.inv ds) in
+    let fresh, (gr, pkr), (rs, cs) =
+      match next_pk with
+      | None ->
+          let ones = Array.map (fun _ -> G.one) flat in
+          (Array.map (fun _ -> G.Scalar.zero) flat, (ones, ones), (rs, cs))
+      | Some pk' ->
+          let fresh = Array.concat (Array.to_list fresh) in
+          let gr = G.pow_gen_batch ?pool fresh in
+          let pkr = G.pow_batch ?pool pk' fresh in
+          (fresh, (gr, pkr), mul_batch2 (rs, cs) (gr, pkr))
+    in
+    ( reshape batch (Array.mapi (fun i y -> { r = rs.(i); c = cs.(i); y = Some y }) ys),
+      reshape batch
+        (Array.mapi (fun i d -> { stripped = d; fresh = fresh.(i); shift = (gr.(i), pkr.(i)) }) ds)
+    )
 
   (* The last server of a group clears Y before forwarding: all of this
      group's layers have been peeled and the ciphertext is now a plain
@@ -145,65 +183,32 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
 
   (* Batch encryption: all the fixed-base work (g^{r_i} from the comb
      table, pk^{r_i} from one window table) is normalized with a single
-     inversion per batch instead of one per exponentiation. Randomness is
-     drawn in the same order as the elementwise path — and always on the
-     caller, before any parallel region. *)
+     inversion per batch instead of one per exponentiation, and so are the
+     products m·pk^{r_i}. Randomness is drawn in the same order as the
+     elementwise path — and always on the caller, before any parallel
+     region. *)
   let enc_vec ?pool rng pk (ms : G.t array) : vec * G.Scalar.t array =
     let rs = Array.init (Array.length ms) (fun _ -> G.Scalar.random rng) in
     let gr = G.pow_gen_batch ?pool rs in
-    let pkr = G.pow_batch ?pool pk rs in
-    let cts =
-      Atom_exec.Pool.tabulate ?pool (Array.length ms) (fun i ->
-          { r = gr.(i); c = G.mul ms.(i) pkr.(i); y = None })
-    in
-    (cts, rs)
+    let cs = G.mul_batch ms (G.pow_batch ?pool pk rs) in
+    (Array.mapi (fun i r -> { r; c = cs.(i); y = None }) gr, rs)
 
   let dec_vec ?pool sk (v : vec) : G.t array option =
     let out = Atom_exec.Pool.map ?pool (dec sk) v in
     if Array.exists Option.is_none out then None else Some (Array.map Option.get out)
 
-  (* Batch re-encryption of a whole ReEnc step. The fresh-randomness half
-     (g^{r'} and X'^{r'}) is pure fixed-base work and batches across every
-     component of every unit; the strip factors D = Y^{x_eff} have distinct
-     bases and cannot share tables, but they are mutually independent, so
-     they and the per-component products go to the pool as one job over
-     all components. Randomness is drawn in the elementwise order — each
-     unit's fresh vector in turn — on the caller, before any parallel
-     region. *)
+  (* Randomness is drawn in the elementwise order — each unit's fresh
+     vector in turn — on the caller, before any parallel region. *)
   let reenc_batch ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk (batch : vec array) :
       vec array * reenc_witness array array =
-    let x_eff = G.Scalar.mul coeff share in
-    let m = ref 0 in
-    let indexed =
-      Array.map
-        (Array.map (fun ct ->
-             let i = !m in
-             incr m;
-             (i, ct)))
-        batch
-    in
-    let fresh =
-      match next_pk with
-      | None -> Array.make !m G.Scalar.zero
-      | Some _ -> Array.init !m (fun _ -> G.Scalar.random rng)
-    in
-    let rerand =
-      match next_pk with
-      | None -> None
-      | Some pk' -> Some (G.pow_gen_batch ?pool fresh, G.pow_batch ?pool pk' fresh)
-    in
-    let stepped =
-      Atom_exec.Pool.map_nested ?pool
-        (fun (i, ct) ->
-          let y, r, d, ctmp = strip ~x_eff ct in
-          match rerand with
-          | None -> ({ r; c = ctmp; y = Some y }, { stripped = d; fresh = G.Scalar.zero })
-          | Some (gr, pkr) ->
-              ( { r = G.mul r gr.(i); c = G.mul ctmp pkr.(i); y = Some y },
-                { stripped = d; fresh = fresh.(i) } ))
-        indexed
-    in
-    (Array.map (Array.map fst) stepped, Array.map (Array.map snd) stepped)
+    let draw _ = match next_pk with None -> G.Scalar.zero | Some _ -> G.Scalar.random rng in
+    reenc_batch_with ?pool ~x_eff:(G.Scalar.mul coeff share) ~next_pk
+      ~fresh:(Array.map (Array.map draw) batch) batch
+
+  let reenc (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?coeff ~(next_pk : G.t option)
+      (ct : cipher) : cipher * reenc_witness =
+    let out, wits = reenc_batch rng ~share ?coeff ~next_pk [| [| ct |] |] in
+    (out.(0).(0), wits.(0).(0))
 
   let reenc_vec ?pool rng ~share ?coeff ~next_pk (v : vec) : vec * reenc_witness array =
     let out, wits = reenc_batch ?pool rng ~share ?coeff ~next_pk [| v |] in
@@ -231,22 +236,9 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
       let flat = Array.concat (Array.to_list vrerands) in
       let gr = G.pow_gen_batch ?pool flat in
       let pkr = G.pow_batch ?pool pk flat in
-      let offsets = Array.make n 0 in
-      let off = ref 0 in
-      for j = 0 to n - 1 do
-        offsets.(j) <- !off;
-        off := !off + Array.length vs.(vperm.(j))
-      done;
-      let out =
-        Atom_exec.Pool.tabulate ?pool n (fun j ->
-            let src = vs.(vperm.(j)) in
-            let base = offsets.(j) in
-            Array.mapi
-              (fun w ct ->
-                { r = G.mul ct.r gr.(base + w); c = G.mul ct.c pkr.(base + w); y = None })
-              src)
-      in
-      Some (out, { vperm; vrerands })
+      let srcs = Array.map (fun p -> vs.(p)) vperm in
+      let out = rerand_all (Array.concat (Array.to_list srcs)) ~gr ~pkr in
+      Some (reshape srcs out, { vperm; vrerands })
     end
 
   let vec_to_bytes (v : vec) : string =

@@ -52,13 +52,11 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
       always drawn sequentially on the caller, so results are identical
       for every pool size. *)
 
-  type reenc_witness = { stripped : G.t; fresh : G.Scalar.t }
-
-  val reenc_with :
-    x_eff:G.Scalar.t -> next_pk:G.t option -> fresh:G.Scalar.t -> cipher -> cipher * reenc_witness
-  (** {!reenc} as a pure function of its exponents: the effective exponent
-      [x_eff = coeff·share] and the fresh rerandomization exponent
-      (ignored when [next_pk = None]). *)
+  type reenc_witness = { stripped : G.t; fresh : G.Scalar.t; shift : G.t * G.t }
+  (** A component's strip factor D = Y^{x_eff}, its fresh exponent r′, and
+      the factors (g^{r′}, X′^{r′}) the step multiplied into R and c/D —
+      the statements of its rerandomization proof; r′ = 0 and both
+      factors are the identity at the exit layer. *)
 
   val reenc :
     Atom_util.Rng.t ->
@@ -106,7 +104,23 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
     vec array * reenc_witness array array
   (** One ReEnc step over a batch of vectors: the same ciphertexts and
       witnesses as {!reenc} on every component in turn with the same
-      generator, computed as one pooled job over all components. *)
+      generator, computed as {!reenc_batch_with} of the fresh exponents
+      drawn in that order. *)
+
+  val reenc_batch_with :
+    ?pool:Atom_exec.Pool.t ->
+    x_eff:G.Scalar.t ->
+    next_pk:G.t option ->
+    fresh:G.Scalar.t array array ->
+    vec array ->
+    vec array * reenc_witness array array
+  (** {!reenc_batch} as a pure function of its exponents: the effective
+      exponent [x_eff = coeff·share] and one fresh rerandomization
+      exponent per component, shaped like the batch (ignored when
+      [next_pk = None]). The strip factors D = Y^{x_eff} are one
+      {!G.pow_bases}, the rerandomization factors one fixed-base batch
+      each, and the products two {!G.mul_batch} calls, so a curve backend
+      pays a constant number of field inversions per step. *)
 
   val clear_y_vec : vec -> vec
 

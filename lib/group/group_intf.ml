@@ -92,6 +92,19 @@ module type GROUP = sig
   (** [pow_gen_batch ks] = [pow_batch generator ks], served from the
       fixed-base table. *)
 
+  val pow_bases : ?pool:Atom_exec.Pool.t -> t array -> scalar -> t array
+  (** [pow_bases xs k] = [|x1^k; x2^k; …|]: many fresh bases, one scalar
+      (the ReEnc strip D = Y^x). Curve backends recode the scalar once and
+      normalize all the bases' window rows together and all the results
+      together, and never consult or feed the long-lived-base table
+      tiers. *)
+
+  val mul_batch : t array -> t array -> t array
+  (** [mul_batch xs ys] = [|mul x1 y1; mul x2 y2; …|], the elementwise
+      product of two arrays of equal length. Curve backends pay one field
+      inversion for the whole array instead of one per product.
+      @raise Invalid_argument on a length mismatch. *)
+
   val equal : t -> t -> bool
   val is_one : t -> bool
 
@@ -212,6 +225,8 @@ module Naive_multi (B : POW_CORE) = struct
 
   let pow_batch ?pool x ks = Atom_exec.Pool.map ?pool (B.pow x) ks
   let pow_gen_batch ?pool ks = Atom_exec.Pool.map ?pool B.pow_gen ks
+  let pow_bases ?pool xs k = Atom_exec.Pool.map ?pool (fun x -> B.pow x k) xs
+  let mul_batch xs ys = Array.map2 B.mul xs ys
 end
 
 (** What a backend must provide before the batch membership API is bolted

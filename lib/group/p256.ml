@@ -251,29 +251,46 @@ let to_affine (j : jp) : t =
     Aff (Modarith.mul fp j.x zinv2, Modarith.mul fp j.y zinv3)
   end
 
-(* Montgomery's simultaneous-inversion trick: normalize a whole batch of
-   Jacobian points with a single field inversion (plus 3 mults per point
-   for the prefix bookkeeping). *)
-let to_affine_batch (js : jp array) : t array =
-  let n = Array.length js in
-  let prefix = Array.make n (Modarith.one fp) in
-  let acc = ref (Modarith.one fp) in
+let zero_fp = Modarith.zero fp
+
+(* Montgomery's simultaneous-inversion trick: the inverses of a whole
+   array of field elements for a single Fermat inversion (plus 3 mults
+   per element for the prefix bookkeeping). Zero entries are skipped and
+   come back as zero; an array of zeros costs no inversion at all. *)
+let inv_batch (vs : Modarith.el array) : Modarith.el array =
+  let n = Array.length vs in
+  let prefix = Array.make n zero_fp and out = Array.make n zero_fp in
+  let acc = ref (Modarith.one fp) and live = ref false in
   for i = 0 to n - 1 do
-    prefix.(i) <- !acc;
-    if not (jp_is_inf js.(i)) then acc := Modarith.mul fp !acc js.(i).z
-  done;
-  let out = Array.make n Inf in
-  let inv_acc = ref (Modarith.inv fp !acc) in
-  for i = n - 1 downto 0 do
-    let j = js.(i) in
-    if not (jp_is_inf j) then begin
-      let zinv = Modarith.mul fp !inv_acc prefix.(i) in
-      inv_acc := Modarith.mul fp !inv_acc j.z;
-      let zinv2 = Modarith.sqr fp zinv in
-      out.(i) <- Aff (Modarith.mul fp j.x zinv2, Modarith.mul fp j.y (Modarith.mul fp zinv2 zinv))
+    if not (Modarith.is_zero vs.(i)) then begin
+      prefix.(i) <- !acc;
+      acc := Modarith.mul fp !acc vs.(i);
+      live := true
     end
   done;
+  if !live then begin
+    let inv_acc = ref (Modarith.inv fp !acc) in
+    for i = n - 1 downto 0 do
+      if not (Modarith.is_zero vs.(i)) then begin
+        out.(i) <- Modarith.mul fp !inv_acc prefix.(i);
+        inv_acc := Modarith.mul fp !inv_acc vs.(i)
+      end
+    done
+  end;
   out
+
+(* Normalize a whole batch of Jacobian points with one inversion. *)
+let to_affine_batch (js : jp array) : t array =
+  let zinvs = inv_batch (Array.map (fun j -> j.z) js) in
+  Array.mapi
+    (fun i j ->
+      if jp_is_inf j then Inf
+      else begin
+        let zinv = zinvs.(i) in
+        let zinv2 = Modarith.sqr fp zinv in
+        Aff (Modarith.mul fp j.x zinv2, Modarith.mul fp j.y (Modarith.mul fp zinv2 zinv))
+      end)
+    js
 
 let mul a b =
   match (a, b) with
@@ -288,6 +305,44 @@ let mul a b =
 
 let inv = function Inf -> Inf | Aff (x, y) -> Aff (x, Modarith.neg fp y)
 let div a b = mul a (inv b)
+
+(* Batch affine addition: every lane's slope denominator (x2 − x1, or 2y
+   for a doubling) joins one [inv_batch], so n products cost one
+   inversion plus about six field multiplications each, where [mul]
+   spends a Jacobian addition and an inversion per product. Lanes with an
+   identity operand, or whose operands are mutual inverses (equal x,
+   opposite y: the result is the identity), need no slope. *)
+let mul_batch (xs : t array) (ys : t array) : t array =
+  let n = Array.length xs in
+  if Array.length ys <> n then invalid_arg "P256.mul_batch: length mismatch";
+  let out = Array.make n Inf in
+  let num = Array.make n zero_fp and den = Array.make n zero_fp in
+  for i = 0 to n - 1 do
+    match (xs.(i), ys.(i)) with
+    | Inf, b -> out.(i) <- b
+    | a, Inf -> out.(i) <- a
+    | Aff (x1, y1), Aff (x2, y2) ->
+        if not (Modarith.equal x1 x2) then begin
+          num.(i) <- Modarith.sub fp y2 y1;
+          den.(i) <- Modarith.sub fp x2 x1
+        end
+        else if Modarith.equal y1 y2 && not (Modarith.is_zero y1) then begin
+          (* a = b: λ = (3x² − 3) / 2y *)
+          num.(i) <- Modarith.mul fp three (Modarith.sub fp (Modarith.sqr fp x1) (Modarith.one fp));
+          den.(i) <- Modarith.add fp y1 y1
+        end
+  done;
+  let dinv = inv_batch den in
+  for i = 0 to n - 1 do
+    if not (Modarith.is_zero den.(i)) then
+      match (xs.(i), ys.(i)) with
+      | Aff (x1, y1), Aff (x2, _) ->
+          let l = Modarith.mul fp num.(i) dinv.(i) in
+          let x3 = Modarith.sub fp (Modarith.sub fp (Modarith.sqr fp l) x1) x2 in
+          out.(i) <- Aff (x3, Modarith.sub fp (Modarith.mul fp l (Modarith.sub fp x1 x3)) y1)
+      | _ -> assert false
+  done;
+  out
 
 let generator = Aff (Modarith.of_nat fp gx, Modarith.of_nat fp gy)
 
@@ -326,7 +381,6 @@ type table = int array
 let limbs = Array.length (Modarith.alloc fp)
 let entry_words = 2 * limbs
 let comb_rows = 65 (* the 64 nibbles of a scalar < 2^256, plus the recoding carry *)
-let zero_fp = Modarith.zero fp
 
 (* Signed 4-bit recoding: e = Σ d_w·16^w with every d_w in [−8, 7]; a
    window that would reach 8 borrows 16 from the next one. *)
@@ -373,14 +427,13 @@ let window_count = Atomic.make 0
 let comb_builds () = Atomic.get comb_count
 let window_builds () = Atomic.get window_count
 
-(* One builder for every table: within a row each entry adds 16^w·B to
-   the previous one, and the next row starts at 2·(8·16^w·B) — 7 additions
-   and 1 doubling per row, then one normalization. *)
-let table_of ~(rows : int) (base : t) : table =
+(* One builder for every table's entries, still in Jacobian form: within
+   a row each entry adds 16^w·B to the previous one, and the next row
+   starts at 2·(8·16^w·B) — 7 additions and 1 doubling per row. *)
+let table_jps ~(rows : int) (base : t) : jp array =
   match base with
   | Inf -> invalid_arg "P256.table_of: the identity has no table"
   | Aff (bx, by) ->
-      Atomic.incr (if rows = 1 then window_count else comb_count);
       let js = Array.init (rows * 8) (fun _ -> jp_fresh ()) in
       let b = jp_fresh () in
       Modarith.with_session fp (fun s ->
@@ -397,7 +450,11 @@ let table_of ~(rows : int) (base : t) : table =
               jdbl s b
             end
           done);
-      flat_of_jps js
+      js
+
+let table_of ~(rows : int) (base : t) : table =
+  Atomic.incr (if rows = 1 then window_count else comb_count);
+  flat_of_jps (table_jps ~rows base)
 
 let comb_table_of (base : t) : table = table_of ~rows:comb_rows base
 
@@ -427,10 +484,11 @@ let comb_add_into (s : Modarith.S.t) (acc : jp) (tab : table) (e : Nat.t) : unit
   done;
   Modarith.S.release s m
 
-(* dst <- B^e, signed 4-bit windowed double-and-add over B's window
-   table. *)
-let windowed_into (s : Modarith.S.t) (dst : jp) (tab : table) (e : Nat.t) : unit =
-  let ds = signed_digits e in
+(* dst <- B^e, signed 4-bit windowed double-and-add over the window row
+   [row] of [tab] (B's window table is row 0 of its own), given e's
+   signed digits [ds]. *)
+let windowed_into (s : Modarith.S.t) (dst : jp) (tab : table) ~(row : int) (ds : int array) :
+    unit =
   let top = top_digit ds in
   let m = Modarith.S.mark s in
   let ex = Modarith.S.take s and ey = Modarith.S.take s in
@@ -442,7 +500,7 @@ let windowed_into (s : Modarith.S.t) (dst : jp) (tab : table) (e : Nat.t) : unit
       jdbl s dst;
       jdbl s dst
     end;
-    if ds.(w) <> 0 then add_entry s dst tab 0 ds.(w) ex ey
+    if ds.(w) <> 0 then add_entry s dst tab row ds.(w) ex ey
   done;
   Modarith.S.release s m
 
@@ -479,7 +537,7 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
    in the base).
    - The window tier is a 16-slot MRU that counts the scalars each base
      has carried. A base's first single-scalar sighting only records its
-     key, so one-shot bases (shuffle commitments, ReEnc strip bases) cost
+     key, so one-shot bases (shuffle commitments, DLEQ commitments) cost
      an O(cap) key scan and no inversion. From 2 scalars on the base has a
      window table.
    - The comb tier holds at most 4 comb tables. A base moves there once it
@@ -550,7 +608,7 @@ let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Na
   | Comb tab, _ ->
       jp_set_inf dst;
       comb_add_into s dst tab e
-  | Window tab, _ -> windowed_into s dst tab e
+  | Window tab, _ -> windowed_into s dst tab ~row:0 (signed_digits e)
   | Miss, Aff (bx, by) -> windowed_oneshot_into s dst bx by e
   | Miss, Inf -> jp_set_inf dst
 
@@ -815,6 +873,36 @@ let pow_batch ?pool (base : t) (ks : scalar array) : t array =
   if Array.length ks = 0 then [||]
   else if is_one base then Array.map (fun _ -> Inf) ks
   else batch_raw ?pool base ks
+
+(* ---- Many fresh bases, one scalar ----
+
+   The dual of [pow_batch], for the ReEnc strip D = Y^x: the scalar is
+   recoded once, every finite base gets the one-row window table of
+   [table_jps], all the rows are normalized with one inversion, the
+   ladders (mixed additions only) go to the pool, and the results are
+   normalized with one more. The tiers are never consulted: these bases
+   are seen once, and recording them would only evict the counts of
+   long-lived keys. *)
+let pow_bases ?pool (bases : t array) (k : scalar) : t array =
+  Atom_obs.Opcount.note_batch ~scalars:(Array.length bases);
+  let e = Scalar.to_nat k in
+  let out = Array.make (Array.length bases) Inf in
+  let live =
+    List.filter (fun i -> not (is_one bases.(i))) (List.init (Array.length bases) Fun.id)
+  in
+  if not (Nat.is_zero e || live = []) then begin
+    let ds = signed_digits e in
+    let tab = flat_of_jps (Array.concat (List.map (fun i -> table_jps ~rows:1 bases.(i)) live)) in
+    let live = Array.of_list live in
+    let rs =
+      Atom_exec.Pool.tabulate ?pool (Array.length live) (fun row ->
+          let r = jp_fresh () in
+          Modarith.with_session fp (fun s -> windowed_into s r tab ~row ds);
+          r)
+    in
+    Array.iteri (fun j pt -> out.(live.(j)) <- pt) (to_affine_batch rs)
+  end;
+  out
 
 let element_bytes = 33
 

@@ -111,6 +111,10 @@ let make (params : params) : (module Group_intf.GROUP) =
       Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
       pow_gen_batch ?pool ks
 
+    let pow_bases ?pool xs k =
+      Atom_obs.Opcount.note_batch ~scalars:(Array.length xs);
+      pow_bases ?pool xs k
+
     (* A pooled MSM splits the pairs into contiguous chunks, runs Straus
        on each chunk independently, and folds the chunk partials in index
        order. The sign components of the partials multiply out exactly

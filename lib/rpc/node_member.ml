@@ -237,6 +237,12 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
 
   let nizk (n : node) : bool = n.net.Pr.config.Config.variant = Config.Nizk
 
+  (* What a data frame carries as its step's [input]: only a NIZK
+     receiver reads it (to check the step's proofs), so Trap and Basic
+     frames send none and are about half the size. *)
+  let proof_input (n : node) (units : Pr.El.vec array) : Pr.El.vec array =
+    if nizk n then units else [||]
+
   (* Randomness for pipeline-step execution is keyed to the *step*, not
      the node: a §4.5 replacement re-executing a dead member's step must
      reproduce the original's bytes exactly, or first-arrival dedup
@@ -294,14 +300,14 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           Array.map (fun _ -> "") batch )
     in
     Atom_obs.Metrics.incr n.m_steps;
+    let input = proof_input n batch in
     if step < Config.quorum net.Pr.config then
       send_to n
         ~dst:(member_at net gid (step + 1))
         (C.encode
            (C.Reenc_step
-              { gid; iter; batch_idx; step = step + 1; sent_at = now_us n; input = batch;
-                output; proofs }))
-    else finish_batch n gid iter batch_idx ~input:batch ~output ~proofs
+              { gid; iter; batch_idx; step = step + 1; sent_at = now_us n; input; output; proofs }))
+    else finish_batch n gid iter batch_idx ~input ~output ~proofs
 
   (* Steps 2+3 of the group iteration, run by the head once the collective
      shuffle is done: divide into β batches and start each decrypt-and-
@@ -348,7 +354,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
             ~dst:(member_at net gid (if step = quorum then 1 else step + 1))
             (C.encode
                (C.Shuffle_step
-                  { gid; iter; step = step + 1; sent_at = now_us n; input = units;
+                  { gid; iter; step = step + 1; sent_at = now_us n; input = proof_input n units;
                     output = shuffled; proof }))
         end
 
@@ -432,17 +438,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
   let on_shuffle_step (n : node) ~(gid : int) ~(iter : int) ~(step : int)
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proof : string) : unit =
     let net = n.net in
-    let verified =
-      (not (nizk n))
-      || Array.length input = 0
-      ||
-      match Pr.Shuf.of_bytes proof with
-      | None -> false
-      | Some pi ->
-          Pr.Shuf.verify ?pool:n.pool ~pk:(Pr.group_pk net gid) ~context:(iter_ctx net gid iter)
-            ~input ~output pi
-    in
-    if not verified then
+    if not (verify_shuffle ?pool:n.pool net ~gid ~iter ~input ~output proof) then
       abort n ~code:Ctrl.abort_proof_rejected
         (Printf.sprintf "shuffle proof rejected gid=%d iter=%d step=%d" gid iter step)
     else if step > Config.quorum net.Pr.config then
@@ -672,12 +668,12 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
           abort n ~code:Ctrl.abort_bad_assignment (Printf.sprintf "group %d key mismatch" gid)
     | C.Shuffle_step { gid; iter; step; sent_at; input; output; proof } ->
         received n ~sent_at (Printf.sprintf "S%d.%d.%d" gid iter step) "shuffle_step"
-          ~cost:(Node_shared.Shuffle, Array.length input) ~gid ~iter
+          ~cost:(Node_shared.Shuffle, Array.length output) ~gid ~iter
           ~argf:(fun () -> [ ("step", Trace.I step) ])
           (fun () -> on_shuffle_step n ~gid ~iter ~step ~input ~output proof)
     | C.Reenc_step { gid; iter; batch_idx; step; sent_at; input; output; proofs } ->
         received n ~sent_at (Printf.sprintf "R%d.%d.%d.%d" gid iter batch_idx step) "reenc_step"
-          ~cost:(Node_shared.Reenc, Array.length input) ~gid ~iter
+          ~cost:(Node_shared.Reenc, Array.length output) ~gid ~iter
           ~argf:(fun () -> [ ("batch", Trace.I batch_idx); ("step", Trace.I step) ])
           (fun () -> on_reenc_step n ~gid ~iter ~batch_idx ~step ~input ~output proofs)
     | C.Batch { gid; iter; src_gid; sent_at; input; output; proofs } ->

@@ -132,6 +132,22 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     && Pr.P.Reenc_proof.verify_batch ?pool ~eff_pk ~next_pk ~context ~input ~output
          (Array.map Option.get pis)
 
+  (* The check on the shuffle step that produced a frame, run by the
+     next member (or the head, for the tail's step): under NIZK, the
+     shuffle proof of input → output must verify. Only a step with
+     nothing in and nothing out has nothing to prove; an empty input
+     with a non-empty output is a forgery like any other. *)
+  let verify_shuffle ?pool (net : Pr.network) ~(gid : int) ~(iter : int)
+      ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proof : string) : bool =
+    net.Pr.config.Config.variant <> Config.Nizk
+    || (Array.length input = 0 && Array.length output = 0)
+    ||
+    match Pr.Shuf.of_bytes proof with
+    | None -> false
+    | Some pi ->
+        Pr.Shuf.verify ?pool ~pk:(Pr.group_pk net gid) ~context:(iter_ctx net gid iter) ~input
+          ~output pi
+
   (* The check on the ReEnc step that produced a frame, run by whoever
      receives it — the next member, the next layer's head, the
      coordinator: under NIZK, the proofs of position [pos] of

@@ -26,7 +26,9 @@ module Make
         iter : int;  (** Destination absolute iteration (epoch·T + layer). *)
         src_gid : int;
         sent_at : int;  (** Sender clock, µs; 0 = unclocked. Telemetry only. *)
-        input : El.vec array;  (** Pre-final-step state, for proof checks. *)
+        input : El.vec array;
+            (** Pre-final-step state, for NIZK proof checks; empty in the
+                Trap and Basic variants. *)
         output : El.vec array;  (** Proven output (Y not yet cleared). *)
         proofs : string array;  (** Last ReEnc step's proofs, per unit. *)
       }

@@ -128,78 +128,141 @@ struct
           let rerand_nonce = G.Scalar.random rng in
           { fresh; strip_nonce; rerand_nonce }
 
-    (* Perform one server's ReEnc step on one component and prove it, as a
-       pure function of its draws. [eff_pk] = g^{x_eff} where
-       x_eff = coeff·share is the effective exponent this server uses (for
-       anytrust groups coeff = 1 and eff_pk is the server's public key; for
-       many-trust groups it is share_pk^λ). *)
-    let prove_step ~x_eff ~eff_pk ~next_pk ~context (dr : draws) (ct : El.cipher) :
-        El.cipher * t =
-      let y_in, r_in = match ct.El.y with None -> (ct.El.r, G.one) | Some y -> (y, ct.El.r) in
-      let ct', wit = El.reenc_with ~x_eff ~next_pk ~fresh:dr.fresh ct in
-      let d = wit.El.stripped in
-      let strip_proof =
-        Dleq.prove_with ~nonce:dr.strip_nonce ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:d
-          ~x:x_eff
-      in
-      let rerand_proof =
-        match next_pk with
-        | None -> None
-        | Some pk' ->
-            let h1 = G.div ct'.El.r r_in in
-            let h2 = G.div (G.mul ct'.El.c d) ct.El.c in
-            Some
-              (Dleq.prove_with ~nonce:dr.rerand_nonce ~context ~g1:G.generator ~h1 ~g2:pk' ~h2
-                 ~x:wit.El.fresh)
-      in
-      (ct', { stripped = d; strip_proof; rerand_proof })
+    (* Y and the R carried forward, of an input component: on a fresh
+       ciphertext Y is R itself and the carried R is the identity. *)
+    let carried (ct : El.cipher) : G.t * G.t =
+      match ct.El.y with None -> (ct.El.r, G.one) | Some y -> (y, ct.El.r)
 
-    let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?(coeff = G.Scalar.one)
-        ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
-      let x_eff = G.Scalar.mul coeff share in
-      prove_step ~x_eff ~eff_pk:(G.pow_gen x_eff) ~next_pk ~context (draw rng ~next_pk) ct
+    (* The verifier's statements of every component's rerandomization
+       proof, h1 = R'/R and h2 = c'·D/c, as batched products. *)
+    let rerand_statements ~(input : El.cipher array) ~(output : El.cipher array)
+        ~(stripped : G.t array) : G.t array * G.t array =
+      let inv_all f cts = Array.map (fun ct -> G.inv (f ct)) cts in
+      let h1 =
+        G.mul_batch
+          (Array.map (fun ct -> ct.El.r) output)
+          (inv_all (fun ct -> snd (carried ct)) input)
+      in
+      let h2 =
+        G.mul_batch
+          (G.mul_batch (Array.map (fun ct -> ct.El.c) output) stripped)
+          (inv_all (fun ct -> ct.El.c) input)
+      in
+      (h1, h2)
 
-    (* One proven ReEnc step over a batch of vectors: every component's
-       randomness is drawn on the caller in the elementwise order, then
-       the components run as one pooled job. One effective key serves the
-       whole step ([eff_pk] draws no randomness), so the proofs are the
-       same bytes as per-component [reenc_with_proof] calls. *)
+    (* Each component's index in the flattened batch, shaped like it. *)
+    let flat_index (batch : 'a array array) : int array array =
+      let next = ref 0 in
+      Array.map
+        (Array.map (fun _ ->
+             let i = !next in
+             incr next;
+             i))
+        batch
+
+    let flat (a : 'a array array) : 'a array = Array.concat (Array.to_list a)
+
+    (* One proven ReEnc step over a batch of vectors, for one effective
+       key: [eff_pk] = g^{x_eff} where x_eff = coeff·share is the exponent
+       this server uses (for anytrust groups coeff = 1 and eff_pk is the
+       server's public key; for many-trust groups it is share_pk^λ). Every
+       component's randomness is drawn on the caller in the elementwise
+       order; the ciphertexts are [El.reenc_batch_with] of the fresh
+       exponents, and the DLEQs one pooled job over every component. The
+       rerandomization statements R'/R and c'·D/c are exactly the factors
+       (g^{r'}, X'^{r'}) the step multiplied in (group results are
+       canonical), so they cost no group operation here. [eff_pk] draws
+       no randomness, so the proofs are the same bytes as per-component
+       [reenc_with_proof] calls. *)
     let reenc_batch_with_proof ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk ~context
         (batch : El.vec array) : El.vec array * t array array =
       let x_eff = G.Scalar.mul coeff share in
       let eff_pk = G.pow_gen x_eff in
-      let drawn = Array.map (Array.map (fun ct -> (draw rng ~next_pk, ct))) batch in
-      let stepped =
-        Atom_exec.Pool.map_nested ?pool
-          (fun (dr, ct) -> prove_step ~x_eff ~eff_pk ~next_pk ~context dr ct)
-          drawn
+      let draws = Array.map (Array.map (fun _ -> draw rng ~next_pk)) batch in
+      let output, wits =
+        El.reenc_batch_with ?pool ~x_eff ~next_pk
+          ~fresh:(Array.map (Array.map (fun dr -> dr.fresh)) draws)
+          batch
       in
-      (Array.map (Array.map fst) stepped, Array.map (Array.map snd) stepped)
+      let input = flat batch and dr = flat draws and wits = flat wits in
+      let proofs =
+        Atom_exec.Pool.map_nested ?pool
+          (fun i ->
+            let d = wits.(i).El.stripped in
+            let strip_proof =
+              Dleq.prove_with ~nonce:dr.(i).strip_nonce ~context ~g1:G.generator ~h1:eff_pk
+                ~g2:(fst (carried input.(i))) ~h2:d ~x:x_eff
+            in
+            let rerand_proof =
+              Option.map
+                (fun pk' ->
+                  let h1, h2 = wits.(i).El.shift in
+                  Dleq.prove_with ~nonce:dr.(i).rerand_nonce ~context ~g1:G.generator ~h1
+                    ~g2:pk' ~h2 ~x:dr.(i).fresh)
+                next_pk
+            in
+            { stripped = d; strip_proof; rerand_proof })
+          (flat_index batch)
+      in
+      (output, proofs)
+
+    let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?coeff
+        ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
+      let out, pis = reenc_batch_with_proof rng ~share ?coeff ~next_pk ~context [| [| ct |] |] in
+      (out.(0).(0), pis.(0).(0))
 
     let reenc_vec_with_proof rng ~share ?coeff ~next_pk ~context (v : El.vec) :
         El.vec * t array =
       let out, pis = reenc_batch_with_proof rng ~share ?coeff ~next_pk ~context [| v |] in
       (out.(0), pis.(0))
 
-    let verify ~(eff_pk : G.t) ~(next_pk : G.t option) ~(context : string) ~(input : El.cipher)
-        ~(output : El.cipher) (pi : t) : bool =
-      let y_in, r_in =
-        match input.El.y with None -> (input.El.r, G.one) | Some y -> (y, input.El.r)
-      in
-      (* The output must carry Y = Y_in. *)
-      let y_ok = match output.El.y with Some y -> G.equal y y_in | None -> false in
-      y_ok
-      && Dleq.verify ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:pi.stripped pi.strip_proof
+    (* Every component of every unit checked as one pooled job, after the
+       statements (h1, h2, or the exit layer's c/D) are batched products;
+       all components run, so the verdict is the same as the elementwise
+       check's. Each component's output must carry Y = Y_in, its stripped
+       factor must match eff_pk (DLEQ), and either its rerandomization
+       proof toward [next_pk] must verify or, at the exit layer, it must
+       be the pure strip c' = c/D, R' = R. *)
+    let verify_batch ?pool ~eff_pk ~next_pk ~context ~(input : El.vec array)
+        ~(output : El.vec array) (pis : t array array) : bool =
+      let same_shape a b = Array.length a = Array.length b in
+      same_shape pis input && same_shape output input
+      && Array.for_all2 same_shape pis input
+      && Array.for_all2 same_shape output input
       &&
-      match (next_pk, pi.rerand_proof) with
-      | None, None ->
-          (* Exit layer: pure strip, no fresh randomness. *)
-          G.equal output.El.c (G.div input.El.c pi.stripped) && G.equal output.El.r r_in
-      | Some pk', Some rp ->
-          let h1 = G.div output.El.r r_in in
-          let h2 = G.div (G.mul output.El.c pi.stripped) input.El.c in
-          Dleq.verify ~context ~g1:G.generator ~h1 ~g2:pk' ~h2 rp
-      | _ -> false
+      let input = flat input and output = flat output and pis = flat pis in
+      let ds = Array.map (fun pi -> pi.stripped) pis in
+      let rest_ok =
+        match next_pk with
+        | None ->
+            let cs = G.mul_batch (Array.map (fun ct -> ct.El.c) input) (Array.map G.inv ds) in
+            fun i ->
+              Option.is_none pis.(i).rerand_proof
+              && G.equal output.(i).El.c cs.(i)
+              && G.equal output.(i).El.r (snd (carried input.(i)))
+        | Some pk' -> (
+            let h1, h2 = rerand_statements ~input ~output ~stripped:ds in
+            fun i ->
+              match pis.(i).rerand_proof with
+              | Some rp -> Dleq.verify ~context ~g1:G.generator ~h1:h1.(i) ~g2:pk' ~h2:h2.(i) rp
+              | None -> false)
+      in
+      Array.for_all Fun.id
+        (Atom_exec.Pool.tabulate ?pool (Array.length input) (fun i ->
+             let y_in, _ = carried input.(i) in
+             (match output.(i).El.y with Some y -> G.equal y y_in | None -> false)
+             && Dleq.verify ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:ds.(i)
+                  pis.(i).strip_proof
+             && rest_ok i))
+
+    let verify ~eff_pk ~next_pk ~context ~(input : El.cipher) ~(output : El.cipher) (pi : t) :
+        bool =
+      verify_batch ~eff_pk ~next_pk ~context ~input:[| [| input |] |] ~output:[| [| output |] |]
+        [| [| pi |] |]
+
+    let verify_vec ~eff_pk ~next_pk ~context ~(input : El.vec) ~(output : El.vec)
+        (pis : t array) : bool =
+      verify_batch ~eff_pk ~next_pk ~context ~input:[| input |] ~output:[| output |] [| pis |]
 
     let to_bytes (pi : t) : string =
       let tag, rest =
@@ -217,25 +280,5 @@ struct
           | 0 -> { stripped; strip_proof; rerand_proof = None }
           | 1 -> { stripped; strip_proof; rerand_proof = Some (Dleq.read r) }
           | _ -> Bin.R.fail ())
-
-    (* Every component of every unit checked as one pooled job; all of
-       them run, so the verdict is the same as the elementwise check's. *)
-    let verify_batch ?pool ~eff_pk ~next_pk ~context ~(input : El.vec array)
-        ~(output : El.vec array) (pis : t array array) : bool =
-      let same_shape a b = Array.length a = Array.length b in
-      same_shape pis input && same_shape output input
-      && Array.for_all2 same_shape pis input
-      && Array.for_all2 same_shape output input
-      && Array.for_all
-           (Array.for_all Fun.id)
-           (Atom_exec.Pool.map_nested ?pool
-              (fun (u, c) ->
-                verify ~eff_pk ~next_pk ~context ~input:input.(u).(c) ~output:output.(u).(c)
-                  pis.(u).(c))
-              (Array.mapi (fun u v -> Array.mapi (fun c _ -> (u, c)) v) input))
-
-    let verify_vec ~eff_pk ~next_pk ~context ~(input : El.vec) ~(output : El.vec)
-        (pis : t array) : bool =
-      verify_batch ~eff_pk ~next_pk ~context ~input:[| input |] ~output:[| output |] [| pis |]
   end
 end

@@ -134,6 +134,84 @@ end = struct
     Array.iter (fun e -> Alcotest.(check bool) "all-zero gen batch" true (G.is_one e)) all_zero;
     Alcotest.(check int) "empty gen batch" 0 (Array.length (G.pow_gen_batch [||]))
 
+  (* Every lane [mul_batch] must treat exactly, mixed into one batch:
+     identity operands on either side or both, a doubling (a = b), a
+     product with the inverse (the identity), the generator, and a
+     repeated operand. *)
+  let test_mul_batch_agrees () =
+    let r = rng () in
+    let a = G.random r and b = G.random r and c = G.random r in
+    let lanes =
+      [|
+        (a, b); (G.one, b); (a, G.one); (G.one, G.one); (a, a); (a, G.inv a); (G.inv b, b);
+        (G.generator, c); (G.generator, G.generator); (c, a); (a, b); (b, a);
+      |]
+    in
+    let xs = Array.map fst lanes and ys = Array.map snd lanes in
+    let got = G.mul_batch xs ys in
+    Alcotest.(check int) "mul_batch length" (Array.length lanes) (Array.length got);
+    Array.iteri
+      (fun i (x, y) -> check (Printf.sprintf "mul_batch [%d]" i) (G.mul x y) got.(i))
+      lanes;
+    Alcotest.(check bool) "a·a⁻¹ is the identity" true (G.is_one got.(5));
+    Array.iteri
+      (fun i (x, y) ->
+        check (Printf.sprintf "singleton [%d]" i) (G.mul x y) (G.mul_batch [| x |] [| y |]).(0))
+      lanes;
+    let inverses = G.mul_batch [| a; b |] [| G.inv a; G.inv b |] in
+    Alcotest.(check bool) "all-identity batch" true (Array.for_all G.is_one inverses);
+    Alcotest.(check int) "empty" 0 (Array.length (G.mul_batch [||] [||]));
+    Alcotest.(check bool) "length mismatch raises" true
+      (match G.mul_batch [| a |] [||] with _ -> false | exception Invalid_argument _ -> true)
+
+  (* Identity bases, a repeated base and the generator inside one batch,
+     under random, small, unit and zero scalars. *)
+  let test_pow_bases_agrees () =
+    let r = rng () in
+    let x = G.random r and y = G.random r in
+    let bases = [| x; G.one; y; x; G.generator; G.random r; G.one; y |] in
+    List.iter
+      (fun (what, k) ->
+        let got = G.pow_bases bases k in
+        Alcotest.(check int) (what ^ " length") (Array.length bases) (Array.length got);
+        Array.iteri
+          (fun i b -> check (Printf.sprintf "pow_bases %s [%d]" what i) (G.pow b k) got.(i))
+          bases)
+      [ ("random", S.random r); ("k=1", S.one); ("k=7", S.of_int 7); ("k=8", S.of_int 8);
+        ("k=q-1", S.neg S.one); ("k=0", S.zero) ];
+    Alcotest.(check bool) "k=0 gives identities" true
+      (Array.for_all G.is_one (G.pow_bases bases S.zero));
+    Alcotest.(check bool) "identity bases only" true
+      (Array.for_all G.is_one (G.pow_bases [| G.one; G.one |] (S.random r)));
+    check "singleton" (G.pow y (S.of_int 5)) (G.pow_bases [| y |] (S.of_int 5)).(0);
+    Alcotest.(check int) "empty" 0 (Array.length (G.pow_bases [||] (S.random r)))
+
+  (* The pooled batch entry points give the same bytes with no pool, a
+     1-domain pool and a 2-domain pool. *)
+  let test_batches_pool_independent () =
+    let r = rng () in
+    let bases = Array.init 9 (fun i -> if i = 4 then G.one else G.random r) in
+    let k = S.random r in
+    let ks = Array.init 9 (fun i -> if i = 2 then S.zero else S.random r) in
+    let run pool =
+      List.map
+        (fun els -> Array.map G.to_bytes els)
+        [ G.pow_bases ?pool bases k; G.pow_batch ?pool bases.(0) ks; G.pow_gen_batch ?pool ks ]
+    in
+    let reference = run None in
+    List.iter
+      (fun domains ->
+        let pool = Atom_exec.Pool.create ~domains () in
+        let got =
+          Fun.protect
+            ~finally:(fun () -> Atom_exec.Pool.shutdown pool)
+            (fun () -> run (Some pool))
+        in
+        Alcotest.(check (list (array string)))
+          (Printf.sprintf "%d-domain pool" domains)
+          reference got)
+      [ 1; 2 ]
+
   let cases =
     [
       Alcotest.test_case (G.name ^ " comb pow_gen = pow g") `Quick test_pow_gen_agrees;
@@ -143,6 +221,10 @@ end = struct
       Alcotest.test_case (G.name ^ " msm large (Pippenger)") `Slow test_msm_large;
       Alcotest.test_case (G.name ^ " pow_batch = map pow") `Quick test_pow_batch_agrees;
       Alcotest.test_case (G.name ^ " pow_gen_batch edge cases") `Quick test_pow_gen_batch_agrees;
+      Alcotest.test_case (G.name ^ " mul_batch = map2 mul") `Quick test_mul_batch_agrees;
+      Alcotest.test_case (G.name ^ " pow_bases = map pow") `Quick test_pow_bases_agrees;
+      Alcotest.test_case (G.name ^ " batches pool-independent") `Quick
+        test_batches_pool_independent;
     ]
 end
 
@@ -218,9 +300,25 @@ module P256_tiers = struct
     check "key pow after the flood" (ref_pow key k) (P.pow key k);
     Alcotest.(check (pair int int)) "nothing rebuilt" (w0, c0 + 1) (builds ())
 
+  (* pow_bases reads no tier and feeds none: a base raised through it 32
+     times builds no table, and a later plain [pow] of it is still a
+     first sighting. *)
+  let test_pow_bases_skips_tiers () =
+    let r = Atom_util.Rng.create 0xba5e in
+    let y = P.random r in
+    let k = S.random r in
+    let w0, c0 = builds () in
+    for _ = 1 to 2 do
+      Array.iter (fun d -> check "strip" (ref_pow y k) d) (P.pow_bases (Array.make 16 y) k)
+    done;
+    Alcotest.(check (pair int int)) "no table built" (w0, c0) (builds ());
+    check "pow after the batches" (ref_pow y k) (P.pow y k);
+    Alcotest.(check (pair int int)) "still a miss" (w0, c0) (builds ())
+
   let cases =
     [
       Alcotest.test_case "p256 miss -> window -> comb agree" `Quick test_cache_states;
+      Alcotest.test_case "p256 pow_bases skips the tiers" `Quick test_pow_bases_skips_tiers;
       Alcotest.test_case "p256 comb survives one-shot bases" `Quick test_comb_survives_oneshots;
     ]
 end

@@ -482,6 +482,9 @@ let test_opcount () =
   let (_ : G.t) = G.msm [| (x, k); (x, k); (x, k) |] in
   let (_ : G.t array) = G.pow_batch x [| k; k |] in
   let (_ : G.t array) = G.pow_gen_batch [| k; k; k |] in
+  (* pow_bases is one batch of its bases; mul_batch is no exponentiation. *)
+  let (_ : G.t array) = G.pow_bases [| x; x; G.one; x |] k in
+  let (_ : G.t array) = G.mul_batch [| x |] [| x |] in
   let d = Opcount.diff (Opcount.snapshot ()) s0 in
   Alcotest.(check int) "pow_gen" 1 d.Opcount.pow_gen;
   Alcotest.(check int) "pow" 1 d.Opcount.pow;
@@ -489,9 +492,9 @@ let test_opcount () =
   Alcotest.(check int) "pow2" 1 d.Opcount.pow2;
   Alcotest.(check int) "msm calls" 1 d.Opcount.msm_calls;
   Alcotest.(check int) "msm terms" 3 d.Opcount.msm_terms;
-  Alcotest.(check int) "batch calls" 2 d.Opcount.batch_calls;
-  Alcotest.(check int) "batch scalars" 5 d.Opcount.batch_scalars;
-  Alcotest.(check int) "total calls" 6 (Opcount.total_calls d)
+  Alcotest.(check int) "batch calls" 3 d.Opcount.batch_calls;
+  Alcotest.(check int) "batch scalars" 9 d.Opcount.batch_scalars;
+  Alcotest.(check int) "total calls" 7 (Opcount.total_calls d)
 
 (* ---- end-to-end: traced simulated fleet round ---- *)
 

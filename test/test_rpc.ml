@@ -13,7 +13,20 @@
 module G = (val Atom_group.Registry.zp_test ())
 module SimT = Atom_rpc.Sim_transport
 module TcpT = Atom_rpc.Tcp_transport
-module NodeSim = Atom_rpc.Node.Make (G) (SimT.Check)
+(* The simulator transport with a tap: while [tap] holds a list, every
+   frame sent is pushed onto it, so a test can read what a round put on
+   the wire. *)
+module SimT_tap = struct
+  include SimT.Check
+
+  let tap : string list ref option ref = ref None
+
+  let send t ~dst msg =
+    Option.iter (fun l -> l := msg :: !l) !tap;
+    SimT.send t ~dst msg
+end
+
+module NodeSim = Atom_rpc.Node.Make (G) (SimT_tap)
 module NodeTcp = Atom_rpc.Node.Make (G) (TcpT.Check)
 module Pr = NodeSim.Pr
 module El = Pr.El
@@ -193,6 +206,65 @@ let test_sim_cluster_all_variants () =
           Alcotest.(check bool) (what ^ ": matches reference") true o.NodeSim.matched)
         [ ("basic", Config.Basic); ("nizk", Config.Nizk); ("trap", Config.Trap) ])
     [ (2, 1); (2, 2); (3, 1) ]
+
+(* A data frame carries its step's input only for a NIZK receiver's
+   proof check: a Trap round sends none and still matches the
+   single-process reference, a NIZK round's frames carry every input. *)
+let test_sim_frames_carry_inputs_only_for_nizk () =
+  let round variant =
+    let frames = ref [] in
+    SimT_tap.tap := Some frames;
+    let o =
+      Fun.protect
+        ~finally:(fun () -> SimT_tap.tap := None)
+        (fun () -> run_sim_cluster (cluster_config variant) ~users:12)
+    in
+    Alcotest.(check bool) "matches reference" true o.NodeSim.matched;
+    (* (kind, input units, output units) of every data frame *)
+    List.filter_map
+      (fun frame ->
+        match Option.bind (NodeSim.C.decode frame) (NodeSim.C.force ?pool:None) with
+        | Some (NodeSim.C.Shuffle_step { input; output; _ }) -> Some ("shuffle", input, output)
+        | Some (NodeSim.C.Reenc_step { input; output; _ }) -> Some ("reenc", input, output)
+        | Some (NodeSim.C.Batch { input; output; _ }) -> Some ("batch", input, output)
+        | Some (NodeSim.C.Exit_batch { input; output; _ }) -> Some ("exit", input, output)
+        | _ -> None)
+      (List.rev !frames)
+  in
+  let kinds = [ "shuffle"; "reenc"; "batch"; "exit" ] in
+  let check_round name data ~input_units =
+    List.iter
+      (fun kind ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: a %s frame with units" name kind)
+          true
+          (List.exists (fun (k, _, output) -> k = kind && Array.length output > 0) data))
+      kinds;
+    List.iter
+      (fun (kind, input, output) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s frame input units" name kind)
+          (input_units output) (Array.length input))
+      data
+  in
+  check_round "trap" (round Config.Trap) ~input_units:(fun _ -> 0);
+  check_round "nizk" (round Config.Nizk) ~input_units:Array.length
+
+(* A shuffle frame whose input is empty used to skip the NIZK check
+   whatever its output held, so a forged output would be shuffled
+   onward. Only nothing in and nothing out is exempt; Trap checks no
+   shuffle proofs at all. *)
+let test_verify_shuffle_empty_input () =
+  let verdict variant ~input ~output =
+    let net = Pr.setup (Atom_util.Rng.create 5) (cluster_config variant) () in
+    NodeSim.verify_shuffle net ~gid:0 ~iter:0 ~input ~output ""
+  in
+  let forged = [| fst (El.enc_vec (Atom_util.Rng.create 1) G.generator [| G.generator |]) |] in
+  Alcotest.(check bool) "nizk: empty input, forged output, no proof: rejected" false
+    (verdict Config.Nizk ~input:[||] ~output:forged);
+  Alcotest.(check bool) "nizk: nothing in, nothing out: accepted" true
+    (verdict Config.Nizk ~input:[||] ~output:[||]);
+  Alcotest.(check bool) "trap: accepted" true (verdict Config.Trap ~input:[||] ~output:forged)
 
 let test_sim_cluster_deterministic () =
   let o1 = run_sim_cluster (cluster_config Config.Nizk) ~users:10 in
@@ -860,6 +932,10 @@ let suite =
       Alcotest.test_case "chaos partition window" `Quick test_chaos_partition_window;
       Alcotest.test_case "sim cluster all variants" `Quick test_sim_cluster_all_variants;
       Alcotest.test_case "sim cluster deterministic" `Quick test_sim_cluster_deterministic;
+      Alcotest.test_case "sim frames carry inputs only for nizk" `Quick
+        test_sim_frames_carry_inputs_only_for_nizk;
+      Alcotest.test_case "verify_shuffle rejects an empty input" `Quick
+        test_verify_shuffle_empty_input;
       Alcotest.test_case "node survives bad frame" `Quick test_sim_node_survives_bad_frame;
       Alcotest.test_case "sim cluster ignores bad exits" `Quick
         test_sim_cluster_ignores_bad_exits;
