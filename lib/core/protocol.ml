@@ -225,25 +225,83 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     blamed : int list; (* user ids identified by the §4.6 procedure *)
   }
 
-  (* Verify a submission at its entry group; §3's duplicate-ciphertext check
-     included. *)
-  let verify_submission (net : network) (seen : (string, int) Hashtbl.t) (s : submission) : bool =
-    let ctx = proof_context net s.entry_gid in
-    let pk = group_pk net s.entry_gid in
-    let unit_count_ok =
-      match net.config.Config.variant with
-      | Basic | Nizk -> Array.length s.units = 1 && s.commitment = None
-      | Trap -> Array.length s.units = 2 && s.commitment <> None
+  (* The entry checks of §3 over a list of submissions, one verdict each,
+     in order: the unit count fits the variant, every EncProof verifies,
+     and no unit repeats a ciphertext already in [seen]. Units are recorded
+     in [seen] in order, a unit of a submission that then fails included,
+     and a submission's first failing unit ends its pass.
+
+     Every proof of every well-shaped submission is first checked as one
+     batch: one pooled weighted multi-exponentiation. If it holds, the
+     duplicate pass runs with the proofs taken as valid; if not, each
+     unit's proofs are checked on their own (one pooled job) and the same
+     pass runs on those verdicts. Either way the verdicts and [seen] are
+     those of checking each submission in turn. *)
+  let verify_submissions ?pool (net : network) (seen : (string, int) Hashtbl.t)
+      (subs : submission list) : bool list =
+    let subs = Array.of_list subs in
+    let shaped =
+      Array.map
+        (fun s ->
+          match net.config.Config.variant with
+          | Basic | Nizk -> Array.length s.units = 1 && s.commitment = None
+          | Trap -> Array.length s.units = 2 && s.commitment <> None)
+        subs
     in
-    unit_count_ok
-    && Array.for_all
-         (fun u ->
-           let bytes = El.vec_to_bytes u.vec in
-           let fresh = not (Hashtbl.mem seen bytes) in
-           if fresh then Hashtbl.add seen bytes s.user;
-           ops.encproof_verifies <- ops.encproof_verifies + Array.length u.vec;
-           fresh && P.Enc_proof.verify_vec ~pk ~context:ctx u.vec u.proofs)
-         s.units
+    (* Each unit's claims; None on a proof-count mismatch. *)
+    let claims =
+      Array.mapi
+        (fun i s ->
+          if not shaped.(i) then [||]
+          else
+            let pk = group_pk net s.entry_gid and context = proof_context net s.entry_gid in
+            Array.map
+              (fun u ->
+                if Array.length u.proofs <> Array.length u.vec then None
+                else
+                  Some
+                    (Array.map2
+                       (fun ct proof -> { P.Enc_proof.pk; context; ct; proof })
+                       u.vec u.proofs))
+              s.units)
+        subs
+    in
+    let batch =
+      Array.concat
+        (List.concat_map (fun us -> List.filter_map Fun.id (Array.to_list us)) (Array.to_list claims))
+    in
+    let proofs_ok =
+      if P.Enc_proof.verify_batch ?pool batch then Array.map (Array.map Option.is_some) claims
+      else
+        Atom_exec.Pool.map_nested ?pool
+          (function Some cs -> P.Enc_proof.verify_batch cs | None -> false)
+          claims
+    in
+    Array.to_list
+      (Array.mapi
+         (fun i s ->
+           let rec pass j =
+             j >= Array.length s.units
+             ||
+             let u = s.units.(j) in
+             let bytes = El.vec_to_bytes u.vec in
+             let fresh = not (Hashtbl.mem seen bytes) in
+             if fresh then Hashtbl.add seen bytes s.user;
+             ops.encproof_verifies <- ops.encproof_verifies + Array.length u.vec;
+             fresh && proofs_ok.(i).(j) && pass (j + 1)
+           in
+           shaped.(i) && pass 0)
+         subs)
+
+  let verify_submission (net : network) (seen : (string, int) Hashtbl.t) (s : submission) : bool =
+    List.hd (verify_submissions net seen [ s ])
+
+  (* [verify_submissions]' verdicts as (accepted, rejected), each in order. *)
+  let partition_submissions ?pool net seen (subs : submission list) :
+      submission list * submission list =
+    let verdicts = verify_submissions ?pool net seen subs in
+    let accepted, rejected = List.partition snd (List.combine subs verdicts) in
+    (List.map fst accepted, List.map fst rejected)
 
   (* One group's work for one iteration: collective shuffle, divide into β
      batches, decrypt-and-reencrypt toward each neighbor (Algorithm 1; with
@@ -509,7 +567,7 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     reset_ops ();
     (* Entry: verify proofs, register commitments. *)
     let seen = Hashtbl.create 256 in
-    let accepted, rejected = List.partition (verify_submission net seen) submissions in
+    let accepted, rejected = partition_submissions net seen submissions in
     let rejected_submissions = List.map (fun s -> s.user) rejected in
     let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
     List.iter

@@ -143,8 +143,8 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
      batches: the strip factors share one exponent over fresh bases
      ([G.pow_bases]), the rerandomization factors are fixed-base
      ([G.pow_gen_batch], [G.pow_batch]), and the products are two
-     [G.mul_batch] calls — a constant number of inversions per step on
-     curve backends. *)
+     [G.mul_batch] calls over one [G.inv_batch] — a constant number of
+     inversions per step on every backend. *)
   let reenc_batch_with ?pool ~(x_eff : G.Scalar.t) ~(next_pk : G.t option)
       ~(fresh : G.Scalar.t array array) (batch : cipher array array) :
       cipher array array * reenc_witness array array =
@@ -152,7 +152,7 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     let ys = Array.map (fun ct -> Option.value ct.y ~default:ct.r) flat in
     let rs = Array.map (fun ct -> if Option.is_none ct.y then G.one else ct.r) flat in
     let ds = G.pow_bases ?pool ys x_eff in
-    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (Array.map G.inv ds) in
+    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (G.inv_batch ?pool ds) in
     let fresh, (gr, pkr), (rs, cs) =
       match next_pk with
       | None ->

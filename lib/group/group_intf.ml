@@ -55,6 +55,11 @@ module type GROUP = sig
   (** The group operation. *)
 
   val inv : t -> t
+
+  val inv_batch : ?pool:Atom_exec.Pool.t -> t array -> t array
+  (** [inv_batch xs] = [Array.map inv xs]. Backends whose inversion is an
+      exponentiation (Zp) share one field inversion across the batch. *)
+
   val div : t -> t -> t
 
   val pow : t -> scalar -> t

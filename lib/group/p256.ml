@@ -52,7 +52,7 @@ module Scalar = struct
   let equal = Modarith.equal
   let is_zero = Modarith.is_zero
   let random rng = of_nat (Nat.random_below rng order)
-  let of_bytes_mod s = of_nat (Nat.of_bytes_be s)
+  let of_bytes_mod s = Modarith.of_bytes_mod fq s
   let to_bytes s = Nat.to_bytes_be ~length:32 (to_nat s)
 end
 
@@ -253,35 +253,9 @@ let to_affine (j : jp) : t =
 
 let zero_fp = Modarith.zero fp
 
-(* Montgomery's simultaneous-inversion trick: the inverses of a whole
-   array of field elements for a single Fermat inversion (plus 3 mults
-   per element for the prefix bookkeeping). Zero entries are skipped and
-   come back as zero; an array of zeros costs no inversion at all. *)
-let inv_batch (vs : Modarith.el array) : Modarith.el array =
-  let n = Array.length vs in
-  let prefix = Array.make n zero_fp and out = Array.make n zero_fp in
-  let acc = ref (Modarith.one fp) and live = ref false in
-  for i = 0 to n - 1 do
-    if not (Modarith.is_zero vs.(i)) then begin
-      prefix.(i) <- !acc;
-      acc := Modarith.mul fp !acc vs.(i);
-      live := true
-    end
-  done;
-  if !live then begin
-    let inv_acc = ref (Modarith.inv fp !acc) in
-    for i = n - 1 downto 0 do
-      if not (Modarith.is_zero vs.(i)) then begin
-        out.(i) <- Modarith.mul fp !inv_acc prefix.(i);
-        inv_acc := Modarith.mul fp !inv_acc vs.(i)
-      end
-    done
-  end;
-  out
-
 (* Normalize a whole batch of Jacobian points with one inversion. *)
 let to_affine_batch (js : jp array) : t array =
-  let zinvs = inv_batch (Array.map (fun j -> j.z) js) in
+  let zinvs = Modarith.inv_batch fp (Array.map (fun j -> j.z) js) in
   Array.mapi
     (fun i j ->
       if jp_is_inf j then Inf
@@ -304,10 +278,14 @@ let mul a b =
       to_affine r
 
 let inv = function Inf -> Inf | Aff (x, y) -> Aff (x, Modarith.neg fp y)
+
+(* Inversion is a negation of y, so a batch needs no shared work. *)
+let inv_batch ?pool:_ (xs : t array) : t array = Array.map inv xs
+
 let div a b = mul a (inv b)
 
 (* Batch affine addition: every lane's slope denominator (x2 − x1, or 2y
-   for a doubling) joins one [inv_batch], so n products cost one
+   for a doubling) joins one [Modarith.inv_batch], so n products cost one
    inversion plus about six field multiplications each, where [mul]
    spends a Jacobian addition and an inversion per product. Lanes with an
    identity operand, or whose operands are mutual inverses (equal x,
@@ -332,7 +310,7 @@ let mul_batch (xs : t array) (ys : t array) : t array =
           den.(i) <- Modarith.add fp y1 y1
         end
   done;
-  let dinv = inv_batch den in
+  let dinv = Modarith.inv_batch fp den in
   for i = 0 to n - 1 do
     if not (Modarith.is_zero den.(i)) then
       match (xs.(i), ys.(i)) with
@@ -420,6 +398,53 @@ let flat_of_jps (js : jp array) : table =
           Array.blit y 0 data ((i * entry_words) + limbs) limbs
       | Inf -> assert false)
     (to_affine_batch js);
+  data
+
+(* The one-row signed window tables (d·B for d = 1..8) of many fresh
+   bases, affine, in one flat buffer, row j for bases.(j). The entries are
+   built with mixed additions and normalized together (Montgomery's trick
+   over their z), so a build spends one inversion. The entries and
+   prefix products are short-lived heap buffers, not arena slots: a
+   session that finds its domain's working state held by another
+   systhread runs on a throwaway one, whose arena would grow to the whole
+   batch's size each time. *)
+let window_rows (bases : t array) : table =
+  let n = Array.length bases * 8 in
+  let data = Array.make (n * entry_words) 0 in
+  let js = Array.init n (fun _ -> jp_fresh ()) in
+  let prefix = Array.init n (fun _ -> Modarith.alloc fp) in
+  Modarith.with_session fp (fun s ->
+      let m = Modarith.S.mark s in
+      Array.iteri
+        (fun j b ->
+          match b with
+          | Inf -> invalid_arg "P256.window_rows: the identity has no table"
+          | Aff (bx, by) ->
+              jp_set_aff js.(j * 8) bx by;
+              for d = 1 to 7 do
+                jp_copy ~dst:js.((j * 8) + d) js.((j * 8) + d - 1);
+                jadd_aff s js.((j * 8) + d) bx by
+              done)
+        bases;
+      let acc = Modarith.S.take s in
+      Modarith.set_one fp acc;
+      for i = 0 to n - 1 do
+        Modarith.copy_into ~dst:prefix.(i) acc;
+        Modarith.S.mul s ~dst:acc acc js.(i).z
+      done;
+      if n > 0 then Modarith.copy_into ~dst:acc (Modarith.inv fp acc);
+      let zinv = Modarith.S.take s and zz = Modarith.S.take s and t = Modarith.S.take s in
+      for i = n - 1 downto 0 do
+        Modarith.S.mul s ~dst:zinv acc prefix.(i);
+        Modarith.S.mul s ~dst:acc acc js.(i).z;
+        Modarith.S.sqr s ~dst:zz zinv;
+        Modarith.S.mul s ~dst:t js.(i).x zz;
+        Array.blit t 0 data (i * entry_words) limbs;
+        Modarith.S.mul s ~dst:zz zz zinv;
+        Modarith.S.mul s ~dst:t js.(i).y zz;
+        Array.blit t 0 data ((i * entry_words) + limbs) limbs
+      done;
+      Modarith.S.release s m);
   data
 
 let comb_count = Atomic.make 0
@@ -630,28 +655,50 @@ let pow (base : t) (k : scalar) : t =
 (* ---- Multi-scalar multiplication ---- *)
 
 (* Straus (shared doublings, per-base 4-bit window tables) for small
-   batches, over the pair slice [lo, hi). A pair's window table is either
-   its base's cached flat table (signed digits) or a per-call Jacobian
-   table on the arena (unsigned nibbles), built only up to the largest
-   nibble the scalar can produce — tiny scalars (e.g. the all-ones MSM of
-   combine_pks) skip table construction entirely. *)
-type straus_tab = T_win of table * int array | T_jac of jp array
+   batches, over the pair slice [lo, hi). A pair's window table is its
+   base's cached flat table, or a one-row signed window table built for
+   this call: when [affine_rows_from] or more bases need one, all their
+   rows are normalized together (one inversion) into one flat buffer, so
+   the ladder adds them as affine points and they take no arena slots.
+   Otherwise, and for scalars of one digit, a base gets a per-call
+   Jacobian table on the arena (unsigned nibbles), built only up to the
+   largest nibble the scalar can produce — tiny scalars (e.g. the
+   all-ones MSM of combine_pks) skip table construction entirely. *)
+type straus_tab = T_win of table * int * int array | T_jac of jp array
+
+let affine_rows_from = 4
 
 let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array) ~(lo : int)
     ~(hi : int) : jp =
   let n = hi - lo in
+  let fresh =
+    List.filter
+      (fun i -> Option.is_none wins.(i) && Nat.bit_length exps.(i) > 4 && not (is_one bases.(i)))
+      (List.init n (fun j -> lo + j))
+  in
+  let rows = Array.make n (-1) in
+  let fresh_tab =
+    if List.length fresh < affine_rows_from then [||]
+    else begin
+      List.iteri (fun row i -> rows.(i - lo) <- row) fresh;
+      window_rows (Array.of_list (List.map (fun i -> bases.(i)) fresh))
+    end
+  in
   let acc = jp_fresh () in
   Modarith.with_session fp (fun s ->
       let m0 = Modarith.S.mark s in
       let windows = ref 0 in
+      let signed tab row i =
+        let ds = signed_digits exps.(i) in
+        windows := max !windows (top_digit ds + 1);
+        T_win (tab, row, ds)
+      in
       let tabs =
         Array.init n (fun j ->
             let i = lo + j in
             match wins.(i) with
-            | Some tab ->
-                let ds = signed_digits exps.(i) in
-                windows := max !windows (top_digit ds + 1);
-                T_win (tab, ds)
+            | Some tab -> signed tab 0 i
+            | None when rows.(j) >= 0 -> signed fresh_tab rows.(j) i
             | None ->
                 windows := max !windows ((Nat.bit_length exps.(i) + 3) / 4);
                 let max_d = if Nat.bit_length exps.(i) > 4 then 15 else Nat.to_int_exn exps.(i) in
@@ -678,7 +725,7 @@ let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array
         end;
         for j = 0 to n - 1 do
           match tabs.(j) with
-          | T_win (tab, ds) -> if ds.(w) <> 0 then add_entry s acc tab 0 ds.(w) ex ey
+          | T_win (tab, row, ds) -> if ds.(w) <> 0 then add_entry s acc tab row ds.(w) ex ey
           | T_jac table ->
               let d = nibble_of exps.(lo + j) w in
               if d <> 0 then jadd s acc table.(d)
@@ -892,7 +939,7 @@ let pow_bases ?pool (bases : t array) (k : scalar) : t array =
   in
   if not (Nat.is_zero e || live = []) then begin
     let ds = signed_digits e in
-    let tab = flat_of_jps (Array.concat (List.map (fun i -> table_jps ~rows:1 bases.(i)) live)) in
+    let tab = window_rows (Array.of_list (List.map (fun i -> bases.(i)) live)) in
     let live = Array.of_list live in
     let rs =
       Atom_exec.Pool.tabulate ?pool (Array.length live) (fun row ->

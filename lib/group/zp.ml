@@ -56,7 +56,7 @@ let make (params : params) : (module Group_intf.GROUP) =
       let equal = Modarith.equal
       let is_zero = Modarith.is_zero
       let random rng = of_nat (Nat.random_below rng order)
-      let of_bytes_mod s = of_nat (Nat.of_bytes_be s)
+      let of_bytes_mod s = Modarith.of_bytes_mod ctx_q s
       let scalar_bytes = (Nat.bit_length params.q + 7) / 8
       let to_bytes s = Nat.to_bytes_be ~length:scalar_bytes (to_nat s)
     end
@@ -75,6 +75,24 @@ let make (params : params) : (module Group_intf.GROUP) =
     let mul a b = norm (Modarith.mul ctx_p a b)
     let inv a = norm (Modarith.inv ctx_p a)
     let div a b = mul a (inv b)
+
+    (* One Fermat inversion per batch (Montgomery's trick) instead of one
+       per element; with a pool, one per domain-sized chunk, the chunks'
+       tricks running side by side. *)
+    let inv_batch_pool_threshold = 64
+
+    let inv_batch ?pool (xs : t array) : t array =
+      let n = Array.length xs in
+      let inv_slice lo hi = Array.map norm (Modarith.inv_batch ctx_p (Array.sub xs lo (hi - lo))) in
+      match Atom_exec.Pool.resolve pool with
+      | Some p when n >= inv_batch_pool_threshold && Atom_exec.Pool.size p > 1 ->
+          let nchunks = Atom_exec.Pool.size p in
+          Array.concat
+            (Array.to_list
+               (Atom_exec.Pool.tabulate ~pool:p nchunks (fun c ->
+                    inv_slice (c * n / nchunks) ((c + 1) * n / nchunks))))
+      | _ -> inv_slice 0 n
+
     let pow_raw x k = norm (Modarith.pow ctx_p x (Scalar.to_nat k))
     let pow_gen_raw k = pow_raw generator k
 

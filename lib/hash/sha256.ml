@@ -36,8 +36,10 @@ let frac_root_constant p ~root =
   let scaled = Nat.shift_left (Nat.of_int p) (32 * root) in
   Nat.to_int_exn (integer_root scaled root) land mask32
 
-let k = lazy (Array.of_list (List.map (frac_root_constant ~root:3) (first_primes 64)))
-let h0 = lazy (Array.of_list (List.map (frac_root_constant ~root:2) (first_primes 8)))
+(* Built at module initialisation, not on first use: a lazy constant
+   forced by two pool domains at once raises [CamlinternalLazy.Undefined]. *)
+let k = Array.of_list (List.map (frac_root_constant ~root:3) (first_primes 64))
+let h0 = Array.of_list (List.map (frac_root_constant ~root:2) (first_primes 8))
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
@@ -48,10 +50,9 @@ type t = {
   mutable total : int; (* total bytes fed *)
 }
 
-let init () = { h = Array.copy (Lazy.force h0); buf = Bytes.create 64; buf_len = 0; total = 0 }
+let init () = { h = Array.copy h0; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
 let compress (st : t) (block : Bytes.t) (off : int) : unit =
-  let k = Lazy.force k in
   let w = Array.make 64 0 in
   for i = 0 to 15 do
     w.(i) <-

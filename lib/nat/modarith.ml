@@ -365,6 +365,41 @@ let of_nat (ctx : ctx) (a : Nat.t) : el =
 let to_nat (ctx : ctx) (a : el) : Nat.t =
   narrow (with_tls ctx (fun t -> mont_mul_t ctx t a ctx.one_plain))
 
+(* Big-endian bytes of any length, reduced mod m, straight into
+   Montgomery form without a [Nat] or a division (hash-to-scalar's path).
+   The value is cut into k-limb chunks C_j, each below R = 2^{26k}, and
+   folded from the top by Horner steps acc <- acc·R + C_j. A Montgomery
+   multiplication by R² maps any x < R (reduced or not) to x·R mod m, so
+   a step is one such multiplication of the accumulator (acc·R, kept in
+   Montgomery form), one of the chunk (entering Montgomery form) and a
+   modular addition. The result is the canonical element [of_nat] gives. *)
+let of_bytes_mod (ctx : ctx) (s : string) : el =
+  let k = ctx.k and len = String.length s in
+  let nlimbs = ((8 * len) + limb_bits - 1) / limb_bits in
+  let nchunks = max 1 ((nlimbs + k - 1) / k) in
+  let limbs = Array.make (nchunks * k) 0 in
+  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
+    acc_bits := !acc_bits + 8;
+    if !acc_bits >= limb_bits then begin
+      limbs.(!limb) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      acc_bits := !acc_bits - limb_bits;
+      incr limb
+    end
+  done;
+  if !acc_bits > 0 then limbs.(!limb) <- !acc;
+  with_tls ctx (fun t ->
+      let out = Array.make k 0 and chunk = Array.make k 0 in
+      for j = nchunks - 1 downto 0 do
+        Array.blit limbs (j * k) chunk 0 k;
+        mont_mul_into ctx t chunk chunk ctx.r2;
+        if j < nchunks - 1 then mont_mul_into ctx t out out ctx.r2;
+        add_into ctx out out chunk
+      done;
+      out)
+
 (* ---- wire parse: plain values ----
 
    The wire-decode fast path. [of_nat] costs a Nat round trip (widen
@@ -627,6 +662,32 @@ let msm (ctx : ctx) (pairs : (el * Nat.t) array) : el =
 let inv (ctx : ctx) (a : el) : el =
   if is_zero a then raise Division_by_zero;
   pow_oneshot ctx a ctx.inv_exp
+
+(* Montgomery's simultaneous-inversion trick: the inverses of a whole
+   array for a single Fermat inversion plus three multiplications per
+   element. Zero entries are skipped and come back as zero; an array of
+   zeros costs no inversion at all. *)
+let inv_batch (ctx : ctx) (vs : el array) : el array =
+  let n = Array.length vs in
+  let prefix = Array.make n [||] and out = Array.init n (fun _ -> zero ctx) in
+  let acc = ref (one ctx) and live = ref false in
+  for i = 0 to n - 1 do
+    if not (is_zero vs.(i)) then begin
+      prefix.(i) <- !acc;
+      acc := mul ctx !acc vs.(i);
+      live := true
+    end
+  done;
+  if !live then begin
+    let inv_acc = ref (inv ctx !acc) in
+    for i = n - 1 downto 0 do
+      if not (is_zero vs.(i)) then begin
+        out.(i) <- mul ctx !inv_acc prefix.(i);
+        inv_acc := mul ctx !inv_acc vs.(i)
+      end
+    done
+  end;
+  out
 
 let modulus ctx = ctx.modulus
 

@@ -38,6 +38,12 @@ val of_nat : ctx -> Nat.t -> el
 val to_nat : ctx -> el -> Nat.t
 val of_int : ctx -> int -> el
 
+val of_bytes_mod : ctx -> string -> el
+(** The big-endian value of a string of any length (empty is zero),
+    reduced mod the modulus, in Montgomery form: equal to
+    [of_nat ctx (Nat.of_bytes_be s)], computed by Horner steps over
+    context-width limb chunks with no [Nat] arithmetic. *)
+
 (** {1 Wire parse: plain values}
 
     The wire-decode fast path. A {!plain} is a fixed-width limb value
@@ -118,6 +124,11 @@ val inv : ctx -> el -> el
 (** Inverse via Fermat (prime modulus only), through {!pow_oneshot}: it
     allocates only its result.
     @raise Division_by_zero on zero. *)
+
+val inv_batch : ctx -> el array -> el array
+(** Every element's inverse for one Fermat inversion (Montgomery's
+    trick) plus three multiplications per element. Zero entries come
+    back as zero instead of raising. *)
 
 (** {1 Flat-buffer / in-place API}
 

@@ -388,7 +388,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     (* Entry accounting mirrors [Pr.run]: the heads verify on their side;
        the coordinator's own pass supplies reject lists and commitments. *)
     let seen = Hashtbl.create 256 in
-    let accepted, rejected = List.partition (Pr.verify_submission net seen) subs in
+    let accepted, rejected = Pr.partition_submissions ?pool net seen subs in
     let commitments : (int, string list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun s ->

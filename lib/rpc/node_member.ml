@@ -414,22 +414,29 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
   (* ---- message handlers ---- *)
 
   let on_submissions (n : node) (gid : int) (blobs : string array) : unit =
-    (* Entry charge: decode each submission, verify its EncProofs and the
-       duplicate-ciphertext check, keep accepted units in arrival order.
-       (The single-process engine shares one duplicate table across entry
-       groups; per-head tables are equivalent for well-formed traffic
-       since a submission targets exactly one entry group.) *)
+    (* Entry charge: decode every submission, then verify the frame's
+       EncProofs (one pooled batch) and the duplicate-ciphertext check,
+       keeping accepted units in arrival order. (The single-process engine
+       shares one duplicate table across entry groups; per-head tables are
+       equivalent for well-formed traffic since a submission targets
+       exactly one entry group.) *)
     phase n "verify";
+    let mine =
+      List.filter_map
+        (fun blob ->
+          match Pr.Wire.submission_of_bytes blob with
+          | Some s when s.Pr.entry_gid = gid -> Some s
+          | _ -> None)
+        (Array.to_list blobs)
+    in
+    let verdicts = Pr.verify_submissions ?pool:n.pool n.net n.seen mine in
+    for _ = 1 to Array.length blobs - List.length (List.filter Fun.id verdicts) do
+      Atom_obs.Metrics.incr n.m_verify_failures
+    done;
     let units = ref [] in
-    Array.iter
-      (fun blob ->
-        match Pr.Wire.submission_of_bytes blob with
-        | None -> Atom_obs.Metrics.incr n.m_verify_failures
-        | Some s ->
-            if s.Pr.entry_gid = gid && Pr.verify_submission n.net n.seen s then
-              Array.iter (fun u -> units := u.Pr.vec :: !units) s.Pr.units
-            else Atom_obs.Metrics.incr n.m_verify_failures)
-      blobs;
+    List.iter2
+      (fun s ok -> if ok then Array.iter (fun u -> units := u.Pr.vec :: !units) s.Pr.units)
+      mine verdicts;
     let units = Array.of_list (List.rev !units) in
     n.charge Node_shared.Verify ~units:(Array.length units);
     Hashtbl.replace n.entry_units (gid, 0) units;

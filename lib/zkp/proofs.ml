@@ -16,15 +16,18 @@ module Make
 struct
   module Bin = Atom_util.Bin
   module Io = Atom_group.Group_intf.Bin_io (G)
+  module Batch = Batch_verify.Make (G)
 
   module Enc_proof = struct
     type t = { a : G.t; u : G.Scalar.t }
 
-    let challenge ~(pk : G.t) ~(context : string) (ct : El.cipher) (a : G.t) : G.Scalar.t =
+    let challenge_digest ~(pk : G.t) ~(context : string) (ct : El.cipher) (a : G.t) : string =
       let tr = Transcript.create ~domain:"enc-proof" in
       Transcript.add_list tr
         [ context; G.to_bytes pk; G.to_bytes ct.El.r; G.to_bytes ct.El.c; G.to_bytes a ];
-      G.hash_to_scalar (Transcript.digest tr)
+      Transcript.digest tr
+
+    let challenge ~pk ~context ct a = G.hash_to_scalar (challenge_digest ~pk ~context ct a)
 
     (* Prove knowledge of r with ct.r = g^r. [context] binds the proof to
        the entry group (and anything else the caller includes). *)
@@ -35,12 +38,23 @@ struct
       let t = challenge ~pk ~context ct a in
       { a; u = G.Scalar.add s (G.Scalar.mul t randomness) }
 
-    (* g^u = a·R^t  ⇔  g^u·R^{-t} = a: one Straus double-scalar
-       multiplication (with the generator half served by the comb table)
-       instead of two full exponentiations and a group op. *)
+    type claim = { pk : G.t; context : string; ct : El.cipher; proof : t }
+
+    (* Every claim's equation g^u = a·R^t in one weighted MSM: the
+       challenges are one pooled job, the generator's exponents are
+       summed, and the MSM is one more pooled job. *)
+    let verify_batch ?pool (claims : claim array) : bool =
+      Batch.check ?pool ~shared:[ G.generator ]
+        (Atom_exec.Pool.map ?pool
+           (fun c ->
+             Batch.claim
+               ~digest:(challenge_digest ~pk:c.pk ~context:c.context c.ct c.proof.a)
+               ~u:c.proof.u
+               [| (G.generator, c.ct.El.r, c.proof.a) |])
+           claims)
+
     let verify ~(pk : G.t) ~(context : string) (ct : El.cipher) (pi : t) : bool =
-      let t = challenge ~pk ~context ct pi.a in
-      G.equal (G.pow2 G.generator pi.u ct.El.r (G.Scalar.neg t)) pi.a
+      verify_batch [| { pk; context; ct; proof = pi } |]
 
     let to_bytes (pi : t) : string = G.to_bytes pi.a ^ G.Scalar.to_bytes pi.u
 
@@ -55,21 +69,23 @@ struct
 
     let verify_vec ~pk ~context (v : El.vec) (pis : t array) : bool =
       Array.length pis = Array.length v
-      && Array.for_all2 (fun ct pi -> verify ~pk ~context ct pi) v pis
+      && verify_batch (Array.map2 (fun ct proof -> { pk; context; ct; proof }) v pis)
   end
 
   module Dleq = struct
     type t = { a1 : G.t; a2 : G.t; u : G.Scalar.t }
 
     (* Prove log_{g1} h1 = log_{g2} h2 (= secret x). *)
-    let challenge ~context (g1, h1, g2, h2) a1 a2 =
+    let challenge_digest ~context (g1, h1, g2, h2) a1 a2 =
       let tr = Transcript.create ~domain:"dleq" in
       Transcript.add_list tr
         [
           context; G.to_bytes g1; G.to_bytes h1; G.to_bytes g2; G.to_bytes h2; G.to_bytes a1;
           G.to_bytes a2;
         ];
-      G.hash_to_scalar (Transcript.digest tr)
+      Transcript.digest tr
+
+    let challenge ~context st a1 a2 = G.hash_to_scalar (challenge_digest ~context st a1 a2)
 
     (* The proof as a pure function of its nonce. *)
     let prove_with ~(nonce : G.Scalar.t) ~(context : string) ~(g1 : G.t) ~(h1 : G.t)
@@ -81,17 +97,17 @@ struct
     let prove (rng : Atom_util.Rng.t) ~context ~g1 ~h1 ~g2 ~h2 ~x : t =
       prove_with ~nonce:(G.Scalar.random rng) ~context ~g1 ~h1 ~g2 ~h2 ~x
 
-    (* Each leg g^u = a·h^t is checked as g^u·h^{-t} = a (one double-scalar
-       multiplication). g1 is the group generator in every caller, so that
-       half rides the generator's comb. A long-lived h (eff_pk, the next
-       group's key) gets a comb of its own on P-256 once it has carried 16
-       scalars, after which the first leg is two doubling-free comb sums;
-       one-shot h and g2 bases take Straus. *)
+    (* The proof's two legs g1^u = a1·h1^t and g2^u = a2·h2^t, for a
+       batch check. *)
+    let claim ~context ~g1 ~h1 ~g2 ~h2 (pi : t) : Batch.claim =
+      Batch.claim
+        ~digest:(challenge_digest ~context (g1, h1, g2, h2) pi.a1 pi.a2)
+        ~u:pi.u
+        [| (g1, h1, pi.a1); (g2, h2, pi.a2) |]
+
     let verify ~(context : string) ~(g1 : G.t) ~(h1 : G.t) ~(g2 : G.t) ~(h2 : G.t) (pi : t) : bool
         =
-      let t = challenge ~context (g1, h1, g2, h2) pi.a1 pi.a2 in
-      let neg_t = G.Scalar.neg t in
-      G.equal (G.pow2 g1 pi.u h1 neg_t) pi.a1 && G.equal (G.pow2 g2 pi.u h2 neg_t) pi.a2
+      Batch.check ~shared:[ g1 ] [| claim ~context ~g1 ~h1 ~g2 ~h2 pi |]
 
     let to_bytes (pi : t) : string =
       G.to_bytes pi.a1 ^ G.to_bytes pi.a2 ^ G.Scalar.to_bytes pi.u
@@ -135,9 +151,9 @@ struct
 
     (* The verifier's statements of every component's rerandomization
        proof, h1 = R'/R and h2 = c'·D/c, as batched products. *)
-    let rerand_statements ~(input : El.cipher array) ~(output : El.cipher array)
+    let rerand_statements ~pool ~(input : El.cipher array) ~(output : El.cipher array)
         ~(stripped : G.t array) : G.t array * G.t array =
-      let inv_all f cts = Array.map (fun ct -> G.inv (f ct)) cts in
+      let inv_all f cts = G.inv_batch ?pool (Array.map f cts) in
       let h1 =
         G.mul_batch
           (Array.map (fun ct -> ct.El.r) output)
@@ -216,13 +232,14 @@ struct
       let out, pis = reenc_batch_with_proof rng ~share ?coeff ~next_pk ~context [| v |] in
       (out.(0), pis.(0))
 
-    (* Every component of every unit checked as one pooled job, after the
-       statements (h1, h2, or the exit layer's c/D) are batched products;
-       all components run, so the verdict is the same as the elementwise
-       check's. Each component's output must carry Y = Y_in, its stripped
-       factor must match eff_pk (DLEQ), and either its rerandomization
-       proof toward [next_pk] must verify or, at the exit layer, it must
-       be the pure strip c' = c/D, R' = R. *)
+    (* Every component of every unit checked at once. The structural
+       rules are checked directly: each output carries Y = Y_in, and either
+       a rerandomization proof is present (toward [next_pk]) or, at the exit
+       layer, the output is the pure strip c' = c/D, R' = R. Then every DLEQ
+       leg of every component (the strip proof against eff_pk, the
+       rerandomization proof against the batched statements R'/R and
+       c'·D/c) joins one weighted MSM, its challenges computed in one pooled
+       job. *)
     let verify_batch ?pool ~eff_pk ~next_pk ~context ~(input : El.vec array)
         ~(output : El.vec array) (pis : t array array) : bool =
       let same_shape a b = Array.length a = Array.length b in
@@ -232,28 +249,42 @@ struct
       &&
       let input = flat input and output = flat output and pis = flat pis in
       let ds = Array.map (fun pi -> pi.stripped) pis in
-      let rest_ok =
+      let ys = Array.map (fun ct -> fst (carried ct)) input in
+      Array.for_all2
+        (fun ct y_in -> match ct.El.y with Some y -> G.equal y y_in | None -> false)
+        output ys
+      &&
+      let shared, rerand_ok, rerand_claims =
         match next_pk with
         | None ->
-            let cs = G.mul_batch (Array.map (fun ct -> ct.El.c) input) (Array.map G.inv ds) in
-            fun i ->
+            let cs = G.mul_batch (Array.map (fun ct -> ct.El.c) input) (G.inv_batch ?pool ds) in
+            let pure_strip i ct =
               Option.is_none pis.(i).rerand_proof
-              && G.equal output.(i).El.c cs.(i)
-              && G.equal output.(i).El.r (snd (carried input.(i)))
-        | Some pk' -> (
-            let h1, h2 = rerand_statements ~input ~output ~stripped:ds in
-            fun i ->
-              match pis.(i).rerand_proof with
-              | Some rp -> Dleq.verify ~context ~g1:G.generator ~h1:h1.(i) ~g2:pk' ~h2:h2.(i) rp
-              | None -> false)
+              && G.equal ct.El.c cs.(i)
+              && G.equal ct.El.r (snd (carried input.(i)))
+            in
+            ( [ G.generator; eff_pk ],
+              Array.for_all Fun.id (Array.mapi pure_strip output),
+              fun _ -> [] )
+        | Some pk' ->
+            let h1, h2 = rerand_statements ~pool ~input ~output ~stripped:ds in
+            ( [ G.generator; eff_pk; pk' ],
+              Array.for_all (fun pi -> Option.is_some pi.rerand_proof) pis,
+              fun i ->
+                [
+                  Dleq.claim ~context ~g1:G.generator ~h1:h1.(i) ~g2:pk' ~h2:h2.(i)
+                    (Option.get pis.(i).rerand_proof);
+                ] )
       in
-      Array.for_all Fun.id
-        (Atom_exec.Pool.tabulate ?pool (Array.length input) (fun i ->
-             let y_in, _ = carried input.(i) in
-             (match output.(i).El.y with Some y -> G.equal y y_in | None -> false)
-             && Dleq.verify ~context ~g1:G.generator ~h1:eff_pk ~g2:y_in ~h2:ds.(i)
-                  pis.(i).strip_proof
-             && rest_ok i))
+      rerand_ok
+      && Batch.check ?pool ~shared
+           (Array.of_list
+              (List.concat
+                 (Array.to_list
+                    (Atom_exec.Pool.tabulate ?pool (Array.length input) (fun i ->
+                         Dleq.claim ~context ~g1:G.generator ~h1:eff_pk ~g2:ys.(i) ~h2:ds.(i)
+                           pis.(i).strip_proof
+                         :: rerand_claims i)))))
 
     let verify ~eff_pk ~next_pk ~context ~(input : El.cipher) ~(output : El.cipher) (pi : t) :
         bool =

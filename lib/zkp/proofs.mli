@@ -18,7 +18,19 @@ module Make
     (** Prove knowledge of the encryption randomness; [context] binds the
         proof to the entry group. *)
 
+    type claim = { pk : G.t; context : string; ct : El.cipher; proof : t }
+    (** [proof] proves knowledge of [ct]'s randomness under [pk] and
+        [context]. *)
+
+    val verify_batch : ?pool:Atom_exec.Pool.t -> claim array -> bool
+    (** Every claim's proof, checked as one weighted multi-exponentiation
+        ({!Batch_verify}): [true] iff every proof verifies, except with
+        probability 2^-128. The challenges are one pooled job and the MSM
+        another. [true] on the empty batch. *)
+
     val verify : pk:G.t -> context:string -> El.cipher -> t -> bool
+    (** {!verify_batch} of one claim. *)
+
     val to_bytes : t -> string
     val of_bytes : string -> t option
 
@@ -27,6 +39,8 @@ module Make
       t array
 
     val verify_vec : pk:G.t -> context:string -> El.vec -> t array -> bool
+    (** One proof per component, as one batch; false on a length
+        mismatch. *)
   end
 
   module Dleq : sig
@@ -38,6 +52,8 @@ module Make
     (** Prove log_{g1} h1 = log_{g2} h2 = x. *)
 
     val verify : context:string -> g1:G.t -> h1:G.t -> g2:G.t -> h2:G.t -> t -> bool
+    (** Both legs as one weighted multi-exponentiation. *)
+
     val to_bytes : t -> string
     val of_bytes : string -> t option
   end
@@ -77,8 +93,11 @@ module Make
     val verify_batch :
       ?pool:Atom_exec.Pool.t -> eff_pk:G.t -> next_pk:G.t option -> context:string ->
       input:El.vec array -> output:El.vec array -> t array array -> bool
-    (** Check a batch's proofs, one per component, as one pooled job over
-        every component. False on any shape mismatch. *)
+    (** Check a batch's proofs, one per component. The structural rules
+        (Y carried unchanged; a rerandomization proof exactly when
+        [next_pk] is given; at the exit layer c' = c/D and R' = R) are
+        checked directly, and every DLEQ leg of every component joins one
+        weighted multi-exponentiation. False on any shape mismatch. *)
 
     val verify_vec :
       eff_pk:G.t -> next_pk:G.t option -> context:string -> input:El.vec -> output:El.vec ->

@@ -32,6 +32,7 @@ struct
   module S = G.Scalar
   module Bin = Atom_util.Bin
   module Io = Atom_group.Group_intf.Bin_io (G)
+  module Batch = Batch_verify.Make (G)
 
   type t = {
     perm_comm : G.t array; (* c_j *)
@@ -219,11 +220,11 @@ struct
                 independent transcript-derived coefficient ρ, and the whole
                 system is folded into ONE multi-scalar multiplication: a
                 curve backend pays a single Pippenger run over ~(6+4w)·n
-                points instead of ~6n full exponentiations. Soundness is
-                Schwartz–Zippel: the ρ are derived from the transcript
-                *after* every prover message is absorbed, so a violated
-                relation survives the random linear combination with
-                probability 1/|scalar field|.
+                points instead of ~6n full exponentiations. The ρ are
+                [Batch.weights] of the transcript *after* every prover
+                message is absorbed, so a violated relation survives the
+                random linear combination with probability at most 2^-128
+                (see [Batch_verify]).
 
                 The rearranged identity forms (all checked as Π = 1):
                   (A)   g^{k_rbar} · Π hi_i^{k'_i} · Π c_j^{−v·u_j} · t_a^{−1}
@@ -237,19 +238,16 @@ struct
                 folded in scalar arithmetic before the group ever sees
                 them, so each base appears once in the MSM. *)
              Transcript.add tr "batch-verify";
-             let rho =
-               Array.map G.hash_to_scalar (Transcript.digest_n tr (3 + n + (2 * width)))
-             in
+             let rho = Batch.weights tr (3 + n + (2 * width)) in
              let rho_a = rho.(0) and rho_b = rho.(1) and rho_c = rho.(2) in
              let rho_d i = rho.(3 + i) in
              let rho_er w = rho.(3 + n + (2 * w)) in
              let rho_ec w = rho.(3 + n + (2 * w) + 1) in
              let vu = Array.map (S.mul v) u in
              let u_prod = Array.fold_left S.mul S.one u in
-             let terms = ref [] in
-             let push base k = terms := (base, k) :: !terms in
-             let gen_k = ref S.zero in
-             let add_gen k = gen_k := S.add !gen_k k in
+             let acc = Batch.create ~shared:[ G.generator; h; pk ] in
+             let push = Batch.add acc in
+             let add_gen = Batch.add acc G.generator in
              (* (A) + (B): hi and perm_comm each collect both relations. *)
              add_gen (S.mul rho_a pi.k_rbar);
              add_gen (S.mul rho_b pi.k_rhat);
@@ -264,8 +262,8 @@ struct
                 D_i's own −v term and D_{i+1}'s prev term. *)
              add_gen (S.mul rho_c pi.k_d);
              push pi.t_c (S.neg rho_c);
-             let h_k = ref (S.mul rho_c (S.mul v u_prod)) in
-             h_k := S.add !h_k (S.mul (rho_d 0) pi.k_prime.(0));
+             push h (S.mul rho_c (S.mul v u_prod));
+             push h (S.mul (rho_d 0) pi.k_prime.(0));
              for i = 0 to n - 1 do
                let rd = rho_d i in
                add_gen (S.mul rd pi.k_hat.(i));
@@ -275,13 +273,11 @@ struct
                push pi.chain.(i) !ck;
                push pi.t_chain.(i) (S.neg rd)
              done;
-             push h !h_k;
              (* (E) both components per column; pk collects every column. *)
-             let pk_k = ref S.zero in
              for w = 0 to width - 1 do
                let rr = rho_er w and rc = rho_ec w in
                add_gen (S.mul rr pi.k_s.(w));
-               pk_k := S.add !pk_k (S.mul rc pi.k_s.(w));
+               push pk (S.mul rc pi.k_s.(w));
                for i = 0 to n - 1 do
                  push input.(i).(w).El.r (S.mul rr pi.k_prime.(i));
                  push input.(i).(w).El.c (S.mul rc pi.k_prime.(i));
@@ -291,10 +287,8 @@ struct
                push pi.t_er.(w) (S.neg rr);
                push pi.t_ec.(w) (S.neg rc)
              done;
-             push pk !pk_k;
-             push G.generator !gen_k;
-             (* The whole system rides one (pooled) MSM: ~(6+4w)Â·n points. *)
-             G.is_one (G.msm ?pool (Array.of_list !terms))
+             (* The whole system rides one (pooled) MSM: ~(6+4w)·n points. *)
+             Batch.holds ?pool acc
            end
 
   (* ---- Serialization ----

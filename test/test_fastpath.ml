@@ -212,6 +212,29 @@ end = struct
           reference got)
       [ 1; 2 ]
 
+  (* [inv_batch] is [map inv], identities and the generator included, on
+     a batch long enough for a pooled backend to split it, and the same
+     bytes with no pool, a 1-domain and a 2-domain pool. *)
+  let test_inv_batch_agrees () =
+    let r = rng () in
+    let xs =
+      Array.init 70 (fun i ->
+          if i mod 17 = 0 then G.one else if i = 5 then G.generator else G.random r)
+    in
+    let want = Array.map (fun x -> G.to_bytes (G.inv x)) xs in
+    let run pool = Array.map G.to_bytes (G.inv_batch ?pool xs) in
+    Alcotest.(check (array string)) "no pool" want (run None);
+    List.iter
+      (fun domains ->
+        let pool = Atom_exec.Pool.create ~domains () in
+        let got =
+          Fun.protect ~finally:(fun () -> Atom_exec.Pool.shutdown pool) (fun () -> run (Some pool))
+        in
+        Alcotest.(check (array string)) (Printf.sprintf "%d-domain pool" domains) want got)
+      [ 1; 2 ];
+    check "singleton identity" G.one (G.inv_batch [| G.one |]).(0);
+    Alcotest.(check int) "empty" 0 (Array.length (G.inv_batch [||]))
+
   let cases =
     [
       Alcotest.test_case (G.name ^ " comb pow_gen = pow g") `Quick test_pow_gen_agrees;
@@ -223,6 +246,7 @@ end = struct
       Alcotest.test_case (G.name ^ " pow_gen_batch edge cases") `Quick test_pow_gen_batch_agrees;
       Alcotest.test_case (G.name ^ " mul_batch = map2 mul") `Quick test_mul_batch_agrees;
       Alcotest.test_case (G.name ^ " pow_bases = map pow") `Quick test_pow_bases_agrees;
+      Alcotest.test_case (G.name ^ " inv_batch = map inv") `Quick test_inv_batch_agrees;
       Alcotest.test_case (G.name ^ " batches pool-independent") `Quick
         test_batches_pool_independent;
     ]

@@ -264,6 +264,52 @@ let test_flat_vs_ref () =
 
 (* A column of 2k products below 2^52 stays below 2^62 up to k = 511, so
    [create] takes a 511-limb modulus and refuses the next width. *)
+(* [of_bytes_mod] reduces by limb-chunk Horner steps and must give the
+   very element the Nat path gives: the empty string, zero, m − 1, m,
+   2^256 − 1 and random strings of 1 to 64 bytes, on every backend
+   modulus and the all-ones width-10 one. *)
+let test_of_bytes_mod () =
+  let rng = Atom_util.Rng.create 0xb7e5 in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let check what s =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s" name what)
+          true
+          (Modarith.equal (Modarith.of_nat ctx (Nat.of_bytes_be s)) (Modarith.of_bytes_mod ctx s))
+      in
+      check "empty" "";
+      check "zero" "\000";
+      check "m - 1" (Nat.to_bytes_be (Nat.sub m Nat.one));
+      check "m" (Nat.to_bytes_be m);
+      check "2^256 - 1" (String.make 32 '\255');
+      for len = 1 to 64 do
+        check (Printf.sprintf "random %d bytes" len) (Atom_util.Rng.bytes rng len)
+      done)
+    (backend_moduli () @ [ ("ones-10", all_ones_limbs 10) ])
+
+(* [inv_batch] is elementwise [inv], zero entries included (they come back
+   as zero), on every backend modulus. *)
+let test_inv_batch () =
+  let rng = Atom_util.Rng.create 0x1b7 in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let xs =
+        Array.init 9 (fun i ->
+            if i = 3 || i = 7 then Modarith.zero ctx
+            else Modarith.of_nat ctx (Nat.add Nat.one (Nat.random_below rng (Nat.sub m Nat.one))))
+      in
+      let got = Modarith.inv_batch ctx xs in
+      Array.iteri
+        (fun i x ->
+          let want = if Modarith.is_zero x then Modarith.zero ctx else Modarith.inv ctx x in
+          Alcotest.(check bool) (Printf.sprintf "%s [%d]" name i) true (Modarith.equal want got.(i)))
+        xs;
+      Alcotest.(check int) (name ^ " empty") 0 (Array.length (Modarith.inv_batch ctx [||])))
+    (backend_moduli ())
+
 let test_width_limit () =
   ignore (Modarith.create (all_ones_limbs 511));
   Alcotest.check_raises "512 limbs"
@@ -496,6 +542,8 @@ let suite =
       Alcotest.test_case "flat kernels match reference (all backends)" `Quick test_flat_vs_ref;
       Alcotest.test_case "session in-place ops match reference" `Quick test_session_inplace;
       Alcotest.test_case "montgomery width limit" `Quick test_width_limit;
+      Alcotest.test_case "of_bytes_mod matches nat" `Quick test_of_bytes_mod;
+      Alcotest.test_case "inv_batch matches inv" `Quick test_inv_batch;
       Alcotest.test_case "montgomery kernels allocation-free" `Quick test_kernels_zero_alloc;
       Alcotest.test_case "inverse allocates only its result" `Quick test_inv_allocates_only_result;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;

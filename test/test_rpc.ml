@@ -918,6 +918,89 @@ let test_tcp_cluster_survives_frame_injection () =
     (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "node.bad_frames" >= 1.0);
   Alcotest.(check bool) "matches reference under injection" true outcome.NodeTcp.matched
 
+(* ---- the entry check over a whole frame ----
+
+   [verify_submissions] checks a frame's EncProofs as one batch, then
+   runs the duplicate pass; on a failed batch it re-checks unit by unit.
+   On random mixes of honest, forged, duplicate, wrong-group and
+   misshapen Trap submissions its verdicts and the [seen] table it leaves
+   must equal those of checking the submissions one at a time, and every
+   verdict must be the one the mix was built to get — with no pool and
+   with 2 domains. *)
+module Entry_batch (G : Atom_group.Group_intf.GROUP) = struct
+  module Pr = Atom_core.Protocol.Make (G)
+
+  type kind = Honest | Forged_u | Forged_a | Duplicate | Wrong_gid | One_unit | Short_proofs
+
+  let test ~(mixes : int) ~(per_mix : int) () =
+    let config =
+      { (Config.tiny ~variant:Config.Trap ~seed:0xe17 ()) with
+        Config.n_servers = 4; n_groups = 2; group_size = 2; topology = Config.Square 2 }
+    in
+    let r = Atom_util.Rng.create 0xba7c in
+    let net = Pr.setup r config () in
+    let kinds = [| Honest; Honest; Forged_u; Forged_a; Duplicate; Wrong_gid; One_unit; Short_proofs |] in
+    let bump_unit (u : Pr.unit_ct) f =
+      { u with Pr.proofs = Array.mapi (fun i pi -> if i = 0 then f pi else pi) u.Pr.proofs }
+    in
+    let seen_bindings seen =
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) seen [])
+    in
+    let pool2 = Atom_exec.Pool.create ~domains:2 () in
+    Fun.protect ~finally:(fun () -> Atom_exec.Pool.shutdown pool2) @@ fun () ->
+    for mix = 0 to mixes - 1 do
+      let honest = ref [] in
+      let subs =
+        List.init per_mix (fun user ->
+            let kind =
+              match kinds.(Atom_util.Rng.int_below r (Array.length kinds)) with
+              | Duplicate when !honest = [] -> Honest
+              | k -> k
+            in
+            let s = Pr.submit r net ~user ~entry_gid:(user mod 2) (Printf.sprintf "m%d.%d" mix user) in
+            let s =
+              match kind with
+              | Honest | One_unit | Short_proofs -> s
+              | Forged_u ->
+                  { s with Pr.units = [| bump_unit s.Pr.units.(0) (fun pi ->
+                        { pi with Pr.P.Enc_proof.u = G.Scalar.add pi.Pr.P.Enc_proof.u G.Scalar.one });
+                        s.Pr.units.(1) |] }
+              | Forged_a ->
+                  { s with Pr.units = [| s.Pr.units.(0); bump_unit s.Pr.units.(1) (fun pi ->
+                        { pi with Pr.P.Enc_proof.a = G.mul pi.Pr.P.Enc_proof.a G.generator }) |] }
+              | Duplicate ->
+                  let d = List.nth !honest (Atom_util.Rng.int_below r (List.length !honest)) in
+                  { s with Pr.units = d.Pr.units; entry_gid = d.Pr.entry_gid; commitment = d.Pr.commitment }
+              | Wrong_gid -> { s with Pr.entry_gid = 1 - s.Pr.entry_gid }
+            in
+            let s =
+              match kind with
+              | One_unit -> { s with Pr.units = [| s.Pr.units.(0) |] }
+              | Short_proofs ->
+                  let u = s.Pr.units.(1) in
+                  { s with Pr.units = [| s.Pr.units.(0); { u with Pr.proofs = [| u.Pr.proofs.(0) |] } |] }
+              | _ -> s
+            in
+            if kind = Honest then honest := s :: !honest;
+            (kind, s))
+      in
+      let want = List.map (fun (kind, _) -> kind = Honest) subs in
+      let subs = List.map snd subs in
+      let one_by_one = Hashtbl.create 16 in
+      let elementwise = List.map (Pr.verify_submission net one_by_one) subs in
+      Alcotest.(check (list bool)) (Printf.sprintf "mix %d: built verdicts" mix) want elementwise;
+      List.iter
+        (fun pool ->
+          let tag = Printf.sprintf "mix %d (%s)" mix (if pool = None then "no pool" else "2 domains") in
+          let seen = Hashtbl.create 16 in
+          Alcotest.(check (list bool)) (tag ^ " verdicts") elementwise
+            (Pr.verify_submissions ?pool net seen subs);
+          Alcotest.(check (list (pair string int))) (tag ^ " seen") (seen_bindings one_by_one)
+            (seen_bindings seen))
+        [ None; Some pool2 ]
+    done
+end
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest t in
   ( "rpc",
@@ -949,5 +1032,11 @@ let suite =
       Alcotest.test_case "tcp cluster kill recovery" `Quick test_tcp_cluster_kill_recovery;
       Alcotest.test_case "tcp cluster frame injection" `Quick
         test_tcp_cluster_survives_frame_injection;
+      Alcotest.test_case "verify_submissions = elementwise (zp-96)" `Quick
+        (let module E = Entry_batch (G) in
+         E.test ~mixes:6 ~per_mix:10);
+      Alcotest.test_case "verify_submissions = elementwise (p256)" `Quick
+        (let module E = Entry_batch (Atom_group.P256) in
+         E.test ~mixes:2 ~per_mix:6);
       q prop_reenc_blob_total;
     ] )

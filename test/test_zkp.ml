@@ -326,6 +326,196 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
             Alcotest.(check bool) (Printf.sprintf "d n=%d" n) true (G.Scalar.equal !d d')))
       [ 1; 2; 5 ]
 
+  (* ---- batch verification: soundness of the weighted MSM ---- *)
+
+  module B = Atom_zkp.Batch_verify.Make (G)
+
+  let enc_claims r kp n =
+    Array.init n (fun i ->
+        let ct, randomness = El.enc r kp.El.pk (G.random r) in
+        let context = Printf.sprintf "gid-%d" (i mod 2) in
+        { P.Enc_proof.pk = kp.El.pk; context; ct;
+          proof = P.Enc_proof.prove r ~pk:kp.El.pk ~context ct ~randomness })
+
+  (* A bad [a] or [u] planted at any index of a batch sinks the batch,
+     with and without a pool; the honest batch passes. *)
+  let test_enc_batch_plants () =
+    let r = rng () in
+    let kp = El.keygen r in
+    let claims = enc_claims r kp 5 in
+    let plant i f =
+      Array.mapi (fun j c -> if j = i then { c with P.Enc_proof.proof = f c.P.Enc_proof.proof } else c) claims
+    in
+    with_pool2 (fun pool ->
+        let tag s = Printf.sprintf "%s (%s)" s (if pool = None then "no pool" else "2 domains") in
+        Alcotest.(check bool) (tag "honest batch") true (P.Enc_proof.verify_batch ?pool claims);
+        Alcotest.(check bool) (tag "empty batch") true (P.Enc_proof.verify_batch ?pool [||]);
+        for i = 0 to Array.length claims - 1 do
+          List.iter
+            (fun (what, f) ->
+              Alcotest.(check bool)
+                (tag (Printf.sprintf "bad %s at %d" what i))
+                false
+                (P.Enc_proof.verify_batch ?pool (plant i f)))
+            [
+              ("a", fun (pi : P.Enc_proof.t) -> { pi with a = G.mul pi.a G.generator });
+              ("u", fun (pi : P.Enc_proof.t) -> { pi with u = G.Scalar.add pi.u G.Scalar.one });
+            ]
+        done)
+
+  (* Two forged responses whose errors cancel in the generator's summed
+     exponent: under unit weights (u0 + δ, u1 − δ), or under the weights a
+     transcript without the responses would give (u0 + δ·w1, u1 − δ·w0).
+     Weights bound to every response reject both. *)
+  let test_enc_batch_compensating_pair () =
+    let r = rng () in
+    let kp = El.keygen r in
+    let claims = enc_claims r kp 2 in
+    let delta = G.Scalar.random r in
+    let forge d0 d1 =
+      Array.mapi
+        (fun i c ->
+          let pi = c.P.Enc_proof.proof in
+          { c with P.Enc_proof.proof = { pi with u = G.Scalar.add pi.u (if i = 0 then d0 else d1) } })
+        claims
+    in
+    let digest (c : P.Enc_proof.claim) =
+      let tr = Atom_zkp.Transcript.create ~domain:"enc-proof" in
+      Atom_zkp.Transcript.add_list tr
+        [ c.context; G.to_bytes c.pk; G.to_bytes c.ct.El.r; G.to_bytes c.ct.El.c;
+          G.to_bytes c.proof.a ];
+      Atom_zkp.Transcript.digest tr
+    in
+    let tr = Atom_zkp.Transcript.create ~domain:"sigma-batch" in
+    Array.iter (fun c -> Atom_zkp.Transcript.add tr (digest c)) claims;
+    let w = B.weights tr 2 in
+    with_pool2 (fun pool ->
+        let tag s = Printf.sprintf "%s (%s)" s (if pool = None then "no pool" else "2 domains") in
+        Alcotest.(check bool) (tag "honest pair") true (P.Enc_proof.verify_batch ?pool claims);
+        Alcotest.(check bool) (tag "pair cancelling under unit weights") false
+          (P.Enc_proof.verify_batch ?pool (forge delta (G.Scalar.neg delta)));
+        Alcotest.(check bool) (tag "pair cancelling under response-free weights") false
+          (P.Enc_proof.verify_batch ?pool
+             (forge (G.Scalar.mul delta w.(1)) (G.Scalar.neg (G.Scalar.mul delta w.(0))))))
+
+  (* A bad field planted in any component's proofs sinks a ReEnc step's
+     batch: a1, a2 or u of the strip DLEQ, the stripped factor D, and at a
+     re-encrypting layer a1, a2 or u of the rerandomization DLEQ. *)
+  let test_reenc_batch_plants () =
+    let r = rng () in
+    let input = step_input r in
+    let share = G.Scalar.random r in
+    let eff_pk = G.pow_gen share in
+    let next = (El.keygen r).El.pk in
+    let bump_dleq what (d : P.Dleq.t) =
+      match what with
+      | `A1 -> { d with a1 = G.mul d.a1 G.generator }
+      | `A2 -> { d with a2 = G.mul d.a2 G.generator }
+      | `U -> { d with u = G.Scalar.add d.u G.Scalar.one }
+    in
+    List.iter
+      (fun next_pk ->
+        let layer = if next_pk = None then "exit" else "mid" in
+        let output, pis = P.Reenc_proof.reenc_batch_with_proof r ~share ~next_pk ~context:"p" input in
+        let fields =
+          [
+            ("strip a1", fun (pi : P.Reenc_proof.t) -> { pi with strip_proof = bump_dleq `A1 pi.strip_proof });
+            ("strip a2", fun pi -> { pi with strip_proof = bump_dleq `A2 pi.strip_proof });
+            ("strip u", fun pi -> { pi with strip_proof = bump_dleq `U pi.strip_proof });
+            ("stripped", fun pi -> { pi with stripped = G.mul pi.stripped G.generator });
+          ]
+          @
+          if next_pk = None then []
+          else
+            List.map
+              (fun (what, k) ->
+                ( "rerand " ^ what,
+                  fun (pi : P.Reenc_proof.t) ->
+                    { pi with rerand_proof = Option.map (bump_dleq k) pi.rerand_proof } ))
+              [ ("a1", `A1); ("a2", `A2); ("u", `U) ]
+        in
+        with_pool2 (fun pool ->
+            let tag s =
+              Printf.sprintf "%s %s (%s)" layer s (if pool = None then "no pool" else "2 domains")
+            in
+            let verify pis =
+              P.Reenc_proof.verify_batch ?pool ~eff_pk ~next_pk ~context:"p" ~input ~output pis
+            in
+            Alcotest.(check bool) (tag "honest step") true (verify pis);
+            Array.iteri
+              (fun u v ->
+                Array.iteri
+                  (fun c _ ->
+                    List.iter
+                      (fun (what, f) ->
+                        let bad = Array.map Array.copy pis in
+                        bad.(u).(c) <- f bad.(u).(c);
+                        Alcotest.(check bool)
+                          (tag (Printf.sprintf "bad %s at unit %d component %d" what u c))
+                          false (verify bad))
+                      fields)
+                  v)
+              pis))
+      [ Some next; None ]
+
+  (* A server that knows its share but lies in a second leg: its strip
+     factor D' = Y^x·g (or, re-encrypting, an extra factor g in c') comes
+     with a DLEQ whose first leg is honest and whose second leg is false.
+     The output is made consistent with the lie, so only the second leg
+     can catch it, in any component of a step, at mid and exit layers. *)
+  let test_reenc_batch_false_second_leg () =
+    let r = rng () in
+    let input = step_input r in
+    let share = G.Scalar.random r in
+    let eff_pk = G.pow_gen share in
+    let next = (El.keygen r).El.pk in
+    let liar (ct : El.cipher) ~next_pk ~junk_in =
+      let y = ct.El.r (* a fresh ciphertext: Y is R, the carried R is one *) in
+      let d = G.pow y share in
+      let d = if junk_in = `Strip then G.mul d G.generator else d in
+      let strip_proof = P.Dleq.prove r ~context:"f" ~g1:G.generator ~h1:eff_pk ~g2:y ~h2:d ~x:share in
+      match next_pk with
+      | None ->
+          ( { El.r = G.one; c = G.div ct.El.c d; y = Some y },
+            { P.Reenc_proof.stripped = d; strip_proof; rerand_proof = None } )
+      | Some pk' ->
+          let r' = G.Scalar.random r in
+          let gr = G.pow_gen r' and pkr = G.pow pk' r' in
+          let pkr = if junk_in = `Rerand then G.mul pkr G.generator else pkr in
+          let rerand_proof =
+            P.Dleq.prove r ~context:"f" ~g1:G.generator ~h1:gr ~g2:pk' ~h2:pkr ~x:r'
+          in
+          ( { El.r = gr; c = G.mul (G.div ct.El.c d) pkr; y = Some y },
+            { P.Reenc_proof.stripped = d; strip_proof; rerand_proof = Some rerand_proof } )
+    in
+    List.iter
+      (fun (next_pk, junk_in, what) ->
+        let output, pis = P.Reenc_proof.reenc_batch_with_proof r ~share ~next_pk ~context:"f" input in
+        with_pool2 (fun pool ->
+            let verify output pis =
+              P.Reenc_proof.verify_batch ?pool ~eff_pk ~next_pk ~context:"f" ~input ~output pis
+            in
+            let tag s = Printf.sprintf "%s %s (%s)" what s (if pool = None then "no pool" else "2 domains") in
+            Alcotest.(check bool) (tag "honest step") true (verify output pis);
+            Array.iteri
+              (fun u v ->
+                Array.iteri
+                  (fun c ct ->
+                    let output = Array.map Array.copy output and pis = Array.map Array.copy pis in
+                    let out, pi = liar ct ~next_pk ~junk_in in
+                    output.(u).(c) <- out;
+                    pis.(u).(c) <- pi;
+                    Alcotest.(check bool)
+                      (tag (Printf.sprintf "lie at unit %d component %d" u c))
+                      false (verify output pis))
+                  v)
+              input))
+      [
+        (None, `Strip, "exit strip");
+        (Some next, `Strip, "mid strip");
+        (Some next, `Rerand, "mid rerand");
+      ]
+
   let cases =
     let n = G.name in
     [
@@ -344,6 +534,13 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
       Alcotest.test_case (n ^ " pooled verify_hop verdict") `Quick test_pooled_verify_hop_verdict;
       Alcotest.test_case (n ^ " shuffle chain closed form") `Quick
         test_commitment_chain_closed_form;
+      Alcotest.test_case (n ^ " enc batch rejects a planted field") `Quick test_enc_batch_plants;
+      Alcotest.test_case (n ^ " enc batch rejects a compensating pair") `Quick
+        test_enc_batch_compensating_pair;
+      Alcotest.test_case (n ^ " reenc batch rejects a planted field") `Quick
+        test_reenc_batch_plants;
+      Alcotest.test_case (n ^ " reenc batch rejects a false second leg") `Quick
+        test_reenc_batch_false_second_leg;
     ]
 end
 
