@@ -152,7 +152,7 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
     let ys = Array.map (fun ct -> Option.value ct.y ~default:ct.r) flat in
     let rs = Array.map (fun ct -> if Option.is_none ct.y then G.one else ct.r) flat in
     let ds = G.pow_bases ?pool ys x_eff in
-    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (G.inv_batch ?pool ds) in
+    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (G.inv_batch ds) in
     let fresh, (gr, pkr), (rs, cs) =
       match next_pk with
       | None ->

@@ -56,7 +56,7 @@ module type GROUP = sig
 
   val inv : t -> t
 
-  val inv_batch : ?pool:Atom_exec.Pool.t -> t array -> t array
+  val inv_batch : t array -> t array
   (** [inv_batch xs] = [Array.map inv xs]. Backends whose inversion is an
       exponentiation (Zp) share one field inversion across the batch. *)
 

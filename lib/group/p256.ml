@@ -280,7 +280,7 @@ let mul a b =
 let inv = function Inf -> Inf | Aff (x, y) -> Aff (x, Modarith.neg fp y)
 
 (* Inversion is a negation of y, so a batch needs no shared work. *)
-let inv_batch ?pool:_ (xs : t array) : t array = Array.map inv xs
+let inv_batch (xs : t array) : t array = Array.map inv xs
 
 let div a b = mul a (inv b)
 
@@ -387,34 +387,36 @@ let top_digit (ds : int array) : int =
   !w
 
 (* Normalize finite Jacobian points into a flat table: one inversion for
-   the lot, through [to_affine_batch]. *)
+   the lot ([Modarith.inv_batch], outside any session), then x·z⁻² and
+   y·z⁻³ of each entry written straight into the table from session
+   temporaries, with no boxed affine point in between. *)
 let flat_of_jps (js : jp array) : table =
+  let zinvs = Modarith.inv_batch fp (Array.map (fun j -> j.z) js) in
   let data = Array.make (Array.length js * entry_words) 0 in
-  Array.iteri
-    (fun i pt ->
-      match pt with
-      | Aff (x, y) ->
-          Array.blit x 0 data (i * entry_words) limbs;
-          Array.blit y 0 data ((i * entry_words) + limbs) limbs
-      | Inf -> assert false)
-    (to_affine_batch js);
+  Modarith.with_session fp (fun s ->
+      let zz = Modarith.S.take s and t = Modarith.S.take s in
+      Array.iteri
+        (fun i pt ->
+          assert (not (jp_is_inf pt));
+          Modarith.S.sqr s ~dst:zz zinvs.(i);
+          Modarith.S.mul s ~dst:t pt.x zz;
+          Array.blit t 0 data (i * entry_words) limbs;
+          Modarith.S.mul s ~dst:zz zz zinvs.(i);
+          Modarith.S.mul s ~dst:t pt.y zz;
+          Array.blit t 0 data ((i * entry_words) + limbs) limbs)
+        js);
   data
 
 (* The one-row signed window tables (d·B for d = 1..8) of many fresh
    bases, affine, in one flat buffer, row j for bases.(j). The entries are
-   built with mixed additions and normalized together (Montgomery's trick
-   over their z), so a build spends one inversion. The entries and
-   prefix products are short-lived heap buffers, not arena slots: a
+   built with mixed additions into heap points, not arena slots (a
    session that finds its domain's working state held by another
    systhread runs on a throwaway one, whose arena would grow to the whole
-   batch's size each time. *)
+   batch's size), and [flat_of_jps] normalizes them together with one
+   inversion after the session has closed. *)
 let window_rows (bases : t array) : table =
-  let n = Array.length bases * 8 in
-  let data = Array.make (n * entry_words) 0 in
-  let js = Array.init n (fun _ -> jp_fresh ()) in
-  let prefix = Array.init n (fun _ -> Modarith.alloc fp) in
+  let js = Array.init (Array.length bases * 8) (fun _ -> jp_fresh ()) in
   Modarith.with_session fp (fun s ->
-      let m = Modarith.S.mark s in
       Array.iteri
         (fun j b ->
           match b with
@@ -425,27 +427,8 @@ let window_rows (bases : t array) : table =
                 jp_copy ~dst:js.((j * 8) + d) js.((j * 8) + d - 1);
                 jadd_aff s js.((j * 8) + d) bx by
               done)
-        bases;
-      let acc = Modarith.S.take s in
-      Modarith.set_one fp acc;
-      for i = 0 to n - 1 do
-        Modarith.copy_into ~dst:prefix.(i) acc;
-        Modarith.S.mul s ~dst:acc acc js.(i).z
-      done;
-      if n > 0 then Modarith.copy_into ~dst:acc (Modarith.inv fp acc);
-      let zinv = Modarith.S.take s and zz = Modarith.S.take s and t = Modarith.S.take s in
-      for i = n - 1 downto 0 do
-        Modarith.S.mul s ~dst:zinv acc prefix.(i);
-        Modarith.S.mul s ~dst:acc acc js.(i).z;
-        Modarith.S.sqr s ~dst:zz zinv;
-        Modarith.S.mul s ~dst:t js.(i).x zz;
-        Array.blit t 0 data (i * entry_words) limbs;
-        Modarith.S.mul s ~dst:zz zz zinv;
-        Modarith.S.mul s ~dst:t js.(i).y zz;
-        Array.blit t 0 data ((i * entry_words) + limbs) limbs
-      done;
-      Modarith.S.release s m);
-  data
+        bases);
+  flat_of_jps js
 
 let comb_count = Atomic.make 0
 let window_count = Atomic.make 0

@@ -77,21 +77,8 @@ let make (params : params) : (module Group_intf.GROUP) =
     let div a b = mul a (inv b)
 
     (* One Fermat inversion per batch (Montgomery's trick) instead of one
-       per element; with a pool, one per domain-sized chunk, the chunks'
-       tricks running side by side. *)
-    let inv_batch_pool_threshold = 64
-
-    let inv_batch ?pool (xs : t array) : t array =
-      let n = Array.length xs in
-      let inv_slice lo hi = Array.map norm (Modarith.inv_batch ctx_p (Array.sub xs lo (hi - lo))) in
-      match Atom_exec.Pool.resolve pool with
-      | Some p when n >= inv_batch_pool_threshold && Atom_exec.Pool.size p > 1 ->
-          let nchunks = Atom_exec.Pool.size p in
-          Array.concat
-            (Array.to_list
-               (Atom_exec.Pool.tabulate ~pool:p nchunks (fun c ->
-                    inv_slice (c * n / nchunks) ((c + 1) * n / nchunks))))
-      | _ -> inv_slice 0 n
+       per element. *)
+    let inv_batch (xs : t array) : t array = Array.map norm (Modarith.inv_batch ctx_p xs)
 
     let pow_raw x k = norm (Modarith.pow ctx_p x (Scalar.to_nat k))
     let pow_gen_raw k = pow_raw generator k

@@ -666,26 +666,31 @@ let inv (ctx : ctx) (a : el) : el =
 (* Montgomery's simultaneous-inversion trick: the inverses of a whole
    array for a single Fermat inversion plus three multiplications per
    element. Zero entries are skipped and come back as zero; an array of
-   zeros costs no inversion at all. *)
+   zeros costs no inversion at all. Each output buffer first holds the
+   prefix product before its entry and is then multiplied in place by
+   the running inverse, so a call allocates little beyond its results;
+   the inversion runs between the two passes, outside the working state. *)
 let inv_batch (ctx : ctx) (vs : el array) : el array =
   let n = Array.length vs in
-  let prefix = Array.make n [||] and out = Array.init n (fun _ -> zero ctx) in
-  let acc = ref (one ctx) and live = ref false in
-  for i = 0 to n - 1 do
-    if not (is_zero vs.(i)) then begin
-      prefix.(i) <- !acc;
-      acc := mul ctx !acc vs.(i);
-      live := true
-    end
-  done;
+  let out = Array.init n (fun _ -> zero ctx) in
+  let acc = one ctx and live = ref false in
+  with_tls ctx (fun t ->
+      for i = 0 to n - 1 do
+        if not (is_zero vs.(i)) then begin
+          copy_into ~dst:out.(i) acc;
+          mont_mul_into ctx t acc acc vs.(i);
+          live := true
+        end
+      done);
   if !live then begin
-    let inv_acc = ref (inv ctx !acc) in
-    for i = n - 1 downto 0 do
-      if not (is_zero vs.(i)) then begin
-        out.(i) <- mul ctx !inv_acc prefix.(i);
-        inv_acc := mul ctx !inv_acc vs.(i)
-      end
-    done
+    let inv_acc = inv ctx acc in
+    with_tls ctx (fun t ->
+        for i = n - 1 downto 0 do
+          if not (is_zero vs.(i)) then begin
+            mont_mul_into ctx t out.(i) inv_acc out.(i);
+            mont_mul_into ctx t inv_acc inv_acc vs.(i)
+          end
+        done)
   end;
   out
 

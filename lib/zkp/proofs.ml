@@ -151,9 +151,9 @@ struct
 
     (* The verifier's statements of every component's rerandomization
        proof, h1 = R'/R and h2 = c'·D/c, as batched products. *)
-    let rerand_statements ~pool ~(input : El.cipher array) ~(output : El.cipher array)
+    let rerand_statements ~(input : El.cipher array) ~(output : El.cipher array)
         ~(stripped : G.t array) : G.t array * G.t array =
-      let inv_all f cts = G.inv_batch ?pool (Array.map f cts) in
+      let inv_all f cts = G.inv_batch (Array.map f cts) in
       let h1 =
         G.mul_batch
           (Array.map (fun ct -> ct.El.r) output)
@@ -257,7 +257,7 @@ struct
       let shared, rerand_ok, rerand_claims =
         match next_pk with
         | None ->
-            let cs = G.mul_batch (Array.map (fun ct -> ct.El.c) input) (G.inv_batch ?pool ds) in
+            let cs = G.mul_batch (Array.map (fun ct -> ct.El.c) input) (G.inv_batch ds) in
             let pure_strip i ct =
               Option.is_none pis.(i).rerand_proof
               && G.equal ct.El.c cs.(i)
@@ -267,7 +267,7 @@ struct
               Array.for_all Fun.id (Array.mapi pure_strip output),
               fun _ -> [] )
         | Some pk' ->
-            let h1, h2 = rerand_statements ~pool ~input ~output ~stripped:ds in
+            let h1, h2 = rerand_statements ~input ~output ~stripped:ds in
             ( [ G.generator; eff_pk; pk' ],
               Array.for_all (fun pi -> Option.is_some pi.rerand_proof) pis,
               fun i ->

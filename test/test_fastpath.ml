@@ -213,8 +213,8 @@ end = struct
       [ 1; 2 ]
 
   (* [inv_batch] is [map inv], identities and the generator included, on
-     a batch long enough for a pooled backend to split it, and the same
-     bytes with no pool, a 1-domain and a 2-domain pool. *)
+     the caller and from inside the jobs of a 1- and a 2-domain pool (each
+     domain inverting its own batch on its own working state). *)
   let test_inv_batch_agrees () =
     let r = rng () in
     let xs =
@@ -222,15 +222,19 @@ end = struct
           if i mod 17 = 0 then G.one else if i = 5 then G.generator else G.random r)
     in
     let want = Array.map (fun x -> G.to_bytes (G.inv x)) xs in
-    let run pool = Array.map G.to_bytes (G.inv_batch ?pool xs) in
-    Alcotest.(check (array string)) "no pool" want (run None);
+    let run () = Array.map G.to_bytes (G.inv_batch xs) in
+    Alcotest.(check (array string)) "no pool" want (run ());
     List.iter
       (fun domains ->
         let pool = Atom_exec.Pool.create ~domains () in
         let got =
-          Fun.protect ~finally:(fun () -> Atom_exec.Pool.shutdown pool) (fun () -> run (Some pool))
+          Fun.protect
+            ~finally:(fun () -> Atom_exec.Pool.shutdown pool)
+            (fun () -> Atom_exec.Pool.tabulate ~pool 4 (fun _ -> run ()))
         in
-        Alcotest.(check (array string)) (Printf.sprintf "%d-domain pool" domains) want got)
+        Array.iter
+          (Alcotest.(check (array string)) (Printf.sprintf "%d-domain pool" domains) want)
+          got)
       [ 1; 2 ];
     check "singleton identity" G.one (G.inv_batch [| G.one |]).(0);
     Alcotest.(check int) "empty" 0 (Array.length (G.inv_batch [||]))
