@@ -153,6 +153,33 @@ let sigma_rows (module G : Atom_group.Group_intf.GROUP) : (string * estimate) li
     ("pow2", find "pow2");
   ]
 
+(* The limb-kernel rows of one field: a run of 64 dependent in-place
+   multiplications (by 64 one-shot operands) or squarings in one session,
+   the shape of a ladder, reported per operation. *)
+let field_rows (ctx : Atom_nat.Modarith.ctx) ~(prefix : string) : (string * estimate) list =
+  let open Atom_nat in
+  let rng = Atom_util.Rng.create 0xf1e1d in
+  let xs = Array.init 64 (fun _ -> Modarith.of_nat ctx (Nat.random_below rng (Modarith.modulus ctx))) in
+  let dst = Modarith.copy xs.(0) in
+  let open Bechamel in
+  let t name f = Test.make ~name (Staged.stage f) in
+  let est =
+    median_estimates
+      [
+        t "mul" (fun () ->
+            Modarith.with_session ctx (fun s ->
+                for i = 0 to 63 do
+                  Modarith.S.mul s ~dst dst xs.(i)
+                done));
+        t "sqr" (fun () ->
+            Modarith.with_session ctx (fun s ->
+                for _ = 1 to 64 do
+                  Modarith.S.sqr s ~dst dst
+                done));
+      ]
+  in
+  [ (prefix ^ " mul", per 64 (List.assoc "mul" est)); (prefix ^ " sqr", per 64 (List.assoc "sqr" est)) ]
+
 let table3 () =
   header "Table 3: latency of cryptographic primitives (32-byte messages)";
   let module G = Atom_group.P256 in
@@ -271,6 +298,10 @@ let table3 () =
   let strip_bases = Array.sub oneshots 0 16 in
   let mul_xs = Array.init 64 (fun _ -> G.random rng) in
   let mul_ys = Array.init 64 (fun _ -> G.random rng) in
+  let fp_els =
+    Array.init 64 (fun _ -> Atom_nat.Modarith.of_nat G.fp (Atom_nat.Nat.random_below rng G.p))
+  in
+  let encoded = Array.map G.to_bytes oneshots in
   let prims =
     median_estimates
       [
@@ -284,6 +315,12 @@ let table3 () =
         t "msm n=64" (fun () -> ignore (G.msm msm_pairs));
         t "ShufProof verify (n=64)" (fun () ->
             ignore (Shuf.verify ~pk:kp.El.pk ~context:"b" ~input:batch64 ~output:shuffled64 spi64));
+        t "fp inv" (fun () ->
+            next_oneshot := (!next_oneshot + 1) land 63;
+            ignore (Atom_nat.Modarith.inv G.fp fp_els.(!next_oneshot)));
+        t "decompress (of_bytes)" (fun () ->
+            next_oneshot := (!next_oneshot + 1) land 63;
+            ignore (G.of_bytes encoded.(!next_oneshot)));
       ]
   in
   let prim_rows =
@@ -299,16 +336,22 @@ let table3 () =
         ("ShufProof verify (n=64)", find "ShufProof verify (n=64)" prims);
       ]
     @ List.filter (fun (name, _) -> String.contains name '(') sigma
+    @ field_rows G.fp ~prefix:"fp"
+    @ List.map (fun n -> (n, find n prims)) [ "fp inv"; "decompress (of_bytes)" ]
   in
   (* The same verification rows on the zp-test backend the protocol
-     suites and the zp workloads run on. *)
-  let zp_rows = sigma_rows (Atom_group.Registry.zp_test ()) in
+     suites and the zp workloads run on, and its field's kernel rows (the
+     generic kernel, beside P-256's specialized one above). *)
+  let zp_rows =
+    sigma_rows (Atom_group.Registry.zp_test ())
+    @ field_rows (Atom_nat.Modarith.create (Atom_group.Zp.test_params ()).p) ~prefix:"field"
+  in
   Printf.printf "%-40s %14s %14s %14s\n" "fast-path primitive" "median (s)" "min (s)" "max (s)";
   List.iter
     (fun (name, e) -> Printf.printf "%-40s %14.3e %14.3e %14.3e\n" name e.median e.lo e.hi)
     prim_rows;
   print_newline ();
-  Printf.printf "%-40s %14s %14s %14s\n" "verification (zp-test)" "median (s)" "min (s)" "max (s)";
+  Printf.printf "%-40s %14s %14s %14s\n" "verification and field (zp-test)" "median (s)" "min (s)" "max (s)";
   List.iter
     (fun (name, e) -> Printf.printf "%-40s %14.3e %14.3e %14.3e\n" name e.median e.lo e.hi)
     zp_rows;

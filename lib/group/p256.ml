@@ -1,8 +1,9 @@
 (* NIST P-256 (secp256r1), the curve used by the paper's prototype (§5).
 
    Short Weierstrass y² = x³ − 3x + b over the P-256 field prime. Internal
-   arithmetic uses Jacobian projective coordinates over the generic
-   Montgomery contexts of [Atom_nat.Modarith]; the public element type is
+   arithmetic uses Jacobian projective coordinates over the Montgomery
+   contexts of [Atom_nat.Modarith], whose field context runs the kernels
+   specialized to p ([Atom_nat.P256_field]); the public element type is
    the canonical affine form so that [equal] and [to_bytes] are structural.
 
    The Jacobian engine is allocation-free in steady state: a working point
@@ -31,8 +32,6 @@ let gy = Nat.of_hex "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837b
 
 let fp = Modarith.create p
 let fb = Modarith.of_nat fp b_const
-let three = Modarith.of_int fp 3
-let sqrt_exp = Nat.shift_right (Nat.add p Nat.one) 2 (* (p+1)/4; valid since p ≡ 3 mod 4 *)
 
 module Scalar = struct
   type t = Modarith.el
@@ -72,7 +71,8 @@ let is_one = function Inf -> true | Aff _ -> false
 (* y² = x³ - 3x + b *)
 let rhs_of_x (x : Modarith.el) : Modarith.el =
   let x3 = Modarith.mul fp (Modarith.sqr fp x) x in
-  Modarith.add fp (Modarith.sub fp x3 (Modarith.mul fp three x)) fb
+  let three_x = Modarith.add fp (Modarith.add fp x x) x in
+  Modarith.add fp (Modarith.sub fp x3 three_x) fb
 
 let on_curve = function
   | Inf -> true
@@ -123,8 +123,10 @@ let jdbl (s : Modarith.S.t) (pt : jp) : unit =
     Modarith.S.mul s ~dst:beta pt.x gamma;
     Modarith.S.sub s ~dst:t pt.x delta;
     Modarith.S.add s ~dst:u pt.x delta;
-    Modarith.S.mul s ~dst:alpha t u;
-    Modarith.S.mul s ~dst:alpha three alpha;
+    Modarith.S.mul s ~dst:t t u;
+    (* α = 3(x − δ)(x + δ), tripled by two additions *)
+    Modarith.S.add s ~dst:alpha t t;
+    Modarith.S.add s ~dst:alpha alpha t;
     (* x3 = α² − 8β *)
     Modarith.S.add s ~dst:t beta beta;
     Modarith.S.add s ~dst:t t t;
@@ -306,7 +308,8 @@ let mul_batch (xs : t array) (ys : t array) : t array =
         end
         else if Modarith.equal y1 y2 && not (Modarith.is_zero y1) then begin
           (* a = b: λ = (3x² − 3) / 2y *)
-          num.(i) <- Modarith.mul fp three (Modarith.sub fp (Modarith.sqr fp x1) (Modarith.one fp));
+          let u = Modarith.sub fp (Modarith.sqr fp x1) (Modarith.one fp) in
+          num.(i) <- Modarith.add fp (Modarith.add fp u u) u;
           den.(i) <- Modarith.add fp y1 y1
         end
   done;
@@ -943,10 +946,10 @@ let to_bytes = function
       let prefix = if y_odd then '\003' else '\002' in
       String.make 1 prefix ^ Nat.to_bytes_be ~length:32 (Modarith.to_nat fp x)
 
-(* Square root mod p via (p+1)/4; returns None if the input is a
-   non-residue. *)
+(* Square root mod p via (p+1)/4 (p ≡ 3 mod 4), by the fixed addition
+   chain of [P256_field]; returns None if the input is a non-residue. *)
 let sqrt (v : Modarith.el) : Modarith.el option =
-  let r = Modarith.pow_oneshot fp v sqrt_exp in
+  let r = Modarith.chain fp P256_field.sqrt_into v in
   if Modarith.equal (Modarith.sqr fp r) v then Some r else None
 
 (* Decode [element_bytes] at [pos] without materializing the slice (the

@@ -16,7 +16,12 @@
    zero times. The boxed world (fresh [el] results, [Nat.t] conversions)
    exists only at the API edge. The classic allocating implementations are
    retained verbatim-in-spirit under {!Ref} — property tests pin the flat
-   kernels byte-identical to them. *)
+   kernels byte-identical to them.
+
+   One modulus gets its own kernels: for P-256's field prime, [create]
+   selects [P256_field]'s unrolled multiply and square (same columns,
+   zero terms dropped, so the same bytes) and [inv] its fixed addition
+   chain. There is no option; the modulus decides. *)
 
 let limb_bits = 26
 let limb_mask = (1 lsl limb_bits) - 1
@@ -46,6 +51,7 @@ type ctx = {
   one_m : int array; (* R mod m, i.e. 1 in Montgomery form *)
   one_plain : int array; (* plain 1, the fixed second operand of to_nat *)
   inv_exp : Nat.t; (* m - 2, the Fermat inversion exponent *)
+  p256 : bool; (* m is P-256's field prime: the [P256_field] kernels serve it *)
   tls : tls Domain.DLS.key;
 }
 
@@ -223,6 +229,7 @@ let create (modulus : Nat.t) : ctx =
     one_m;
     one_plain;
     inv_exp = Nat.sub modulus Nat.two;
+    p256 = P256_field.is_modulus m;
     tls = Domain.DLS.new_key (fun () -> fresh_tls k);
   }
 
@@ -252,7 +259,7 @@ let finish (ctx : ctx) (t : int array) (dst : el) (c : int) : unit =
   if over || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
 
 (* dst <- a*b*R^{-1} mod m. *)
-let mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
+let mont_mul_generic (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
   let k = ctx.k and m = ctx.m and t = tl.scratch in
   let c = ref 0 in
   for i = 0 to k - 1 do
@@ -285,7 +292,7 @@ let mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
    the terms q_j*m_(i-j) and q_(i-j)*m_j in the same loop: half a
    multiply's iterations. A low column zeroes q_i until it is known. The
    curve ladder's doublings (5 squarings each) land here. *)
-let mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
+let mont_sqr_generic (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
   let k = ctx.k and m = ctx.m and t = tl.scratch in
   let c = ref 0 in
   for i = 0 to (2 * k) - 2 do
@@ -315,6 +322,16 @@ let mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
     end
   done;
   finish ctx t dst !c
+
+(* The kernels every operation below calls: P-256's field prime gets its
+   unrolled kernels (bit-identical, see [P256_field]), any other modulus
+   the loops above. Inlined at every call site, so a generic-modulus call
+   costs one test of [ctx.p256] over the parent's direct call. *)
+let[@inline] mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
+  if ctx.p256 then P256_field.mul_into dst a b else mont_mul_generic ctx tl dst a b
+
+let[@inline] mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
+  if ctx.p256 then P256_field.sqr_into dst a else mont_sqr_generic ctx tl dst a
 
 (* dst <- a + b mod m; no scratch needed, dst may alias a or b. *)
 let add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
@@ -492,7 +509,7 @@ let double ctx a = add ctx a a
    construction. The cache is part of the domain-local state, so each
    domain of a pool warms its own copy. Lookup is a linear scan with limb
    comparison — at most [pow_cache_cap] k-limb compares, negligible next
-   to an exponentiation. Callers that know a base is one-shot use
+   to an exponentiation. Fermat inversion, whose base is one-shot, uses
    [pow_oneshot] instead, which leaves the cache alone. Cached tables are
    built once and only read afterwards, so the steady-state pow of a warm
    base allocates nothing beyond its result. *)
@@ -551,7 +568,7 @@ let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit 
   if Nat.is_zero e then set_one ctx dst else pow_window_into ctx tl dst (pow_table ctx tl base) 0 e
 
 (* One-shot pow for a base that will never recur (a Fermat inversion's
-   operand, a square-root candidate): the window table lives in arena
+   operand on a generic modulus): the window table lives in arena
    slots, so the call neither allocates a table nor pushes one into the MRU
    cache, where it would evict the long-lived bases' tables. Entry d is
    arena slot [mark + d - 1]; the slots are read through [tl.slots] only
@@ -657,11 +674,28 @@ let msm_slice (ctx : ctx) (pairs : (el * Nat.t) array) ~(lo : int) ~(hi : int) :
 let msm (ctx : ctx) (pairs : (el * Nat.t) array) : el =
   msm_slice ctx pairs ~lo:0 ~hi:(Array.length pairs)
 
+(* [f tmp off dst a] into a fresh result, with the four arena slots
+   tmp.(off) .. tmp.(off + 3) as its scratch: P-256's addition chains,
+   which then allocate only their result. The slots are read through
+   [t.slots] after the last take, when any arena growth has happened. *)
+let chain (ctx : ctx) (f : el array -> int -> el -> el -> unit) (a : el) : el =
+  let out = Array.make ctx.k 0 in
+  let t = checkout ctx in
+  let mark = arena_mark t in
+  for _ = 1 to 4 do
+    ignore (arena_take ctx t)
+  done;
+  f t.slots mark out a;
+  arena_release t mark;
+  checkin t;
+  out
+
 (* Modular inverse via Fermat: only valid when the modulus is prime, which
-   holds for every context in this repo (field primes and group orders). *)
+   holds for every context in this repo (field primes and group orders).
+   P-256's field prime runs its fixed addition chain for p - 2. *)
 let inv (ctx : ctx) (a : el) : el =
   if is_zero a then raise Division_by_zero;
-  pow_oneshot ctx a ctx.inv_exp
+  if ctx.p256 then chain ctx P256_field.inv_into a else pow_oneshot ctx a ctx.inv_exp
 
 (* Montgomery's simultaneous-inversion trick: the inverses of a whole
    array for a single Fermat inversion plus three multiplications per

@@ -7,7 +7,10 @@
 
     Multiplication and squaring are product-scanning Montgomery kernels:
     each column of limb products is summed in one native int and carried
-    once, which bounds the modulus width (see {!create}).
+    once, which bounds the modulus width (see {!create}). When the modulus
+    is P-256's field prime, {!create} selects the kernels of
+    {!P256_field} instead (bit-identical results) and {!inv} runs its
+    fixed addition chain; every other modulus runs the generic loops.
 
     A ctx is safe to share across domains and systhreads: the mutable
     working state (the kernels' column buffer, the window-table cache) is
@@ -103,12 +106,6 @@ val pow : ctx -> el -> Nat.t -> el
     cache, so repeated exponentiations of a fixed base (a generator, a
     public key) skip table construction. *)
 
-val pow_oneshot : ctx -> el -> Nat.t -> el
-(** [pow_oneshot ctx b e] = [pow ctx b e] for a base that will not recur:
-    the window table lives in the per-domain arena and is never cached, so
-    the call allocates only its result and evicts no long-lived base's
-    table. *)
-
 val msm : ctx -> (el * Nat.t) array -> el
 (** [msm ctx [|(b1, e1); ...|]] is Π bᵢ^eᵢ mod m via Straus interleaving:
     all pairs share one run of squarings, so an n-term product costs about
@@ -121,9 +118,18 @@ val msm_slice : ctx -> (el * Nat.t) array -> lo:int -> hi:int -> el
     @raise Invalid_argument on an out-of-range slice. *)
 
 val inv : ctx -> el -> el
-(** Inverse via Fermat (prime modulus only), through {!pow_oneshot}: it
-    allocates only its result.
+(** Inverse via Fermat (prime modulus only): a one-shot window
+    exponentiation whose table lives in the per-domain arena and is never
+    cached, or {!P256_field.inv_into}'s addition chain (run by {!chain})
+    for P-256's field prime. Either way it allocates only its result and
+    evicts no long-lived base's window table.
     @raise Division_by_zero on zero. *)
+
+val chain : ctx -> (el array -> int -> el -> el -> unit) -> el -> el
+(** [chain ctx f a] runs [f tmp off dst a] into a fresh result [dst],
+    lending it four scratch elements tmp.(off) .. tmp.(off + 3) from the
+    per-domain arena, so the call allocates only its result. For
+    {!P256_field}'s addition chains. *)
 
 val inv_batch : ctx -> el array -> el array
 (** Every element's inverse for one Fermat inversion (Montgomery's

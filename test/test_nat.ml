@@ -393,58 +393,180 @@ let test_session_inplace () =
       ("ones-10", all_ones_limbs 10);
     ]
 
-(* The tentpole's contract: steady-state Montgomery mul/sqr (and the
+(* The kernels' contract: steady-state Montgomery mul/sqr (and the
    in-place add/sub) allocate zero words. The only allocation in the
    measurement window is Gc.minor_words itself boxing its float result, so
    the slack is a few hundred words against 40k kernel calls — under one
-   hundredth of a word per call. *)
+   hundredth of a word per call. P-256's p runs the specialized kernel,
+   its order n (same width) the generic one. *)
 let test_kernels_zero_alloc () =
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let rng = Atom_util.Rng.create 0xa110c in
+      let a = Modarith.of_nat ctx (Nat.random_below rng m) in
+      let b = Modarith.of_nat ctx (Nat.random_below rng m) in
+      Modarith.with_session ctx (fun s ->
+          let dst = Modarith.S.take s in
+          (* warm up: any arena growth happens on the first calls *)
+          Modarith.S.mul s ~dst a b;
+          Modarith.S.sqr s ~dst dst;
+          let m0 = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            Modarith.S.mul s ~dst a b;
+            Modarith.S.sqr s ~dst dst;
+            Modarith.S.add s ~dst dst a;
+            Modarith.S.sub s ~dst dst b
+          done;
+          let dm = Gc.minor_words () -. m0 in
+          if dm >= 256.0 then
+            Alcotest.failf "%s: steady-state kernels allocated %.0f minor words over 40k calls"
+              name dm))
+    [
+      ( "p256-p",
+        Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
+      ( "p256-n",
+        Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551" );
+    ]
+
+(* What the generic kernel computes for any k-limb operands, canonical or
+   not: T = (x·y + Q·m)/R with Q = −x·y·m⁻¹ mod R, less m once when T ≥ m.
+   m⁻¹ mod R comes from Newton's iteration, each step doubling the low
+   bits that are right. *)
+let mont_definition (m : Nat.t) (k : int) (x : Nat.t) (y : Nat.t) : Nat.t =
+  let r = Nat.shift_left Nat.one (26 * k) in
+  let minv = ref Nat.one in
+  for _ = 1 to 9 do
+    let e = Nat.rem (Nat.sub (Nat.add Nat.two r) (Nat.rem (Nat.mul m !minv) r)) r in
+    minv := Nat.rem (Nat.mul !minv e) r
+  done;
+  let xy = Nat.mul x y in
+  let q = Nat.rem (Nat.sub r (Nat.rem (Nat.mul xy !minv) r)) r in
+  let t = Nat.shift_right (Nat.add xy (Nat.mul q m)) (26 * k) in
+  if Nat.compare t m >= 0 then Nat.sub t m else t
+
+(* P-256's specialized kernel gives the generic kernel's limbs for every
+   input, including operands at or above p whose product carries out of
+   the top limb (all-ones limbs): the case where the final subtraction
+   runs on the carry alone. The order n, same width, runs the generic
+   kernel against the same definition. *)
+let test_p256_kernel_definition () =
+  let rng = Atom_util.Rng.create 0x9e7 in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let top = Nat.shift_left Nat.one 260 in
+      let operands =
+        [ Nat.sub top Nat.one; Nat.sub top Nat.two; m; Nat.add m Nat.one; Nat.sub m Nat.one ]
+        @ List.init 8 (fun _ -> Nat.random_below rng top)
+      in
+      Modarith.with_session ctx (fun s ->
+          let dst = Modarith.S.take s in
+          List.iter
+            (fun x ->
+              let a = limbs_of ctx x in
+              Modarith.S.sqr s ~dst a;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s sqr %s" name (Nat.to_hex x))
+                true
+                (Nat.equal (nat_of_limbs dst) (mont_definition m 10 x x));
+              List.iter
+                (fun y ->
+                  Modarith.S.mul s ~dst a (limbs_of ctx y);
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s mul %s %s" name (Nat.to_hex x) (Nat.to_hex y))
+                    true
+                    (Nat.equal (nat_of_limbs dst) (mont_definition m 10 x y)))
+                operands)
+            operands))
+    [
+      ( "p256-p",
+        Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
+      ( "p256-n",
+        Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551" );
+    ]
+
+(* P-256's fixed addition chains for p − 2 (inversion) and (p + 1)/4
+   (square root) against square-and-multiply by the same exponents, on
+   random values, on 0, 1 and p − 1, and on non-residues (where the root
+   chain's result squares to −v, not v). Each runs on caller scratch and
+   through [Modarith.chain]'s arena slots; the inversion chain also with
+   the destination aliasing the input, and behind [Modarith.inv]. *)
+let test_p256_chains () =
   let m = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
   let ctx = Modarith.create m in
-  let rng = Atom_util.Rng.create 0xa110c in
-  let a = Modarith.of_nat ctx (Nat.random_below rng m) in
-  let b = Modarith.of_nat ctx (Nat.random_below rng m) in
-  Modarith.with_session ctx (fun s ->
-      let dst = Modarith.S.take s in
-      (* warm up: any arena growth happens on the first calls *)
-      Modarith.S.mul s ~dst a b;
-      Modarith.S.sqr s ~dst dst;
-      let m0 = Gc.minor_words () in
-      for _ = 1 to 10_000 do
-        Modarith.S.mul s ~dst a b;
-        Modarith.S.sqr s ~dst dst;
-        Modarith.S.add s ~dst dst a;
-        Modarith.S.sub s ~dst dst b
-      done;
-      let dm = Gc.minor_words () -. m0 in
-      if dm >= 256.0 then
-        Alcotest.failf "steady-state kernels allocated %.0f minor words over 40k calls" dm)
+  let inv_exp = Nat.sub m Nat.two and sqrt_exp = Nat.shift_right (Nat.add m Nat.one) 2 in
+  let rng = Atom_util.Rng.create 0xc4a1 in
+  let randoms = List.init 16 (fun _ -> Nat.random_below rng m) in
+  let values = [ Nat.zero; Nat.one; Nat.sub m Nat.one ] @ randoms in
+  (* Euler's criterion: v is a non-residue iff v^((p − 1)/2) = −1. *)
+  let minus_one = Modarith.of_nat ctx (Nat.sub m Nat.one) in
+  let non_residues =
+    List.filter
+      (fun v ->
+        Modarith.equal
+          (Modarith.Ref.pow ctx (Modarith.of_nat ctx v) (Nat.shift_right m 1))
+          minus_one)
+      (values @ List.init 16 (fun i -> Nat.of_int (i + 2)))
+  in
+  if List.length non_residues < 8 then Alcotest.fail "too few non-residues among the inputs";
+  let tmp = Array.init 4 (fun _ -> Modarith.alloc ctx) in
+  List.iter
+    (fun v ->
+      let x = Modarith.of_nat ctx v in
+      let check what got e =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s of %s" what (Nat.to_hex v))
+          true
+          (Modarith.equal got (Modarith.Ref.pow ctx x e))
+      in
+      check "sqrt" (Modarith.chain ctx P256_field.sqrt_into x) sqrt_exp;
+      let dst = Modarith.alloc ctx in
+      P256_field.sqrt_into tmp 0 dst x;
+      check "sqrt tmp" dst sqrt_exp;
+      P256_field.inv_into tmp 0 dst x;
+      check "inv" dst inv_exp;
+      Modarith.copy_into ~dst x;
+      P256_field.inv_into tmp 0 dst dst;
+      check "inv dst=a" dst inv_exp;
+      if not (Nat.is_zero v) then check "Modarith.inv" (Modarith.inv ctx x) inv_exp)
+    (values @ non_residues)
 
-(* Fermat inversion runs a one-shot pow: its window table lives in the
-   arena, so a call allocates only its k-limb result (k + 1 words with the
+(* Fermat inversion runs a one-shot pow whose window table lives in the
+   arena (P-256's order n), or P-256's addition chain over arena slots
+   (its field prime p, which also runs the square-root chain here). Either
+   way a call allocates only its k-limb result (k + 1 words with the
    header) and pushes nothing into the pow cache — a warm base's table
    survives any number of inversions. *)
 let test_inv_allocates_only_result () =
-  let m = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
-  let ctx = Modarith.create m in
-  let rng = Atom_util.Rng.create 0x1a7 in
-  let k = Array.length (Modarith.alloc ctx) in
-  let xs = Array.init 64 (fun _ -> Modarith.of_nat ctx (Nat.random_below rng m)) in
-  let g = Modarith.of_nat ctx (Nat.random_below rng m) and e = Nat.random_below rng m in
-  ignore (Modarith.pow ctx g e);
-  (* warm up: any arena growth happens on the first call *)
-  ignore (Modarith.inv ctx xs.(0));
-  let m0 = Gc.minor_words () in
-  Array.iter (fun x -> ignore (Sys.opaque_identity (Modarith.inv ctx x))) xs;
-  let per_call = (Gc.minor_words () -. m0) /. float_of_int (Array.length xs) in
-  if per_call > float_of_int (k + 1) +. 0.5 then
-    Alcotest.failf "inv allocated %.1f words per call, result is %d" per_call (k + 1);
-  (* A rebuilt 16-entry table would cost over 15·(k + 1) words. *)
-  let m1 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (Modarith.pow ctx g e));
-  let dm = Gc.minor_words () -. m1 in
-  if dm >= float_of_int (8 * (k + 1)) then
-    Alcotest.failf "warm pow allocated %.0f words after 64 inversions" dm
+  let p = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
+  let n = Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551" in
+  List.iter
+    (fun m ->
+      let ctx = Modarith.create m in
+      let rng = Atom_util.Rng.create 0x1a7 in
+      let k = Array.length (Modarith.alloc ctx) in
+      let xs = Array.init 64 (fun _ -> Modarith.of_nat ctx (Nat.random_below rng m)) in
+      let g = Modarith.of_nat ctx (Nat.random_below rng m) and e = Nat.random_below rng m in
+      ignore (Modarith.pow ctx g e);
+      let per_call what f =
+        (* warm up: any arena growth happens on the first call *)
+        ignore (f xs.(0));
+        let m0 = Gc.minor_words () in
+        Array.iter (fun x -> ignore (Sys.opaque_identity (f x))) xs;
+        let per_call = (Gc.minor_words () -. m0) /. float_of_int (Array.length xs) in
+        if per_call > float_of_int (k + 1) +. 0.5 then
+          Alcotest.failf "%s allocated %.1f words per call, result is %d" what per_call (k + 1)
+      in
+      per_call "inv" (Modarith.inv ctx);
+      if Nat.equal m p then per_call "sqrt chain" (Modarith.chain ctx P256_field.sqrt_into);
+      (* A rebuilt 16-entry table would cost over 15·(k + 1) words. *)
+      let m1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Modarith.pow ctx g e));
+      let dm = Gc.minor_words () -. m1 in
+      if dm >= float_of_int (8 * (k + 1)) then
+        Alcotest.failf "warm pow allocated %.0f words after 64 inversions" dm)
+    [ p; n ]
 
 let test_prime_known () =
   let primes = [ 2; 3; 5; 7; 97; 65537; 1_000_000_007 ] in
@@ -546,6 +668,9 @@ let suite =
       Alcotest.test_case "inv_batch matches inv" `Quick test_inv_batch;
       Alcotest.test_case "montgomery kernels allocation-free" `Quick test_kernels_zero_alloc;
       Alcotest.test_case "inverse allocates only its result" `Quick test_inv_allocates_only_result;
+      Alcotest.test_case "p256 inversion and square-root chains" `Quick test_p256_chains;
+      Alcotest.test_case "p256 kernel is the montgomery definition on any limbs" `Quick
+        test_p256_kernel_definition;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;
       Alcotest.test_case "random prime" `Quick test_random_prime;
       Alcotest.test_case "safe prime" `Quick test_safe_prime;
