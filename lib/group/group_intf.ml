@@ -6,8 +6,6 @@
    Everything above — ElGamal, NIZKs, verifiable shuffles, secret sharing,
    the Atom protocol itself — is a functor over [GROUP]. *)
 
-open Atom_nat
-
 module type GROUP = sig
   val name : string
 
@@ -15,11 +13,8 @@ module type GROUP = sig
   module Scalar : sig
     type t
 
-    val order : Nat.t
     val zero : t
     val one : t
-    val of_nat : Nat.t -> t
-    val to_nat : t -> Nat.t
     val of_int : int -> t
     val add : t -> t -> t
     val sub : t -> t -> t

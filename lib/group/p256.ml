@@ -10,10 +10,12 @@
    ([jp]) is three preallocated flat limb buffers, the curve formulas write
    through [Modarith.S] sessions, and every temporary comes from the
    per-domain arena — a whole scalar ladder allocates nothing beyond its
-   destination point and its 65-digit scalar recoding. The boxed affine
-   world exists only at the public API edge ([to_affine]/[to_affine_batch]
-   canonicalize whatever Jacobian representative the in-place schedule
-   produced, so public results are unchanged).
+   destination point, its scalar's plain limbs (one REDC out of Montgomery
+   form, [Scalar.exponent]) and their 65-digit recoding, which reads them
+   through [Modarith.window]. The boxed affine world exists only at the
+   public API edge ([to_affine]/[to_affine_batch] canonicalize whatever
+   Jacobian representative the in-place schedule produced, so public
+   results are unchanged).
 
    Message embedding is try-and-increment: a 28-byte payload is placed in a
    fixed slice of the x-coordinate together with a 16-bit counter, and the
@@ -37,11 +39,8 @@ module Scalar = struct
   type t = Modarith.el
 
   let fq = Modarith.create n
-  let order = n
   let zero = Modarith.zero fq
   let one = Modarith.one fq
-  let of_nat v = Modarith.of_nat fq v
-  let to_nat s = Modarith.to_nat fq s
   let of_int i = Modarith.of_int fq i
   let add = Modarith.add fq
   let sub = Modarith.sub fq
@@ -50,9 +49,12 @@ module Scalar = struct
   let inv = Modarith.inv fq
   let equal = Modarith.equal
   let is_zero = Modarith.is_zero
-  let random rng = of_nat (Nat.random_below rng order)
+  let random rng = Modarith.random fq rng
   let of_bytes_mod s = Modarith.of_bytes_mod fq s
-  let to_bytes s = Nat.to_bytes_be ~length:32 (to_nat s)
+  let to_bytes s = Modarith.plain_to_bytes (Modarith.to_plain fq s) ~len:32
+
+  (* The exponent every ladder recodes: the scalar's plain limbs. *)
+  let exponent s = Modarith.to_plain fq s
 end
 
 type t = Inf | Aff of Modarith.el * Modarith.el
@@ -341,12 +343,6 @@ let generator = Aff (Modarith.of_nat fp gx, Modarith.of_nat fp gy)
      (public keys): one-row window tables from a base's second scalar on,
      and a comb from its sixteenth. *)
 
-let nibble_of (e : Nat.t) (w : int) : int =
-  (if Nat.test_bit e ((4 * w) + 3) then 8 else 0)
-  lor (if Nat.test_bit e ((4 * w) + 2) then 4 else 0)
-  lor (if Nat.test_bit e ((4 * w) + 1) then 2 else 0)
-  lor if Nat.test_bit e (4 * w) then 1 else 0
-
 (* ---- Flat affine tables ----
 
    A table is [rows] rows of 8 affine points in one flat limb buffer: row
@@ -365,11 +361,11 @@ let comb_rows = 65 (* the 64 nibbles of a scalar < 2^256, plus the recoding carr
 
 (* Signed 4-bit recoding: e = Σ d_w·16^w with every d_w in [−8, 7]; a
    window that would reach 8 borrows 16 from the next one. *)
-let signed_digits (e : Nat.t) : int array =
+let signed_digits (e : Modarith.plain) : int array =
   let ds = Array.make comb_rows 0 in
   let carry = ref 0 in
   for w = 0 to comb_rows - 1 do
-    let v = nibble_of e w + !carry in
+    let v = Modarith.window e ~pos:(4 * w) ~width:4 + !carry in
     if v >= 8 then begin
       ds.(w) <- v - 16;
       carry := 1
@@ -486,7 +482,7 @@ let add_entry (s : Modarith.S.t) (dst : jp) (tab : table) (w : int) (d : int) (e
 
 (* acc <- acc + B^e over B's comb: one mixed addition per nonzero signed
    digit and no doublings at all. *)
-let comb_add_into (s : Modarith.S.t) (acc : jp) (tab : table) (e : Nat.t) : unit =
+let comb_add_into (s : Modarith.S.t) (acc : jp) (tab : table) (e : Modarith.plain) : unit =
   let ds = signed_digits e in
   let m = Modarith.S.mark s in
   let ex = Modarith.S.take s and ey = Modarith.S.take s in
@@ -518,7 +514,7 @@ let windowed_into (s : Modarith.S.t) (dst : jp) (tab : table) ~(row : int) (ds :
 (* One-shot path: per-call Jacobian table on the arena, no inversion spent
    on it. *)
 let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by : Modarith.el)
-    (e : Nat.t) : unit =
+    (e : Modarith.plain) : unit =
   let m = Modarith.S.mark s in
   let table = Array.init 16 (fun _ -> jp_take s) in
   jp_set_aff table.(1) bx by;
@@ -526,7 +522,7 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
     jp_copy ~dst:table.(i) table.(i - 1);
     jadd_aff s table.(i) bx by
   done;
-  let windows = (Nat.bit_length e + 3) / 4 in
+  let windows = (Modarith.plain_bit_length e + 3) / 4 in
   jp_set_inf dst;
   for w = windows - 1 downto 0 do
     if w <> windows - 1 then begin
@@ -535,7 +531,7 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
       jdbl s dst;
       jdbl s dst
     end;
-    let d = nibble_of e w in
+    let d = Modarith.window e ~pos:(4 * w) ~width:4 in
     if d <> 0 then jadd s dst table.(d)
   done;
   Modarith.S.release s m
@@ -614,7 +610,8 @@ let cover_of (base : t) ~(scalars : int) : cover =
 (* dst <- base^e for e ≠ 0, on the ladder [cover] selects. Callers take
    the cover before entering the session, so any table build runs
    outside it. *)
-let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Nat.t) : unit =
+let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Modarith.plain) :
+    unit =
   match (cover, base) with
   | Comb tab, _ ->
       jp_set_inf dst;
@@ -623,20 +620,20 @@ let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Na
   | Miss, Aff (bx, by) -> windowed_oneshot_into s dst bx by e
   | Miss, Inf -> jp_set_inf dst
 
-let pow_cover (base : t) (cover : cover) (e : Nat.t) : t =
+let pow_cover (base : t) (cover : cover) (e : Modarith.plain) : t =
   let r = jp_fresh () in
   Modarith.with_session fp (fun s -> ladder_into base cover s r e);
   to_affine r
 
 let pow_gen (k : scalar) : t =
   Atom_obs.Opcount.note_pow_gen ();
-  let e = Scalar.to_nat k in
-  if Nat.is_zero e then Inf else pow_cover generator (cover_of generator ~scalars:1) e
+  if Scalar.is_zero k then Inf
+  else pow_cover generator (cover_of generator ~scalars:1) (Scalar.exponent k)
 
 let pow (base : t) (k : scalar) : t =
   Atom_obs.Opcount.note_pow ();
-  let e = Scalar.to_nat k in
-  if Nat.is_zero e || is_one base then Inf else pow_cover base (cover_of base ~scalars:1) e
+  if Scalar.is_zero k || is_one base then Inf
+  else pow_cover base (cover_of base ~scalars:1) (Scalar.exponent k)
 
 (* ---- Multi-scalar multiplication ---- *)
 
@@ -654,12 +651,13 @@ type straus_tab = T_win of table * int * int array | T_jac of jp array
 
 let affine_rows_from = 4
 
-let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array) ~(lo : int)
-    ~(hi : int) : jp =
+let msm_straus (bases : t array) (exps : Modarith.plain array) (wins : table option array)
+    ~(lo : int) ~(hi : int) : jp =
   let n = hi - lo in
   let fresh =
     List.filter
-      (fun i -> Option.is_none wins.(i) && Nat.bit_length exps.(i) > 4 && not (is_one bases.(i)))
+      (fun i ->
+        Option.is_none wins.(i) && Modarith.plain_bit_length exps.(i) > 4 && not (is_one bases.(i)))
       (List.init n (fun j -> lo + j))
   in
   let rows = Array.make n (-1) in
@@ -686,8 +684,9 @@ let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array
             | Some tab -> signed tab 0 i
             | None when rows.(j) >= 0 -> signed fresh_tab rows.(j) i
             | None ->
-                windows := max !windows ((Nat.bit_length exps.(i) + 3) / 4);
-                let max_d = if Nat.bit_length exps.(i) > 4 then 15 else Nat.to_int_exn exps.(i) in
+                let bits = Modarith.plain_bit_length exps.(i) in
+                windows := max !windows ((bits + 3) / 4);
+                let max_d = if bits > 4 then 15 else Modarith.window exps.(i) ~pos:0 ~width:4 in
                 let table = Array.init (max_d + 1) (fun _ -> jp_take s) in
                 (match bases.(i) with
                 | Inf -> Array.iter jp_set_inf table
@@ -713,7 +712,7 @@ let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array
           match tabs.(j) with
           | T_win (tab, row, ds) -> if ds.(w) <> 0 then add_entry s acc tab row ds.(w) ex ey
           | T_jac table ->
-              let d = nibble_of exps.(lo + j) w in
+              let d = Modarith.window exps.(lo + j) ~pos:(4 * w) ~width:4 in
               if d <> 0 then jadd s acc table.(d)
         done
       done;
@@ -729,20 +728,13 @@ let msm_straus (bases : t array) (exps : Nat.t array) (wins : table option array
    and is negligible next to the bucket work. The affine result is
    identical either way — [to_affine] canonicalizes whatever Jacobian
    representative the addition order produced. *)
-let msm_pippenger ?pool (bases : t array) (exps : Nat.t array) : jp =
+let msm_pippenger ?pool (bases : t array) (exps : Modarith.plain array) : jp =
   let n = Array.length bases in
   let c = if n < 512 then 6 else if n < 2048 then 7 else 8 in
   let max_bits = ref 0 in
   for i = 0 to n - 1 do
-    max_bits := max !max_bits (Nat.bit_length exps.(i))
+    max_bits := max !max_bits (Modarith.plain_bit_length exps.(i))
   done;
-  let digit e off =
-    let d = ref 0 in
-    for b = c - 1 downto 0 do
-      d := (!d lsl 1) lor if Nat.test_bit e (off + b) then 1 else 0
-    done;
-    !d
-  in
   let nwin = (!max_bits + c - 1) / c in
   let nbuckets = (1 lsl c) - 1 in
   let window_sum w =
@@ -756,7 +748,7 @@ let msm_pippenger ?pool (bases : t array) (exps : Nat.t array) : jp =
               b)
         in
         for i = 0 to n - 1 do
-          let d = digit exps.(i) (w * c) in
+          let d = Modarith.window exps.(i) ~pos:(w * c) ~width:c in
           if d <> 0 then
             match bases.(i) with Inf -> () | Aff (x, y) -> jadd_aff s buckets.(d - 1) x y
         done;
@@ -795,7 +787,7 @@ let pippenger_threshold = 200
 let msm_small_pool_threshold = 16
 let msm_pool_threshold = 64
 
-let msm_straus_pooled pool (bases : t array) (exps : Nat.t array) : jp =
+let msm_straus_pooled pool (bases : t array) (exps : Modarith.plain array) : jp =
   let n = Array.length bases in
   let per_domain = if n >= msm_pool_threshold then 4 else 1 in
   let nchunks = min n (Atom_exec.Pool.size pool * per_domain) in
@@ -826,7 +818,7 @@ let msm_raw ?pool (pairs : (t * scalar) array) : t =
       if is_one x || Scalar.is_zero k then ()
       else if equal x generator then gen_k := Scalar.add !gen_k k
       else begin
-        let e = Scalar.to_nat k in
+        let e = Scalar.exponent k in
         match if small then lookup x ~scalars:1 else Miss with
         | Comb tab -> combs := (tab, e) :: !combs
         | Window tab -> rest := (x, e, Some tab) :: !rest
@@ -835,7 +827,7 @@ let msm_raw ?pool (pairs : (t * scalar) array) : t =
     pairs;
   let combs =
     if Scalar.is_zero !gen_k then !combs
-    else (Atom_exec.Once.get gen_table, Scalar.to_nat !gen_k) :: !combs
+    else (Atom_exec.Once.get gen_table, Scalar.exponent !gen_k) :: !combs
   in
   let rest = Array.of_list !rest in
   let n = Array.length rest in
@@ -890,10 +882,9 @@ let batch_raw ?pool (base : t) (ks : scalar array) : t array =
   to_affine_batch
     (Atom_exec.Pool.map ?pool
        (fun k ->
-         let e = Scalar.to_nat k in
          let r = jp_fresh () in
-         if Nat.is_zero e then jp_set_inf r
-         else Modarith.with_session fp (fun s -> ladder_into base cover s r e);
+         if Scalar.is_zero k then jp_set_inf r
+         else Modarith.with_session fp (fun s -> ladder_into base cover s r (Scalar.exponent k));
          r)
        ks)
 
@@ -918,13 +909,12 @@ let pow_batch ?pool (base : t) (ks : scalar array) : t array =
    long-lived keys. *)
 let pow_bases ?pool (bases : t array) (k : scalar) : t array =
   Atom_obs.Opcount.note_batch ~scalars:(Array.length bases);
-  let e = Scalar.to_nat k in
   let out = Array.make (Array.length bases) Inf in
   let live =
     List.filter (fun i -> not (is_one bases.(i))) (List.init (Array.length bases) Fun.id)
   in
-  if not (Nat.is_zero e || live = []) then begin
-    let ds = signed_digits e in
+  if not (Scalar.is_zero k || live = []) then begin
+    let ds = signed_digits (Scalar.exponent k) in
     let tab = window_rows (Array.of_list (List.map (fun i -> bases.(i)) live)) in
     let live = Array.of_list live in
     let rs =
@@ -939,12 +929,12 @@ let pow_bases ?pool (bases : t array) (k : scalar) : t array =
 
 let element_bytes = 33
 
+let y_odd (y : Modarith.el) : bool = Modarith.window (Modarith.to_plain fp y) ~pos:0 ~width:1 = 1
+let x_bytes (x : Modarith.el) : string = Modarith.plain_to_bytes (Modarith.to_plain fp x) ~len:32
+
 let to_bytes = function
   | Inf -> String.make element_bytes '\000'
-  | Aff (x, y) ->
-      let y_odd = Nat.is_odd (Modarith.to_nat fp y) in
-      let prefix = if y_odd then '\003' else '\002' in
-      String.make 1 prefix ^ Nat.to_bytes_be ~length:32 (Modarith.to_nat fp x)
+  | Aff (x, y) -> String.make 1 (if y_odd y then '\003' else '\002') ^ x_bytes x
 
 (* Square root mod p via (p+1)/4 (p ≡ 3 mod 4), by the fixed addition
    chain of [P256_field]; returns None if the input is a non-residue. *)
@@ -964,18 +954,15 @@ let of_bytes_sub s ~pos =
         let rec all_zero i = i >= element_bytes || (s.[pos + i] = '\000' && all_zero (i + 1)) in
         if all_zero 1 then Some Inf else None
     | '\002' | '\003' -> begin
-        let xv = Nat.of_bytes_be_sub s ~pos:(pos + 1) ~len:32 in
-        if Nat.compare xv p >= 0 then None
-        else begin
-          let x = Modarith.of_nat fp xv in
-          match sqrt (rhs_of_x x) with
-          | None -> None
-          | Some y ->
-              let y_odd = Nat.is_odd (Modarith.to_nat fp y) in
-              let want_odd = s.[pos] = '\003' in
-              let y = if y_odd = want_odd then y else Modarith.neg fp y in
-              Some (Aff (x, y))
-        end
+        match Modarith.parse_be_sub fp s ~pos:(pos + 1) ~len:32 with
+        | None -> None
+        | Some xv -> (
+            let x = Modarith.mont_of_plain fp xv in
+            match sqrt (rhs_of_x x) with
+            | None -> None
+            | Some y ->
+                let want_odd = s.[pos] = '\003' in
+                Some (Aff (x, if y_odd y = want_odd then y else Modarith.neg fp y)))
       end
     | _ -> None
 
@@ -1021,8 +1008,8 @@ let embed payload =
     let rec try_counter counter =
       if counter > 0xffff then None (* probability 2^-65536: unreachable *)
       else begin
-        let xb =
-          Bytes.of_string
+        let x =
+          Modarith.of_bytes_mod fp
             (String.concat ""
                [
                  "\000"; padded;
@@ -1030,7 +1017,6 @@ let embed payload =
                  String.make 1 embed_marker;
                ])
         in
-        let x = Modarith.of_nat fp (Nat.of_bytes_be (Bytes.to_string xb)) in
         match sqrt (rhs_of_x x) with
         | Some y -> Some (Aff (x, y))
         | None -> try_counter (counter + 1)
@@ -1042,7 +1028,7 @@ let embed payload =
 let extract = function
   | Inf -> None
   | Aff (x, _) ->
-      let xb = Nat.to_bytes_be ~length:32 (Modarith.to_nat fp x) in
+      let xb = x_bytes x in
       if xb.[0] = '\000' && xb.[31] = embed_marker then Some (String.sub xb 1 embed_bytes)
       else None
 
@@ -1054,13 +1040,12 @@ let hash_to_scalar msg = Scalar.of_bytes_mod (Atom_hash.Sha256.digest msg)
 let of_hash label =
   let rec go ctr =
     let digest = Atom_hash.Sha256.digest_list [ "p256-of-hash"; label; string_of_int ctr ] in
-    let xv = Nat.of_bytes_be digest in
-    if Nat.compare xv p >= 0 then go (ctr + 1)
-    else begin
-      let x = Modarith.of_nat fp xv in
-      match sqrt (rhs_of_x x) with
-      | Some y when not (Modarith.is_zero y) -> Aff (x, y)
-      | _ -> go (ctr + 1)
-    end
+    match Modarith.parse_be_sub fp digest ~pos:0 ~len:32 with
+    | None -> go (ctr + 1)
+    | Some xv -> (
+        let x = Modarith.mont_of_plain fp xv in
+        match sqrt (rhs_of_x x) with
+        | Some y when not (Modarith.is_zero y) -> Aff (x, y)
+        | _ -> go (ctr + 1))
   in
   go 0

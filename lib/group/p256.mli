@@ -24,7 +24,7 @@ val p : Nat.t
 (** The field prime. *)
 
 val n : Nat.t
-(** The group order (= [Scalar.order]). *)
+(** The group order, the modulus of the scalar field. *)
 
 val fp : Modarith.ctx
 (** The field context, for tests that inspect coordinates. *)

@@ -42,11 +42,8 @@ let make (params : params) : (module Group_intf.GROUP) =
     module Scalar = struct
       type t = Modarith.el
 
-      let order = params.q
       let zero = Modarith.zero ctx_q
       let one = Modarith.one ctx_q
-      let of_nat n = Modarith.of_nat ctx_q n
-      let to_nat s = Modarith.to_nat ctx_q s
       let of_int i = Modarith.of_int ctx_q i
       let add = Modarith.add ctx_q
       let sub = Modarith.sub ctx_q
@@ -55,20 +52,28 @@ let make (params : params) : (module Group_intf.GROUP) =
       let inv = Modarith.inv ctx_q
       let equal = Modarith.equal
       let is_zero = Modarith.is_zero
-      let random rng = of_nat (Nat.random_below rng order)
+      let random rng = Modarith.random ctx_q rng
       let of_bytes_mod s = Modarith.of_bytes_mod ctx_q s
       let scalar_bytes = (Nat.bit_length params.q + 7) / 8
-      let to_bytes s = Nat.to_bytes_be ~length:scalar_bytes (to_nat s)
+      let to_bytes s = Modarith.plain_to_bytes (Modarith.to_plain ctx_q s) ~len:scalar_bytes
+
+      (* The exponent every ladder reads, plain limbs of ctx_q's width;
+         [Modarith.window] reads them from ctx_p just the same. *)
+      let exponent s = Modarith.to_plain ctx_q s
     end
 
     type t = Modarith.el
     type scalar = Scalar.t
 
+    (* The canonical-range bound in plain limb form, for [norm], [is_member]
+       and the wire-decode fast path's threshold compares. *)
+    let q_plain = Modarith.plain_of_nat ctx_p params.q
+
     (* Canonicalize a Z_p* value into QR⁺: pick the representative ≤ q of
        the class {x, −x}. Every public operation ends here, so [equal] and
        [to_bytes] stay structural. *)
     let norm (x : Modarith.el) : Modarith.el =
-      if Nat.leq (Modarith.to_nat ctx_p x) params.q then x else Modarith.neg ctx_p x
+      if Modarith.plain_leq (Modarith.to_plain ctx_p x) q_plain then x else Modarith.neg ctx_p x
 
     let generator = Modarith.of_nat ctx_p params.g
     let one = Modarith.one ctx_p
@@ -80,7 +85,7 @@ let make (params : params) : (module Group_intf.GROUP) =
        per element. *)
     let inv_batch (xs : t array) : t array = Array.map norm (Modarith.inv_batch ctx_p xs)
 
-    let pow_raw x k = norm (Modarith.pow ctx_p x (Scalar.to_nat k))
+    let pow_raw x k = norm (Modarith.pow ctx_p x (Scalar.exponent k))
     let pow_gen_raw k = pow_raw generator k
 
     let pow x k =
@@ -130,8 +135,8 @@ let make (params : params) : (module Group_intf.GROUP) =
     let msm_pool_threshold = 64
 
     let msm_raw ?pool pairs =
-      let nat_pairs = Array.map (fun (x, k) -> (x, Scalar.to_nat k)) pairs in
-      let n = Array.length nat_pairs in
+      let plain_pairs = Array.map (fun (x, k) -> (x, Scalar.exponent k)) pairs in
+      let n = Array.length plain_pairs in
       norm
         (match Atom_exec.Pool.resolve pool with
         | Some p when n >= msm_pool_threshold && Atom_exec.Pool.size p > 1 ->
@@ -139,10 +144,10 @@ let make (params : params) : (module Group_intf.GROUP) =
             let partials =
               Atom_exec.Pool.tabulate ~pool:p nchunks (fun c ->
                   let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-                  Modarith.msm_slice ctx_p nat_pairs ~lo ~hi)
+                  Modarith.msm_slice ctx_p plain_pairs ~lo ~hi)
             in
             Array.fold_left (Modarith.mul ctx_p) (Modarith.one ctx_p) partials
-        | _ -> Modarith.msm ctx_p nat_pairs)
+        | _ -> Modarith.msm ctx_p plain_pairs)
 
     let msm ?pool pairs =
       Atom_obs.Opcount.note_msm ~terms:(Array.length pairs);
@@ -156,24 +161,19 @@ let make (params : params) : (module Group_intf.GROUP) =
     let equal = Modarith.equal
     let is_one x = equal x one
     let element_bytes = (Nat.bit_length params.p + 7) / 8
-    let to_bytes x = Nat.to_bytes_be ~length:element_bytes (Modarith.to_nat ctx_p x)
+    let to_bytes x = Modarith.plain_to_bytes (Modarith.to_plain ctx_p x) ~len:element_bytes
 
     (* Membership in QR⁺ is the canonical-range check — no exponentiation.
        Values built by this module are canonical by construction; the
        check exists for decode-time verification and defense in depth. *)
     let is_member (x : t) : bool =
-      let v = Modarith.to_nat ctx_p x in
-      (not (Nat.is_zero v)) && Nat.leq v params.q
+      (not (Modarith.is_zero x)) && Modarith.plain_leq (Modarith.to_plain ctx_p x) q_plain
 
     include Group_intf.Naive_check (struct
       type nonrec t = t
 
       let is_member = is_member
     end)
-
-    (* The canonical-range bound in plain limb form, for the wire-decode
-       fast path's threshold compares. *)
-    let q_plain = Modarith.plain_of_nat ctx_p params.q
 
     let of_bytes s =
       if String.length s <> element_bytes then None
@@ -228,15 +228,14 @@ let make (params : params) : (module Group_intf.GROUP) =
        test and no sign fix-up — the +1 shift only avoids zero. *)
     let embed payload =
       if String.length payload > embed_bytes then None
-      else Some (Modarith.of_nat ctx_p (Nat.add (Nat.of_bytes_be payload) Nat.one))
+      else Some (Modarith.add ctx_p (Modarith.of_bytes_mod ctx_p payload) one)
 
     let extract el =
-      let v = Modarith.to_nat ctx_p el in
-      if Nat.is_zero v then None
+      if Modarith.is_zero el then None
       else begin
-        let payload = Nat.sub v Nat.one in
-        if Nat.bit_length payload > embed_bytes * 8 then None
-        else Some (Nat.to_bytes_be ~length:embed_bytes payload)
+        let payload = Modarith.to_plain ctx_p (Modarith.sub ctx_p el one) in
+        if Modarith.plain_bit_length payload > embed_bytes * 8 then None
+        else Some (Modarith.plain_to_bytes payload ~len:embed_bytes)
       end
 
     let random rng = pow_gen (Scalar.random rng)
@@ -248,8 +247,7 @@ let make (params : params) : (module Group_intf.GROUP) =
     let of_hash label =
       let rec go ctr =
         let digest = Atom_hash.Sha256.digest_list [ "zp-of-hash"; label; string_of_int ctr ] in
-        let v = Nat.rem (Nat.of_bytes_be digest) params.p in
-        let el = norm (Modarith.sqr ctx_p (Modarith.of_nat ctx_p v)) in
+        let el = norm (Modarith.sqr ctx_p (Modarith.of_bytes_mod ctx_p digest)) in
         if Modarith.is_zero el || is_one el then go (ctr + 1) else el
       in
       go 0

@@ -13,10 +13,12 @@
    preallocated k-limb slots ([tls.slots]) handed out in stack order and
    released en masse when the enclosing operation (or {!with_session} scope)
    ends, so the steady-state inner loops of pow/msm touch the minor heap
-   zero times. The boxed world (fresh [el] results, [Nat.t] conversions)
-   exists only at the API edge. The classic allocating implementations are
-   retained verbatim-in-spirit under {!Ref} — property tests pin the flat
-   kernels byte-identical to them.
+   zero times. The boxed world (fresh [el] results) exists only at the
+   API edge, and [Nat] only where a context or a constant is built and in
+   {!Ref}: exponents, encodings and digit recodings read plain limbs,
+   which one REDC ([to_plain]) leaves Montgomery form into. The classic
+   allocating implementations are retained verbatim-in-spirit under {!Ref}
+   — property tests pin the flat kernels byte-identical to them.
 
    One modulus gets its own kernels: for P-256's field prime, [create]
    selects [P256_field]'s unrolled multiply and square (same columns,
@@ -44,13 +46,14 @@ type tls = {
 
 type ctx = {
   modulus : Nat.t;
+  bits : int; (* bit length of the modulus *)
   m : int array; (* k limbs of the modulus *)
   k : int;
   m0inv : int; (* -m^{-1} mod 2^26 *)
   r2 : int array; (* R^2 mod m, for entering Montgomery form *)
   one_m : int array; (* R mod m, i.e. 1 in Montgomery form *)
-  one_plain : int array; (* plain 1, the fixed second operand of to_nat *)
-  inv_exp : Nat.t; (* m - 2, the Fermat inversion exponent *)
+  one_plain : int array; (* plain 1, the fixed second operand of to_plain *)
+  inv_exp : int array; (* m - 2 in plain limbs, the Fermat inversion exponent *)
   p256 : bool; (* m is P-256's field prime: the [P256_field] kernels serve it *)
   tls : tls Domain.DLS.key;
 }
@@ -111,46 +114,34 @@ let arena_take (ctx : ctx) (t : tls) : el =
   t.top <- t.top + 1;
   v
 
+(* The big-endian value of s.[pos .. pos+len-1] into the little-endian
+   limbs of [out] (zero on entry): the one byte reader behind wire parse,
+   [of_bytes_mod] and [widen]. False when the value needs more limbs. *)
+let read_be (s : string) ~(pos : int) ~(len : int) (out : int array) : bool =
+  let n = Array.length out in
+  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 and fits = ref true in
+  for i = pos + len - 1 downto pos do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
+    acc_bits := !acc_bits + 8;
+    if !acc_bits >= limb_bits then begin
+      let l = !acc land limb_mask in
+      if !limb < n then out.(!limb) <- l else if l <> 0 then fits := false;
+      acc := !acc lsr limb_bits;
+      acc_bits := !acc_bits - limb_bits;
+      incr limb
+    end
+  done;
+  if !acc_bits > 0 then
+    if !limb < n then out.(!limb) <- !acc else if !acc <> 0 then fits := false;
+  !fits
+
 (* Widen a Nat (canonical, possibly short) to exactly k limbs, going through
    the byte serialization so Nat's representation stays abstract. *)
 let widen (k : int) (a : Nat.t) : int array =
-  let bytes = Nat.to_bytes_be a in
-  let out = Array.make k 0 in
-  let n = String.length bytes in
-  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
-  (try
-     for i = n - 1 downto 0 do
-       acc := !acc lor (Char.code bytes.[i] lsl !acc_bits);
-       acc_bits := !acc_bits + 8;
-       while !acc_bits >= limb_bits do
-         if !limb >= k then raise Exit;
-         out.(!limb) <- !acc land limb_mask;
-         acc := !acc lsr limb_bits;
-         acc_bits := !acc_bits - limb_bits;
-         incr limb
-       done
-     done;
-     if !acc_bits > 0 && !limb < k then out.(!limb) <- !acc
-     else if !acc <> 0 && !limb >= k then raise Exit
-   with Exit -> invalid_arg "Modarith.widen: value too large");
+  let bytes = Nat.to_bytes_be a and out = Array.make k 0 in
+  if not (read_be bytes ~pos:0 ~len:(String.length bytes) out) then
+    invalid_arg "Modarith.widen: value too large";
   out
-
-let narrow (a : int array) : Nat.t =
-  let k = Array.length a in
-  let byte_len = ((k * limb_bits) + 7) / 8 in
-  let out = Bytes.make byte_len '\000' in
-  for i = 0 to byte_len - 1 do
-    let bit = i * 8 in
-    let limb = bit / limb_bits and off = bit mod limb_bits in
-    if limb < k then begin
-      let v = a.(limb) lsr off in
-      let v =
-        if off > limb_bits - 8 && limb + 1 < k then v lor (a.(limb + 1) lsl (limb_bits - off)) else v
-      in
-      Bytes.set out (byte_len - 1 - i) (Char.chr (v land 0xff))
-    end
-  done;
-  Nat.of_bytes_be (Bytes.unsafe_to_string out)
 
 (* Comparison of fixed-width limb arrays. A plain loop, not a local
    recursive function: the latter captures [a]/[b] in a heap-allocated
@@ -186,7 +177,8 @@ let max_limbs = 511
 let create (modulus : Nat.t) : ctx =
   if Nat.is_even modulus || Nat.compare modulus (Nat.of_int 3) < 0 then
     invalid_arg "Modarith.create: modulus must be odd and >= 3";
-  let k = (Nat.bit_length modulus + limb_bits - 1) / limb_bits in
+  let bits = Nat.bit_length modulus in
+  let k = (bits + limb_bits - 1) / limb_bits in
   if k > max_limbs then invalid_arg "Modarith.create: modulus wider than 511 limbs";
   let m = widen k modulus in
   (* m0inv = -m[0]^{-1} mod 2^26 via Newton iteration. *)
@@ -222,13 +214,14 @@ let create (modulus : Nat.t) : ctx =
   one_plain.(0) <- 1;
   {
     modulus;
+    bits;
     m;
     k;
     m0inv;
     r2;
     one_m;
     one_plain;
-    inv_exp = Nat.sub modulus Nat.two;
+    inv_exp = widen k (Nat.sub modulus Nat.two);
     p256 = P256_field.is_modulus m;
     tls = Domain.DLS.new_key (fun () -> fresh_tls k);
   }
@@ -369,18 +362,23 @@ let sub_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
     done
   end
 
-(* Boxed conveniences over the kernels (one result allocation each). *)
+(* Boxed conveniences over the kernels (one result allocation each). The
+   kernels cannot raise, so [mont_mul_c] checks the working state out and
+   in around one call without [with_tls]'s closure. *)
 let mont_mul_t (ctx : ctx) (tl : tls) (a : el) (b : el) : el =
   let out = Array.make ctx.k 0 in
   mont_mul_into ctx tl out a b;
   out
 
+let mont_mul_c (ctx : ctx) (a : el) (b : el) : el =
+  let t = checkout ctx in
+  let out = mont_mul_t ctx t a b in
+  checkin t;
+  out
+
 let of_nat (ctx : ctx) (a : Nat.t) : el =
   let reduced = if Nat.compare a ctx.modulus >= 0 then Nat.rem a ctx.modulus else a in
-  with_tls ctx (fun t -> mont_mul_t ctx t (widen ctx.k reduced) ctx.r2)
-
-let to_nat (ctx : ctx) (a : el) : Nat.t =
-  narrow (with_tls ctx (fun t -> mont_mul_t ctx t a ctx.one_plain))
+  mont_mul_c ctx (widen ctx.k reduced) ctx.r2
 
 (* Big-endian bytes of any length, reduced mod m, straight into
    Montgomery form without a [Nat] or a division (hash-to-scalar's path).
@@ -395,18 +393,7 @@ let of_bytes_mod (ctx : ctx) (s : string) : el =
   let nlimbs = ((8 * len) + limb_bits - 1) / limb_bits in
   let nchunks = max 1 ((nlimbs + k - 1) / k) in
   let limbs = Array.make (nchunks * k) 0 in
-  let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
-  for i = len - 1 downto 0 do
-    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
-    acc_bits := !acc_bits + 8;
-    if !acc_bits >= limb_bits then begin
-      limbs.(!limb) <- !acc land limb_mask;
-      acc := !acc lsr limb_bits;
-      acc_bits := !acc_bits - limb_bits;
-      incr limb
-    end
-  done;
-  if !acc_bits > 0 then limbs.(!limb) <- !acc;
+  ignore (read_be s ~pos:0 ~len limbs);
   with_tls ctx (fun t ->
       let out = Array.make k 0 and chunk = Array.make k 0 in
       for j = nchunks - 1 downto 0 do
@@ -417,64 +404,103 @@ let of_bytes_mod (ctx : ctx) (s : string) : el =
       done;
       out)
 
-(* ---- wire parse: plain values ----
+(* ---- plain values: wire parse, exponents, encodings ----
 
-   The wire-decode fast path. [of_nat] costs a Nat round trip (widen
-   re-serializes through bytes) on top of the Montgomery entry
-   multiplication; a structural decoder validating thousands of elements
-   per frame cannot afford either until the element is actually released
-   to arithmetic. [parse_be_sub] reads the wire bytes straight into a
-   k-limb plain value and range-checks it against the modulus with one
-   limb compare; [plain_leq] gives threshold checks (canonical-range
-   membership) the same way; [mont_of_plain] pays the one entry
-   multiplication at discharge time. *)
+   A [plain] is a k-limb value that is not in Montgomery form. The wire
+   decoder reads one straight off a receive buffer ([parse_be_sub], one
+   limb compare for the range check) and pays the Montgomery entry
+   multiplication ([mont_of_plain]) only when the element is released to
+   arithmetic. The other way, [to_plain] leaves Montgomery form with one
+   REDC: exponents, canonical encodings and threshold compares
+   ([plain_leq]) all read the plain limbs, and [window] is the one digit
+   extractor every ladder recodes its exponent through. *)
 
 type plain = int array
 
 let parse_be_sub (ctx : ctx) (s : string) ~(pos : int) ~(len : int) : plain option =
-  if pos < 0 || len < 0 || pos + len > String.length s then None
-  else begin
-    let k = ctx.k in
-    let out = Array.make k 0 in
-    let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
-    let fits = ref true in
-    for i = pos + len - 1 downto pos do
-      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
-      acc_bits := !acc_bits + 8;
-      while !acc_bits >= limb_bits do
-        let l = !acc land limb_mask in
-        if !limb < k then out.(!limb) <- l else if l <> 0 then fits := false;
-        acc := !acc lsr limb_bits;
-        acc_bits := !acc_bits - limb_bits;
-        incr limb
-      done
-    done;
-    if !acc_bits > 0 then
-      if !limb < k then out.(!limb) <- !acc else if !acc <> 0 then fits := false;
-    if !fits && cmp_limbs out ctx.m < 0 then Some out else None
-  end
+  let out = Array.make ctx.k 0 in
+  let in_range = pos >= 0 && len >= 0 && pos + len <= String.length s in
+  if in_range && read_be s ~pos ~len out && cmp_limbs out ctx.m < 0 then Some out else None
 
-let plain_is_zero (a : plain) : bool = Array.for_all (fun x -> x = 0) a
-let plain_leq (a : plain) (b : plain) : bool = cmp_limbs a b <= 0
-let plain_of_nat (ctx : ctx) (a : Nat.t) : plain = widen ctx.k a
-
-let mont_of_plain (ctx : ctx) (a : plain) : el =
-  with_tls ctx (fun t -> mont_mul_t ctx t a ctx.r2)
-
-let zero (ctx : ctx) : el = Array.make ctx.k 0
-let one (ctx : ctx) : el = Array.copy ctx.one_m
-let of_int ctx i = of_nat ctx (Nat.of_int i)
-
-let equal (a : el) (b : el) : bool = cmp_limbs a b = 0
 (* A plain loop: [Array.for_all]'s inner recursive function captures its
    arguments in a heap-allocated closure, and the curve engine tests its
-   points for infinity on every addition and doubling. *)
-let is_zero (a : el) : bool =
+   points for infinity on every addition and doubling. Serves [el] and
+   [plain] alike: zero is zero in Montgomery form too. *)
+let is_zero (a : int array) : bool =
   let i = ref 0 in
   while !i < Array.length a && Array.unsafe_get a !i = 0 do
     incr i
   done;
   !i = Array.length a
+
+let plain_is_zero = is_zero
+let plain_leq (a : plain) (b : plain) : bool = cmp_limbs a b <= 0
+let plain_of_nat (ctx : ctx) (a : Nat.t) : plain = widen ctx.k a
+let mont_of_plain (ctx : ctx) (a : plain) : el = mont_mul_c ctx a ctx.r2
+let to_plain (ctx : ctx) (a : el) : plain = mont_mul_c ctx a ctx.one_plain
+
+(* [width] (at most 26) bits of [e] from bit [pos] up. Bits past [e]'s
+   last limb read as zero, so an exponent need not have the width of the
+   context it is used in (a Zp scalar from ctx_q raises an element of
+   ctx_p). *)
+let window (e : plain) ~(pos : int) ~(width : int) : int =
+  let n = Array.length e and limb = pos / limb_bits and off = pos mod limb_bits in
+  let v = if limb < n then Array.unsafe_get e limb lsr off else 0 in
+  let v =
+    if off + width > limb_bits && limb + 1 < n then
+      v lor (Array.unsafe_get e (limb + 1) lsl (limb_bits - off))
+    else v
+  in
+  v land ((1 lsl width) - 1)
+
+let plain_bit_length (e : plain) : int =
+  let i = ref (Array.length e - 1) in
+  while !i >= 0 && Array.unsafe_get e !i = 0 do
+    decr i
+  done;
+  if !i < 0 then 0
+  else begin
+    let w = ref 0 in
+    while e.(!i) lsr !w <> 0 do
+      incr w
+    done;
+    (!i * limb_bits) + !w
+  end
+
+(* The low [len] bytes of [a], big-endian. *)
+let plain_to_bytes (a : plain) ~(len : int) : string =
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set out (len - 1 - i) (Char.unsafe_chr (window a ~pos:(8 * i) ~width:8))
+  done;
+  Bytes.unsafe_to_string out
+
+let to_nat (ctx : ctx) (a : el) : Nat.t =
+  Nat.of_bytes_be (plain_to_bytes (to_plain ctx a) ~len:(((ctx.k * limb_bits) + 7) / 8))
+
+(* Uniform in [0, m), in Montgomery form: the bytes, mask and rejection
+   rule of [Nat.random_below] over the modulus, so one RNG stream yields
+   the same values through either. *)
+let random (ctx : ctx) (rng : Atom_util.Rng.t) : el =
+  let bytes = (ctx.bits + 7) / 8 in
+  let mask = 0xff lsr ((bytes * 8) - ctx.bits) in
+  let rec go () =
+    let raw = Bytes.of_string (Atom_util.Rng.bytes rng bytes) in
+    Bytes.set raw 0 (Char.chr (Char.code (Bytes.get raw 0) land mask));
+    match parse_be_sub ctx (Bytes.unsafe_to_string raw) ~pos:0 ~len:bytes with
+    | Some v -> mont_of_plain ctx v
+    | None -> go ()
+  in
+  go ()
+
+let zero (ctx : ctx) : el = Array.make ctx.k 0
+let one (ctx : ctx) : el = Array.copy ctx.one_m
+
+let of_int (ctx : ctx) (i : int) : el =
+  if i < 0 then invalid_arg "Modarith.of_int: negative";
+  of_bytes_mod ctx (String.init 8 (fun j -> Char.unsafe_chr ((i lsr (8 * (7 - j))) land 0xff)))
+
+let equal (a : el) (b : el) : bool = cmp_limbs a b = 0
 
 let alloc (ctx : ctx) : el = Array.make ctx.k 0
 let copy_into ~(dst : el) (a : el) : unit = Array.blit a 0 dst 0 (Array.length dst)
@@ -491,18 +517,16 @@ let sub (ctx : ctx) (a : el) (b : el) : el =
   sub_into ctx out a b;
   out
 
-let neg (ctx : ctx) (a : el) : el = if is_zero a then Array.copy a else sub ctx (zero ctx) a
-let mul (ctx : ctx) (a : el) (b : el) : el = with_tls ctx (fun t -> mont_mul_t ctx t a b)
+(* m − a, which for 0 < a < m is the canonical −a. *)
+let neg (ctx : ctx) (a : el) : el = if is_zero a then Array.copy a else sub ctx ctx.m a
+let mul (ctx : ctx) (a : el) (b : el) : el = mont_mul_c ctx a b
 
 let sqr (ctx : ctx) (a : el) : el =
-  with_tls ctx (fun t ->
-      let out = Array.make ctx.k 0 in
-      mont_sqr_into ctx t out a;
-      out)
-
-let mont_sqr = sqr
-
-let double ctx a = add ctx a a
+  let out = Array.make ctx.k 0 in
+  let t = checkout ctx in
+  mont_sqr_into ctx t out a;
+  checkin t;
+  out
 
 (* Small MRU cache of 4-bit window tables, so exponentiations with a
    long-lived base (the Schnorr generator, a group public key) skip table
@@ -510,9 +534,9 @@ let double ctx a = add ctx a a
    domain of a pool warms its own copy. Lookup is a linear scan with limb
    comparison — at most [pow_cache_cap] k-limb compares, negligible next
    to an exponentiation. Fermat inversion, whose base is one-shot, uses
-   [pow_oneshot] instead, which leaves the cache alone. Cached tables are
-   built once and only read afterwards, so the steady-state pow of a warm
-   base allocates nothing beyond its result. *)
+   [pow_oneshot_into_t] instead, which leaves the cache alone. Cached
+   tables are built once and only read afterwards, so the steady-state pow
+   of a warm base allocates nothing beyond its result. *)
 let pow_cache_cap = 8
 
 let pow_table (ctx : ctx) (tl : tls) (base : el) : el array =
@@ -535,20 +559,13 @@ let pow_table (ctx : ctx) (tl : tls) (base : el) : el array =
       tl.pow_cache <- List.filteri (fun i _ -> i < pow_cache_cap) cache;
       table
 
-(* 4-bit window [w] of exponent [e]. *)
-let nibble_of (e : Nat.t) (w : int) : int =
-  (if Nat.test_bit e ((4 * w) + 3) then 8 else 0)
-  lor (if Nat.test_bit e ((4 * w) + 2) then 4 else 0)
-  lor (if Nat.test_bit e ((4 * w) + 1) then 2 else 0)
-  lor if Nat.test_bit e (4 * w) then 1 else 0
-
 (* Fixed 4-bit-window exponentiation into [dst] over a window table whose
    entry for digit d is [table.(off + d)]; the accumulator IS the
    destination, squared and multiplied in place, so the ladder allocates
    nothing. *)
-let pow_window_into (ctx : ctx) (tl : tls) (dst : el) (table : el array) (off : int) (e : Nat.t)
+let pow_window_into (ctx : ctx) (tl : tls) (dst : el) (table : el array) (off : int) (e : plain)
     : unit =
-  let windows = (Nat.bit_length e + 3) / 4 in
+  let windows = (plain_bit_length e + 3) / 4 in
   set_one ctx dst;
   for w = windows - 1 downto 0 do
     if w <> windows - 1 then begin
@@ -557,15 +574,15 @@ let pow_window_into (ctx : ctx) (tl : tls) (dst : el) (table : el array) (off : 
       mont_sqr_into ctx tl dst dst;
       mont_sqr_into ctx tl dst dst
     end;
-    let nibble = nibble_of e w in
+    let nibble = window e ~pos:(4 * w) ~width:4 in
     if nibble <> 0 then mont_mul_into ctx tl dst dst table.(off + nibble)
   done
 
 (* Cached-table pow: a warm-cache call allocates nothing. [dst] may alias
    [base]: the window table is built (from copies) before [dst] is first
    written. *)
-let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit =
-  if Nat.is_zero e then set_one ctx dst else pow_window_into ctx tl dst (pow_table ctx tl base) 0 e
+let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : plain) : unit =
+  if is_zero e then set_one ctx dst else pow_window_into ctx tl dst (pow_table ctx tl base) 0 e
 
 (* One-shot pow for a base that will never recur (a Fermat inversion's
    operand on a generic modulus): the window table lives in arena
@@ -573,8 +590,8 @@ let pow_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit 
    cache, where it would evict the long-lived bases' tables. Entry d is
    arena slot [mark + d - 1]; the slots are read through [tl.slots] only
    after the last take, when any arena growth has already happened. *)
-let pow_oneshot_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t) : unit =
-  if Nat.is_zero e then set_one ctx dst
+let pow_oneshot_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : plain) : unit =
+  if is_zero e then set_one ctx dst
   else begin
     let mark = arena_mark tl in
     let prev = ref (arena_take ctx tl) in
@@ -588,22 +605,11 @@ let pow_oneshot_into_t (ctx : ctx) (tl : tls) (dst : el) (base : el) (e : Nat.t)
     arena_release tl mark
   end
 
-let pow (ctx : ctx) (base : el) (e : Nat.t) : el =
+let pow (ctx : ctx) (base : el) (e : plain) : el =
   with_tls ctx (fun t ->
       let out = Array.make ctx.k 0 in
       pow_into_t ctx t out base e;
       out)
-
-(* Without [with_tls]'s closure, so a call allocates only its result. *)
-let pow_oneshot (ctx : ctx) (base : el) (e : Nat.t) : el =
-  let out = Array.make ctx.k 0 in
-  let t = checkout ctx in
-  (match pow_oneshot_into_t ctx t out base e with
-  | () -> checkin t
-  | exception ex ->
-      checkin t;
-      raise ex);
-  out
 
 (* Straus interleaved multi-scalar multiplication over [lo, hi):
    dst <- Π base_i^{e_i} with one shared run of squarings across all pairs
@@ -615,12 +621,12 @@ let pow_oneshot (ctx : ctx) (base : el) (e : Nat.t) : el =
    The cached [pow_table] is deliberately not consulted: MSM callers pass
    crowds of one-shot bases that would flush it. [dst] must not alias any
    base (the public wrappers allocate it fresh). *)
-let msm_into_t (ctx : ctx) (tl : tls) (dst : el) (pairs : (el * Nat.t) array) (lo : int)
+let msm_into_t (ctx : ctx) (tl : tls) (dst : el) (pairs : (el * plain) array) (lo : int)
     (hi : int) : unit =
   let mark = arena_mark tl in
   let nl = ref 0 in
   for i = lo to hi - 1 do
-    if not (Nat.is_zero (snd pairs.(i))) then incr nl
+    if not (is_zero (snd pairs.(i))) then incr nl
   done;
   if !nl = 0 then set_one ctx dst
   else begin
@@ -630,10 +636,11 @@ let msm_into_t (ctx : ctx) (tl : tls) (dst : el) (pairs : (el * Nat.t) array) (l
     let j = ref 0 and max_bits = ref 0 in
     for i = lo to hi - 1 do
       let b, e = pairs.(i) in
-      if not (Nat.is_zero e) then begin
+      if not (is_zero e) then begin
         idx.(!j) <- i;
-        max_bits := max !max_bits (Nat.bit_length e);
-        let max_d = if Nat.bit_length e > 4 then 15 else Nat.to_int_exn e in
+        let bits = plain_bit_length e in
+        max_bits := max !max_bits bits;
+        let max_d = if bits > 4 then 15 else window e ~pos:0 ~width:4 in
         let t = Array.make (max_d + 1) b in
         (* t.(0) is never read (zero digits are skipped); t.(1) aliases the
            caller's base, which is only ever read. *)
@@ -657,21 +664,21 @@ let msm_into_t (ctx : ctx) (tl : tls) (dst : el) (pairs : (el * Nat.t) array) (l
       end;
       for jj = 0 to nl - 1 do
         let e = snd pairs.(idx.(jj)) in
-        let nib = nibble_of e w in
+        let nib = window e ~pos:(4 * w) ~width:4 in
         if nib <> 0 then mont_mul_into ctx tl dst dst tables.(jj).(nib)
       done
     done;
     arena_release tl mark
   end
 
-let msm_slice (ctx : ctx) (pairs : (el * Nat.t) array) ~(lo : int) ~(hi : int) : el =
+let msm_slice (ctx : ctx) (pairs : (el * plain) array) ~(lo : int) ~(hi : int) : el =
   if lo < 0 || hi > Array.length pairs || lo > hi then invalid_arg "Modarith.msm_slice";
   with_tls ctx (fun t ->
       let out = Array.make ctx.k 0 in
       msm_into_t ctx t out pairs lo hi;
       out)
 
-let msm (ctx : ctx) (pairs : (el * Nat.t) array) : el =
+let msm (ctx : ctx) (pairs : (el * plain) array) : el =
   msm_slice ctx pairs ~lo:0 ~hi:(Array.length pairs)
 
 (* [f tmp off dst a] into a fresh result, with the four arena slots
@@ -695,7 +702,15 @@ let chain (ctx : ctx) (f : el array -> int -> el -> el -> unit) (a : el) : el =
    P-256's field prime runs its fixed addition chain for p - 2. *)
 let inv (ctx : ctx) (a : el) : el =
   if is_zero a then raise Division_by_zero;
-  if ctx.p256 then chain ctx P256_field.inv_into a else pow_oneshot ctx a ctx.inv_exp
+  if ctx.p256 then chain ctx P256_field.inv_into a
+  else begin
+    (* Checked out without [with_tls]'s closure, so a call allocates only
+       its result. *)
+    let out = Array.make ctx.k 0 and t = checkout ctx in
+    pow_oneshot_into_t ctx t out a ctx.inv_exp;
+    checkin t;
+    out
+  end
 
 (* Montgomery's simultaneous-inversion trick: the inverses of a whole
    array for a single Fermat inversion plus three multiplications per
@@ -748,7 +763,6 @@ module S = struct
   let sqr (s : t) ~(dst : el) (a : el) : unit = mont_sqr_into s.sctx s.stl dst a
   let add (s : t) ~(dst : el) (a : el) (b : el) : unit = add_into s.sctx dst a b
   let sub (s : t) ~(dst : el) (a : el) (b : el) : unit = sub_into s.sctx dst a b
-  let pow (s : t) ~(dst : el) (base : el) (e : Nat.t) : unit = pow_into_t s.sctx s.stl dst base e
   let take (s : t) : el = arena_take s.sctx s.stl
   let mark (s : t) : int = arena_mark s.stl
   let release (s : t) (m : int) : unit = arena_release s.stl m

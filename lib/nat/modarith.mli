@@ -39,7 +39,10 @@ val of_nat : ctx -> Nat.t -> el
 (** Reduce mod the modulus and enter Montgomery form. *)
 
 val to_nat : ctx -> el -> Nat.t
+
 val of_int : ctx -> int -> el
+(** Reduced mod the modulus, through {!of_bytes_mod}.
+    @raise Invalid_argument on a negative int. *)
 
 val of_bytes_mod : ctx -> string -> el
 (** The big-endian value of a string of any length (empty is zero),
@@ -47,16 +50,20 @@ val of_bytes_mod : ctx -> string -> el
     [of_nat ctx (Nat.of_bytes_be s)], computed by Horner steps over
     context-width limb chunks with no [Nat] arithmetic. *)
 
-(** {1 Wire parse: plain values}
+(** {1 Plain values}
 
-    The wire-decode fast path. A {!plain} is a fixed-width limb value
-    that has {e not} entered Montgomery form: {!parse_be_sub} reads it
-    straight off a receive buffer (no [Nat] round trip) and range-checks
-    it against the modulus, {!plain_leq} compares it against a
-    precomputed threshold with one limb loop, and {!mont_of_plain} pays
-    the Montgomery entry multiplication only when the element is released
-    to arithmetic — so a structural decoder can parse thousands of
-    elements per frame and batch the expensive step. *)
+    A {!plain} is a fixed-width limb value that has {e not} entered
+    Montgomery form. On the wire-decode fast path {!parse_be_sub} reads
+    one straight off a receive buffer and range-checks it against the
+    modulus, {!plain_leq} compares it against a precomputed threshold
+    with one limb loop, and {!mont_of_plain} pays the Montgomery entry
+    multiplication only when the element is released to arithmetic — so
+    a structural decoder can parse thousands of elements per frame and
+    batch the expensive step. The other way, {!to_plain} leaves
+    Montgomery form with one REDC: exponents ({!pow}, {!msm}), canonical
+    encodings ({!plain_to_bytes}) and every ladder's digit recoding (the
+    one extractor, {!window}) read plain limbs, so no per-operation path
+    needs [Nat]; it builds contexts and constants and serves {!Ref}. *)
 
 type plain
 
@@ -79,6 +86,27 @@ val mont_of_plain : ctx -> plain -> el
     from {!parse_be_sub} or {!plain_of_nat} of the same context (already
     reduced). *)
 
+val to_plain : ctx -> el -> plain
+(** Leave Montgomery form: one REDC (a Montgomery multiplication by plain
+    1) into a fresh context-width buffer. *)
+
+val window : plain -> pos:int -> width:int -> int
+(** [window e ~pos ~width] is the [width]-bit digit (width at most 26) of
+    [e] at bit [pos]. Bits past [e]'s last limb read as zero, so a value
+    of one context can serve as an exponent in a wider one. *)
+
+val plain_bit_length : plain -> int
+(** Bits up to the highest set one; 0 for zero. *)
+
+val plain_to_bytes : plain -> len:int -> string
+(** The low [len] bytes, big-endian: the canonical encoding when [len]
+    is the modulus's byte length. *)
+
+val random : ctx -> Atom_util.Rng.t -> el
+(** Uniform in [0, m): the bytes, mask and rejection rule of
+    [Nat.random_below rng m], so one RNG stream gives the same value as
+    [of_nat ctx (Nat.random_below rng m)]. *)
+
 val zero : ctx -> el
 val one : ctx -> el
 val equal : el -> el -> bool
@@ -90,29 +118,25 @@ val sub : ctx -> el -> el -> el
 val neg : ctx -> el -> el
 val mul : ctx -> el -> el -> el
 
-val mont_sqr : ctx -> el -> el
+val sqr : ctx -> el -> el
 (** Specialized Montgomery squaring: each column sums its cross-limb
     products once and doubles them, and pairs its reduction terms, so a
     column takes half the loop iterations of a general multiplication. *)
 
-val sqr : ctx -> el -> el
-(** [sqr ctx a] = [mont_sqr ctx a]. *)
+val pow : ctx -> el -> plain -> el
+(** [pow ctx b e] is b^e mod m. The exponent is plain limbs of any width
+    (a scalar of another context included), read 4 bits at a time by
+    {!window}. Window tables for recently used bases are kept in a small
+    per-context MRU cache, so repeated exponentiations of a fixed base (a
+    generator, a public key) skip table construction. *)
 
-val double : ctx -> el -> el
-
-val pow : ctx -> el -> Nat.t -> el
-(** [pow ctx b e] is b^e mod m; the exponent is a plain natural. Window
-    tables for recently used bases are kept in a small per-context MRU
-    cache, so repeated exponentiations of a fixed base (a generator, a
-    public key) skip table construction. *)
-
-val msm : ctx -> (el * Nat.t) array -> el
+val msm : ctx -> (el * plain) array -> el
 (** [msm ctx [|(b1, e1); ...|]] is Π bᵢ^eᵢ mod m via Straus interleaving:
     all pairs share one run of squarings, so an n-term product costs about
     one exponentiation's squarings plus n window-digit multiplications per
     window. Zero exponents are skipped; the empty product is [one]. *)
 
-val msm_slice : ctx -> (el * Nat.t) array -> lo:int -> hi:int -> el
+val msm_slice : ctx -> (el * plain) array -> lo:int -> hi:int -> el
 (** [msm] restricted to pairs.(lo..hi-1), without materializing a sub-array.
     Used by pooled MSM to hand each worker a chunk allocation-free.
     @raise Invalid_argument on an out-of-range slice. *)
@@ -171,9 +195,6 @@ module S : sig
   val add : t -> dst:el -> el -> el -> unit
   val sub : t -> dst:el -> el -> el -> unit
 
-  val pow : t -> dst:el -> el -> Nat.t -> unit
-  (** [dst] may alias the base (the window table copies it first). *)
-
   val take : t -> el
   (** Check a scratch element out of the arena: stale contents, valid
       until the enclosing release point. *)
@@ -192,9 +213,10 @@ val with_session : ctx -> (S.t -> 'a) -> 'a
 (** {1 Reference implementations}
 
     Structurally independent slow paths ([Nat] schoolbook multiply +
-    binary long division, square-and-multiply pow) used by property tests
-    to pin the product-scanning kernels byte-identical. Not for production
-    use. *)
+    binary long division, square-and-multiply pow over [Nat] exponents)
+    used by property tests to pin the product-scanning kernels
+    byte-identical; tests hand the fast paths the same exponents through
+    {!plain_of_nat}. Not for production use. *)
 module Ref : sig
   val mul : ctx -> el -> el -> el
   val sqr : ctx -> el -> el

@@ -47,8 +47,6 @@ let to_int_exn a =
   | Some v -> v
   | None -> invalid_arg "Nat.to_int_exn: does not fit"
 
-let num_limbs = Array.length
-
 let compare (a : t) (b : t) : int =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
@@ -57,8 +55,6 @@ let compare (a : t) (b : t) : int =
     go (la - 1)
 
 let equal a b = compare a b = 0
-let lt a b = compare a b < 0
-let leq a b = compare a b <= 0
 
 let bit_length (a : t) : int =
   let n = Array.length a in
@@ -73,7 +69,6 @@ let test_bit (a : t) (i : int) : bool =
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
 
 let is_even a = not (test_bit a 0)
-let is_odd a = test_bit a 0
 
 let add (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
@@ -187,7 +182,6 @@ let div_rem (a : t) (b : t) : t * t =
     (normalize q, !r)
   end
 
-let div a b = fst (div_rem a b)
 let rem a b = snd (div_rem a b)
 
 (* Remainder by a small positive int (must be < 2^31 so the accumulator
@@ -214,13 +208,12 @@ let div_small (a : t) (d : int) : t * int =
   done;
   (normalize out, !r)
 
-let of_bytes_be_sub (s : string) ~(pos : int) ~(len : int) : t =
-  if pos < 0 || len < 0 || pos + len > String.length s then invalid_arg "Nat.of_bytes_be_sub";
-  let bits = len * 8 in
-  let limbs = ((bits + limb_bits - 1) / limb_bits) + 1 in
+let of_bytes_be (s : string) : t =
+  let len = String.length s in
+  let limbs = ((len * 8) + limb_bits - 1) / limb_bits in
   let out = Array.make limbs 0 in
   let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
-  for i = pos + len - 1 downto pos do
+  for i = len - 1 downto 0 do
     acc := !acc lor (Char.code s.[i] lsl !acc_bits);
     acc_bits := !acc_bits + 8;
     while !acc_bits >= limb_bits do
@@ -232,8 +225,6 @@ let of_bytes_be_sub (s : string) ~(pos : int) ~(len : int) : t =
   done;
   if !acc_bits > 0 then out.(!limb) <- !acc;
   normalize out
-
-let of_bytes_be (s : string) : t = of_bytes_be_sub s ~pos:0 ~len:(String.length s)
 
 let to_bytes_be ?(length : int option) (a : t) : string =
   let byte_len = (bit_length a + 7) / 8 in

@@ -7,8 +7,6 @@
 
 type t
 
-val limb_bits : int
-
 val zero : t
 val one : t
 val two : t
@@ -20,16 +18,12 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 val to_int_exn : t -> int
 
-val num_limbs : t -> int
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val lt : t -> t -> bool
-val leq : t -> t -> bool
 
 val bit_length : t -> int
 val test_bit : t -> int -> bool
 val is_even : t -> bool
-val is_odd : t -> bool
 
 val add : t -> t -> t
 
@@ -43,21 +37,12 @@ val shift_right : t -> int -> t
 val div_rem : t -> t -> t * t
 (** @raise Division_by_zero *)
 
-val div : t -> t -> t
 val rem : t -> t -> t
 
 val mod_small : t -> int -> int
 (** Remainder by a small (< 2³¹) positive int. *)
 
-val div_small : t -> int -> t * int
-
 val of_bytes_be : string -> t
-
-val of_bytes_be_sub : string -> pos:int -> len:int -> t
-(** [of_bytes_be_sub s ~pos ~len] reads the big-endian value of
-    [s.[pos .. pos+len-1]] without materializing the substring — the
-    zero-copy decode primitive for wire parsers.
-    @raise Invalid_argument on an out-of-range slice. *)
 
 val to_bytes_be : ?length:int -> t -> string
 (** Big-endian bytes; zero-padded to [length] when given.

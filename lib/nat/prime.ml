@@ -19,7 +19,7 @@ let mr_round (ctx : Modarith.ctx) ~(d : Nat.t) ~(s : int) (base : Nat.t) : bool 
   let b = Nat.rem base n in
   if Nat.is_zero b then true
   else begin
-    let x = Modarith.pow ctx (Modarith.of_nat ctx b) d in
+    let x = Modarith.pow ctx (Modarith.of_nat ctx b) (Modarith.plain_of_nat ctx d) in
     let x_nat = Modarith.to_nat ctx x in
     if Nat.equal x_nat Nat.one || Nat.equal x_nat n1 then true
     else begin

@@ -28,7 +28,7 @@ end = struct
         (G.pow_gen (S.of_int k))
     done;
     (* Order-adjacent scalars: top windows fully populated. *)
-    let n1 = S.of_nat (Atom_nat.Nat.sub S.order Atom_nat.Nat.one) in
+    let n1 = S.neg S.one in
     check "comb k=q-1" (G.pow G.generator n1) (G.pow_gen n1);
     for _ = 1 to 10 do
       let k = S.random r in
@@ -267,12 +267,14 @@ module P256_tiers = struct
   let check msg expected got = Alcotest.(check bool) msg true (P.equal expected got)
 
   let ref_pow x k =
-    let e = S.to_nat k in
     let acc = ref P.one in
-    for i = Atom_nat.Nat.bit_length e - 1 downto 0 do
-      acc := P.mul !acc !acc;
-      if Atom_nat.Nat.test_bit e i then acc := P.mul !acc x
-    done;
+    String.iter
+      (fun c ->
+        for i = 7 downto 0 do
+          acc := P.mul !acc !acc;
+          if (Char.code c lsr i) land 1 = 1 then acc := P.mul !acc x
+        done)
+      (S.to_bytes k);
     !acc
 
   let builds () = (P.window_builds (), P.comb_builds ())

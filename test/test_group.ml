@@ -42,7 +42,7 @@ module Laws (G : Atom_group.Group_intf.GROUP) = struct
     Alcotest.(check bool) "x^0 = 1" true (G.is_one (G.pow x G.Scalar.zero));
     Alcotest.(check bool) "x^1 = x" true (G.equal (G.pow x G.Scalar.one) x);
     (* x^(q-1) * x = x^q = 1 *)
-    let q1 = G.Scalar.of_nat (Nat.sub G.Scalar.order Nat.one) in
+    let q1 = G.Scalar.neg G.Scalar.one in
     Alcotest.(check bool) "x^q = 1" true (G.is_one (G.mul (G.pow x q1) x));
     Alcotest.(check bool) "1^k = 1" true (G.is_one (G.pow G.one (G.Scalar.random r)))
 
@@ -180,17 +180,17 @@ let test_p256_full_width_kats () =
       check "one-shot pow" (Domain.join (Domain.spawn (fun () -> P.pow three_g k3)));
       Alcotest.(check (pair int int)) (label ^ " no table built") (windows, combs)
         (P.window_builds (), P.comb_builds ());
-      let y_odd = Nat.is_odd (Nat.of_hex y) in
+      let y_odd = not (Nat.is_even (Nat.of_hex y)) in
       match P.of_bytes (Atom_util.Hex.decode ((if y_odd then "03" else "02") ^ x)) with
       | Some pt -> check "decode" pt
       | None -> Alcotest.failf "%s: compressed point rejected" label)
     [
       ( "k=112233445566778899",
-        P.Scalar.of_nat (Nat.of_decimal "112233445566778899"),
+        P.Scalar.of_bytes_mod (Nat.to_bytes_be (Nat.of_decimal "112233445566778899")),
         "339150844ec15234807fe862a86be77977dbfb3ae3d96f4c22795513aeaab82f",
         "b1c14ddfdc8ec1b2583f51e85a5eb3a155840f2034730e9b5ada38b674336a21" );
       ( "(n-2)G",
-        P.Scalar.of_nat (Nat.sub P.n Nat.two),
+        P.Scalar.of_bytes_mod (Nat.to_bytes_be (Nat.sub P.n Nat.two)),
         "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978",
         "f888aaee24712fc0d6c26539608bcf244582521ac3167dd661fb4862dd878c2e" );
     ]
@@ -198,7 +198,7 @@ let test_p256_full_width_kats () =
 let test_p256_order () =
   let module P = Atom_group.P256 in
   (* (n-1)·G + G = nG = O *)
-  let n1 = P.Scalar.of_nat (Nat.sub P.Scalar.order Nat.one) in
+  let n1 = P.Scalar.neg P.Scalar.one in
   Alcotest.(check bool) "nG = O" true (P.is_one (P.mul (P.pow_gen n1) P.generator));
   (* (n-1)·G = -G *)
   Alcotest.(check bool) "(n-1)G = -G" true (P.equal (P.pow_gen n1) (P.inv P.generator))
@@ -257,6 +257,65 @@ let test_zp_subgroup_validation () =
   Alcotest.(check bool) "v >= p rejected" true
     (G.of_bytes (Nat.to_bytes_be ~length:G.element_bytes params.Atom_group.Zp.p) = None)
 
+(* [Scalar.random] draws the bytes, mask and rejection rule of
+   [Nat.random_below] over the group order, its definition while scalars
+   went through [Nat]: from twin generators every draw encodes alike, and
+   the two streams are still in step after a few hundred draws. *)
+let test_scalar_random_stream () =
+  let check name (module G : Atom_group.Group_intf.GROUP) (q : Nat.t) =
+    let len = String.length (G.Scalar.to_bytes G.Scalar.zero) in
+    List.iter
+      (fun seed ->
+        let r1 = Atom_util.Rng.create seed and r2 = Atom_util.Rng.create seed in
+        for i = 1 to 300 do
+          let got = G.Scalar.to_bytes (G.Scalar.random r1) in
+          let want = Nat.to_bytes_be ~length:len (Nat.random_below r2 q) in
+          if got <> want then
+            Alcotest.failf "%s seed %d draw %d: %s, want %s" name seed i
+              (Atom_util.Hex.encode got) (Atom_util.Hex.encode want)
+        done;
+        Alcotest.(check string)
+          (Printf.sprintf "%s seed %d streams in step" name seed)
+          (Atom_util.Rng.bytes r2 16) (Atom_util.Rng.bytes r1 16))
+      [ 1; 2; 0x5eed; 0xa70e ]
+  in
+  check "zp-test" (Atom_group.Registry.zp_test ()) (Atom_group.Zp.test_params ()).Atom_group.Zp.q;
+  check "zp-medium" (Atom_group.Registry.zp_medium ())
+    (Atom_group.Zp.medium_params ()).Atom_group.Zp.q;
+  check "p256" (module Atom_group.P256) Atom_group.P256.n
+
+(* Minor words per call of the operations every round runs per element:
+   Zp's [mul] (whose canonical-range fold reads plain limbs, not a Nat)
+   and the canonical encodings of elements and scalars. Averaged over 4096
+   calls on 64 operands after a warm-up; every bound sits well under what
+   the same call cost when these paths converted through [Nat]: Zp mul 46
+   (zp-test) and 79 words (zp-medium), element encodings 29, 54 and 106
+   (P-256), scalar encodings 29, 54 and 52. *)
+let test_words_per_op () =
+  let words_per_call name bound f =
+    ignore (Sys.opaque_identity (f 0));
+    let m0 = Gc.minor_words () in
+    for i = 0 to 4095 do
+      ignore (Sys.opaque_identity (f (i land 63)))
+    done;
+    let words = (Gc.minor_words () -. m0) /. 4096. in
+    if words > bound then Alcotest.failf "%s: %.1f minor words per call, bound %.0f" name words bound
+  in
+  let backend name (module G : Atom_group.Group_intf.GROUP) ~mul ~encode ~scalar =
+    let r = Atom_util.Rng.create 0xa110c in
+    let xs = Array.init 64 (fun _ -> G.random r) and ks = Array.init 64 (fun _ -> G.Scalar.random r) in
+    Option.iter
+      (fun bound -> words_per_call (name ^ " mul") bound (fun i -> G.mul xs.(i) xs.((i + 1) land 63)))
+      mul;
+    words_per_call (name ^ " to_bytes") encode (fun i -> G.to_bytes xs.(i));
+    words_per_call (name ^ " Scalar.to_bytes") scalar (fun i -> G.Scalar.to_bytes ks.(i))
+  in
+  (* Measured with the plain-limb paths: Zp mul 13 and 27 words, element
+     encodings 8, 17 and 36, scalar encodings 8, 17 and 17. *)
+  backend "zp-test" (Atom_group.Registry.zp_test ()) ~mul:(Some 20.) ~encode:12. ~scalar:12.;
+  backend "zp-medium" (Atom_group.Registry.zp_medium ()) ~mul:(Some 40.) ~encode:24. ~scalar:24.;
+  backend "p256" (module Atom_group.P256) ~mul:None ~encode:50. ~scalar:24.
+
 let suite () =
   let module Zp_laws = Laws ((val Atom_group.Registry.zp_test ())) in
   let module Zp256_laws = Laws ((val Atom_group.Registry.zp_medium ())) in
@@ -272,4 +331,6 @@ let suite () =
         Alcotest.test_case "p256 parameters prime" `Slow test_p256_field_prime_is_prime;
         Alcotest.test_case "p256 compressed generator" `Quick test_p256_compressed_generator;
         Alcotest.test_case "zp subgroup validation" `Quick test_zp_subgroup_validation;
+        Alcotest.test_case "scalar random stream unchanged" `Quick test_scalar_random_stream;
+        Alcotest.test_case "words per group operation" `Quick test_words_per_op;
       ] )

@@ -198,9 +198,8 @@ let prop_modarith_pow_homomorphism =
       let module N = Atom_nat.Nat in
       let ctx = M.create (N.of_int 1_000_003 (* prime *)) in
       let g = M.of_int ctx 2 in
-      M.equal
-        (M.pow ctx g (N.of_int (x + y)))
-        (M.mul ctx (M.pow ctx g (N.of_int x)) (M.pow ctx g (N.of_int y))))
+      let e i = M.plain_of_nat ctx (N.of_int i) in
+      M.equal (M.pow ctx g (e (x + y))) (M.mul ctx (M.pow ctx g (e x)) (M.pow ctx g (e y))))
 
 let suite =
   ( "misc",

@@ -10,7 +10,8 @@ module S = G.Scalar
 
 let rng () = Atom_util.Rng.create 0x5ec4e7
 
-let scalar_eq = Alcotest.testable (fun fmt s -> Atom_nat.Nat.pp fmt (S.to_nat s)) S.equal
+let scalar_eq =
+  Alcotest.testable (fun fmt s -> Format.pp_print_string fmt (Atom_util.Hex.encode (S.to_bytes s))) S.equal
 
 let test_split_reconstruct () =
   let r = rng () in
