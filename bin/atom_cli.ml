@@ -4,12 +4,16 @@
    - round       run a full round with real cryptography at a small scale
    - simulate    modeled large-scale run over the discrete-event simulator
    - trace       virtual-time round on the simulated fleet; merged Chrome trace JSON
+   - cluster     a round (or, with `soak`, epochs under chaos) on atom_node processes
+   - clients     a submission-plane load generator against an ingest-mode fleet
    - sizing      anytrust / many-trust group-size tables (Appendix B)
    - calibrate   measure this host's crypto costs for a group backend *)
 
 open Cmdliner
 open Atom_core
 module Json = Atom_obs.Json
+module Fleet = Atom_rpc.Fleet
+module Faults = Atom_sim.Faults
 
 (* A measurement rounded to [d] decimals for the JSON summaries; null when
    there is none. *)
@@ -38,48 +42,19 @@ let print_iteration_percentiles (times : float array) =
     Printf.printf "iteration time p50/p90/p99: %.3f / %.3f / %.3f s\n" (p 50.) (p 90.) (p 99.)
   end
 
-let variant_conv =
-  let parse = function
-    | "basic" -> Ok Config.Basic
-    | "nizk" -> Ok Config.Nizk
-    | "trap" -> Ok Config.Trap
-    | s -> Error (`Msg (Printf.sprintf "unknown variant %S (basic|nizk|trap)" s))
-  in
-  let print fmt v =
-    Format.pp_print_string fmt
-      (match v with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap")
-  in
-  Arg.conv (parse, print)
-
 (* ---- round ---- *)
 
-let run_round variant users servers groups group_size h iterations msg_bytes seed fail_count
-    metrics =
+let run_round config users fail_count metrics =
   let ops0 = opcounts_before () in
   let module G = (val Atom_group.Registry.zp_test ()) in
   let module Pr = Protocol.Make (G) in
-  let config =
-    {
-      Config.variant;
-      n_servers = servers;
-      n_groups = groups;
-      group_size;
-      h;
-      f = 0.2;
-      topology = Config.Square iterations;
-      msg_bytes;
-      seed;
-      mailboxes = 64;
-      dummy_mu = 2.;
-      dummy_b = 1.;
-    }
-  in
   Config.validate config;
-  let rng = Atom_util.Rng.create seed in
+  let rng = Atom_util.Rng.create config.Config.seed in
   let t0 = Unix.gettimeofday () in
   let net = Pr.setup rng config () in
   Printf.printf "setup: %d servers, %d groups of %d (quorum %d), width %d elements/unit [%.2fs]\n"
-    servers groups group_size (Config.quorum config) net.Pr.width
+    config.Config.n_servers config.Config.n_groups config.Config.group_size
+    (Config.quorum config) net.Pr.width
     (Unix.gettimeofday () -. t0);
   (* Optional fail-stop churn. *)
   for i = 0 to fail_count - 1 do
@@ -90,7 +65,9 @@ let run_round variant users servers groups group_size h iterations msg_bytes see
   let msgs = List.init users (fun i -> Printf.sprintf "anonymous message #%d" i) in
   let t1 = Unix.gettimeofday () in
   let subs =
-    List.mapi (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod groups) m) msgs
+    List.mapi
+      (fun i m -> Pr.submit rng net ~user:i ~entry_gid:(i mod config.Config.n_groups) m)
+      msgs
   in
   let t2 = Unix.gettimeofday () in
   Printf.printf "submissions: %d users encrypted and proven [%.2fs]\n" users (t2 -. t1);
@@ -119,20 +96,15 @@ let sim_metrics_flag =
 
 let round_cmd =
   let users = Arg.(value & opt int 8 & info [ "users" ] ~doc:"Number of users.") in
-  let variant = Arg.(value & opt variant_conv Config.Trap & info [ "variant" ] ~doc:"basic|nizk|trap.") in
-  let servers = Arg.(value & opt int 12 & info [ "servers" ] ~doc:"Number of servers.") in
-  let groups = Arg.(value & opt int 4 & info [ "groups" ] ~doc:"Number of groups.") in
-  let group_size = Arg.(value & opt int 3 & info [ "group-size" ] ~doc:"Servers per group (k).") in
-  let h = Arg.(value & opt int 1 & info [ "honest" ] ~doc:"Required honest servers per group (h).") in
-  let iterations = Arg.(value & opt int 4 & info [ "iterations" ] ~doc:"Mixing iterations (T).") in
-  let msg_bytes = Arg.(value & opt int 32 & info [ "msg-bytes" ] ~doc:"Plaintext size.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
+  let config =
+    Cluster_flags.config
+      { Config.cluster with Config.variant = Trap; n_servers = 12; group_size = 3;
+        topology = Square 4 }
+  in
   let fail = Arg.(value & opt int 0 & info [ "fail" ] ~doc:"Fail-stop this many servers of group 0.") in
   Cmd.v
     (Cmd.info "round" ~doc:"Run one protocol round with real cryptography (small scale).")
-    Term.(
-      const run_round $ variant $ users $ servers $ groups $ group_size $ h $ iterations
-      $ msg_bytes $ seed $ fail $ metrics_flag)
+    Term.(const run_round $ config $ users $ fail $ metrics_flag)
 
 (* ---- simulate ---- *)
 
@@ -174,14 +146,14 @@ let simulate_cmd =
 (* Fault plan for a simulated round: kill a whole group and/or a random
    fraction of the fleet at virtual time [fail_at]. *)
 let build_fault_plan ~(config : Config.t) ~kill_group ~kill_fraction ~fail_at :
-    Atom_sim.Faults.plan =
+    Faults.plan =
   (match kill_group with
-  | Some gid -> Atom_sim.Faults.fail_machines ~at:fail_at (Atom_rpc.Sim_fleet.members config gid)
+  | Some gid -> Faults.fail_machines ~at:fail_at (Fleet.members config gid)
   | None -> [])
   @
   match kill_fraction with
   | Some fraction ->
-      Atom_sim.Faults.fail_fraction
+      Faults.fail_fraction
         (Atom_util.Rng.create (config.Config.seed lxor 0xc4a5))
         ~at:fail_at ~fraction ~n:config.Config.n_servers
   | None -> []
@@ -198,7 +170,7 @@ let write_trace (path : string) (lanes : Atom_obs.Trace.lane list) : unit =
 let run_trace scenario users seed kill_group kill_fraction fail_at loss out metrics =
   let ops0 = opcounts_before () in
   let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
+  let module F = Atom_rpc.Fleet.Make (G) in
   let config =
     match scenario with
     | "microblog" -> Config.tiny ~variant:Config.Trap ~seed ()
@@ -207,30 +179,32 @@ let run_trace scenario users seed kill_group kill_fraction fail_at loss out metr
   in
   let faults = build_fault_plan ~config ~kill_group ~kill_fraction ~fail_at in
   let obs = Atom_obs.Ctx.create ~tracing:true () in
-  let r = Fleet.run ~obs ~faults ~loss_prob:loss config ~users in
+  let r = F.run ~obs ~faults (Fleet.Sim { loss }) config (Fleet.Round { users }) in
   let o = r.Fleet.outcome in
   Printf.printf
     "%s: %d messages, %d groups, %d delivered; %.3f virtual s, %d DES events, %.0f bytes on the wire\n"
     scenario users config.Config.n_groups
-    (List.length o.Fleet.N.delivered)
-    r.Fleet.latency r.Fleet.events r.Fleet.bytes_sent;
+    (List.length o.Atom_rpc.Node.delivered)
+    r.latency r.events r.bytes_sent;
   if faults <> [] || loss > 0. then
     Printf.printf
       "churn: %d failures injected, %d recovery sweeps, %d role recoveries (%.2fs summed sweep-to-resume), %d retransmits, %d drops\n"
-      r.Fleet.failures_injected r.Fleet.recovery_sweeps r.Fleet.recoveries
-      r.Fleet.recovery_seconds r.Fleet.retransmits r.Fleet.messages_dropped;
-  Option.iter (Printf.printf "round aborted: %s\n") o.Fleet.N.cluster_abort;
-  print_string (Atom_obs.Trace.Breakdown.render ~latency:r.Fleet.latency r.Fleet.lanes);
+      r.failures_injected o.recovery_rounds
+      (int_of_float (Atom_rpc.Fleet.counter r "node.recoveries"))
+      (List.fold_left ( +. ) 0. o.recovery_seconds)
+      r.retransmits r.messages_dropped;
+  Option.iter (Printf.printf "round aborted: %s\n") o.cluster_abort;
+  print_string (Atom_obs.Trace.Breakdown.render ~latency:r.latency r.lanes);
   Option.iter
     (fun path ->
-      write_trace path r.Fleet.lanes;
+      write_trace path r.lanes;
       Printf.printf "wrote %s (load it at https://ui.perfetto.dev or chrome://tracing)\n" path)
     out;
   if metrics then begin
     print_registry obs;
     print_opcounts ops0
   end;
-  if not o.Fleet.N.matched then exit 1
+  if not o.matched then exit 1
 
 let trace_cmd =
   let scenario =
@@ -263,478 +237,31 @@ let trace_cmd =
 
 (* ---- cluster ---- *)
 
-let variant_name = function
-  | Config.Basic -> "basic"
-  | Config.Nizk -> "nizk"
-  | Config.Trap -> "trap"
-
-(* Read an integer kB field (VmHWM, VmRSS) out of /proc/<pid>/status;
-   0 when unavailable (non-Linux host, already-dead pid). *)
-let proc_status_kb (pid : int) (field : string) : int =
-  let path = Printf.sprintf "/proc/%d/status" pid in
-  match
-    In_channel.with_open_text path (fun ic ->
-        let rec go () =
-          match In_channel.input_line ic with
-          | None -> 0
-          | Some line ->
-              if String.starts_with ~prefix:(field ^ ":") line then
-                let digits =
-                  String.to_seq line
-                  |> Seq.filter (fun c -> c >= '0' && c <= '9')
-                  |> String.of_seq
-                in
-                (try int_of_string digits with Failure _ -> 0)
-              else go ()
-        in
-        go ())
-  with
-  | v -> v
-  | exception Sys_error _ -> 0
-
-(* Load a node's atom-metrics/1 snapshot (the --metrics-out exit dump).
-   Strict: a missing file and a malformed document are distinct errors so
-   the caller can report which node produced garbage. *)
-let load_snapshot (path : string) : (Atom_obs.Snapshot.t, string) result =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Atom_obs.Snapshot.of_json s
-  | exception Sys_error e -> Error e
-
-(* Reap child node processes and report *unexpected* failures: a child
-   that exited non-zero or died to a signal nobody meant to send.
-   [deliberate] holds node ids the harness itself killed (chaos kill
-   schedules); stragglers force-killed right here are excluded the same
-   way. The caller decides what a non-empty report costs — `cluster`
-   exits non-zero on one even when everything else (trace collection
-   included) succeeded. *)
-let reap_children ~(pids : int array) ~(deliberate : (int, unit) Hashtbl.t) ~(kill : bool) :
-    (int * string) list =
-  let idx_of pid =
-    let r = ref (-1) in
-    Array.iteri (fun i p -> if p = pid then r := i) pids;
-    !r
-  in
-  let forced = Hashtbl.create 4 in
-  let failures = ref [] in
-  let note pid st =
-    let i = idx_of pid in
-    if not (Hashtbl.mem forced pid || Hashtbl.mem deliberate i) then
-      match st with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED c -> failures := (i, Printf.sprintf "exit status %d" c) :: !failures
-      | Unix.WSIGNALED s -> failures := (i, Printf.sprintf "killed by signal %d" s) :: !failures
-      | Unix.WSTOPPED _ -> ()
-  in
-  let force pid =
-    Hashtbl.replace forced pid ();
-    try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
-  in
-  let deadline = Unix.gettimeofday () +. 5. in
-  let remaining = ref (Array.to_list pids) in
-  while !remaining <> [] && Unix.gettimeofday () < deadline do
-    remaining :=
-      List.filter
-        (fun pid ->
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> true
-          | _, st ->
-              note pid st;
-              false
-          | exception Unix.Unix_error _ -> false)
-        !remaining;
-    if !remaining <> [] && not kill then Unix.sleepf 0.05
-    else if !remaining <> [] then List.iter force !remaining
-  done;
-  List.iter
-    (fun pid ->
-      force pid;
-      match Unix.waitpid [] pid with
-      | _, st -> note pid st
-      | exception Unix.Unix_error _ -> ())
-    !remaining;
-  List.sort compare !failures
-
-type fleet_summary = {
-  fs_matched : bool;
-  fs_abort : string option;
-  fs_delivered : string list;
-  fs_rejected : int list;
-  fs_recovery_rounds : int;
-  fs_failed_nodes : int list;
-  fs_exit_dups : int;
-  fs_wall_s : float;
-  fs_peak_child_rss_kb : int;
-  fs_node_counters : (string * float) list; (* summed across node dumps *)
-  fs_recovery_seconds : float list; (* coordinator: sweep → pipeline resumption *)
-  fs_join_times : (int * float) list;
-  fs_node_snapshots : (int * Atom_obs.Snapshot.t) list; (* live-collected, decoded *)
-  fs_snapshot_errors : (int * string) list; (* nodes whose snapshot was missing/bad *)
-  fs_child_failures : (int * string) list;
-      (* node processes that exited non-zero or died to a signal the
-         harness did not send — a failure even when the round matched *)
-}
-
-exception Fleet_failure of string
-
-(* A fleet of atom_node processes on loopback, past the bring-up
-   handshake, as the coordinator sees it. *)
-type fleet = {
-  fl_t0 : float; (* before the first spawn: the coordinator's clock origin *)
-  fl_t : Atom_rpc.Tcp_transport.t; (* the coordinator's endpoint *)
-  fl_ports : (int, int) Hashtbl.t; (* node -> listen port *)
-  fl_join_times : (int * float) list;
-      (* node → coordinator-clock Join receipt: the clock-alignment offset
-         for that node's lane in the merged trace *)
-  fl_pool : Atom_exec.Pool.t option; (* the coordinator's domain pool *)
-  fl_land : unit -> (int * string) list * int;
-      (* stop the watcher, release the pool, reap the children and close
-         the endpoint: child failures and the children's peak RSS (kB) *)
-}
-
-(* The launcher both fleet commands share. Spawn one atom_node per server
-   ([node_args i] appended to node i's argument vector), run the
-   Join → Peers → Ack handshake, pick the coordinator's domain pool, and
-   start a watcher that fires [kills] (seconds after the fleet is up,
-   server ids) and samples the children's peak RSS. [who] prefixes the
-   progress lines, [label] the per-node log files. A bring-up that fails
-   reaps the children and returns the reason with their failures. *)
-let launch_fleet ~(config : Config.t) ~domains ~node_bin ~timeout ~log_dir ~obs ~(who : string)
-    ~(label : string) ~(chaos : string) ~(node_args : int -> string array)
-    ~(kills : (float * int list) option) : (fleet, string * (int * string) list) result =
-  let module Tcp = Atom_rpc.Tcp_transport in
-  let module Ctrl = Atom_wire.Control in
-  Config.validate config;
+(* The loopback atom_node fleet the cluster commands run: [who] prefixes
+   the launcher's progress lines, [label] names the per-node logs. *)
+let processes ~domains ~node_bin ~log_dir ~chaos ~label who : Fleet.placement =
   if log_dir <> None then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
-  let servers = config.Config.n_servers in
-  (* A 2s send budget keeps death detection cheap: a probe to a dead peer
-     fails within ~1.75s instead of the default 5s ladder. *)
-  let t = Tcp.create ~obs ~node_id:servers ~send_timeout:2.0 () in
-  let port = Tcp.port t in
-  let node_bin =
-    match node_bin with
-    | Some p -> p
-    | None ->
-        (* Sibling of this binary; dune names it atom_node.exe, an
-           installed copy plain atom_node. *)
-        let dir = Filename.dirname Sys.executable_name in
-        let exe = Filename.concat dir "atom_node.exe" in
-        if Sys.file_exists exe then exe else Filename.concat dir "atom_node"
-  in
-  let t0 = Unix.gettimeofday () in
-  let poll = 0.2 in
-  (match log_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
-  let pids =
-    Array.init servers (fun i ->
-        let args =
-          [|
-            node_bin; "--node-id"; string_of_int i;
-            "--coordinator-port"; string_of_int port;
-            "--variant"; variant_name config.Config.variant;
-            "--servers"; string_of_int servers;
-            "--groups"; string_of_int config.Config.n_groups;
-            "--group-size"; string_of_int config.Config.group_size;
-            "--honest"; string_of_int config.Config.h;
-            "--iterations";
-            (match config.Config.topology with
-            | Config.Square n -> string_of_int n
-            | _ -> failwith "cluster runs use the Square topology");
-            "--msg-bytes"; string_of_int config.Config.msg_bytes;
-            "--seed"; string_of_int config.Config.seed;
-            "--domains"; string_of_int domains;
-            "--recv-timeout"; Printf.sprintf "%g" poll;
-            "--max-idle"; string_of_int (max 1 (int_of_float (timeout /. poll)));
-          |]
-        in
-        let args = if chaos = "" then args else Array.append args [| "--chaos"; chaos |] in
-        let args = Array.append args (node_args i) in
-        match log_dir with
-        | None -> Unix.create_process node_bin args Unix.stdin Unix.stdout Unix.stderr
-        | Some dir ->
-            let log =
-              Unix.openfile
-                (Filename.concat dir (Printf.sprintf "%s-node-%d.log" label i))
-                [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-            in
-            let pid =
-              Unix.create_process node_bin (Array.append args [| "--verbose" |]) Unix.stdin log
-                log
-            in
-            Unix.close log;
-            pid)
-  in
-  let deliberate = Hashtbl.create 4 in
-  let reap ~kill = reap_children ~pids ~deliberate ~kill in
-  try
-    (* Bring-up: every node joins with its listen port, learns the fleet,
-       and acks — only then does protocol traffic start. The peer list is
-       re-broadcast until everyone acked (nodes re-ack on every copy), so
-       early chaos drops cannot wedge the handshake. *)
-    let deadline = Unix.gettimeofday () +. timeout in
-    let ports = Hashtbl.create servers in
-    (* Clock alignment for the merged trace: a node's trace clock starts at
-       the instant before its Join send, so the coordinator-clock receipt
-       time of that Join (loopback: sub-ms later) is the offset that maps
-       the node's timestamps onto the coordinator's timebase. *)
-    let join_times = Hashtbl.create servers in
-    while Hashtbl.length ports < servers && Unix.gettimeofday () < deadline do
-      match Tcp.recv t ~timeout:0.5 with
-      | Ok (_, frame) -> (
-          match Ctrl.decode frame with
-          | Some (Ctrl.Join { node_id; port }) ->
-              if not (Hashtbl.mem join_times node_id) then
-                Hashtbl.replace join_times node_id (Unix.gettimeofday () -. t0);
-              Hashtbl.replace ports node_id port;
-              Tcp.add_peer t ~node_id ~host:"127.0.0.1" ~port
-          | _ -> ())
-      | Error _ -> ()
-    done;
-    if Hashtbl.length ports < servers then
-      raise
-        (Fleet_failure
-           (Printf.sprintf "%d/%d nodes joined before timeout" (Hashtbl.length ports) servers));
-    let peers = Array.init servers (fun i -> (i, Hashtbl.find ports i)) in
-    let send_peers () =
-      for i = 0 to servers - 1 do
-        ignore (Tcp.send t ~dst:i (Ctrl.encode (Ctrl.Peers { peers })))
-      done
-    in
-    send_peers ();
-    let acked = Hashtbl.create servers in
-    let last_bcast = ref (Unix.gettimeofday ()) in
-    while Hashtbl.length acked < servers && Unix.gettimeofday () < deadline do
-      (match Tcp.recv t ~timeout:0.5 with
-      | Ok (_, frame) -> (
-          match Ctrl.decode frame with
-          | Some (Ctrl.Ack { token }) -> Hashtbl.replace acked token ()
-          | _ -> ())
-      | Error _ -> ());
-      if Hashtbl.length acked < servers && Unix.gettimeofday () -. !last_bcast > 2. then begin
-        last_bcast := Unix.gettimeofday ();
-        send_peers ()
-      end
-    done;
-    if Hashtbl.length acked < servers then
-      raise
-        (Fleet_failure
-           (Printf.sprintf "%d/%d nodes acked the peer list" (Hashtbl.length acked) servers));
-    Printf.printf "%s: %d node processes on loopback (coordinator port %d) [%.2fs]\n%!" who
-      servers port
-      (Unix.gettimeofday () -. t0);
-    (* Watcher: fires the scheduled kills and tracks the children's peak
-       RSS (VmHWM) while the fleet runs. *)
-    let t_up = Unix.gettimeofday () in
-    let peak_child = ref 0 in
-    let stop_watch = Atomic.make false in
-    let watcher =
-      Thread.create
-        (fun () ->
-          let killed = ref false in
-          while not (Atomic.get stop_watch) do
-            (match kills with
-            | Some (at, victims) when (not !killed) && Unix.gettimeofday () -. t_up >= at ->
-                killed := true;
-                List.iter
-                  (fun sid ->
-                    Printf.printf "%s: killing node %d (pid %d) at %.2fs\n%!" who sid pids.(sid)
-                      (Unix.gettimeofday () -. t_up);
-                    Hashtbl.replace deliberate sid ();
-                    try Unix.kill pids.(sid) Sys.sigkill with Unix.Unix_error _ -> ())
-                  victims
-            | _ -> ());
-            Array.iter
-              (fun pid -> peak_child := max !peak_child (proc_status_kb pid "VmHWM"))
-              pids;
-            Thread.delay 0.05
-          done)
-        ()
-    in
-    (* --domains 0 (the default): honor ATOM_DOMAINS when set, otherwise
-       use the measured recommendation (host cores capped by the
-       recommended_domains a bench parallel run recorded on matching
-       hardware). Only pools this process created are shut down. *)
-    let pool, own_pool = Atom_exec.Pool.of_domains domains in
-    if domains <= 0 && Sys.getenv_opt "ATOM_DOMAINS" = None then begin
-      let d = Option.fold ~none:1 ~some:Atom_exec.Pool.size pool in
-      Printf.printf "%s: coordinator using %d worker domain%s (measured default)\n%!" who d
-        (if d = 1 then "" else "s")
-    end;
-    let land_fleet () =
-      if own_pool then Option.iter Atom_exec.Pool.shutdown pool;
-      Atomic.set stop_watch true;
-      Thread.join watcher;
-      let child_failures = reap ~kill:false in
-      Tcp.close t;
-      (child_failures, !peak_child)
-    in
-    Ok
-      {
-        fl_t0 = t0;
-        fl_t = t;
-        fl_ports = ports;
-        fl_join_times =
-          List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) join_times []);
-        fl_pool = pool;
-        fl_land = land_fleet;
-      }
-  with Fleet_failure msg ->
-    let child_failures = reap ~kill:true in
-    Tcp.close t;
-    Error (msg, child_failures)
+  Fleet.Processes
+    { chaos; domains; node_bin; log_dir; label;
+      progress = (fun line -> Printf.printf "%s: %s\n%!" who line) }
 
-(* Spawn N atom_node processes on loopback, drive a full round over real
-   TCP, and check the published plaintexts against the single-process
-   reference run for the same seed. [chaos] is forwarded to every node's
-   transport wrapper; [kills] schedules SIGKILLs (seconds after the round
-   starts, server ids). One call = one epoch; the soak loops this. *)
-let run_fleet_round ~(config : Config.t) ~users ~domains ~node_bin ~timeout ~log_dir ~obs
-    ~(chaos : string) ~(kills : (float * int list) option)
-    ~(node_metrics_dir : string option) ~(label : string) ?(trace = false) () :
-    fleet_summary =
-  let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
-  let servers = config.Config.n_servers in
-  (match node_metrics_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
-  let node_metrics_file i =
-    Option.map
-      (fun dir -> Filename.concat dir (Printf.sprintf "%s-node-%d.metrics" label i))
-      node_metrics_dir
-  in
-  let collect_node_counters () =
-    let tbl = Hashtbl.create 32 in
-    for i = 0 to servers - 1 do
-      match node_metrics_file i with
-      | None -> ()
-      | Some path -> (
-          match load_snapshot path with
-          | Ok snap ->
-              List.iter
-                (fun (name, v) ->
-                  Hashtbl.replace tbl name
-                    (v +. Option.value ~default:0. (Hashtbl.find_opt tbl name)))
-                (Atom_obs.Snapshot.counters snap)
-          | Error _ -> () (* killed mid-epoch: no exit dump to fold in *))
-    done;
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
-  let node_args i =
-    Array.append
-      (if trace then [| "--trace" |] else [||])
-      (match node_metrics_file i with None -> [||] | Some path -> [| "--metrics-out"; path |])
-  in
-  let t_start = Unix.gettimeofday () in
-  match
-    launch_fleet ~config ~domains ~node_bin ~timeout ~log_dir ~obs
-      ~who:(Printf.sprintf "cluster[%s]" label)
-      ~label ~chaos ~node_args ~kills
-  with
-  | Error (msg, child_failures) ->
-      {
-        fs_matched = false;
-        fs_abort = Some msg;
-        fs_delivered = [];
-        fs_rejected = [];
-        fs_recovery_rounds = 0;
-        fs_failed_nodes = [];
-        fs_exit_dups = 0;
-        fs_wall_s = Unix.gettimeofday () -. t_start;
-        fs_peak_child_rss_kb = 0;
-        fs_node_counters = collect_node_counters ();
-        fs_recovery_seconds = [];
-        fs_join_times = [];
-        fs_node_snapshots = [];
-        fs_snapshot_errors = [];
-        fs_child_failures = child_failures;
-      }
-  | Ok fl ->
-      let result =
-        Node.run_coordinator ~obs
-          ~clock:(fun () -> Unix.gettimeofday () -. fl.fl_t0)
-          ~collect_stats:trace ?pool:fl.fl_pool fl.fl_t ~config ~users ~recv_timeout:0.25
-          ~max_idle:(max 1 (int_of_float (timeout /. 0.25)))
-          ()
-      in
-      let child_failures, peak_child = fl.fl_land () in
-      (* Strict decode of the live-collected snapshots; when stats were
-         requested, a live node that never answered is an error too — the
-         schema gate in CI must see every lane. *)
-      let node_snapshots, snapshot_errors =
-        List.fold_left
-          (fun (oks, errs) (sid, json) ->
-            match Atom_obs.Snapshot.of_json json with
-            | Ok s -> ((sid, s) :: oks, errs)
-            | Error e -> (oks, (sid, e) :: errs))
-          ([], []) result.Node.node_snapshots
-      in
-      let snapshot_errors =
-        if not trace then snapshot_errors
-        else
-          List.fold_left
-            (fun errs sid ->
-              if
-                List.mem sid result.Node.failed_nodes
-                || List.mem_assoc sid result.Node.node_snapshots
-              then errs
-              else (sid, "no Stats_reply received") :: errs)
-            snapshot_errors
-            (List.init servers Fun.id)
-      in
-      {
-        fs_matched = result.Node.matched;
-        fs_abort = result.Node.cluster_abort;
-        fs_delivered = result.Node.delivered;
-        fs_rejected = result.Node.rejected_submissions;
-        fs_recovery_rounds = result.Node.recovery_rounds;
-        fs_failed_nodes = result.Node.failed_nodes;
-        fs_exit_dups =
-          int_of_float
-            (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups");
-        fs_wall_s = Unix.gettimeofday () -. fl.fl_t0;
-        fs_peak_child_rss_kb = peak_child;
-        fs_node_counters = collect_node_counters ();
-        fs_recovery_seconds = result.Node.recovery_seconds;
-        fs_join_times = fl.fl_join_times;
-        fs_node_snapshots = List.sort compare node_snapshots;
-        fs_snapshot_errors = List.sort compare snapshot_errors;
-        fs_child_failures = child_failures;
-      }
-
-let cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed =
-  {
-    Config.variant;
-    n_servers = servers;
-    n_groups = groups;
-    group_size;
-    h;
-    f = 0.2;
-    topology = Config.Square iterations;
-    msg_bytes;
-    seed;
-    mailboxes = 64;
-    dummy_mu = 2.;
-    dummy_b = 1.;
-  }
-
-(* Per-phase wall-time percentiles across the node lanes (from each
-   snapshot's tid-0 phase spans — the event-loop tracker, which tiles the
-   node's round by construction) with slowest-node attribution: the
-   cluster-wide "where did the round go" table. *)
-let phase_summary_table (snaps : (int * Atom_obs.Snapshot.t) list) : string =
+(* Per-phase wall-time percentiles across the node lanes (each lane's
+   tid-0 phase spans: the event-loop tracker, which tiles the node's round
+   by construction) with slowest-node attribution: the cluster-wide "where
+   did the round go" table. *)
+let phase_summary_table (lanes : Atom_obs.Trace.lane list) : string =
   let module Tr = Atom_obs.Trace in
   let per_node =
     List.map
-      (fun (sid, s) ->
-        let tracks = Tr.Breakdown.tracks s.Atom_obs.Snapshot.events in
+      (fun (l : Tr.lane) ->
+        let tracks = Tr.Breakdown.tracks l.Tr.lane_events in
         let phases =
           match List.find_opt (fun trk -> trk.Tr.Breakdown.tid = 0) tracks with
           | Some trk -> trk.Tr.Breakdown.phases
           | None -> []
         in
-        (sid, phases))
-      snaps
+        (l.Tr.lane_pid - 1, phases))
+      lanes
   in
   let names =
     List.fold_left
@@ -765,12 +292,12 @@ let phase_summary_table (snaps : (int * Atom_obs.Snapshot.t) list) : string =
     names;
   Buffer.contents b
 
-let run_cluster variant users servers groups group_size h iterations msg_bytes seed domains
-    node_bin timeout kill_group fail_at loss chaos metrics metrics_out trace_out log_dir =
+
+let run_cluster config users domains node_bin timeout kill_group fail_at loss chaos metrics
+    metrics_out trace_out log_dir =
   let ops0 = opcounts_before () in
-  let config =
-    cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed
-  in
+  let module G = (val Atom_group.Registry.zp_test ()) in
+  let module F = Fleet.Make (G) in
   (* --trace-out needs a live tracer on the coordinator too — its lane
      anchors the merged timebase. *)
   let obs =
@@ -778,111 +305,78 @@ let run_cluster variant users servers groups group_size h iterations msg_bytes s
       Atom_obs.Ctx.create ~tracing:(trace_out <> None) ()
     else Atom_obs.Ctx.noop
   in
-  let kills =
+  let faults =
     match kill_group with
-    | Some gid -> Some (fail_at, Array.to_list (Atom_rpc.Sim_fleet.members config gid))
-    | None -> None
+    | Some gid -> Faults.fail_machines ~at:fail_at (Fleet.members config gid)
+    | None -> []
   in
   (* --loss synthesizes a drop-only chaos spec (appended, so it wins over a
      drop= field in --chaos); the [after] guard keeps the handshake clean. *)
   let chaos =
-    if loss > 0. then Printf.sprintf "%s;after=0.5;drop=%g;seed=%d" chaos loss seed else chaos
+    if loss > 0. then Printf.sprintf "%s;after=0.5;drop=%g;seed=%d" chaos loss config.Config.seed
+    else chaos
   in
   let r =
-    run_fleet_round ~config ~users ~domains ~node_bin ~timeout ~log_dir ~obs ~chaos ~kills
-      ~node_metrics_dir:None ~label:"round" ~trace:(trace_out <> None) ()
+    F.run ~obs ~timeout ~faults
+      (processes ~domains ~node_bin ~log_dir ~chaos ~label:"round" "cluster[round]")
+      config (Fleet.Round { users })
   in
+  let o = r.Fleet.outcome in
   Printf.printf "cluster round: %d/%d messages delivered over TCP in %.2fs wall\n"
-    (List.length r.fs_delivered) users r.fs_wall_s;
-  (match r.fs_abort with
-  | Some d -> Printf.printf "cluster ABORTED: %s\n" d
-  | None -> ());
-  if r.fs_rejected <> [] then
+    (List.length o.Atom_rpc.Node.delivered) users r.latency;
+  (match o.cluster_abort with Some d -> Printf.printf "cluster ABORTED: %s\n" d | None -> ());
+  if o.rejected_submissions <> [] then
     Printf.printf "rejected submissions: %s\n"
-      (String.concat ", " (List.map string_of_int r.fs_rejected));
-  if r.fs_failed_nodes <> [] then
+      (String.concat ", " (List.map string_of_int o.rejected_submissions));
+  if o.failed_nodes <> [] then
     Printf.printf "failed nodes: %s (%d recovery sweeps)\n"
-      (String.concat ", " (List.map string_of_int r.fs_failed_nodes))
-      r.fs_recovery_rounds;
-  if r.fs_recovery_seconds <> [] then
+      (String.concat ", " (List.map string_of_int o.failed_nodes))
+      o.recovery_rounds;
+  if o.recovery_seconds <> [] then
     Printf.printf "recovery repair times: %s s (sweep start to pipeline resumption)\n"
-      (String.concat ", " (List.map (Printf.sprintf "%.2f") r.fs_recovery_seconds));
-  List.iter (fun m -> Printf.printf "  %s\n" m) r.fs_delivered;
+      (String.concat ", " (List.map (Printf.sprintf "%.2f") o.recovery_seconds));
+  List.iter (fun m -> Printf.printf "  %s\n" m) o.delivered;
   List.iter
     (fun (sid, why) -> Printf.printf "cluster: node %d process failed: %s\n" sid why)
-    r.fs_child_failures;
+    r.child_failures;
   print_endline
-    (if r.fs_matched then "MATCH: cluster output equals the single-process reference"
+    (if o.matched then "MATCH: cluster output equals the single-process reference"
      else "MISMATCH: cluster output differs from the single-process reference");
   (match metrics_out with
   | Some path ->
-      let snap = Atom_obs.Snapshot.of_ctx ~node_id:servers obs in
+      let snap = Atom_obs.Snapshot.of_ctx ~node_id:config.Config.n_servers obs in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (Atom_obs.Snapshot.to_json snap));
       Printf.printf "wrote %s\n" path
   | None -> ());
-  let snapshots_ok = r.fs_snapshot_errors = [] in
   (match trace_out with
   | None -> ()
   | Some path ->
       List.iter
         (fun (sid, e) -> Printf.printf "cluster: node %d snapshot invalid: %s\n" sid e)
-        r.fs_snapshot_errors;
-      if not snapshots_ok then
+        r.snapshot_errors;
+      if r.snapshot_errors <> [] then
         Printf.printf "cluster: merged trace %s will be missing lanes\n" path;
       (* One merged Chrome trace: a pid lane per node plus the coordinator,
          node timestamps shifted onto the coordinator's clock by each
          node's Join-receipt offset. *)
-      let coord_lane =
-        {
-          Atom_obs.Trace.lane_pid = servers + 1;
-          lane_name = "coordinator";
-          lane_offset = 0.;
-          lane_events = Atom_obs.Trace.events (Atom_obs.Ctx.tracer obs);
-        }
-      in
-      let node_lanes =
-        List.map
-          (fun (sid, snap) ->
-            {
-              Atom_obs.Trace.lane_pid = sid + 1;
-              lane_name = Printf.sprintf "node %d" sid;
-              lane_offset = Option.value ~default:0. (List.assoc_opt sid r.fs_join_times);
-              lane_events = snap.Atom_obs.Snapshot.events;
-            })
-          r.fs_node_snapshots
-      in
-      write_trace path (node_lanes @ [ coord_lane ]);
+      write_trace path r.lanes;
       Printf.printf "wrote %s (%d lanes; load it at https://ui.perfetto.dev)\n" path
-        (List.length node_lanes + 1);
-      print_string (phase_summary_table r.fs_node_snapshots));
+        (List.length r.lanes);
+      print_string
+        (phase_summary_table
+           (List.filter (fun l -> l.Atom_obs.Trace.lane_name <> "coordinator") r.lanes)));
   if metrics then begin
     print_registry obs;
     print_opcounts ops0
   end;
   (* A child that crashed is a failed run even when the plaintext check and
      the trace collection both succeeded — its exit status must propagate. *)
-  if (not r.fs_matched) || (not snapshots_ok) || r.fs_child_failures <> [] then exit 1
+  if (not o.matched) || r.snapshot_errors <> [] || r.child_failures <> [] then exit 1
 
-(* Flag set shared by `cluster` and `cluster soak`. *)
+(* Flag set shared by `cluster`, `cluster soak` and `clients`. *)
+let cluster_config variant = Cluster_flags.config { Config.cluster with Config.variant }
 let cluster_users = Arg.(value & opt int 16 & info [ "users" ] ~doc:"Number of users.")
-
-let cluster_servers =
-  Arg.(value & opt int 8 & info [ "servers" ] ~doc:"Node processes to spawn.")
-
-let cluster_groups = Arg.(value & opt int 4 & info [ "groups" ] ~doc:"Number of groups.")
-
-let cluster_group_size =
-  Arg.(value & opt int 2 & info [ "group-size" ] ~doc:"Servers per group (k).")
-
-let cluster_h =
-  Arg.(value & opt int 1 & info [ "honest" ] ~doc:"Required honest servers per group (h).")
-
-let cluster_iterations =
-  Arg.(value & opt int 3 & info [ "iterations" ] ~doc:"Mixing iterations (T).")
-
-let cluster_msg_bytes = Arg.(value & opt int 32 & info [ "msg-bytes" ] ~doc:"Plaintext size.")
-let cluster_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.")
 
 let cluster_domains =
   Arg.(
@@ -944,22 +438,17 @@ let cluster_term =
              coordinator timebase) here. Non-zero exit if any node's snapshot is \
              missing or malformed.")
   in
-  let variant =
-    Arg.(value & opt variant_conv Config.Nizk & info [ "variant" ] ~doc:"basic|nizk|trap.")
-  in
   Term.(
-    const run_cluster $ variant $ cluster_users $ cluster_servers $ cluster_groups
-    $ cluster_group_size $ cluster_h $ cluster_iterations $ cluster_msg_bytes $ cluster_seed
-    $ cluster_domains $ cluster_node_bin $ timeout $ cluster_kill_group $ cluster_fail_at
-    $ cluster_loss $ cluster_chaos $ metrics_flag $ metrics_out $ trace_out
-    $ cluster_log_dir)
+    const run_cluster $ cluster_config Config.Nizk $ cluster_users $ cluster_domains
+    $ cluster_node_bin $ timeout $ cluster_kill_group $ cluster_fail_at $ cluster_loss
+    $ cluster_chaos $ metrics_flag $ metrics_out $ trace_out $ cluster_log_dir)
 
 (* ---- cluster soak ---- *)
 
 (* One epoch's fault plan. The rotation covers the ISSUE's error budget:
    process kills, an N-way partition, and corrupted/dropped/duplicated/
    delayed frames, with clean epochs interspersed as a control. *)
-type epoch_plan = { ep_kills : (float * int list) option; ep_chaos : string; ep_descr : string }
+type epoch_plan = { ep_kills : Faults.plan; ep_chaos : string; ep_descr : string }
 
 let plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~(chaos_seed : int) (e : int) :
     epoch_plan =
@@ -981,18 +470,18 @@ let plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~(chaos_seed : int) (e : 
        (every 3rd/4th epoch) must not alias with the server count. *)
     let victim = e / (if smoke then 3 else 4) mod servers in
     {
-      ep_kills = Some (fail_at, [ victim ]);
+      ep_kills = [ Faults.fail ~at:fail_at victim ];
       ep_chaos = Printf.sprintf "%s;seed=%d" stretch chaos_seed;
       ep_descr = Printf.sprintf "kill node %d at %gs" victim fail_at;
     }
   in
   let partition =
-    { ep_kills = None; ep_chaos = partition_spec; ep_descr = "partition halves 0.4-1.6s" }
+    { ep_kills = []; ep_chaos = partition_spec; ep_descr = "partition halves 0.4-1.6s" }
   in
   let corrupt_ep =
-    { ep_kills = None; ep_chaos = corrupt_spec; ep_descr = "corrupt+loss+dup+delay" }
+    { ep_kills = []; ep_chaos = corrupt_spec; ep_descr = "corrupt+loss+dup+delay" }
   in
-  let clean = { ep_kills = None; ep_chaos = ""; ep_descr = "clean" } in
+  let clean = { ep_kills = []; ep_chaos = ""; ep_descr = "clean" } in
   if smoke then
     (* Short CI schedule: one kill, one partition with corrupt frames, one
        clean epoch to confirm the fleet machinery is still sound. *)
@@ -1000,7 +489,7 @@ let plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~(chaos_seed : int) (e : 
     | 0 -> kill
     | 1 ->
         {
-          ep_kills = None;
+          ep_kills = [];
           ep_chaos = partition_spec ^ ";" ^ corrupt_spec;
           ep_descr = "partition + corrupt frames";
         }
@@ -1019,10 +508,12 @@ let chaos_fault_counters =
    survived, peak RSS) lands in a JSON file; any mismatch exits non-zero.
    This is the error budget for the real runtime (§4.5's claim under real
    processes and real TCP). *)
-let run_soak variant users servers groups group_size h iterations msg_bytes seed domains
-    node_bin timeout epochs fail_at loss corrupt smoke telemetry_out log_dir =
+let run_soak config users domains node_bin timeout epochs fail_at loss corrupt smoke telemetry_out
+    log_dir =
+  let module G = (val Atom_group.Registry.zp_test ()) in
+  let module F = Fleet.Make (G) in
   let epochs = if smoke then 3 else epochs in
-  let metrics_dir = Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "atom-soak-%d" (Unix.getpid ())) in
+  let servers = config.Config.n_servers and seed = config.Config.seed in
   let epoch_rows = ref [] in
   let mismatches = ref 0 in
   let total_kills = ref 0 in
@@ -1045,58 +536,64 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
        let plan =
          plan_epoch ~smoke ~servers ~fail_at ~loss ~corrupt ~chaos_seed:(seed + (1000 * (e + 1))) e
        in
-       let config =
-         cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes
-           ~seed:epoch_seed
-       in
        Printf.printf "soak epoch %d/%d (seed %d): %s\n%!" (e + 1) epochs epoch_seed plan.ep_descr;
        let obs = Atom_obs.Ctx.create () in
+       let label = Printf.sprintf "epoch%d" e in
        let r =
-         run_fleet_round ~config ~users ~domains ~node_bin ~timeout ~log_dir ~obs
-           ~chaos:plan.ep_chaos ~kills:plan.ep_kills ~node_metrics_dir:(Some metrics_dir)
-           ~label:(Printf.sprintf "epoch%d" e) ()
+         F.run ~obs ~timeout ~faults:plan.ep_kills
+           (processes ~domains ~node_bin ~log_dir ~chaos:plan.ep_chaos ~label
+              (Printf.sprintf "cluster[%s]" label))
+           { config with Config.seed = epoch_seed }
+           (Fleet.Round { users })
        in
-       let counter name = Option.value ~default:0. (List.assoc_opt name r.fs_node_counters) in
+       let o = r.Fleet.outcome in
+       let counter = Fleet.counter r in
+       let kills = List.length plan.ep_kills in
        let faults_this_epoch =
          List.fold_left (fun acc name -> acc +. counter name) 0. chaos_fault_counters
-         +. float_of_int (match plan.ep_kills with Some (_, v) -> List.length v | None -> 0)
+         +. float_of_int kills
        in
        total_faults := !total_faults +. faults_this_epoch;
-       if r.fs_matched then faults_recovered := !faults_recovered +. faults_this_epoch;
-       all_recovery_s := !all_recovery_s @ r.fs_recovery_seconds;
-       total_kills :=
-         !total_kills + (match plan.ep_kills with Some (_, v) -> List.length v | None -> 0);
+       if o.Atom_rpc.Node.matched then faults_recovered := !faults_recovered +. faults_this_epoch;
+       all_recovery_s := !all_recovery_s @ o.recovery_seconds;
+       total_kills := !total_kills + kills;
        total_recoveries := !total_recoveries + int_of_float (counter "node.recoveries");
-       total_recovery_sweeps := !total_recovery_sweeps + r.fs_recovery_rounds;
-       coord_rss.(e) <- proc_status_kb self "VmRSS";
-       peak_rss := max !peak_rss (max coord_rss.(e) r.fs_peak_child_rss_kb);
-       if r.fs_matched then incr survived else incr mismatches;
+       total_recovery_sweeps := !total_recovery_sweeps + o.recovery_rounds;
+       coord_rss.(e) <- Fleet.proc_status_kb self "VmRSS";
+       peak_rss := max !peak_rss (max coord_rss.(e) r.peak_child_rss_kb);
+       if o.matched then incr survived else incr mismatches;
        Printf.printf
          "soak epoch %d/%d: %s (%.2fs wall, %d faults injected, %d sweeps, %d share \
           recoveries, %d failed nodes, child peak RSS %d kB)\n%!"
          (e + 1) epochs
-         (if r.fs_matched then "MATCH" else "MISMATCH")
-         r.fs_wall_s
+         (if o.matched then "MATCH" else "MISMATCH")
+         r.latency
          (int_of_float faults_this_epoch)
-         r.fs_recovery_rounds
+         o.recovery_rounds
          (int_of_float (counter "node.recoveries"))
-         (List.length r.fs_failed_nodes) r.fs_peak_child_rss_kb;
+         (List.length o.failed_nodes) r.peak_child_rss_kb;
        let count name = Json.Int (int_of_float (counter name)) in
+       let exit_dups =
+         Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "coord.exit_dups"
+       in
        epoch_rows :=
          Json.(
            Obj
              [ ("epoch", Int e); ("seed", Int epoch_seed); ("plan", Str plan.ep_descr);
-               ("matched", Bool r.fs_matched); ("abort", opt_str r.fs_abort); ("wall_s", rounded 3 r.fs_wall_s);
-               ("delivered", Int (List.length r.fs_delivered));
+               ("matched", Bool o.matched); ("abort", opt_str o.cluster_abort);
+               ("wall_s", rounded 3 r.latency);
+               ("delivered", Int (List.length o.delivered));
                ("faults_injected", Int (int_of_float faults_this_epoch));
-               ("recovery_sweeps", Int r.fs_recovery_rounds); ("share_recoveries", count "node.recoveries");
-               ("failed_nodes", Arr (List.map (fun i -> Int i) r.fs_failed_nodes));
+               ("recovery_sweeps", Int o.recovery_rounds);
+               ("share_recoveries", count "node.recoveries");
+               ("failed_nodes", Arr (List.map (fun i -> Int i) o.failed_nodes));
                ("bad_frames", count "node.bad_frames"); ("dups_dropped", count "node.dups_dropped");
-               ("resends", count "node.resends"); ("exit_dups", Int r.fs_exit_dups);
-               ("recovery_seconds", Arr (List.map (rounded 3) r.fs_recovery_seconds));
-               ("coord_rss_kb", Int coord_rss.(e)); ("peak_child_rss_kb", Int r.fs_peak_child_rss_kb) ])
+               ("resends", count "node.resends"); ("exit_dups", Int (int_of_float exit_dups));
+               ("recovery_seconds", Arr (List.map (rounded 3) o.recovery_seconds));
+               ("coord_rss_kb", Int coord_rss.(e));
+               ("peak_child_rss_kb", Int r.peak_child_rss_kb) ])
          :: !epoch_rows;
-       if not r.fs_matched then begin
+       if not o.matched then begin
          Printf.printf "soak: plaintext mismatch in epoch %d — stopping\n%!" e;
          raise Exit
        end
@@ -1143,10 +640,8 @@ let run_soak variant users servers groups group_size h iterations msg_bytes seed
     !total_recoveries !peak_rss verdict telemetry_out;
   if !mismatches > 0 then exit 1
 
+
 let soak_cmd =
-  let variant =
-    Arg.(value & opt variant_conv Config.Basic & info [ "variant" ] ~doc:"basic|nizk|trap.")
-  in
   let timeout =
     Arg.(value & opt float 60. & info [ "timeout" ] ~doc:"Per-epoch timeout budget (s).")
   in
@@ -1182,10 +677,9 @@ let soak_cmd =
           frames; every epoch's plaintexts are checked against the reference (non-zero exit \
           on any mismatch) and recovery telemetry is dumped as JSON.")
     Term.(
-      const run_soak $ variant $ cluster_users $ cluster_servers $ cluster_groups
-      $ cluster_group_size $ cluster_h $ cluster_iterations $ cluster_msg_bytes $ cluster_seed
-      $ cluster_domains $ cluster_node_bin $ timeout $ epochs $ fail_at $ loss $ corrupt
-      $ smoke $ telemetry_out $ cluster_log_dir)
+      const run_soak $ cluster_config Config.Basic $ cluster_users $ cluster_domains
+      $ cluster_node_bin $ timeout $ epochs $ fail_at $ loss $ corrupt $ smoke $ telemetry_out
+      $ cluster_log_dir)
 
 let cluster_cmd =
   Cmd.group ~default:cluster_term
@@ -1195,6 +689,7 @@ let cluster_cmd =
           output against the single-process reference (default), or run the chaos soak \
           (`cluster soak`).")
     [ soak_cmd ]
+
 
 (* ---- clients: submission-plane load generator ---- *)
 
@@ -1214,72 +709,53 @@ type client_stats = {
 
 (* Spawn an ingest-mode fleet, run N concurrent simulated clients against
    the entry heads over real TCP, and drive pipelined epochs with
-   [run_ingest_coordinator]. The exit gate is the submission plane's
+   the fleet's ingest drive. The exit gate is the submission plane's
    contract: every accepted submission appears on the signed bulletin of
    exactly its acked epoch, nothing rejected or unacked ever appears, and
    every epoch's seal verifies under the publisher key — including under
    chaos drops and a mid-run kill of a non-entry-head node. *)
-let run_clients variant n_clients per_client arrival misbehave servers groups group_size h
-    iterations msg_bytes seed domains node_bin timeout epoch_s min_epochs pow_bits
-    ingest_rate ingest_burst queue_cap loss kill_at json_out log_dir =
+let run_clients config n_clients per_client arrival misbehave domains node_bin timeout epoch_s
+    min_epochs pow_bits ingest_rate ingest_burst queue_cap loss kill_at json_out log_dir =
   let module G = (val Atom_group.Registry.zp_test ()) in
   let module Pr = Protocol.Make (G) in
   let module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check) in
-  let module Tcp = Atom_rpc.Tcp_transport in
+  let module F = Fleet.Make (G) in
   let module Ctrl = Atom_wire.Control in
   let module Adm = Atom_ingest.Admission in
-  if variant = Config.Trap then
+  let servers = config.Config.n_servers and groups = config.Config.n_groups in
+  let seed = config.Config.seed in
+  if config.Config.variant = Config.Trap then
     failwith "clients: the trap endgame has no submission plane (basic|nizk)";
-  let config =
-    cluster_config ~variant ~servers ~groups ~group_size ~h ~iterations ~msg_bytes ~seed
-  in
   Config.validate config;
   let obs = Atom_obs.Ctx.create () in
   (* Chaos kill: a non-entry-head only. A dead entry head loses the units
      only it had admitted — the documented loss bound — so the zero-loss
      gate pins the kill to a mixing-only node (§4.5 recovers its roles). *)
-  let heads = Array.init groups (fun gid -> (Atom_rpc.Sim_fleet.members config gid).(0)) in
+  let heads = Array.init groups (fun gid -> (Fleet.members config gid).(0)) in
   let is_head sid = Array.exists (fun hd -> hd = sid) heads in
-  let kills =
-    if kill_at <= 0. then None
+  let faults =
+    if kill_at <= 0. then []
     else
       match List.find_opt (fun sid -> not (is_head sid)) (List.init servers Fun.id) with
       | None ->
           Printf.printf "clients: every server heads an entry group; skipping --kill-at\n";
-          None
-      | Some sid -> Some (kill_at, [ sid ])
+          []
+      | Some sid -> [ Faults.fail ~at:kill_at sid ]
   in
   (* The [after] guard keeps the bring-up handshake clean; everything past
      it — Submits, acks, step frames, announcements — rides the lossy
      transport and must still satisfy the exactly-once gate. *)
   let chaos = if loss > 0. then Printf.sprintf "after=1.0;drop=%g;seed=%d" loss seed else "" in
-  let node_args _ =
-    [|
-      "--ingest";
-      "--ingest-rate"; Printf.sprintf "%g" ingest_rate;
-      "--ingest-burst"; Printf.sprintf "%g" ingest_burst;
-      "--ingest-pow-bits"; string_of_int pow_bits;
-      "--ingest-queue-cap"; string_of_int queue_cap;
-    |]
+  let policy =
+    { Adm.default_policy with
+      Adm.rate = ingest_rate; burst = ingest_burst; pow_bits; queue_cap }
   in
-  let fl =
-    match
-      launch_fleet ~config ~domains ~node_bin ~timeout ~log_dir ~obs ~who:"clients"
-        ~label:"clients" ~chaos ~node_args ~kills
-    with
-    | Ok fl -> fl
-    | Error (msg, _) ->
-        Printf.printf "clients: fleet bring-up failed: %s\n" msg;
-        exit 1
-  in
-  let t0 = fl.fl_t0 in
   (* The same deterministic setup every node derived from --seed: the
      client threads need it to build onions. Read-only from here on, so
      sharing across threads is safe. *)
   let net = Pr.setup (Atom_util.Rng.create seed) config () in
   let _, bulletin_pk = Node.bulletin_keypair config in
   let active = Atomic.make n_clients in
-  let stop_all = Atomic.make false in
   let stats =
     Array.init n_clients (fun _ ->
         {
@@ -1288,13 +764,11 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
         })
   in
   let misbehaving j = j < int_of_float (misbehave *. float_of_int n_clients) in
-  let run_client j =
+  let run_client j (c : Fleet.client) =
     let st = stats.(j) in
-    let cid = servers + 1 + j in
+    let cid = c.id in
     let gid = j mod groups in
     let head = heads.(gid) in
-    let ct = Tcp.create ~node_id:cid ~send_timeout:2.0 () in
-    Tcp.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(Hashtbl.find fl.fl_ports head);
     let rng = Atom_util.Rng.create (seed lxor (0x5eed0 + cid)) in
     let on_announce ~epoch ~digest ~signature ~posts =
       st.cs_announces <- st.cs_announces + 1;
@@ -1335,16 +809,15 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
       let verdict = ref `Pending in
       while !verdict = `Pending && Unix.gettimeofday () < deadline do
         (match
-           Tcp.send ct ~dst:head
+           c.send ~dst:head
              (Ctrl.encode
-                (Ctrl.Submit
-                   { client = cid; port = Tcp.port ct; token = s; gid; epoch = 0; blob; pow }))
+                (Ctrl.Submit { client = cid; port = c.port; token = s; gid; epoch = 0; blob; pow }))
          with
         | Ok () -> ()
         | Error _ -> ());
         let wait_until = Unix.gettimeofday () +. 0.5 in
         while !verdict = `Pending && Unix.gettimeofday () < wait_until do
-          match Tcp.recv ct ~timeout:0.25 with
+          match c.recv ~timeout:0.25 with
           | Ok (_, frame) -> (
               match Ctrl.decode frame with
               | Some (Ctrl.Submit_ack { token; status; epoch; retry_ms; queue_len = _ })
@@ -1381,31 +854,25 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
     (* Stay on the line for bulletin announcements: the flush epoch is
        sealed, mixed and announced only after every client has finished
        submitting. *)
-    while not (Atomic.get stop_all) do
-      match Tcp.recv ct ~timeout:0.25 with
+    while not (c.finished ()) do
+      match c.recv ~timeout:0.25 with
       | Ok (_, frame) -> (
           match Ctrl.decode frame with
           | Some (Ctrl.Bulletin_announce { epoch; digest; signature; posts }) ->
               on_announce ~epoch ~digest ~signature ~posts
           | _ -> ())
       | Error _ -> ()
-    done;
-    Tcp.close ct
+    done
   in
-  let threads = List.init n_clients (fun j -> Thread.create run_client j) in
-  let outcome =
-    Node.run_ingest_coordinator ~obs
-      ~clock:(fun () -> Unix.gettimeofday () -. t0)
-      ?pool:fl.fl_pool fl.fl_t ~config ~recv_timeout:0.1
-      ~max_idle:(max 1 (int_of_float (timeout /. 0.1)))
-      ~epoch_s ~min_epochs
-      ~keep_collecting:(fun () -> Atomic.get active > 0)
-      ()
+  let r =
+    F.run ~obs ~timeout ~faults
+      ~clients:(List.init n_clients run_client)
+      (processes ~domains ~node_bin ~log_dir ~chaos ~label:"clients" "clients")
+      config
+      (Fleet.Ingest
+         { policy; epoch_s; min_epochs; keep_collecting = (fun () -> Atomic.get active > 0) })
   in
-  Atomic.set stop_all true;
-  List.iter Thread.join threads;
-  let child_failures, _ = fl.fl_land () in
-  let wall = Unix.gettimeofday () -. t0 in
+  let outcome = r.Fleet.outcome and child_failures = r.child_failures and wall = r.latency in
   let epochs = outcome.Node.ing_epochs in
   let posts_of e = Array.to_list e.Node.ep_sealed.Bulletin.posts in
   let published = List.concat_map posts_of epochs in
@@ -1531,9 +998,6 @@ let run_clients variant n_clients per_client arrival misbehave servers groups gr
   if not ok then exit 1
 
 let clients_cmd =
-  let variant =
-    Arg.(value & opt variant_conv Config.Basic & info [ "variant" ] ~doc:"basic|nizk.")
-  in
   let n_clients =
     Arg.(value & opt int 200 & info [ "clients" ] ~doc:"Concurrent simulated clients.")
   in
@@ -1594,9 +1058,8 @@ let clients_cmd =
           submission is lost or duplicated, anything rejected is published, or a node \
           process fails unexpectedly.")
     Term.(
-      const run_clients $ variant $ n_clients $ per_client $ arrival $ misbehave
-      $ cluster_servers $ cluster_groups $ cluster_group_size $ cluster_h $ cluster_iterations
-      $ cluster_msg_bytes $ cluster_seed $ cluster_domains $ cluster_node_bin $ timeout
+      const run_clients $ cluster_config Config.Basic $ n_clients $ per_client $ arrival
+      $ misbehave $ cluster_domains $ cluster_node_bin $ timeout
       $ epoch_s $ min_epochs $ pow_bits $ ingest_rate $ ingest_burst $ queue_cap
       $ cluster_loss $ kill_at $ json_out $ cluster_log_dir)
 

@@ -1,6 +1,6 @@
 (* atom_node: one Atom server as a standalone OS process.
 
-   Spawned by `atom_cli cluster` (or by hand): connects to the
+   Spawned by the fleet driver's Processes placement (or by hand): connects to the
    coordinator over loopback TCP, announces its listen port with a Join
    frame, registers the fleet from the coordinator's Peers frame, and
    then runs the event-driven group pipeline ([Atom_rpc.Node]) until the
@@ -12,22 +12,8 @@
 open Cmdliner
 open Atom_core
 
-let variant_conv =
-  let parse = function
-    | "basic" -> Ok Config.Basic
-    | "nizk" -> Ok Config.Nizk
-    | "trap" -> Ok Config.Trap
-    | s -> Error (`Msg (Printf.sprintf "unknown variant %S (basic|nizk|trap)" s))
-  in
-  let print fmt v =
-    Format.pp_print_string fmt
-      (match v with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap")
-  in
-  Arg.conv (parse, print)
-
-let run node_id coord_port host variant servers groups group_size h iterations msg_bytes seed
-    domains recv_timeout max_idle chaos metrics_out trace stats_every verbose ingest
-    ingest_rate ingest_burst ingest_pow_bits ingest_queue_cap =
+let run node_id coord_port host config domains recv_timeout max_idle chaos metrics_out trace
+    stats_every verbose ingest ingest_rate ingest_burst ingest_pow_bits ingest_queue_cap =
   if verbose then Atom_obs.Log.set_level (Some Atom_obs.Log.Info);
   (* The registry is always live — counters are a load+store, and a node
      must be able to answer Stats_request at any time. Tracing stays
@@ -47,24 +33,8 @@ let run node_id coord_port host variant servers groups group_size h iterations m
         Printf.eprintf "atom_node: bad --chaos spec: %s\n" m;
         exit 2
   in
-  let config =
-    {
-      Config.variant;
-      n_servers = servers;
-      n_groups = groups;
-      group_size;
-      h;
-      f = 0.2;
-      topology = Config.Square iterations;
-      msg_bytes;
-      seed;
-      mailboxes = 64;
-      dummy_mu = 2.;
-      dummy_b = 1.;
-    }
-  in
   Config.validate config;
-  let coord = servers in
+  let coord = config.Config.n_servers in
   (* --domains 0 (the default): honor ATOM_DOMAINS when set, otherwise
      fall back to the measured default — host cores capped by the
      recommended_domains a bench parallel run recorded on matching
@@ -174,14 +144,6 @@ let cmd =
     Arg.(required & opt (some int) None & info [ "coordinator-port" ] ~doc:"Coordinator TCP port.")
   in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"Bind/connect address.") in
-  let variant = Arg.(value & opt variant_conv Config.Nizk & info [ "variant" ] ~doc:"basic|nizk|trap.") in
-  let servers = Arg.(value & opt int 8 & info [ "servers" ] ~doc:"Number of servers.") in
-  let groups = Arg.(value & opt int 4 & info [ "groups" ] ~doc:"Number of groups.") in
-  let group_size = Arg.(value & opt int 2 & info [ "group-size" ] ~doc:"Servers per group (k).") in
-  let h = Arg.(value & opt int 1 & info [ "honest" ] ~doc:"Required honest servers per group (h).") in
-  let iterations = Arg.(value & opt int 3 & info [ "iterations" ] ~doc:"Mixing iterations (T).") in
-  let msg_bytes = Arg.(value & opt int 32 & info [ "msg-bytes" ] ~doc:"Plaintext size.") in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Deterministic seed.") in
   let domains =
     Arg.(
       value & opt int 0
@@ -253,9 +215,8 @@ let cmd =
   Cmd.v
     (Cmd.info "atom_node" ~doc:"One Atom server process (spawned by atom_cli cluster).")
     Term.(
-      const run $ node_id $ coord_port $ host $ variant $ servers $ groups $ group_size $ h
-      $ iterations $ msg_bytes $ seed $ domains $ recv_timeout $ max_idle $ chaos
-      $ metrics_out $ trace $ stats_every $ verbose $ ingest $ ingest_rate $ ingest_burst
-      $ ingest_pow_bits $ ingest_queue_cap)
+      const run $ node_id $ coord_port $ host $ Cluster_flags.config Config.cluster $ domains
+      $ recv_timeout $ max_idle $ chaos $ metrics_out $ trace $ stats_every $ verbose $ ingest
+      $ ingest_rate $ ingest_burst $ ingest_pow_bits $ ingest_queue_cap)
 
 let () = exit (Cmd.eval cmd)

@@ -5,7 +5,8 @@
 
 module G = (val Atom_group.Registry.zp_test ())
 module Proto = Atom_core.Protocol.Make (G)
-module Fleet = Atom_rpc.Sim_fleet.Make (G)
+module Fleet = Atom_rpc.Fleet
+module F = Fleet.Make (G)
 open Atom_core
 
 let config : Config.t =
@@ -70,20 +71,23 @@ let () =
      degraded latency instead of stalling. *)
   Printf.printf "\n== simulated fleet: churn injected mid-round ==\n";
   let fleet_round label faults =
-    let r = Fleet.run ~faults config ~users:(List.length msgs) in
+    let r =
+      F.run ~faults (Fleet.Sim { loss = 0. }) config (Fleet.Round { users = List.length msgs })
+    in
     Printf.printf
       "%-28s delivered %d/%d  latency %6.2fs  failures %d  sweeps %d  recoveries %d  retransmits %d\n"
       label
-      (List.length r.Fleet.outcome.Fleet.N.delivered)
-      (List.length msgs) r.Fleet.latency r.Fleet.failures_injected r.Fleet.recovery_sweeps
-      r.Fleet.recoveries r.Fleet.retransmits;
+      (List.length r.outcome.delivered)
+      (List.length msgs) r.latency r.failures_injected r.outcome.recovery_rounds
+      (int_of_float (Fleet.counter r "node.recoveries"))
+      r.retransmits;
     r
   in
   let clean = fleet_round "fault-free round:" [] in
   let faulty =
     fleet_round "group 1 dies at t=0.05s:"
-      (Atom_sim.Faults.fail_machines ~at:0.05 (Atom_rpc.Sim_fleet.members config 1))
+      (Atom_sim.Faults.fail_machines ~at:0.05 (Fleet.members config 1))
   in
   Printf.printf "\nrecovery cost: %.2fs from recovery sweep to resumption; round slowed by %.2fs end to end\n"
-    faulty.Fleet.recovery_seconds
-    (faulty.Fleet.latency -. clean.Fleet.latency)
+    (List.fold_left ( +. ) 0. faulty.outcome.recovery_seconds)
+    (faulty.latency -. clean.latency)

@@ -69,6 +69,76 @@ let paper_default : t =
     dummy_b = 1_000.;
   }
 
+(* The loopback cluster's deployment: 8 servers in 4 groups of 2 with
+   h = 1, square T = 3. *)
+let cluster : t =
+  {
+    variant = Nizk;
+    n_servers = 8;
+    n_groups = 4;
+    group_size = 2;
+    h = 1;
+    f = 0.2;
+    topology = Square 3;
+    msg_bytes = 32;
+    seed = 1;
+    mailboxes = 64;
+    dummy_mu = 2.;
+    dummy_b = 1.;
+  }
+
+let variant_name = function Basic -> "basic" | Nizk -> "nizk" | Trap -> "trap"
+
+let variant_of_string = function
+  | "basic" -> Ok Basic
+  | "nizk" -> Ok Nizk
+  | "trap" -> Ok Trap
+  | s -> Error (Printf.sprintf "unknown variant %S (basic|nizk|trap)" s)
+
+type flag = {
+  name : string;
+  doc : string;
+  get : t -> string;
+  set : t -> string -> (t, string) result;
+}
+
+(* The command-line flags a cluster configuration travels in, both ways:
+   the binaries read them, and a node process is handed them. *)
+let flags : flag list =
+  let int name doc get set =
+    let set c s =
+      match int_of_string_opt s with
+      | Some v -> Ok (set c v)
+      | None -> Error (Printf.sprintf "--%s: %S is not an integer" name s)
+    in
+    { name; doc; get = (fun c -> string_of_int (get c)); set }
+  in
+  let square c =
+    match c.topology with
+    | Square n -> n
+    | Butterfly _ -> invalid_arg "Config.flags: cluster runs use the Square topology"
+  in
+  [
+    {
+      name = "variant";
+      doc = "basic|nizk|trap.";
+      get = (fun c -> variant_name c.variant);
+      set = (fun c s -> Result.map (fun variant -> { c with variant }) (variant_of_string s));
+    };
+    int "servers" "Number of servers." (fun c -> c.n_servers) (fun c n_servers ->
+        { c with n_servers });
+    int "groups" "Number of groups." (fun c -> c.n_groups) (fun c n_groups -> { c with n_groups });
+    int "group-size" "Servers per group (k)." (fun c -> c.group_size) (fun c group_size ->
+        { c with group_size });
+    int "honest" "Required honest servers per group (h)." (fun c -> c.h) (fun c h -> { c with h });
+    int "iterations" "Mixing iterations (T)." square (fun c n -> { c with topology = Square n });
+    int "msg-bytes" "Plaintext size." (fun c -> c.msg_bytes) (fun c msg_bytes ->
+        { c with msg_bytes });
+    int "seed" "Deterministic seed." (fun c -> c.seed) (fun c seed -> { c with seed });
+  ]
+
+let to_args (c : t) : string list = List.concat_map (fun f -> [ "--" ^ f.name; f.get c ]) flags
+
 (* A small configuration for tests and examples running real cryptography. *)
 let tiny ?(variant = Trap) ?(seed = 42) () : t =
   {

@@ -40,3 +40,31 @@ val paper_default : t
 val tiny : ?variant:variant -> ?seed:int -> unit -> t
 (** A 12-server, 4-group configuration for tests and examples running real
     cryptography. *)
+
+val cluster : t
+(** The loopback cluster's deployment: 8 servers, 4 groups of 2 with h = 1,
+    square T = 3, NIZK variant, seed 1. *)
+
+val variant_name : variant -> string
+(** ["basic"], ["nizk"] or ["trap"]. *)
+
+val variant_of_string : string -> (variant, string) result
+(** The inverse of {!variant_name}. *)
+
+type flag = {
+  name : string;  (** without the leading [--] *)
+  doc : string;
+  get : t -> string;
+  set : t -> string -> (t, string) result;
+}
+
+val flags : flag list
+(** The command-line flags a cluster configuration travels in: variant,
+    servers, groups, group-size, honest, iterations (Square topologies
+    only), msg-bytes and seed. The binaries read them with [set]; the
+    remaining fields come from the configuration they start from. *)
+
+val to_args : t -> string list
+(** [--name value] for every flag, which [set] reads back into the same
+    configuration.
+    @raise Invalid_argument on a Butterfly topology. *)

@@ -45,6 +45,12 @@ let form (beacon : Beacon.t) ~(round : int) ~(n_servers : int) ~(n_groups : int)
   { groups; memberships }
 
 (* Sample the extra trustee group for the trap variant (§4.4). *)
+(* The groups of round [round] for a configuration, as every process
+   derives them from the beacon. *)
+let of_config ?(round = 0) (config : Config.t) : t =
+  form (Beacon.create ~seed:config.Config.seed) ~round ~n_servers:config.Config.n_servers
+    ~n_groups:config.Config.n_groups ~group_size:config.Config.group_size ()
+
 let form_trustees (beacon : Beacon.t) ~(round : int) ~(n_servers : int) ~(group_size : int) :
     int array =
   let rng = Beacon.round_rng beacon ~round ~purpose:"trustees" in

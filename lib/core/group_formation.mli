@@ -24,6 +24,11 @@ val form :
   t
 (** Uniform sampling without replacement per group. *)
 
+val of_config : ?round:int -> Config.t -> t
+(** [form] over the beacon seeded by the configuration's seed: the
+    formation every process of a deployment derives (round 0 unless
+    given). *)
+
 val form_trustees : Beacon.t -> round:int -> n_servers:int -> group_size:int -> int array
 (** The extra trustee group of the trap variant (§4.4). *)
 

@@ -61,11 +61,7 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
 
   let setup (rng : Atom_util.Rng.t) (config : Config.t) ?(round = 0) () : network =
     Config.validate config;
-    let beacon = Beacon.create ~seed:config.Config.seed in
-    let formation =
-      Group_formation.form beacon ~round ~n_servers:config.Config.n_servers
-        ~n_groups:config.Config.n_groups ~group_size:config.Config.group_size ()
-    in
+    let formation = Group_formation.of_config ~round config in
     let quorum = Config.quorum config in
     let groups =
       Array.map
@@ -85,7 +81,8 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
         formation.Group_formation.groups
     in
     let trustee_members =
-      Group_formation.form_trustees beacon ~round ~n_servers:config.Config.n_servers
+      Group_formation.form_trustees (Beacon.create ~seed:config.Config.seed) ~round
+        ~n_servers:config.Config.n_servers
         ~group_size:(min config.Config.group_size config.Config.n_servers)
     in
     let trustee_keys = Array.map (fun _ -> El.keygen rng) trustee_members in

@@ -41,8 +41,11 @@
 
 type step_cost = Node_shared.step_cost = Verify | Shuffle | Reenc
 
+include Node_coord.Outcome
+
 module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
   include Node_shared.Make (G)
   include Node_member.Make (G) (T)
   include Node_coord.Make (G) (T)
+  include Node_coord.Outcome
 end

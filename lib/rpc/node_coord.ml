@@ -5,9 +5,9 @@
 
 open Atom_core
 
-module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
-  open Node_shared.Make (G)
-
+(* What the two entry points report. They mention no group element, so
+   one definition serves every instance of the runtime. *)
+module Outcome = struct
   type cluster_outcome = {
     delivered : string list; (* from the cluster, exit order *)
     reference : string list; (* single-process run, same seed *)
@@ -40,6 +40,12 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     ing_failed_nodes : int list;
     ing_board : Bulletin.t; (* all sealed epochs, published under round = epoch *)
   }
+end
+
+open Outcome
+
+module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
+  open Node_shared.Make (G)
 
   (* One coordinator loop for both flows (paper §4, Algorithm 2). It seals
      epochs with [Barrier {iter = e}], collects and verifies each sealed

@@ -363,11 +363,11 @@ let traced_round () =
   let seed = 23 in
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Nizk ~seed () in
   let module G = (val Atom_group.Registry.zp_test ()) in
-  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
+  let module F = Atom_rpc.Fleet.Make (G) in
   let obs = Atom_obs.Ctx.create ~tracing:true () in
-  let report = Fleet.run ~obs config ~users:6 in
-  Alcotest.(check bool) "round matched" true report.Fleet.outcome.Fleet.N.matched;
-  (report.Fleet.latency, Atom_obs.Trace.to_chrome_json_lanes report.Fleet.lanes)
+  let report = F.run ~obs (Atom_rpc.Fleet.Sim { loss = 0. }) config (Round { users = 6 }) in
+  Alcotest.(check bool) "round matched" true report.outcome.matched;
+  (report.latency, Atom_obs.Trace.to_chrome_json_lanes report.lanes)
 
 let test_sim_trace_unchanged_with_pool () =
   let prev = Pool.default () in

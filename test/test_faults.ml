@@ -9,7 +9,8 @@
 
 module G = (val Atom_group.Registry.zp_test ())
 module Pr = Atom_core.Protocol.Make (G)
-module Fleet = Atom_rpc.Sim_fleet.Make (G)
+module Fleet = Atom_rpc.Fleet
+module F = Fleet.Make (G)
 open Atom_core
 open Atom_sim
 
@@ -38,11 +39,15 @@ let check_delivery msgs (outcome : Pr.outcome) =
   Alcotest.(check (list string)) "all messages delivered" (List.sort compare msgs)
     (List.sort compare outcome.Pr.delivered)
 
-let check_fleet ~users (r : Fleet.report) =
+(* A round on the simulated fleet. *)
+let fleet_round ?faults ?(loss = 0.) config ~users =
+  F.run ?faults (Fleet.Sim { loss }) config (Fleet.Round { users })
+
+let check_fleet ~users (r : Atom_rpc.Node.cluster_outcome Fleet.report) =
   let o = r.Fleet.outcome in
-  Alcotest.(check (option string)) "no abort" None o.Fleet.N.cluster_abort;
-  Alcotest.(check int) "all messages delivered" users (List.length o.Fleet.N.delivered);
-  Alcotest.(check bool) "matches single-process reference" true o.Fleet.N.matched
+  Alcotest.(check (option string)) "no abort" None o.cluster_abort;
+  Alcotest.(check int) "all messages delivered" users (List.length o.delivered);
+  Alcotest.(check bool) "matches single-process reference" true o.matched
 
 (* ---- Faults plan machinery ---- *)
 
@@ -101,15 +106,13 @@ let test_churn_matrix () =
       let config = churn_config ~variant 31 in
       let faults =
         List.init config.Config.n_groups (fun gid ->
-            Faults.fail ~at:0.05 (Atom_rpc.Sim_fleet.members config gid).(1))
+            Faults.fail ~at:0.05 (Fleet.members config gid).(1))
       in
-      let report = Fleet.run ~faults config ~users:6 in
-      let vname =
-        match variant with Config.Basic -> "basic" | Config.Nizk -> "nizk" | Config.Trap -> "trap"
-      in
+      let report = fleet_round ~faults config ~users:6 in
+      let vname = Config.variant_name variant in
       Alcotest.(check int)
         (Printf.sprintf "all failures injected (%s)" vname)
-        config.Config.n_groups report.Fleet.failures_injected;
+        config.Config.n_groups report.failures_injected;
       check_fleet ~users:6 report)
     [ Config.Basic; Config.Nizk; Config.Trap ]
 
@@ -120,33 +123,32 @@ let test_tolerated_failures () =
   let faults =
     List.concat
       (List.init config.Config.n_groups (fun gid ->
-           let members = Atom_rpc.Sim_fleet.members config gid in
+           let members = Fleet.members config gid in
            List.init (config.Config.h - 1) (fun i -> Faults.fail ~at:0.04 members.(i))))
   in
-  check_fleet ~users:6 (Fleet.run ~faults config ~users:6)
+  check_fleet ~users:6 (fleet_round ~faults config ~users:6)
 
 (* ---- Acceptance: a fully dead group is replaced via its buddies ---- *)
 
 let test_dead_group_buddy_recovery () =
   let config = churn_config 33 in
-  let baseline = Fleet.run config ~users:6 in
+  let baseline = fleet_round config ~users:6 in
   check_fleet ~users:6 baseline;
-  Alcotest.(check int) "no recovery sweep in the clean round" 0 baseline.Fleet.recovery_sweeps;
+  Alcotest.(check int) "no recovery sweep in the clean round" 0
+    baseline.outcome.recovery_rounds;
   (* Kill every member of group 1 mid-round. *)
   let faulty =
-    Fleet.run
-      ~faults:(Faults.fail_machines ~at:0.05 (Atom_rpc.Sim_fleet.members config 1))
-      config ~users:6
+    fleet_round ~faults:(Faults.fail_machines ~at:0.05 (Fleet.members config 1)) config ~users:6
   in
   check_fleet ~users:6 faulty;
+  let recoveries = Fleet.counter faulty "node.recoveries" in
+  Alcotest.(check bool) (Printf.sprintf "recoveries %.0f >= 1" recoveries) true (recoveries >= 1.);
   Alcotest.(check bool)
-    (Printf.sprintf "recoveries %d >= 1" faulty.Fleet.recoveries)
-    true (faulty.Fleet.recoveries >= 1);
-  Alcotest.(check bool)
-    (Printf.sprintf "faulty latency %.3fs > clean %.3fs" faulty.Fleet.latency baseline.Fleet.latency)
+    (Printf.sprintf "faulty latency %.3fs > clean %.3fs" faulty.latency baseline.latency)
     true
-    (faulty.Fleet.latency > baseline.Fleet.latency);
-  Alcotest.(check bool) "recovery time accounted" true (faulty.Fleet.recovery_seconds > 0.)
+    (faulty.latency > baseline.latency);
+  Alcotest.(check bool) "recovery time accounted" true
+    (List.fold_left ( +. ) 0. faulty.outcome.recovery_seconds > 0.)
 
 (* ---- recover_group under maximal churn (synchronous engine) ---- *)
 
@@ -171,28 +173,28 @@ let test_recover_group_maximal_churn () =
 let test_fault_replay_deterministic () =
   let config = churn_config 35 in
   let one () =
-    let members = Atom_rpc.Sim_fleet.members config in
+    let members = Fleet.members config in
     let faults =
       Faults.fail_machines ~at:0.05 (members 2) @ [ Faults.fail ~at:0.02 (members 0).(0) ]
     in
-    Fleet.run ~faults ~loss_prob:0.05 config ~users:5
+    fleet_round ~faults ~loss:0.05 config ~users:5
   in
   let a = one () and b = one () in
   check_fleet ~users:5 a;
-  Alcotest.(check (float 0.)) "identical latency" a.Fleet.latency b.Fleet.latency;
-  Alcotest.(check int) "identical event counts" a.Fleet.events b.Fleet.events;
-  Alcotest.(check (list string)) "identical deliveries" a.Fleet.outcome.Fleet.N.delivered
-    b.Fleet.outcome.Fleet.N.delivered;
-  Alcotest.(check int) "identical retransmits" a.Fleet.retransmits b.Fleet.retransmits;
-  Alcotest.(check int) "identical recovery sweeps" a.Fleet.recovery_sweeps b.Fleet.recovery_sweeps
+  Alcotest.(check (float 0.)) "identical latency" a.latency b.latency;
+  Alcotest.(check int) "identical event counts" a.events b.events;
+  Alcotest.(check (list string)) "identical deliveries" a.outcome.delivered b.outcome.delivered;
+  Alcotest.(check int) "identical retransmits" a.retransmits b.retransmits;
+  Alcotest.(check int) "identical recovery sweeps" a.outcome.recovery_rounds
+    b.outcome.recovery_rounds
 
 (* A fleet node stops with its machine and never restarts, so a plan that
    brings a machine back is refused rather than silently stalling. *)
 let test_fleet_rejects_recover () =
   Alcotest.check_raises "recover plan"
-    (Invalid_argument "Sim_fleet.run: a stopped node cannot recover") (fun () ->
+    (Invalid_argument "Fleet.run: a stopped node cannot recover") (fun () ->
       ignore
-        (Fleet.run
+        (fleet_round
            ~faults:[ Faults.fail ~at:0.05 0; Faults.recover ~at:1. 0 ]
            (churn_config 37) ~users:1))
 
@@ -201,10 +203,10 @@ let test_fleet_rejects_recover () =
 let test_report_carries_drop_counters () =
   (* A lossy round surfaces link-layer telemetry in the report: every loss
      on a live link is retried, so nothing is abandoned. *)
-  let report = Fleet.run ~loss_prob:0.3 (churn_config 36) ~users:5 in
+  let report = fleet_round ~loss:0.3 (churn_config 36) ~users:5 in
   check_fleet ~users:5 report;
-  Alcotest.(check bool) "retransmits observed" true (report.Fleet.retransmits > 0);
-  Alcotest.(check int) "nothing dropped at this loss rate" 0 report.Fleet.messages_dropped
+  Alcotest.(check bool) "retransmits observed" true (report.retransmits > 0);
+  Alcotest.(check int) "nothing dropped at this loss rate" 0 report.messages_dropped
 
 let test_controller_recovery_telemetry () =
   let c = Controller.create () in

@@ -8,17 +8,16 @@
      and seal idempotence;
    - bulletin: canonical ordering, duplicate collapse, and signature
      forgery rejection on the sealed per-epoch output;
-   - ingest clusters — one in the simulator, one over threaded TCP —
-     running ingest-mode nodes, clients and the pipelined-epoch
-     coordinator: every accepted submission must land on the signed
-     bulletin of exactly its acked epoch, and the simulated run replays
+   - ingest fleets — one simulated, one over threaded TCP — running
+     ingest-mode nodes, clients and the pipelined-epoch coordinator:
+     every accepted submission must land on the signed bulletin of
+     exactly its acked epoch, and the simulated run replays
      bit-identically. *)
 
 module G = (val Atom_group.Registry.zp_test ())
-module TcpT = Atom_rpc.Tcp_transport
-module Node = Atom_rpc.Node.Make (G) (TcpT.Check)
-module SimT = Atom_rpc.Sim_transport
-module NodeSim = Atom_rpc.Node.Make (G) (SimT.Check)
+module Node = Atom_rpc.Node.Make (G) (Atom_rpc.Tcp_transport.Check)
+module Fleet = Atom_rpc.Fleet
+module F = Fleet.Make (G)
 module Pr = Node.Pr
 module Adm = Atom_ingest.Admission
 module Intake = Atom_ingest.Intake
@@ -201,90 +200,72 @@ let ingest_config ~seed =
 
 (* ---- end-to-end: ingest cluster in the simulator ---- *)
 
+let open_policy = { Adm.default_policy with Adm.rate = 1000.; burst = 1000. }
+
 (* 4 ingest-mode servers, the coordinator and one client endpoint, all on
    the engine's virtual clock. The client submits one onion every 0.4 s
    to alternating entry heads while 1 s epochs seal, so its acks name
    several epochs. Returns the outcome and the (post, acked epoch) pairs. *)
-let run_sim_ingest ~(seed : int) : NodeSim.ingest_outcome * (string * int) list =
-  let open Atom_sim in
+let run_sim_ingest ~(seed : int) : Node.ingest_outcome * (string * int) list =
   let config = ingest_config ~seed in
-  let n = config.Config.n_servers in
-  let coord = n and client = n + 1 in
-  let e = Engine.create () in
-  let machines =
-    Array.init (n + 2) (fun id -> Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
-  in
-  let fleet = SimT.fleet e (Net.create e) ~machines in
-  let clock () = Engine.now e in
-  let policy = { Adm.default_policy with Adm.rate = 1000.; burst = 1000. } in
-  for sid = 0 to n - 1 do
-    Engine.spawn e (fun () ->
-        NodeSim.run_node ~clock fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.1
-          ~max_idle:300 ~ingest:policy ())
-  done;
   let net = Pr.setup (Atom_util.Rng.create seed) config () in
   let submitting = ref true in
   let accepted = ref [] in
-  Engine.spawn e (fun () ->
-      let rng = Atom_util.Rng.create (seed + 1) in
-      for s = 0 to 5 do
-        Engine.sleep e 0.4;
-        let gid = s mod 2 in
-        let msg = Printf.sprintf "sim post %d" s in
-        let blob =
-          Pr.Wire.submission_to_bytes (Pr.submit rng net ~user:s ~entry_gid:gid msg)
-        in
-        ignore
-          (SimT.send fleet.(client) ~dst:net.Pr.groups.(gid).Pr.members.(0)
-             (Ctrl.encode
-                (Ctrl.Submit { client; port = 0; token = s; gid; epoch = 0; blob; pow = "" })));
-        let rec await () =
-          match SimT.recv fleet.(client) ~timeout:5.0 with
-          | Ok (_, frame) -> (
-              match Ctrl.decode frame with
-              | Some (Ctrl.Submit_ack { token; status; epoch; _ }) when token = s ->
-                  if status = Ctrl.submit_accepted then accepted := (msg, epoch) :: !accepted
-              | _ -> await ())
-          | Error _ -> ()
-        in
-        await ()
-      done;
-      submitting := false);
-  let outcome = ref None in
-  Engine.spawn e (fun () ->
-      outcome :=
-        Some
-          (NodeSim.run_ingest_coordinator ~clock fleet.(coord) ~config ~recv_timeout:0.1
-             ~max_idle:300 ~epoch_s:1.0 ~min_epochs:2
-             ~keep_collecting:(fun () -> !submitting)
-             ()));
-  ignore (Engine.run e);
-  match !outcome with
-  | Some o -> (o, List.rev !accepted)
-  | None -> Alcotest.fail "ingest coordinator never completed"
+  let client (c : Fleet.client) =
+    let rng = Atom_util.Rng.create (seed + 1) in
+    for s = 0 to 5 do
+      c.sleep 0.4;
+      let gid = s mod 2 in
+      let msg = Printf.sprintf "sim post %d" s in
+      let blob = Pr.Wire.submission_to_bytes (Pr.submit rng net ~user:s ~entry_gid:gid msg) in
+      ignore
+        (c.send ~dst:net.Pr.groups.(gid).Pr.members.(0)
+           (Ctrl.encode
+              (Ctrl.Submit
+                 { client = c.id; port = c.port; token = s; gid; epoch = 0; blob; pow = "" })));
+      let rec await () =
+        match c.recv ~timeout:5.0 with
+        | Ok (_, frame) -> (
+            match Ctrl.decode frame with
+            | Some (Ctrl.Submit_ack { token; status; epoch; _ }) when token = s ->
+                if status = Ctrl.submit_accepted then accepted := (msg, epoch) :: !accepted
+            | _ -> await ())
+        | Error _ -> ()
+      in
+      await ()
+    done;
+    submitting := false
+  in
+  let r =
+    F.run ~clients:[ client ] (Fleet.Sim { loss = 0. }) config
+      (Fleet.Ingest
+         { policy = open_policy; epoch_s = 1.0; min_epochs = 2;
+           keep_collecting = (fun () -> !submitting) })
+  in
+  (r.outcome, List.rev !accepted)
 
 let test_sim_ingest_cluster () =
   let o, accepted = run_sim_ingest ~seed:11 in
-  Alcotest.(check (option string)) "no abort" None o.NodeSim.ing_abort;
+  Alcotest.(check (option string)) "no abort" None o.Node.ing_abort;
   Alcotest.(check int) "every submission accepted" 6 (List.length accepted);
   Alcotest.(check bool) "acks span two epochs or more" true
     (List.length (List.sort_uniq compare (List.map snd accepted)) >= 2);
-  let posts_of ep = Array.to_list ep.NodeSim.ep_sealed.Bulletin.posts in
+  let posts_of ep = Array.to_list ep.Node.ep_sealed.Bulletin.posts in
   List.iter
     (fun (msg, e) ->
-      match List.find_opt (fun ep -> ep.NodeSim.ep_epoch = e) o.NodeSim.ing_epochs with
+      match List.find_opt (fun ep -> ep.Node.ep_epoch = e) o.Node.ing_epochs with
       | Some ep ->
           Alcotest.(check bool) (Printf.sprintf "%S in epoch %d" msg e) true
             (List.mem msg (posts_of ep))
       | None -> Alcotest.failf "acked epoch %d never published" e)
     accepted;
   Alcotest.(check int) "published exactly the accepted set" (List.length accepted)
-    (List.length (List.concat_map posts_of o.NodeSim.ing_epochs));
+    (List.length (List.concat_map posts_of o.Node.ing_epochs));
   (* Same seed, same virtual clock: the same bulletins, byte for byte. *)
   let digests o =
     List.map
-      (fun ep -> (ep.NodeSim.ep_epoch, ep.NodeSim.ep_sealed.Bulletin.digest))
-      o.NodeSim.ing_epochs
+      (fun ep -> (ep.Node.ep_epoch, ep.Node.ep_sealed.Bulletin.digest))
+      o.Node.ing_epochs
   in
   let o', _ = run_sim_ingest ~seed:11 in
   Alcotest.(check (list (pair int string))) "replay digests" (digests o) (digests o')
@@ -299,30 +280,6 @@ let test_sim_ingest_cluster () =
    published; the epoch-info query answers. *)
 let test_tcp_ingest_cluster () =
   let config = ingest_config ~seed:9 in
-  let n = config.Config.n_servers in
-  let coord = n in
-  let ts = Array.init (n + 1) (fun node_id -> TcpT.create ~node_id ()) in
-  Array.iteri
-    (fun i t ->
-      Array.iteri
-        (fun j u ->
-          if i <> j then TcpT.add_peer t ~node_id:j ~host:"127.0.0.1" ~port:(TcpT.port u))
-        ts)
-    ts;
-  let t0 = Unix.gettimeofday () in
-  let clock () = Unix.gettimeofday () -. t0 in
-  let policy = { Adm.default_policy with Adm.rate = 1000.; burst = 1000. } in
-  let node_threads =
-    List.init n (fun sid ->
-        Thread.create
-          (fun () ->
-            Node.run_node ~clock ts.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.1
-              ~max_idle:300 ~ingest:policy
-              ~register_client:(fun ~client ~port ->
-                TcpT.add_peer ts.(sid) ~node_id:client ~host:"127.0.0.1" ~port)
-              ())
-          ())
-  in
   let net = Pr.setup (Atom_util.Rng.create config.Config.seed) config () in
   let heads = Array.init 2 (fun gid -> net.Pr.groups.(gid).Pr.members.(0)) in
   let n_clients = 4 in
@@ -331,93 +288,76 @@ let test_tcp_ingest_cluster () =
   let got_epoch_info = Atomic.make 0 in
   let garbage_rejected = Atomic.make 0 in
   let dedup_consistent = Atomic.make true in
-  let client_threads =
-    List.init n_clients (fun j ->
-        Thread.create
-          (fun () ->
-            let cid = n + 1 + j in
-            let gid = j mod 2 in
-            let head = heads.(gid) in
-            let ct = TcpT.create ~node_id:cid () in
-            TcpT.add_peer ct ~node_id:head ~host:"127.0.0.1" ~port:(TcpT.port ts.(head));
-            let rng = Atom_util.Rng.create (1000 + cid) in
-            let submit_frame ~token blob =
-              ignore
-                (TcpT.send ct ~dst:head
-                   (Ctrl.encode
-                      (Ctrl.Submit
-                         {
-                           client = cid; port = TcpT.port ct; token; gid; epoch = 0; blob;
-                           pow = "";
-                         })))
-            in
-            (* Wait for the ack matching [token]; duplicate-submit every
-               frame once so the idempotent re-ack path is always hot. *)
-            let await ~token blob =
-              let deadline = Unix.gettimeofday () +. 20. in
-              let first = ref None in
-              let again = ref None in
-              while (!first = None || !again = None) && Unix.gettimeofday () < deadline do
-                if !first <> None && !again = None then submit_frame ~token blob;
-                match TcpT.recv ct ~timeout:0.2 with
-                | Ok (_, frame) -> (
-                    match Ctrl.decode frame with
-                    | Some (Ctrl.Submit_ack { token = tk; status; epoch; _ }) when tk = token ->
-                        if !first = None then begin
-                          first := Some (status, epoch);
-                          submit_frame ~token blob
-                        end
-                        else if !again = None then again := Some (status, epoch)
-                    | Some (Ctrl.Epoch_info _) -> Atomic.incr got_epoch_info
-                    | _ -> ())
-                | Error _ -> if !first = None then submit_frame ~token blob
-              done;
-              (match (!first, !again) with
-              | Some a, Some b -> if a <> b then Atomic.set dedup_consistent false
-              | _ -> ());
-              !first
-            in
-            (* Epoch-info probe: an empty blob is a query, not a submission. *)
-            submit_frame ~token:99 "";
-            for s = 0 to 1 do
-              let msg = Printf.sprintf "ingest c%d.%d" cid s in
-              let blob =
-                Pr.Wire.submission_to_bytes (Pr.submit rng net ~user:cid ~entry_gid:gid msg)
-              in
-              submit_frame ~token:s blob;
-              match await ~token:s blob with
-              | Some (status, epoch) when status = Ctrl.submit_accepted ->
-                  accepted.(j) <- (msg, epoch) :: accepted.(j)
-              | _ -> ()
-            done;
-            (* One garbage blob: must be rejected, must never publish. *)
-            let garbage = Atom_util.Rng.bytes rng 32 in
-            submit_frame ~token:7 garbage;
-            (match await ~token:7 garbage with
-            | Some (status, _) when status = Ctrl.submit_rejected ->
-                Atomic.incr garbage_rejected
-            | _ -> ());
-            Atomic.decr active;
-            (* Drain announcements until shutdown so the node's fan-out
-               never blocks on a gone client. *)
-            let quiet = ref 0 in
-            while !quiet < 8 do
-              match TcpT.recv ct ~timeout:0.25 with
-              | Ok _ -> quiet := 0
-              | Error _ -> incr quiet
-            done;
-            TcpT.close ct)
-          ())
+  let client j (c : Fleet.client) =
+    let gid = j mod 2 in
+    let head = heads.(gid) in
+    let rng = Atom_util.Rng.create (1000 + c.id) in
+    let submit_frame ~token blob =
+      ignore
+        (c.send ~dst:head
+           (Ctrl.encode
+              (Ctrl.Submit
+                 { client = c.id; port = c.port; token; gid; epoch = 0; blob; pow = "" })))
+    in
+    (* Wait for the ack matching [token]; duplicate-submit every frame once
+       so the idempotent re-ack path is always hot. *)
+    let await ~token blob =
+      let deadline = Unix.gettimeofday () +. 20. in
+      let first = ref None in
+      let again = ref None in
+      while (!first = None || !again = None) && Unix.gettimeofday () < deadline do
+        if !first <> None && !again = None then submit_frame ~token blob;
+        match c.recv ~timeout:0.2 with
+        | Ok (_, frame) -> (
+            match Ctrl.decode frame with
+            | Some (Ctrl.Submit_ack { token = tk; status; epoch; _ }) when tk = token ->
+                if !first = None then begin
+                  first := Some (status, epoch);
+                  submit_frame ~token blob
+                end
+                else if !again = None then again := Some (status, epoch)
+            | Some (Ctrl.Epoch_info _) -> Atomic.incr got_epoch_info
+            | _ -> ())
+        | Error _ -> if !first = None then submit_frame ~token blob
+      done;
+      (match (!first, !again) with
+      | Some a, Some b -> if a <> b then Atomic.set dedup_consistent false
+      | _ -> ());
+      !first
+    in
+    (* Epoch-info probe: an empty blob is a query, not a submission. *)
+    submit_frame ~token:99 "";
+    for s = 0 to 1 do
+      let msg = Printf.sprintf "ingest c%d.%d" c.id s in
+      let blob = Pr.Wire.submission_to_bytes (Pr.submit rng net ~user:c.id ~entry_gid:gid msg) in
+      submit_frame ~token:s blob;
+      match await ~token:s blob with
+      | Some (status, epoch) when status = Ctrl.submit_accepted ->
+          accepted.(j) <- (msg, epoch) :: accepted.(j)
+      | _ -> ()
+    done;
+    (* One garbage blob: must be rejected, must never publish. *)
+    let garbage = Atom_util.Rng.bytes rng 32 in
+    submit_frame ~token:7 garbage;
+    (match await ~token:7 garbage with
+    | Some (status, _) when status = Ctrl.submit_rejected -> Atomic.incr garbage_rejected
+    | _ -> ());
+    Atomic.decr active;
+    (* Drain announcements until shutdown so the node's fan-out never
+       blocks on a gone client. *)
+    while not (c.finished ()) do
+      ignore (c.recv ~timeout:0.25)
+    done
   in
   let outcome =
-    Node.run_ingest_coordinator ~clock ts.(coord) ~config ~recv_timeout:0.1 ~max_idle:300
-      ~epoch_s:0.7 ~min_epochs:2
-      ~keep_collecting:(fun () -> Atomic.get active > 0)
-      ()
+    (F.run
+       ~clients:(List.init n_clients client)
+       (Fleet.Threads { chaos = "" }) config
+       (Fleet.Ingest
+          { policy = open_policy; epoch_s = 0.7; min_epochs = 2;
+            keep_collecting = (fun () -> Atomic.get active > 0) }))
+      .outcome
   in
-  List.iter Thread.join node_threads;
-  List.iter Thread.join client_threads;
-  Array.iter TcpT.close ts;
   Alcotest.(check (option string)) "no abort" None outcome.Node.ing_abort;
   Alcotest.(check bool) "pipelined epochs" true (List.length outcome.Node.ing_epochs >= 2);
   Alcotest.(check bool) "epoch info answered" true (Atomic.get got_epoch_info >= 1);

@@ -6,7 +6,8 @@
    per-phase breakdown tiles the round latency. *)
 
 module G = (val Atom_group.Registry.zp_test ())
-module Fleet = Atom_rpc.Sim_fleet.Make (G)
+module Fleet = Atom_rpc.Fleet
+module F = Fleet.Make (G)
 open Atom_obs
 
 (* ---- metrics registry ---- *)
@@ -501,7 +502,7 @@ let test_opcount () =
 let traced_round seed =
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Trap ~seed () in
   let obs = Ctx.create ~tracing:true () in
-  (config, Fleet.run ~obs config ~users:6)
+  (config, F.run ~obs (Fleet.Sim { loss = 0. }) config (Fleet.Round { users = 6 }))
 
 let test_trace_determinism () =
   let run () =
@@ -566,10 +567,13 @@ let test_noop_obs_round () =
   (* With the noop context the run still works; node-side telemetry reads
      0 because there is no registry to accumulate into. *)
   let config = Atom_core.Config.tiny ~variant:Atom_core.Config.Trap ~seed:11 () in
-  let report = Fleet.run ~obs:Ctx.noop config ~users:1 in
+  let report =
+    F.run ~obs:Ctx.noop (Fleet.Sim { loss = 0. }) config (Fleet.Round { users = 1 })
+  in
   Alcotest.(check bool) "round completes" true (report.Fleet.latency > 0.);
-  Alcotest.(check bool) "matches reference" true report.Fleet.outcome.Fleet.N.matched;
-  Alcotest.(check int) "no recoveries recorded" 0 report.Fleet.recoveries
+  Alcotest.(check bool) "matches reference" true report.outcome.matched;
+  Alcotest.(check (float 0.)) "no recoveries recorded" 0.
+    (Fleet.counter report "node.recoveries")
 
 (* ---- engine binding ---- *)
 

@@ -1,14 +1,16 @@
-(* The RPC layer: transport implementations and the multi-process node
-   runtime.
+(* The RPC layer: transport implementations, the multi-process node
+   runtime and the fleet driver that places it.
 
-   Three angles:
+   Four angles:
    - the TCP transport's socket mechanics on loopback (framed delivery,
      ordering, self-send, timeouts, unknown peers);
-   - a full cluster round over the simulator transport, inside engine
-     processes — deterministic, so two runs must replay bit-identically
-     and match the single-process reference for every variant;
+   - a full cluster round on the simulated fleet — deterministic, so two
+     runs must replay bit-identically and match the single-process
+     reference for every variant;
    - the same node runtime over real TCP, with each server on its own
-     thread, pinning both transports to the same semantics. *)
+     thread, pinning both transports to the same semantics;
+   - the same round over [atom_node] processes, through the Join → Peers
+     → Ack handshake. *)
 
 module G = (val Atom_group.Registry.zp_test ())
 module SimT = Atom_rpc.Sim_transport
@@ -27,7 +29,9 @@ module SimT_tap = struct
 end
 
 module NodeSim = Atom_rpc.Node.Make (G) (SimT_tap)
-module NodeTcp = Atom_rpc.Node.Make (G) (TcpT.Check)
+module Fleet = Atom_rpc.Fleet
+module F = Fleet.Make (G)
+module F_tap = Fleet.Over (G) (SimT_tap)
 module Pr = NodeSim.Pr
 module El = Pr.El
 module Ctrl = Atom_wire.Control
@@ -158,38 +162,9 @@ let cluster_config variant =
     topology = Config.Square 3;
   }
 
-(* [inject] frames reach the coordinator at time 0 from one extra
-   endpoint outside the fleet. *)
-let run_sim_cluster ?obs ?(inject = []) (config : Config.t) ~(users : int) :
-    NodeSim.cluster_outcome =
-  let e = Engine.create () in
-  let net = Net.create e in
-  let n = config.Config.n_servers in
-  let coord = n in
-  let extra = if inject = [] then 0 else 1 in
-  let machines =
-    Array.init (n + 1 + extra) (fun id ->
-        Machine.create e ~id ~cores:4 ~bandwidth:1e9 ~cluster:0)
-  in
-  let fleet = SimT.fleet e net ~machines in
-  for sid = 0 to n - 1 do
-    Engine.spawn e (fun () ->
-        NodeSim.run_node fleet.(sid) ~config ~node_id:sid ~coord ~recv_timeout:1.0
-          ~max_idle:120 ())
-  done;
-  let outcome = ref None in
-  Engine.spawn e (fun () ->
-      outcome :=
-        Some
-          (NodeSim.run_coordinator ?obs fleet.(coord) ~config ~users ~recv_timeout:1.0
-             ~max_idle:120 ()));
-  if inject <> [] then
-    Engine.spawn e (fun () ->
-        List.iter (fun frame -> ignore (SimT.send fleet.(n + 1) ~dst:coord frame)) inject);
-  ignore (Engine.run e);
-  match !outcome with
-  | Some o -> o
-  | None -> Alcotest.fail "coordinator never completed"
+let sim = Fleet.Sim { loss = 0. }
+let round users = Fleet.Round { users }
+let threads = Fleet.Threads { chaos = "" }
 
 (* Every variant at quorum q = k − (h−1) of 2, 1 and 3. At q = 1 the head
    is its own tail: it shuffles and re-encrypts alone and hands off
@@ -199,7 +174,7 @@ let test_sim_cluster_all_variants () =
     (fun (group_size, h) ->
       List.iter
         (fun (name, variant) ->
-          let o = run_sim_cluster { (cluster_config variant) with group_size; h } ~users:12 in
+          let o = (F.run sim { (cluster_config variant) with group_size; h } (round 12)).outcome in
           let what = Printf.sprintf "k=%d h=%d %s" group_size h name in
           Alcotest.(check (option string)) (what ^ ": no abort") None o.NodeSim.cluster_abort;
           Alcotest.(check int) (what ^ ": all delivered") 12 (List.length o.NodeSim.delivered);
@@ -217,7 +192,7 @@ let test_sim_frames_carry_inputs_only_for_nizk () =
     let o =
       Fun.protect
         ~finally:(fun () -> SimT_tap.tap := None)
-        (fun () -> run_sim_cluster (cluster_config variant) ~users:12)
+        (fun () -> (F_tap.run sim (cluster_config variant) (round 12)).outcome)
     in
     Alcotest.(check bool) "matches reference" true o.NodeSim.matched;
     (* (kind, input units, output units) of every data frame *)
@@ -267,8 +242,8 @@ let test_verify_shuffle_empty_input () =
   Alcotest.(check bool) "trap: accepted" true (verdict Config.Trap ~input:[||] ~output:forged)
 
 let test_sim_cluster_deterministic () =
-  let o1 = run_sim_cluster (cluster_config Config.Nizk) ~users:10 in
-  let o2 = run_sim_cluster (cluster_config Config.Nizk) ~users:10 in
+  let o1 = (F.run sim (cluster_config Config.Nizk) (round 10)).outcome in
+  let o2 = (F.run sim (cluster_config Config.Nizk) (round 10)).outcome in
   Alcotest.(check bool) "run 1 matched" true o1.NodeSim.matched;
   (* Identical seeds replay bit-identically: same plaintexts in the same
      exit order, not just the same set. *)
@@ -277,8 +252,9 @@ let test_sim_cluster_deterministic () =
 
 (* Exit batches the coordinator must not hold: an unknown exit group, a
    layer that is not the last, a fan-out index past the topology, and an
-   epoch nobody sealed. Each counts as a duplicate, the real batches still
-   complete the round, and none of them raises. *)
+   epoch nobody sealed, sent at time 0 by an endpoint outside the fleet.
+   Each counts as a duplicate, the real batches still complete the round,
+   and none of them raises. *)
 let test_sim_cluster_ignores_bad_exits () =
   let config = cluster_config Config.Nizk in
   let exit_batch ~gid ~iter ~batch_idx =
@@ -287,16 +263,18 @@ let test_sim_cluster_ignores_bad_exits () =
   in
   let last = Config.iterations config - 1 in
   let obs = Atom_obs.Ctx.create () in
-  let o =
-    run_sim_cluster ~obs config ~users:8
-      ~inject:
-        [
-          exit_batch ~gid:99 ~iter:last ~batch_idx:0;
-          exit_batch ~gid:0 ~iter:0 ~batch_idx:0;
-          exit_batch ~gid:0 ~iter:last ~batch_idx:99;
-          exit_batch ~gid:0 ~iter:(last + Config.iterations config) ~batch_idx:0;
-        ]
+  let inject =
+    [
+      exit_batch ~gid:99 ~iter:last ~batch_idx:0;
+      exit_batch ~gid:0 ~iter:0 ~batch_idx:0;
+      exit_batch ~gid:0 ~iter:last ~batch_idx:99;
+      exit_batch ~gid:0 ~iter:(last + Config.iterations config) ~batch_idx:0;
+    ]
   in
+  let injector (c : Fleet.client) =
+    List.iter (fun frame -> ignore (c.send ~dst:config.Config.n_servers frame)) inject
+  in
+  let o = (F.run ~obs ~clients:[ injector ] sim config (round 8)).outcome in
   Alcotest.(check (option string)) "no abort" None o.NodeSim.cluster_abort;
   Alcotest.(check bool) "matches single-process reference" true o.NodeSim.matched;
   Alcotest.(check (float 0.))
@@ -444,21 +422,20 @@ let test_sim_lossy_link_delivers () =
   Alcotest.(check int) "every send accepted" frames !sent;
   Alcotest.(check int) "every frame delivered" frames !got
 
-(* ---- The simulated fleet runner ---- *)
+(* ---- The simulated fleet ---- *)
 
 (* A virtual-time round: real crypto through the node runtime, with
    calibrated compute and modeled links. *)
 let test_sim_fleet_round () =
-  let module Fleet = Atom_rpc.Sim_fleet.Make (G) in
   let config = Config.tiny ~variant:Config.Trap ~seed:77 () in
-  let r = Fleet.run config ~users:6 in
-  Alcotest.(check (option string)) "no abort" None r.Fleet.outcome.Fleet.N.cluster_abort;
-  Alcotest.(check int) "all delivered" 6 (List.length r.Fleet.outcome.Fleet.N.delivered);
-  Alcotest.(check bool) "matches single-process reference" true r.Fleet.outcome.Fleet.N.matched;
+  let r = F.run sim config (round 6) in
+  Alcotest.(check (option string)) "no abort" None r.outcome.cluster_abort;
+  Alcotest.(check int) "all delivered" 6 (List.length r.outcome.delivered);
+  Alcotest.(check bool) "matches single-process reference" true r.outcome.matched;
   Alcotest.(check bool)
-    (Printf.sprintf "latency %.3fs > pure network floor" r.Fleet.latency)
-    true (r.Fleet.latency > 0.1);
-  Alcotest.(check bool) "network carried bytes" true (r.Fleet.bytes_sent > 0.)
+    (Printf.sprintf "latency %.3fs > pure network floor" r.latency)
+    true (r.latency > 0.1);
+  Alcotest.(check bool) "network carried bytes" true (r.bytes_sent > 0.)
 
 (* ---- Typed transport errors on real TCP ---- *)
 
@@ -524,7 +501,6 @@ let test_tcp_typed_errors () =
 
 module ChaosSpec = Atom_rpc.Chaos_transport
 module ChaosTcp = Atom_rpc.Chaos_transport.Make (TcpT.Check)
-module NodeChaosTcp = Atom_rpc.Node.Make (G) (ChaosTcp.Check)
 
 let test_chaos_spec_roundtrip () =
   let spec =
@@ -630,52 +606,28 @@ let test_chaos_partition_window () =
 
 (* ---- The same runtime over real TCP, one thread per server ---- *)
 
+let tcp_config =
+  {
+    (Config.tiny ~variant:Config.Basic ~seed:7 ()) with
+    Config.n_servers = 4;
+    n_groups = 2;
+    group_size = 2;
+    h = 1;
+    topology = Config.Square 2;
+  }
+
+(* Every thread runs over the SAME group instance (module [G] at the top
+   of this file): Modarith contexts hand out per-domain scratch via DLS
+   with a per-op checkout, so concurrent threads on one shared context
+   are safe. *)
 let test_tcp_threaded_cluster () =
-  let config =
-    {
-      (Config.tiny ~variant:Config.Basic ~seed:7 ()) with
-      Config.n_servers = 4;
-      n_groups = 2;
-      group_size = 2;
-      h = 1;
-      topology = Config.Square 2;
-    }
-  in
-  let n = config.Config.n_servers in
-  let coord = n in
-  let ts = Array.init (n + 1) (fun node_id -> TcpT.create ~node_id ()) in
-  (* Full mesh up-front; the Join/Peers/Ack bring-up belongs to the CLI
-     launcher, not the runtime under test. *)
-  Array.iteri
-    (fun i t ->
-      Array.iteri
-        (fun j u ->
-          if i <> j then TcpT.add_peer t ~node_id:j ~host:"127.0.0.1" ~port:(TcpT.port u))
-        ts)
-    ts;
-  (* Every thread runs over the SAME group instance (module [G] at the top
-     of this file): Modarith contexts hand out per-domain scratch via DLS
-     with a per-op checkout, so concurrent threads on one shared context
-     are safe — the per-thread instances the seed needed are gone. *)
-  let threads =
-    List.init n (fun sid ->
-        Thread.create
-          (fun () ->
-            NodeTcp.run_node ts.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.2
-              ~max_idle:150 ())
-          ())
-  in
-  let outcome =
-    NodeTcp.run_coordinator ts.(coord) ~config ~users:6 ~recv_timeout:0.2 ~max_idle:150 ()
-  in
-  List.iter Thread.join threads;
-  Array.iter TcpT.close ts;
-  Alcotest.(check (option string)) "no abort" None outcome.NodeTcp.cluster_abort;
-  Alcotest.(check bool) "tcp cluster matches reference" true outcome.NodeTcp.matched
+  let o = (F.run threads tcp_config (round 6)).outcome in
+  Alcotest.(check (option string)) "no abort" None o.cluster_abort;
+  Alcotest.(check bool) "tcp cluster matches reference" true o.matched
 
 (* ---- wall-clock tracing + live stats over the same TCP runtime ----
 
-   Every process gets its own tracing context and the shared wall clock;
+   Every node gets its own tracing context and the shared wall clock;
    the coordinator harvests per-node atom-metrics/1 snapshots over
    Stats_request before shutdown. Two invariants under test: every live
    node answers with a strictly-decodable snapshot carrying its trace
@@ -683,46 +635,13 @@ let test_tcp_threaded_cluster () =
    wall-time — the single-threaded loop is always in exactly one phase,
    so closed tid-0 spans are contiguous with no overlap. *)
 let test_tcp_traced_cluster_stats () =
-  let config =
-    {
-      (Config.tiny ~variant:Config.Basic ~seed:7 ()) with
-      Config.n_servers = 4;
-      n_groups = 2;
-      group_size = 2;
-      h = 1;
-      topology = Config.Square 2;
-    }
-  in
-  let n = config.Config.n_servers in
-  let coord = n in
-  let started = Unix.gettimeofday () in
-  let clock () = Unix.gettimeofday () -. started in
-  let obss = Array.init (n + 1) (fun _ -> Atom_obs.Ctx.create ~tracing:true ()) in
-  let ts = Array.init (n + 1) (fun node_id -> TcpT.create ~obs:obss.(node_id) ~node_id ()) in
-  Array.iteri
-    (fun i t ->
-      Array.iteri
-        (fun j u ->
-          if i <> j then TcpT.add_peer t ~node_id:j ~host:"127.0.0.1" ~port:(TcpT.port u))
-        ts)
-    ts;
-  let threads =
-    List.init n (fun sid ->
-        Thread.create
-          (fun () ->
-            NodeTcp.run_node ~obs:obss.(sid) ~clock ts.(sid) ~config ~node_id:sid ~coord
-              ~recv_timeout:0.2 ~max_idle:150 ())
-          ())
-  in
+  let n = tcp_config.Config.n_servers in
   let outcome =
-    NodeTcp.run_coordinator ~obs:obss.(coord) ~clock ts.(coord) ~config ~users:6
-      ~recv_timeout:0.2 ~max_idle:150 ~collect_stats:true ()
+    (F.run ~obs:(Atom_obs.Ctx.create ~tracing:true ()) threads tcp_config (round 6)).outcome
   in
-  List.iter Thread.join threads;
-  Array.iter TcpT.close ts;
-  Alcotest.(check (option string)) "no abort" None outcome.NodeTcp.cluster_abort;
-  Alcotest.(check bool) "matches reference" true outcome.NodeTcp.matched;
-  Alcotest.(check int) "one snapshot per node" n (List.length outcome.NodeTcp.node_snapshots);
+  Alcotest.(check (option string)) "no abort" None outcome.cluster_abort;
+  Alcotest.(check bool) "matches reference" true outcome.matched;
+  Alcotest.(check int) "one snapshot per node" n (List.length outcome.node_snapshots);
   let module Snapshot = Atom_obs.Snapshot in
   let module Trace = Atom_obs.Trace in
   List.iter
@@ -761,116 +680,43 @@ let test_tcp_traced_cluster_stats () =
                  | None -> ());
                  Some (e.Trace.ts +. e.Trace.dur))
                None segs))
-    outcome.NodeTcp.node_snapshots
+    outcome.node_snapshots
 
 (* ---- §4.5 recovery over TCP: kill a member mid-round ---- *)
 
 (* The victim is picked from the round's actual group formation (sampling
    is per-group, so an arbitrary server id may hold no role at all) and
-   crashes before the round starts: every one of its pipeline steps is
-   outstanding, so the coordinator's sweep must detect the death, the
-   fleet must re-route the dead member's roles (buddy share recovery),
-   and the round must still match the reference. Chaos delays stay on to
-   exercise recovery interleaved with held frames. *)
+   crashes as the fleet comes up, before the coordinator has derived its
+   round: every one of its pipeline steps is outstanding, so the
+   coordinator's sweep must detect the death, the fleet must re-route the
+   dead member's roles (buddy share recovery), and the round must still
+   match the reference. Chaos delays stay on to exercise recovery
+   interleaved with held frames. *)
 let test_tcp_cluster_kill_recovery () =
-  let config =
-    {
-      (Config.tiny ~variant:Config.Basic ~seed:7 ()) with
-      Config.n_servers = 4;
-      n_groups = 2;
-      group_size = 2;
-      h = 1;
-      topology = Config.Square 2;
-    }
+  let victim = (Fleet.members tcp_config 0).(0) in
+  let r =
+    F.run
+      ~faults:[ Atom_sim.Faults.fail ~at:0. victim ]
+      (Fleet.Threads { chaos = "delay=0.8;delay_s=0.2;seed=5" })
+      tcp_config (round 8)
   in
-  let n = config.Config.n_servers in
-  let coord = n in
-  (* Mirror [Pr.setup]'s formation to find a server that holds a role. *)
-  let victim =
-    let beacon = Beacon.create ~seed:config.Config.seed in
-    let formation =
-      Group_formation.form beacon ~round:0 ~n_servers:n
-        ~n_groups:config.Config.n_groups ~group_size:config.Config.group_size ()
-    in
-    formation.Group_formation.groups.(0).Group_formation.members.(0)
-  in
-  let obs = Atom_obs.Ctx.create () in
-  let ts =
-    Array.init (n + 1) (fun node_id ->
-        TcpT.create ~obs ~node_id ~send_timeout:1.0 ~max_retries:2 ~retry_backoff:0.05 ())
-  in
-  Array.iteri
-    (fun i t ->
-      Array.iteri
-        (fun j u ->
-          if i <> j then TcpT.add_peer t ~node_id:j ~host:"127.0.0.1" ~port:(TcpT.port u))
-        ts)
-    ts;
-  let spec =
-    match ChaosSpec.spec_of_string "delay=0.8;delay_s=0.2;seed=5" with
-    | Ok s -> s
-    | Error m -> Alcotest.failf "spec: %s" m
-  in
-  let cts = Array.init n (fun sid -> ChaosTcp.wrap ~obs spec ts.(sid)) in
-  let threads =
-    List.init n (fun sid ->
-        Thread.create
-          (fun () ->
-            NodeChaosTcp.run_node ~obs cts.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.2
-              ~max_idle:150 ())
-          ())
-  in
-  (* Crash the victim before the round starts: deterministic, and the
-     replacement must reconstruct *all* of its pipeline work. *)
-  TcpT.close ts.(victim);
-  let outcome =
-    NodeTcp.run_coordinator ~obs ts.(coord) ~config ~users:8 ~recv_timeout:0.2 ~max_idle:150
-      ~stall_strikes:4 ()
-  in
-  List.iter Thread.join threads;
-  Array.iter TcpT.close ts;
-  Alcotest.(check (option string)) "no abort" None outcome.NodeTcp.cluster_abort;
-  Alcotest.(check bool) "kill was detected" true
-    (List.mem victim outcome.NodeTcp.failed_nodes);
-  Alcotest.(check bool) "recovery sweeps ran" true (outcome.NodeTcp.recovery_rounds >= 1);
+  let o = r.outcome in
+  Alcotest.(check (option string)) "no abort" None o.cluster_abort;
+  Alcotest.(check bool) "kill was detected" true (List.mem victim o.failed_nodes);
+  Alcotest.(check bool) "recovery sweeps ran" true (o.recovery_rounds >= 1);
   Alcotest.(check bool) "buddy share recovery ran" true
-    (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "node.recoveries" >= 1.0);
-  Alcotest.(check bool) "matches reference despite kill" true outcome.NodeTcp.matched
+    (Fleet.counter r "node.recoveries" >= 1.0);
+  Alcotest.(check bool) "matches reference despite kill" true o.matched
 
 (* ---- malformed-frame injection at the TCP recv path, mid-round ----
 
    The wire fuzz vocabulary (CRC-corrupt bodies, raw garbage that desyncs
    the stream) sprayed at every node while a real round runs: every
    protocol state must reject-and-survive — frames counted, connections
-   for desynced streams dropped, round unharmed. *)
+   for desynced streams dropped, round unharmed. The attacker is just
+   another TCP endpoint that knows the ports. *)
 let test_tcp_cluster_survives_frame_injection () =
-  let config =
-    {
-      (Config.tiny ~variant:Config.Basic ~seed:7 ()) with
-      Config.n_servers = 4;
-      n_groups = 2;
-      group_size = 2;
-      h = 1;
-      topology = Config.Square 2;
-    }
-  in
-  let n = config.Config.n_servers in
-  let coord = n in
-  let obs = Atom_obs.Ctx.create () in
-  let ts = Array.init (n + 1) (fun node_id -> TcpT.create ~obs ~node_id ()) in
-  Array.iteri
-    (fun i t ->
-      Array.iteri
-        (fun j u ->
-          if i <> j then TcpT.add_peer t ~node_id:j ~host:"127.0.0.1" ~port:(TcpT.port u))
-        ts)
-    ts;
-  (* The attacker is just another TCP endpoint that knows the ports. *)
-  let attacker = TcpT.create ~node_id:99 ~send_timeout:0.5 ~max_retries:1 ~retry_backoff:0.02 () in
-  for sid = 0 to n - 1 do
-    TcpT.add_peer attacker ~node_id:sid ~host:"127.0.0.1" ~port:(TcpT.port ts.(sid))
-  done;
-  let stop = Atomic.make false in
+  let n = tcp_config.Config.n_servers in
   let corrupt_frame i =
     (* Valid header and length over a CRC-corrupt body: passes stream
        framing, must die in the strict decoders. *)
@@ -880,43 +726,56 @@ let test_tcp_cluster_survives_frame_injection () =
     Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x40));
     Bytes.to_string b
   in
-  let sprayer =
-    Thread.create
-      (fun () ->
-        let i = ref 0 in
-        while not (Atomic.get stop) do
-          incr i;
-          for sid = 0 to n - 1 do
-            ignore (TcpT.send attacker ~dst:sid (corrupt_frame !i));
-            (* Every few frames, raw garbage: desyncs that node's reader
-               for the attacker's connection, which must only cost the
-               attacker its connection. *)
-            if !i mod 5 = 0 then ignore (TcpT.send attacker ~dst:sid "raw garbage, no header")
-          done;
-          Thread.delay 0.002
-        done)
-      ()
+  let sprayer (c : Fleet.client) =
+    let i = ref 0 in
+    while not (c.finished ()) do
+      incr i;
+      for sid = 0 to n - 1 do
+        ignore (c.send ~dst:sid (corrupt_frame !i));
+        (* Every few frames, raw garbage: desyncs that node's reader for
+           the attacker's connection, which must only cost the attacker
+           its connection. *)
+        if !i mod 5 = 0 then ignore (c.send ~dst:sid "raw garbage, no header")
+      done;
+      Thread.delay 0.002
+    done
   in
-  let threads =
-    List.init n (fun sid ->
-        Thread.create
-          (fun () ->
-            NodeTcp.run_node ~obs ts.(sid) ~config ~node_id:sid ~coord ~recv_timeout:0.2
-              ~max_idle:150 ())
-          ())
-  in
-  let outcome =
-    NodeTcp.run_coordinator ~obs ts.(coord) ~config ~users:8 ~recv_timeout:0.2 ~max_idle:150 ()
-  in
-  Atomic.set stop true;
-  Thread.join sprayer;
-  List.iter Thread.join threads;
-  TcpT.close attacker;
-  Array.iter TcpT.close ts;
-  Alcotest.(check (option string)) "no abort" None outcome.NodeTcp.cluster_abort;
+  let r = F.run ~clients:[ sprayer ] threads tcp_config (round 8) in
+  Alcotest.(check (option string)) "no abort" None r.outcome.cluster_abort;
   Alcotest.(check bool) "corrupt frames were seen and dropped" true
-    (Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "node.bad_frames" >= 1.0);
-  Alcotest.(check bool) "matches reference under injection" true outcome.NodeTcp.matched
+    (Fleet.counter r "node.bad_frames" >= 1.0);
+  Alcotest.(check bool) "matches reference under injection" true r.outcome.matched
+
+(* ---- the same round over atom_node processes ----
+
+   The Processes placement spawns one atom_node per server and runs the
+   coordinator's side of the Join → Peers → Ack handshake; a traced round
+   merges one lane per node, shifted by the node's Join receipt time. *)
+let test_processes_cluster () =
+  let n = tcp_config.Config.n_servers in
+  let node_bin = Filename.concat (Filename.dirname Sys.executable_name) "../bin/atom_node.exe" in
+  let placement =
+    Fleet.Processes
+      { chaos = ""; domains = 1; node_bin = Some node_bin; log_dir = None; label = "test";
+        progress = ignore }
+  in
+  let r =
+    F.run ~obs:(Atom_obs.Ctx.create ~tracing:true ()) ~timeout:30. placement tcp_config (round 6)
+  in
+  Alcotest.(check (option string)) "no abort" None r.outcome.cluster_abort;
+  Alcotest.(check bool) "matches reference" true r.outcome.matched;
+  Alcotest.(check (list (pair int string))) "no child failures" [] r.child_failures;
+  Alcotest.(check (list (pair int string))) "every snapshot valid" [] r.snapshot_errors;
+  let node_lanes = List.filter (fun l -> l.Atom_obs.Trace.lane_pid <= n) r.lanes in
+  Alcotest.(check (list int)) "one lane per node" (List.init n (fun i -> i + 1))
+    (List.map (fun l -> l.Atom_obs.Trace.lane_pid) node_lanes);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: Join-time offset" l.Atom_obs.Trace.lane_name)
+        true
+        (l.Atom_obs.Trace.lane_offset > 0. && l.Atom_obs.Trace.lane_offset < r.latency))
+    node_lanes
 
 (* ---- the entry check over a whole frame ----
 
@@ -1032,6 +891,7 @@ let suite =
       Alcotest.test_case "tcp cluster kill recovery" `Quick test_tcp_cluster_kill_recovery;
       Alcotest.test_case "tcp cluster frame injection" `Quick
         test_tcp_cluster_survives_frame_injection;
+      Alcotest.test_case "processes cluster" `Quick test_processes_cluster;
       Alcotest.test_case "verify_submissions = elementwise (zp-96)" `Quick
         (let module E = Entry_batch (G) in
          E.test ~mixes:6 ~per_mix:10);
