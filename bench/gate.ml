@@ -59,6 +59,29 @@ let parallel ~(say : string -> unit) ~(cores : int) (c : Json.cursor) : unit =
     let r = Json.int (Json.field "recommended_domains" c) in
     check c (r > 1) "recommended_domains %d on a %d-core host" r cores
 
+(* BENCH_crypto.json: measured on a named host, every row a finite,
+   positive median inside its [min, max] spread, and the field add/sub
+   rows of both backends present. *)
+let crypto ~(say : string -> unit) (c : Json.cursor) : unit =
+  check c (str "schema" c = "atom-bench-crypto/2") "schema %S" (str "schema" c);
+  say (Printf.sprintf "host_cores=%d" (Json.int (Json.field "host_cores" c)));
+  List.iter
+    (fun (section, required) ->
+      let rows = Json.list (Json.field section c) in
+      List.iter
+        (fun r ->
+          let sec = num "seconds" r and lo = num "seconds_min" r and hi = num "seconds_max" r in
+          check r (Float.is_finite sec && sec > 0.) "%s: seconds %g" (str "name" r) sec;
+          check r (lo <= sec && sec <= hi) "%s: seconds %g outside [%g, %g]" (str "name" r) sec lo hi)
+        rows;
+      List.iter
+        (fun name ->
+          let r = find c (section ^ " row " ^ name) (fun r -> str "name" r = name) rows in
+          say (Printf.sprintf "%-10s %.3e s" name (num "seconds" r)))
+        required;
+      say (Printf.sprintf "%s: %d rows" section (List.length rows)))
+    [ ("primitives", [ "fp add"; "fp sub" ]); ("zp_test", [ "field add"; "field sub" ]); ("table3", []) ]
+
 (* A merged cluster trace: lanes exactly "node 0".."node N-1" plus
    "coordinator", and each lane's tid-0 phase spans tile its wall time —
    no overlap beyond 1 µs, ≥ 95% coverage of [first start, last end]. *)
@@ -132,11 +155,12 @@ let main (args : string list) : int =
     match args with
     | [ "wire"; file ] -> Ok (file, wire ~say ~cores)
     | [ "parallel"; file ] -> Ok (file, parallel ~say ~cores)
+    | [ "crypto"; file ] -> Ok (file, crypto ~say)
     | [ "trace"; file; n ] when Option.fold ~none:false ~some:(( <= ) 0) (int_of_string_opt n) ->
         Ok (file, trace ~say ~nodes:(int_of_string n))
     | [ "soak"; file ] -> Ok (file, soak ~say)
     | [ "clients"; file ] -> Ok (file, clients ~say)
-    | _ -> Error "usage: gate (wire|parallel|soak|clients) FILE | gate trace FILE NODES"
+    | _ -> Error "usage: gate (wire|parallel|crypto|soak|clients) FILE | gate trace FILE NODES"
   in
   match Result.bind gate (fun (file, g) -> Result.bind (Json.of_file file) (Json.decode g)) with
   | Ok () -> Printf.printf "gate %s: ok\n" (List.hd args); 0

@@ -154,8 +154,9 @@ let sigma_rows (module G : Atom_group.Group_intf.GROUP) : (string * estimate) li
   ]
 
 (* The limb-kernel rows of one field: a run of 64 dependent in-place
-   multiplications (by 64 one-shot operands) or squarings in one session,
-   the shape of a ladder, reported per operation. *)
+   multiplications, additions or subtractions (by 64 one-shot operands)
+   or squarings in one session, the shape of a ladder, reported per
+   operation. *)
 let field_rows (ctx : Atom_nat.Modarith.ctx) ~(prefix : string) : (string * estimate) list =
   let open Atom_nat in
   let rng = Atom_util.Rng.create 0xf1e1d in
@@ -176,9 +177,19 @@ let field_rows (ctx : Atom_nat.Modarith.ctx) ~(prefix : string) : (string * esti
                 for _ = 1 to 64 do
                   Modarith.S.sqr s ~dst dst
                 done));
+        t "add" (fun () ->
+            Modarith.with_session ctx (fun s ->
+                for i = 0 to 63 do
+                  Modarith.S.add s ~dst dst xs.(i)
+                done));
+        t "sub" (fun () ->
+            Modarith.with_session ctx (fun s ->
+                for i = 0 to 63 do
+                  Modarith.S.sub s ~dst dst xs.(i)
+                done));
       ]
   in
-  [ (prefix ^ " mul", per 64 (List.assoc "mul" est)); (prefix ^ " sqr", per 64 (List.assoc "sqr" est)) ]
+  List.map (fun op -> (prefix ^ " " ^ op, per 64 (List.assoc op est))) [ "mul"; "sqr"; "add"; "sub" ]
 
 let table3 () =
   header "Table 3: latency of cryptographic primitives (32-byte messages)";

@@ -551,8 +551,8 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
      has carried ≥ 16 scalars in total ([pow_batch] counts its whole
      batch). Only another promotion evicts a comb, so a flood of one-shot
      bases through the window tier cannot push a group key out. A comb
-     costs ~4 ms and saves ~1.1 ms per exponentiation over the window
-     table, so the threshold sits above the ~4-scalar break-even. *)
+     costs ~1.6 ms and saves ~0.26 ms per exponentiation over the window
+     table, so the threshold sits above the ~6-scalar break-even. *)
 
 type cover = Comb of table | Window of table | Miss
 type window_entry = { key : t; mutable scalars : int; mutable window : table option }

@@ -22,8 +22,9 @@
 
    One modulus gets its own kernels: for P-256's field prime, [create]
    selects [P256_field]'s unrolled multiply and square (same columns,
-   zero terms dropped, so the same bytes) and [inv] its fixed addition
-   chain. There is no option; the modulus decides. *)
+   zero terms dropped, so the same bytes), its straight-line add and sub,
+   and [inv] its fixed addition chain. There is no option; the modulus
+   decides. *)
 
 let limb_bits = 26
 let limb_mask = (1 lsl limb_bits) - 1
@@ -326,41 +327,58 @@ let[@inline] mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) :
 let[@inline] mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
   if ctx.p256 then P256_field.sqr_into dst a else mont_sqr_generic ctx tl dst a
 
-(* dst <- a + b mod m; no scratch needed, dst may alias a or b. *)
-let add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
-  let k = ctx.k in
-  let carry = ref 0 in
-  for i = 0 to k - 1 do
+(* Generic add/sub for every other modulus, with the same results and no
+   branch on limb values: carries and borrows move arithmetically ([asr]
+   of a signed limb difference is -1 on a borrow, else 0) and the
+   correction by m is masked in, as in [P256_field]. Limbs are below
+   2^26, so every carry is 0 or 1. *)
+
+(* dst <- a + b, less m once (mod 2^26k) when the sum carried out of the
+   top limb or is at least m. One pass writes the sum and runs the borrow
+   chain of sum − m beside it; the second subtracts m masked by the
+   verdict. dst may alias a or b. *)
+let add_generic (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
+  let m = ctx.m in
+  let carry = ref 0 and borrow = ref 0 in
+  for i = 0 to ctx.k - 1 do
     let s = Array.unsafe_get a i + Array.unsafe_get b i + !carry in
+    let l = s land limb_mask in
+    Array.unsafe_set dst i l;
+    carry := s lsr limb_bits;
+    borrow := (l - Array.unsafe_get m i + !borrow) asr limb_bits
+  done;
+  let keep = -(!carry lor (1 + !borrow)) in
+  let borrow = ref 0 in
+  for i = 0 to ctx.k - 1 do
+    let d = Array.unsafe_get dst i - (Array.unsafe_get m i land keep) + !borrow in
+    Array.unsafe_set dst i (d land limb_mask);
+    borrow := d asr limb_bits
+  done
+
+(* dst <- a − b, plus m (mod 2^26k) when the difference borrowed out of
+   the top limb. *)
+let sub_generic (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
+  let m = ctx.m in
+  let borrow = ref 0 in
+  for i = 0 to ctx.k - 1 do
+    let d = Array.unsafe_get a i - Array.unsafe_get b i + !borrow in
+    Array.unsafe_set dst i (d land limb_mask);
+    borrow := d asr limb_bits
+  done;
+  let back = !borrow and carry = ref 0 in
+  for i = 0 to ctx.k - 1 do
+    let s = Array.unsafe_get dst i + (Array.unsafe_get m i land back) + !carry in
     Array.unsafe_set dst i (s land limb_mask);
     carry := s lsr limb_bits
-  done;
-  if !carry = 1 || cmp_limbs dst ctx.m >= 0 then sub_in_place dst ctx.m
+  done
 
-(* dst <- a - b mod m. *)
-let sub_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
-  let k = ctx.k in
-  let borrow = ref 0 in
-  for i = 0 to k - 1 do
-    let s = Array.unsafe_get a i - Array.unsafe_get b i - !borrow in
-    if s < 0 then begin
-      Array.unsafe_set dst i (s + (1 lsl limb_bits));
-      borrow := 1
-    end
-    else begin
-      Array.unsafe_set dst i s;
-      borrow := 0
-    end
-  done;
-  if !borrow = 1 then begin
-    (* add modulus back *)
-    let carry = ref 0 in
-    for i = 0 to k - 1 do
-      let s = dst.(i) + ctx.m.(i) + !carry in
-      dst.(i) <- s land limb_mask;
-      carry := s lsr limb_bits
-    done
-  end
+(* Like the multiply: P-256's field prime gets its straight-line kernels,
+   any other modulus the loops above, behind one inlined test. *)
+let[@inline] add_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
+  if ctx.p256 then P256_field.add_into dst a b else add_generic ctx dst a b
+
+let[@inline] sub_into (ctx : ctx) (dst : el) (a : el) (b : el) : unit =
+  if ctx.p256 then P256_field.sub_into dst a b else sub_generic ctx dst a b
 
 (* Boxed conveniences over the kernels (one result allocation each). The
    kernels cannot raise, so [mont_mul_c] checks the working state out and

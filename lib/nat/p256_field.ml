@@ -215,6 +215,90 @@ let sqr_into (dst : int array) (a : int array) : unit =
   Array.unsafe_set dst 9 (c land mask);
   finish dst (c lsr 26)
 
+(* ---- addition and subtraction ----
+
+   Straight-line over the 10 limbs, with the generic loops' results for
+   every input: carries and borrows move by [lsr]/[asr] and the reduction
+   is picked by a mask, never by a branch on limb values. On random field
+   elements such a branch goes either way about as often, and a Jacobian
+   doubling makes about 14 of these calls beside its 8 multiply/square
+   calls. *)
+
+(* dst <- a + b, less p once when the sum carried out of the top limb or
+   is at least p: both the sum and the sum minus p are formed, and [keep]
+   (all ones or zero) selects one. *)
+let add_into (dst : int array) (a : int array) (b : int array) : unit =
+  let s0 = Array.unsafe_get a 0 + Array.unsafe_get b 0 in
+  let s1 = Array.unsafe_get a 1 + Array.unsafe_get b 1 + (s0 lsr 26) in
+  let s2 = Array.unsafe_get a 2 + Array.unsafe_get b 2 + (s1 lsr 26) in
+  let s3 = Array.unsafe_get a 3 + Array.unsafe_get b 3 + (s2 lsr 26) in
+  let s4 = Array.unsafe_get a 4 + Array.unsafe_get b 4 + (s3 lsr 26) in
+  let s5 = Array.unsafe_get a 5 + Array.unsafe_get b 5 + (s4 lsr 26) in
+  let s6 = Array.unsafe_get a 6 + Array.unsafe_get b 6 + (s5 lsr 26) in
+  let s7 = Array.unsafe_get a 7 + Array.unsafe_get b 7 + (s6 lsr 26) in
+  let s8 = Array.unsafe_get a 8 + Array.unsafe_get b 8 + (s7 lsr 26) in
+  let s9 = Array.unsafe_get a 9 + Array.unsafe_get b 9 + (s8 lsr 26) in
+  let s0 = s0 land mask and s1 = s1 land mask and s2 = s2 land mask and s3 = s3 land mask in
+  let s4 = s4 land mask and s5 = s5 land mask and s6 = s6 land mask and s7 = s7 land mask in
+  let s8 = s8 land mask and over = s9 lsr 26 and s9 = s9 land mask in
+  let d0 = s0 - mask in
+  let d1 = s1 - mask + (d0 asr 26) in
+  let d2 = s2 - mask + (d1 asr 26) in
+  let d3 = s3 - 0x3ffff + (d2 asr 26) in
+  let d4 = s4 + (d3 asr 26) in
+  let d5 = s5 + (d4 asr 26) in
+  let d6 = s6 + (d5 asr 26) in
+  let d7 = s7 - 0x400 + (d6 asr 26) in
+  let d8 = s8 - 0x3ff0000 + (d7 asr 26) in
+  let d9 = s9 - 0x3fffff + (d8 asr 26) in
+  (* d9 asr 26 is -1 on a borrow (sum < p), else 0. *)
+  let keep = -(over lor (1 + (d9 asr 26))) in
+  Array.unsafe_set dst 0 (s0 lxor ((s0 lxor d0) land keep) land mask);
+  Array.unsafe_set dst 1 (s1 lxor ((s1 lxor d1) land keep) land mask);
+  Array.unsafe_set dst 2 (s2 lxor ((s2 lxor d2) land keep) land mask);
+  Array.unsafe_set dst 3 (s3 lxor ((s3 lxor d3) land keep) land mask);
+  Array.unsafe_set dst 4 (s4 lxor ((s4 lxor d4) land keep) land mask);
+  Array.unsafe_set dst 5 (s5 lxor ((s5 lxor d5) land keep) land mask);
+  Array.unsafe_set dst 6 (s6 lxor ((s6 lxor d6) land keep) land mask);
+  Array.unsafe_set dst 7 (s7 lxor ((s7 lxor d7) land keep) land mask);
+  Array.unsafe_set dst 8 (s8 lxor ((s8 lxor d8) land keep) land mask);
+  Array.unsafe_set dst 9 (s9 lxor ((s9 lxor d9) land keep) land mask)
+
+(* dst <- a - b, plus p when the difference borrowed out of the top limb:
+   [back] is p's limbs masked by that borrow. *)
+let sub_into (dst : int array) (a : int array) (b : int array) : unit =
+  let d0 = Array.unsafe_get a 0 - Array.unsafe_get b 0 in
+  let d1 = Array.unsafe_get a 1 - Array.unsafe_get b 1 + (d0 asr 26) in
+  let d2 = Array.unsafe_get a 2 - Array.unsafe_get b 2 + (d1 asr 26) in
+  let d3 = Array.unsafe_get a 3 - Array.unsafe_get b 3 + (d2 asr 26) in
+  let d4 = Array.unsafe_get a 4 - Array.unsafe_get b 4 + (d3 asr 26) in
+  let d5 = Array.unsafe_get a 5 - Array.unsafe_get b 5 + (d4 asr 26) in
+  let d6 = Array.unsafe_get a 6 - Array.unsafe_get b 6 + (d5 asr 26) in
+  let d7 = Array.unsafe_get a 7 - Array.unsafe_get b 7 + (d6 asr 26) in
+  let d8 = Array.unsafe_get a 8 - Array.unsafe_get b 8 + (d7 asr 26) in
+  let d9 = Array.unsafe_get a 9 - Array.unsafe_get b 9 + (d8 asr 26) in
+  let back = d9 asr 26 in
+  let s0 = (d0 land mask) + (mask land back) in
+  let s1 = (d1 land mask) + (mask land back) + (s0 lsr 26) in
+  let s2 = (d2 land mask) + (mask land back) + (s1 lsr 26) in
+  let s3 = (d3 land mask) + (0x3ffff land back) + (s2 lsr 26) in
+  let s4 = (d4 land mask) + (s3 lsr 26) in
+  let s5 = (d5 land mask) + (s4 lsr 26) in
+  let s6 = (d6 land mask) + (s5 lsr 26) in
+  let s7 = (d7 land mask) + (0x400 land back) + (s6 lsr 26) in
+  let s8 = (d8 land mask) + (0x3ff0000 land back) + (s7 lsr 26) in
+  let s9 = (d9 land mask) + (0x3fffff land back) + (s8 lsr 26) in
+  Array.unsafe_set dst 0 (s0 land mask);
+  Array.unsafe_set dst 1 (s1 land mask);
+  Array.unsafe_set dst 2 (s2 land mask);
+  Array.unsafe_set dst 3 (s3 land mask);
+  Array.unsafe_set dst 4 (s4 land mask);
+  Array.unsafe_set dst 5 (s5 land mask);
+  Array.unsafe_set dst 6 (s6 land mask);
+  Array.unsafe_set dst 7 (s7 land mask);
+  Array.unsafe_set dst 8 (s8 land mask);
+  Array.unsafe_set dst 9 (s9 land mask)
+
 (* ---- fixed addition chains ----
 
    Writing x_k for a^(2^k - 1), both exponents open with the same ladder

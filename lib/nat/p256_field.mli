@@ -17,6 +17,16 @@ val mul_into : int array -> int array -> int array -> unit
 val sqr_into : int array -> int array -> unit
 (** [sqr_into dst a]: dst ← a²·R{^-1} mod p. [dst] may alias [a]. *)
 
+val add_into : int array -> int array -> int array -> unit
+(** [add_into dst a b]: dst ← a + b, less p once (mod 2{^260}) when the
+    sum carries out of the top limb or is at least p: the generic
+    addition's limbs for any operands with limbs below 2{^26}, computed
+    without a branch on limb values. [dst] may alias either operand. *)
+
+val sub_into : int array -> int array -> int array -> unit
+(** [sub_into dst a b]: dst ← a − b, plus p (mod 2{^260}) when a < b;
+    branch-free like {!add_into}, same aliasing rule. *)
+
 val inv_into : int array array -> int -> int array -> int array -> unit
 (** [inv_into tmp off dst a]: dst ← a{^p−2} by a fixed addition chain,
     with tmp.(off) .. tmp.(off + 3) as scratch. Zero maps to zero.

@@ -46,6 +46,19 @@ let parallel_ok =
           ] );
     ]
 
+let crypto_ok =
+  let row name sec = Json.Obj [ ("name", s name); ("seconds", f sec); ("seconds_min", f (sec *. 0.9)); ("seconds_max", f (sec *. 1.1)) ] in
+  Json.Obj
+    [
+      ("schema", s "atom-bench-crypto/2"); ("group", s "p256"); ("host_cores", i 2); ("reps", i 5);
+      ("primitives", Json.Arr [ row "fp mul" 1.5e-7; row "fp add" 2e-8; row "fp sub" 2e-8 ]);
+      ("zp_test", Json.Arr [ row "field mul" 7e-8; row "field add" 1e-8; row "field sub" 1e-8 ]);
+      ("table3", Json.Arr [ row "Enc" 4e-4 ]);
+    ]
+
+(* [doc] without its top-level member [k]. *)
+let drop k = function Json.Obj kvs -> Json.Obj (List.remove_assoc k kvs) | _ -> invalid_arg "drop"
+
 (* Eight nodes plus the coordinator, each lane's tid-0 phase spans tiling
    [0, 300] µs. *)
 let trace_ok =
@@ -102,6 +115,16 @@ let cases : (string * string * Json.t * bool) list =
     ("parallel", "speedup-2", set [ K "workloads"; At 0; K "results"; At 1; K "speedup" ] (f 1.79) parallel_ok, false);
     ("parallel", "speedup-4", set [ K "workloads"; At 0; K "results"; At 2; K "speedup" ] (f 2.99) parallel_ok, false);
     ("parallel", "recommended", set [ K "recommended_domains" ] (i 1) parallel_ok, false);
+    ("crypto", "ok", crypto_ok, true);
+    ("crypto", "schema", set [ K "schema" ] (s "atom-bench-crypto/1") crypto_ok, false);
+    ("crypto", "host_cores", drop "host_cores" crypto_ok, false);
+    ("crypto", "zero", set [ K "primitives"; At 0; K "seconds" ] (f 0.) crypto_ok, false);
+    ("crypto", "nan", set [ K "zp_test"; At 0; K "seconds" ] (f Float.nan) crypto_ok, false);
+    ("crypto", "missing", set [ K "table3"; At 0; K "seconds" ] Json.Null crypto_ok, false);
+    ("crypto", "below-min", set [ K "table3"; At 0; K "seconds_min" ] (f 5e-4) crypto_ok, false);
+    ("crypto", "above-max", set [ K "primitives"; At 2; K "seconds_max" ] (f 1e-8) crypto_ok, false);
+    ("crypto", "fp add", set [ K "primitives"; At 1; K "name" ] (s "fp neg") crypto_ok, false);
+    ("crypto", "field sub", set [ K "zp_test"; At 2; K "name" ] (s "field neg") crypto_ok, false);
     ("trace", "ok", trace_ok, true);
     ("trace", "lanes", set [ K "traceEvents"; At 4; K "args"; K "name" ] (s "node 9") trace_ok, false);
     ("trace", "no-spans", List.fold_left (fun d k -> set (span_of 8 k @ [ K "cat" ]) (s "step") d) trace_ok [ 0; 1; 2 ], false);
@@ -125,6 +148,7 @@ let cases : (string * string * Json.t * bool) list =
 let gate = function
   | "wire" -> Gate.wire ~say ~cores:1
   | "parallel" -> Gate.parallel ~say ~cores:1
+  | "crypto" -> Gate.crypto ~say
   | "trace" -> Gate.trace ~say ~nodes:8
   | "soak" -> Gate.soak ~say
   | _ -> Gate.clients ~say
@@ -141,11 +165,7 @@ let test_cases () =
 (* Without host_cores the parallel gate falls back to the caller's core
    count: one core skips both floors and the recommendation check. *)
 let test_core_fallback () =
-  let bare =
-    match set [ K "workloads"; At 0; K "results"; At 1; K "speedup" ] (f 1.) parallel_ok with
-    | Json.Obj kvs -> Json.Obj (List.remove_assoc "host_cores" kvs)
-    | _ -> assert false
-  in
+  let bare = drop "host_cores" (set [ K "workloads"; At 0; K "results"; At 1; K "speedup" ] (f 1.) parallel_ok) in
   let run cores = Json.decode (Gate.parallel ~say ~cores) bare in
   Alcotest.(check bool) "1 core skips" true (Result.is_ok (run 1));
   Alcotest.(check bool) "2 cores gate" true (Result.is_error (run 2))

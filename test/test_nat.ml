@@ -87,19 +87,6 @@ let test_mod_small () =
 let p_test = Nat.of_decimal "57896044618658097711785492504343953926634992332820282019728792003956564819949"
 (* 2^255 - 19, a well-known prime *)
 
-let test_modarith_matches_nat () =
-  let ctx = Modarith.create p_test in
-  let rng = Atom_util.Rng.create 11 in
-  for _ = 1 to 50 do
-    let a = Nat.random_below rng p_test and b = Nat.random_below rng p_test in
-    let ma = Modarith.of_nat ctx a and mb = Modarith.of_nat ctx b in
-    Alcotest.(check nat) "add" (Nat.rem (Nat.add a b) p_test) (Modarith.to_nat ctx (Modarith.add ctx ma mb));
-    Alcotest.(check nat) "mul" (Nat.rem (Nat.mul a b) p_test) (Modarith.to_nat ctx (Modarith.mul ctx ma mb));
-    Alcotest.(check nat) "sqr" (Nat.rem (Nat.mul a a) p_test) (Modarith.to_nat ctx (Modarith.sqr ctx ma));
-    let sub_expected = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a p_test) b in
-    Alcotest.(check nat) "sub" sub_expected (Modarith.to_nat ctx (Modarith.sub ctx ma mb))
-  done
-
 let test_modarith_pow () =
   let ctx = Modarith.create p_test in
   let g = Modarith.of_int ctx 5 in
@@ -165,6 +152,26 @@ let backend_moduli () =
   ]
   @ schnorr_pair "zp96" (Atom_group.Zp.test_params ()).Atom_group.Zp.q
   @ schnorr_pair "zp256" (Atom_group.Zp.medium_params ()).Atom_group.Zp.q
+
+(* Add, sub, mul and sqr against plain Nat arithmetic on 2^255 − 19 and
+   every backend modulus: P-256's field prime runs the straight-line
+   kernels, the others the generic loops. *)
+let test_modarith_matches_nat () =
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let rng = Atom_util.Rng.create 11 in
+      let check what want got = Alcotest.(check nat) (name ^ " " ^ what) want (Modarith.to_nat ctx got) in
+      for _ = 1 to 50 do
+        let a = Nat.random_below rng m and b = Nat.random_below rng m in
+        let ma = Modarith.of_nat ctx a and mb = Modarith.of_nat ctx b in
+        check "add" (Nat.rem (Nat.add a b) m) (Modarith.add ctx ma mb);
+        check "mul" (Nat.rem (Nat.mul a b) m) (Modarith.mul ctx ma mb);
+        check "sqr" (Nat.rem (Nat.mul a a) m) (Modarith.sqr ctx ma);
+        let sub_expected = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a m) b in
+        check "sub" sub_expected (Modarith.sub ctx ma mb)
+      done)
+    (("2^255-19", p_test) :: backend_moduli ())
 
 let all_ones_limbs (k : int) : Nat.t = Nat.sub (Nat.shift_left Nat.one (26 * k)) Nat.one
 let synthetic_moduli () = [ ("ones-10", all_ones_limbs 10); ("ones-511", all_ones_limbs 511) ]
@@ -393,8 +400,8 @@ let test_session_inplace () =
    in-place add/sub) allocate zero words. The only allocation in the
    measurement window is Gc.minor_words itself boxing its float result, so
    the slack is a few hundred words against 40k kernel calls — under one
-   hundredth of a word per call. P-256's p runs the specialized kernel,
-   its order n (same width) the generic one. *)
+   hundredth of a word per call. P-256's p runs the specialized kernels,
+   its order n (same width) and zp-test's modulus the generic ones. *)
 let test_kernels_zero_alloc () =
   List.iter
     (fun (name, m) ->
@@ -423,6 +430,7 @@ let test_kernels_zero_alloc () =
         Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
       ( "p256-n",
         Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551" );
+      ("zp-test-p", (Atom_group.Zp.test_params ()).Atom_group.Zp.p);
     ]
 
 (* What the generic kernel computes for any k-limb operands, canonical or
@@ -474,6 +482,89 @@ let test_p256_kernel_definition () =
                     true
                     (Nat.equal (nat_of_limbs dst) (mont_definition m 10 x y)))
                 operands)
+            operands))
+    [
+      ( "p256-p",
+        Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" );
+      ( "p256-n",
+        Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551" );
+    ]
+
+(* What field add and sub compute for any 10-limb operands, canonical or
+   not: add takes (x + y) mod 2^260 and, when the sum carried out or is at
+   least m, subtracts m once mod 2^260; sub takes (x − y) mod 2^260 and
+   adds m when x < y. *)
+let add_definition (m : Nat.t) (x : Nat.t) (y : Nat.t) : Nat.t =
+  let r = Nat.shift_left Nat.one 260 in
+  let sum = Nat.add x y in
+  let s = Nat.rem sum r in
+  if Nat.compare sum r >= 0 || Nat.compare s m >= 0 then Nat.rem (Nat.sub (Nat.add s r) m) r else s
+
+let sub_definition (m : Nat.t) (x : Nat.t) (y : Nat.t) : Nat.t =
+  let r = Nat.shift_left Nat.one 260 in
+  let d = Nat.rem (Nat.sub (Nat.add x r) y) r in
+  if Nat.compare x y < 0 then Nat.rem (Nat.add d m) r else d
+
+(* P-256's straight-line add and sub on its field prime, and the generic
+   loops on its order n, against those definitions: on 0, 1, m − 1, m,
+   m + 1, 2^260 − 1, 2^260 − 2, pairs summing to exactly m and random
+   values below 2^260, crossed pairwise, with the destination aliasing
+   either operand and both operands the same buffer. *)
+let test_p256_add_sub_definition () =
+  let rng = Atom_util.Rng.create 0xadd5 in
+  List.iter
+    (fun (name, m) ->
+      let ctx = Modarith.create m in
+      let top = Nat.shift_left Nat.one 260 in
+      let randoms = List.init 6 (fun _ -> Nat.random_below rng top) in
+      let splits = List.init 3 (fun _ -> Nat.random_below rng m) in
+      let operands =
+        [
+          Nat.zero; Nat.one; Nat.sub m Nat.one; m; Nat.add m Nat.one; Nat.sub top Nat.one;
+          Nat.sub top Nat.two;
+        ]
+        @ splits
+        @ List.map (Nat.sub m) splits
+        @ randoms
+      in
+      Modarith.with_session ctx (fun s ->
+          let dst = Modarith.S.take s in
+          let check what x y want =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s %s %s" name what (Nat.to_hex x) (Nat.to_hex y))
+              true
+              (Nat.equal (nat_of_limbs dst) want)
+          in
+          List.iter
+            (fun x ->
+              let a = limbs_of ctx x in
+              List.iter
+                (fun y ->
+                  let b = limbs_of ctx y in
+                  Modarith.S.add s ~dst a b;
+                  check "add" x y (add_definition m x y);
+                  Modarith.S.sub s ~dst a b;
+                  check "sub" x y (sub_definition m x y);
+                  Modarith.copy_into ~dst a;
+                  Modarith.S.add s ~dst dst b;
+                  check "add dst=a" x y (add_definition m x y);
+                  Modarith.copy_into ~dst a;
+                  Modarith.S.sub s ~dst dst b;
+                  check "sub dst=a" x y (sub_definition m x y);
+                  Modarith.copy_into ~dst b;
+                  Modarith.S.add s ~dst a dst;
+                  check "add dst=b" x y (add_definition m x y);
+                  Modarith.copy_into ~dst b;
+                  Modarith.S.sub s ~dst a dst;
+                  check "sub dst=b" x y (sub_definition m x y))
+                operands;
+              Modarith.S.add s ~dst a a;
+              check "add a=b" x x (add_definition m x x);
+              Modarith.S.sub s ~dst a a;
+              check "sub a=b" x x (sub_definition m x x);
+              Modarith.copy_into ~dst a;
+              Modarith.S.add s ~dst dst dst;
+              check "add dst=a=b" x x (add_definition m x x))
             operands))
     [
       ( "p256-p",
@@ -668,6 +759,8 @@ let suite =
       Alcotest.test_case "p256 inversion and square-root chains" `Quick test_p256_chains;
       Alcotest.test_case "p256 kernel is the montgomery definition on any limbs" `Quick
         test_p256_kernel_definition;
+      Alcotest.test_case "p256 add and sub are the generic definition on any limbs" `Quick
+        test_p256_add_sub_definition;
       Alcotest.test_case "known primes and composites" `Quick test_prime_known;
       Alcotest.test_case "random prime" `Quick test_random_prime;
       Alcotest.test_case "safe prime" `Quick test_safe_prime;
