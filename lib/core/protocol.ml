@@ -154,10 +154,9 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
   let encrypt_unit (rng : Atom_util.Rng.t) (net : network) ~(gid : int) ~(tag : char)
       (payload : string) : unit_ct =
     let elements = Msg.embed ~tag payload ~width:net.width in
-    let vec, rands = El.enc_vec rng (group_pk net gid) elements in
-    let proofs =
-      P.Enc_proof.prove_vec rng ~pk:(group_pk net gid) ~context:(proof_context net gid) vec
-        ~randomness:rands
+    let vec, proofs =
+      P.Enc_proof.enc_vec_with_proof rng ~pk:(group_pk net gid) ~context:(proof_context net gid)
+        elements
     in
     { vec; proofs }
 

@@ -88,13 +88,19 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
         part)
       rows
 
-  (* (a·b, c·d) elementwise as one [G.mul_batch], so both halves of a
-     ciphertext update share a single inversion on curve backends. *)
-  let mul_batch2 ((a, c) : G.t array * G.t array) ((b, d) : G.t array * G.t array) :
-      G.t array * G.t array =
-    let n = Array.length a in
-    let prod = G.mul_batch (Array.append a c) (Array.append b d) in
-    (Array.sub prod 0 n, Array.sub prod n (Array.length c))
+  let halves (a : 'a array) : 'a array * 'a array =
+    let n = Array.length a / 2 in
+    (Array.sub a 0 n, Array.sub a n n)
+
+  (* (a·b, c·d) elementwise, for arrays of one length, as one
+     [G.mul_batch], so both halves of a ciphertext update share a single
+     inversion on curve backends. *)
+  let mul_batch2 (a, c) (b, d) = halves (G.mul_batch (Array.append a c) (Array.append b d))
+
+  (* The keyed [G.pow_many] pairs of the factors g^{r_i}, then X^{r_i}, of
+     a rerandomization or an encryption. *)
+  let factor_pairs (pk : G.t) (rs : G.Scalar.t array) : (G.t * G.Scalar.t) array =
+    Array.append (Array.map (fun r -> (G.generator, r)) rs) (Array.map (fun r -> (pk, r)) rs)
 
   (* Plain ciphertexts rerandomized by the precomputed factors g^{r'} and
      X^{r'}, one batched product for the lot. *)
@@ -106,27 +112,17 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
 
   type shuffle_witness = { permutation : int array; rerands : G.Scalar.t array }
 
-  (* C' ← Shuffle(X, C): rerandomize all ciphertexts then permute, returning
-     the witness needed for a proof of shuffle. The convention is
-     output.(i) = rerandomize(input.(permutation.(i)), rerands.(i)). *)
-  let shuffle ?pool (rng : Atom_util.Rng.t) (pk : G.t) (cts : cipher array) :
-      (cipher array * shuffle_witness) option =
-    if Array.exists (fun ct -> ct.y <> None) cts then None
-    else begin
-      let n = Array.length cts in
-      let permutation = Atom_util.Rng.permutation rng n in
-      let rerands = Array.init n (fun _ -> G.Scalar.random rng) in
-      let gr = G.pow_gen_batch ?pool rerands in
-      let pkr = G.pow_batch ?pool pk rerands in
-      let out = rerand_all (Array.map (fun p -> cts.(p)) permutation) ~gr ~pkr in
-      Some (out, { permutation; rerands })
-    end
-
   type reenc_witness = {
     stripped : G.t; (* D = Y^(coeff·share) *)
     fresh : G.Scalar.t; (* r' *)
     shift : G.t * G.t; (* (g^r', X'^r'); identities at the exit layer *)
   }
+
+  (* Y and the carried R of an input: (R, 1) on a plain ciphertext. *)
+  let carried (ct : cipher) : G.t * G.t =
+    match ct.y with None -> (ct.r, G.one) | Some y -> (y, ct.r)
+
+  let flat (a : 'a array array) : 'a array = Array.concat (Array.to_list a)
 
   (* ReEnc(x_s, X', (R, c, Y)) over a whole step — one server's
      decrypt-and-reencrypt of every component of every unit — as a pure
@@ -137,37 +133,37 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
      [Scalar.one] for plain anytrust groups where shares are additive.
      [next_pk = None] encodes X' = ⊥ (the exit layer: strip only).
 
-     Each component strips D = Y^{x_eff} (Y is R itself on a fresh
-     ciphertext, whose carried R is then the identity) and, toward a next
-     group, multiplies in g^{r'} and X'^{r'}. The step's work is three
-     batches: the strip factors share one exponent over fresh bases
-     ([G.pow_bases]), the rerandomization factors are fixed-base
-     ([G.pow_gen_batch], [G.pow_batch]), and the products are two
-     [G.mul_batch] calls over one [G.inv_batch] — a constant number of
-     inversions per step on every backend. *)
-  let reenc_batch_with ?pool ~(x_eff : G.Scalar.t) ~(next_pk : G.t option)
-      ~(fresh : G.Scalar.t array array) (batch : cipher array array) :
-      cipher array array * reenc_witness array array =
-    let flat = Array.concat (Array.to_list batch) in
-    let ys = Array.map (fun ct -> Option.value ct.y ~default:ct.r) flat in
-    let rs = Array.map (fun ct -> if Option.is_none ct.y then G.one else ct.r) flat in
-    let ds = G.pow_bases ?pool ys x_eff in
-    let cs = G.mul_batch (Array.map (fun ct -> ct.c) flat) (G.inv_batch ds) in
-    let fresh, (gr, pkr), (rs, cs) =
-      match next_pk with
-      | None ->
-          let ones = Array.map (fun _ -> G.one) flat in
-          (Array.map (fun _ -> G.Scalar.zero) flat, (ones, ones), (rs, cs))
-      | Some pk' ->
-          let fresh = Array.concat (Array.to_list fresh) in
-          let gr = G.pow_gen_batch ?pool fresh in
-          let pkr = G.pow_batch ?pool pk' fresh in
-          (fresh, (gr, pkr), mul_batch2 (rs, cs) (gr, pkr))
+     Each component strips D = Y^{x_eff} and, toward a next group,
+     multiplies in g^{r'} and X'^{r'}. Every exponentiation of the step is
+     one [G.pow_many] (the strip bases fresh, g and X' keyed), which also
+     computes a prover's [also] pairs; the products are c/D, one
+     [G.mul_batch] over one [G.inv_batch], then R·g^{r'} and (c/D)·X'^{r'}
+     as one more. *)
+  let reenc_batch_with ?pool ?(also = ([||], [||])) ~(x_eff : G.Scalar.t)
+      ~(next_pk : G.t option) ~(fresh : G.Scalar.t array array) (batch : cipher array array) =
+    let cts = flat batch in
+    let n = Array.length cts in
+    let fresh = match next_pk with None -> Array.make n G.Scalar.zero | Some _ -> flat fresh in
+    let keyed = match next_pk with None -> [||] | Some pk' -> factor_pairs pk' fresh in
+    let strips = Array.map (fun ct -> (fst (carried ct), x_eff)) cts in
+    let k, f =
+      G.pow_many ?pool ~fresh:(Array.append strips (snd also)) (Array.append keyed (fst also))
     in
+    let ds = Array.sub f 0 n in
+    let rs = Array.map (fun ct -> snd (carried ct)) cts in
+    let cs = G.mul_batch (Array.map (fun ct -> ct.c) cts) (G.inv_batch ds) in
+    let (gr, pkr), (rs, cs) =
+      match next_pk with
+      | None -> ((Array.make n G.one, Array.make n G.one), (rs, cs))
+      | Some _ ->
+          let shift = (Array.sub k 0 n, Array.sub k n n) in
+          (shift, mul_batch2 (rs, cs) shift)
+    in
+    let ys = Array.map fst strips and nk = Array.length keyed in
     ( reshape batch (Array.mapi (fun i y -> { r = rs.(i); c = cs.(i); y = Some y }) ys),
       reshape batch
-        (Array.mapi (fun i d -> { stripped = d; fresh = fresh.(i); shift = (gr.(i), pkr.(i)) }) ds)
-    )
+        (Array.mapi (fun i d -> { stripped = d; fresh = fresh.(i); shift = (gr.(i), pkr.(i)) }) ds),
+      (Array.sub k nk (Array.length k - nk), Array.sub f n (Array.length f - n)) )
 
   (* The last server of a group clears Y before forwarding: all of this
      group's layers have been peeled and the ciphertext is now a plain
@@ -181,17 +177,23 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
 
   type vec = cipher array
 
-  (* Batch encryption: all the fixed-base work (g^{r_i} from the comb
-     table, pk^{r_i} from one window table) is normalized with a single
-     inversion per batch instead of one per exponentiation, and so are the
-     products m·pk^{r_i}. Randomness is drawn in the same order as the
-     elementwise path — and always on the caller, before any parallel
-     region. *)
+  (* Batch encryption as a pure function of its exponents: the
+     rerandomization of the trivial encryptions (1, m) by g^{r_i} and
+     pk^{r_i}, one [G.pow_many] and one batched product. A prover's keyed
+     pairs ride in [also]; their results come second. *)
+  let enc_vec_with ?pool ?(also = [||]) pk ~(rs : G.Scalar.t array) (ms : G.t array) :
+      vec * G.t array =
+    let f, _ = G.pow_many ?pool ~fresh:[||] (Array.append (factor_pairs pk rs) also) in
+    let n = Array.length ms in
+    let part i len = Array.sub f (i * n) len in
+    ( rerand_all (Array.map (fun c -> { r = G.one; c; y = None }) ms) ~gr:(part 0 n) ~pkr:(part 1 n),
+      part 2 (Array.length also) )
+
+  (* Randomness is drawn in the same order as the elementwise path — and
+     always on the caller, before any parallel region. *)
   let enc_vec ?pool rng pk (ms : G.t array) : vec * G.Scalar.t array =
     let rs = Array.init (Array.length ms) (fun _ -> G.Scalar.random rng) in
-    let gr = G.pow_gen_batch ?pool rs in
-    let cs = G.mul_batch ms (G.pow_batch ?pool pk rs) in
-    (Array.mapi (fun i r -> { r; c = cs.(i); y = None }) gr, rs)
+    (fst (enc_vec_with ?pool pk ~rs ms), rs)
 
   let dec_vec ?pool sk (v : vec) : G.t array option =
     let out = Atom_exec.Pool.map ?pool (dec sk) v in
@@ -202,8 +204,11 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
   let reenc_batch ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk (batch : vec array) :
       vec array * reenc_witness array array =
     let draw _ = match next_pk with None -> G.Scalar.zero | Some _ -> G.Scalar.random rng in
-    reenc_batch_with ?pool ~x_eff:(G.Scalar.mul coeff share) ~next_pk
-      ~fresh:(Array.map (Array.map draw) batch) batch
+    let out, wits, _ =
+      reenc_batch_with ?pool ~x_eff:(G.Scalar.mul coeff share) ~next_pk
+        ~fresh:(Array.map (Array.map draw) batch) batch
+    in
+    (out, wits)
 
   let reenc (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?coeff ~(next_pk : G.t option)
       (ct : cipher) : cipher * reenc_witness =
@@ -233,13 +238,22 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
         Array.init n (fun j ->
             Array.init (Array.length vs.(vperm.(j))) (fun _ -> G.Scalar.random rng))
       in
-      let flat = Array.concat (Array.to_list vrerands) in
-      let gr = G.pow_gen_batch ?pool flat in
-      let pkr = G.pow_batch ?pool pk flat in
+      let gr, pkr = halves (fst (G.pow_many ?pool ~fresh:[||] (factor_pairs pk (flat vrerands)))) in
       let srcs = Array.map (fun p -> vs.(p)) vperm in
-      let out = rerand_all (Array.concat (Array.to_list srcs)) ~gr ~pkr in
+      let out = rerand_all (flat srcs) ~gr ~pkr in
       Some (reshape srcs out, { vperm; vrerands })
     end
+
+  (* C' ← Shuffle(X, C): rerandomize all ciphertexts then permute, returning
+     the witness needed for a proof of shuffle. The convention is
+     output.(i) = rerandomize(input.(permutation.(i)), rerands.(i)); the
+     draws are [shuffle_vec]'s on vectors of width 1. *)
+  let shuffle ?pool (rng : Atom_util.Rng.t) (pk : G.t) (cts : cipher array) :
+      (cipher array * shuffle_witness) option =
+    let first a = Array.map (fun v -> v.(0)) a in
+    Option.map
+      (fun (out, w) -> (first out, { permutation = w.vperm; rerands = first w.vrerands }))
+      (shuffle_vec ?pool rng pk (Array.map (fun ct -> [| ct |]) cts))
 
   let vec_to_bytes (v : vec) : string =
     String.concat "" (Array.to_list (Array.map cipher_to_bytes v))

@@ -58,6 +58,9 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
       the statements of its rerandomization proof; r′ = 0 and both
       factors are the identity at the exit layer. *)
 
+  val carried : cipher -> G.t * G.t
+  (** Y and the carried R of a ReEnc input: (R, 1) on a plain ciphertext. *)
+
   val reenc :
     Atom_util.Rng.t ->
     share:G.Scalar.t ->
@@ -78,6 +81,13 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
 
   (* Vector ciphertexts: one component per embedded group element. *)
   type vec = cipher array
+
+  val enc_vec_with :
+    ?pool:Atom_exec.Pool.t -> ?also:(G.t * G.Scalar.t) array -> G.t -> rs:G.Scalar.t array ->
+    G.t array -> vec * G.t array
+  (** {!enc_vec} as a pure function of its exponents [rs], as one
+      {!G.pow_many}; a prover's keyed pairs [also] ride along, and their
+      results come second. *)
 
   val enc_vec :
     ?pool:Atom_exec.Pool.t -> Atom_util.Rng.t -> G.t -> G.t array -> vec * G.Scalar.t array
@@ -109,18 +119,19 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
 
   val reenc_batch_with :
     ?pool:Atom_exec.Pool.t ->
+    ?also:(G.t * G.Scalar.t) array * (G.t * G.Scalar.t) array ->
     x_eff:G.Scalar.t ->
     next_pk:G.t option ->
     fresh:G.Scalar.t array array ->
     vec array ->
-    vec array * reenc_witness array array
+    vec array * reenc_witness array array * (G.t array * G.t array)
   (** {!reenc_batch} as a pure function of its exponents: the effective
       exponent [x_eff = coeff·share] and one fresh rerandomization
       exponent per component, shaped like the batch (ignored when
-      [next_pk = None]). The strip factors D = Y^{x_eff} are one
-      {!G.pow_bases}, the rerandomization factors one fixed-base batch
-      each, and the products two {!G.mul_batch} calls, so a curve backend
-      pays a constant number of field inversions per step. *)
+      [next_pk = None]). The strips D = Y^{x_eff} (fresh bases) and the
+      factors g^{r′}, X′^{r′} (keyed) are one {!G.pow_many}, so a curve
+      backend pays a constant number of inversions per step; a prover's
+      keyed and fresh pairs ride along in [also], their results last. *)
 
   val clear_y_vec : vec -> vec
 

@@ -83,21 +83,21 @@ module type GROUP = sig
   (** Multi-scalar multiplication: [msm [|(x1,k1);…|]] = Π xi^ki; the empty
       product is [one]. *)
 
+  val pow_many :
+    ?pool:Atom_exec.Pool.t -> fresh:(t * scalar) array -> (t * scalar) array -> t array * t array
+  (** [pow_many ~fresh keyed] is [keyed] and [fresh] with every (x, k)
+      replaced by [pow x k]: all the exponentiations of a proof phase in
+      one call. Keyed bases (the generator, group keys) climb to their
+      tables as under [pow], counted with all their scalars in the call;
+      fresh (one-shot) bases never touch those tables, and a fresh base
+      repeated in the call is prepared once. Curve backends run every
+      ladder as one pooled job and normalize every result together. *)
+
   val pow_batch : ?pool:Atom_exec.Pool.t -> t -> scalar array -> t array
-  (** [pow_batch x ks] = [|x^k1; x^k2; …|]: one base, many scalars. The
-      base's window table is built once and curve backends normalize the
-      whole batch with a single field inversion. *)
+  (** [pow_batch x ks] = [|x^k1; x^k2; …|], as a keyed {!pow_many}. *)
 
   val pow_gen_batch : ?pool:Atom_exec.Pool.t -> scalar array -> t array
-  (** [pow_gen_batch ks] = [pow_batch generator ks], served from the
-      fixed-base table. *)
-
-  val pow_bases : ?pool:Atom_exec.Pool.t -> t array -> scalar -> t array
-  (** [pow_bases xs k] = [|x1^k; x2^k; …|]: many fresh bases, one scalar
-      (the ReEnc strip D = Y^x). Curve backends recode the scalar once and
-      normalize all the bases' window rows together and all the results
-      together, and never consult or feed the long-lived-base table
-      tiers. *)
+  (** [pow_gen_batch ks] = [pow_batch generator ks]. *)
 
   val mul_batch : t array -> t array -> t array
   (** [mul_batch xs ys] = [|mul x1 y1; mul x2 y2; …|], the elementwise
@@ -206,7 +206,6 @@ module type POW_CORE = sig
   val one : t
   val mul : t -> t -> t
   val pow : t -> scalar -> t
-  val pow_gen : scalar -> t
 end
 
 (** Honest (naive-composition) fallbacks for the multi-exponentiation
@@ -223,9 +222,11 @@ module Naive_multi (B : POW_CORE) = struct
     let terms = Atom_exec.Pool.map ?pool (fun (x, k) -> B.pow x k) pairs in
     Array.fold_left B.mul B.one terms
 
-  let pow_batch ?pool x ks = Atom_exec.Pool.map ?pool (B.pow x) ks
-  let pow_gen_batch ?pool ks = Atom_exec.Pool.map ?pool B.pow_gen ks
-  let pow_bases ?pool xs k = Atom_exec.Pool.map ?pool (fun x -> B.pow x k) xs
+  let pow_many ?pool ~fresh keyed =
+    let nk = Array.length keyed in
+    let all = Atom_exec.Pool.map ?pool (fun (x, k) -> B.pow x k) (Array.append keyed fresh) in
+    (Array.sub all 0 nk, Array.sub all nk (Array.length fresh))
+
   let mul_batch xs ys = Array.map2 B.mul xs ys
 end
 

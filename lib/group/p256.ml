@@ -243,21 +243,12 @@ let jadd (s : Modarith.S.t) (p1 : jp) (p2 : jp) : unit =
     end
   end
 
-(* Canonicalization back to the boxed affine world. These run outside any
-   session (Fermat inversion and the public allocating ops), and their
-   results are fresh buffers — never aliases of the (reusable) jp ones. *)
-let to_affine (j : jp) : t =
-  if jp_is_inf j then Inf
-  else begin
-    let zinv = Modarith.inv fp j.z in
-    let zinv2 = Modarith.sqr fp zinv in
-    let zinv3 = Modarith.mul fp zinv2 zinv in
-    Aff (Modarith.mul fp j.x zinv2, Modarith.mul fp j.y zinv3)
-  end
-
 let zero_fp = Modarith.zero fp
 
-(* Normalize a whole batch of Jacobian points with one inversion. *)
+(* Canonicalization back to the boxed affine world, a whole batch of
+   Jacobian points with one inversion. This runs outside any session
+   (Fermat inversion and the public allocating ops), and its results are
+   fresh buffers — never aliases of the (reusable) jp ones. *)
 let to_affine_batch (js : jp array) : t array =
   let zinvs = Modarith.inv_batch fp (Array.map (fun j -> j.z) js) in
   Array.mapi
@@ -269,6 +260,8 @@ let to_affine_batch (js : jp array) : t array =
         Aff (Modarith.mul fp j.x zinv2, Modarith.mul fp j.y (Modarith.mul fp zinv2 zinv))
       end)
     js
+
+let to_affine (j : jp) : t = (to_affine_batch [| j |]).(0)
 
 let mul a b =
   match (a, b) with
@@ -544,17 +537,17 @@ let windowed_oneshot_into (s : Modarith.S.t) (dst : jp) (bx : Modarith.el) (by :
    in the base).
    - The window tier is a 16-slot MRU that counts the scalars each base
      has carried. A base's first single-scalar sighting only records its
-     key, so one-shot bases (shuffle commitments, DLEQ commitments) cost
+     key, so one-shot bases raised by [pow] (shuffle commitments) cost
      an O(cap) key scan and no inversion. From 2 scalars on the base has a
      window table.
    - The comb tier holds at most 4 comb tables. A base moves there once it
-     has carried ≥ 16 scalars in total ([pow_batch] counts its whole
-     batch). Only another promotion evicts a comb, so a flood of one-shot
+     has carried ≥ 16 scalars in total ([pow_many] counts all of a
+     call's). Only another promotion evicts a comb, so a flood of one-shot
      bases through the window tier cannot push a group key out. A comb
      costs ~1.6 ms and saves ~0.26 ms per exponentiation over the window
      table, so the threshold sits above the ~6-scalar break-even. *)
 
-type cover = Comb of table | Window of table | Miss
+type cover = Comb of table | Window of table * int (* row *) | Miss
 type window_entry = { key : t; mutable scalars : int; mutable window : table option }
 type tiers = { mutable windows : window_entry list; mutable combs : (t * table) list }
 
@@ -597,11 +590,11 @@ let lookup (base : t) ~(scalars : int) : cover =
         if entry.scalars < 2 then Miss
         else
           match entry.window with
-          | Some tab -> Window tab
+          | Some tab -> Window (tab, 0)
           | None ->
               let tab = table_of ~rows:1 base in
               entry.window <- Some tab;
-              Window tab
+              Window (tab, 0)
       end
 
 let cover_of (base : t) ~(scalars : int) : cover =
@@ -616,7 +609,7 @@ let ladder_into (base : t) (cover : cover) (s : Modarith.S.t) (dst : jp) (e : Mo
   | Comb tab, _ ->
       jp_set_inf dst;
       comb_add_into s dst tab e
-  | Window tab, _ -> windowed_into s dst tab ~row:0 (signed_digits e)
+  | Window (tab, row), _ -> windowed_into s dst tab ~row (signed_digits e)
   | Miss, Aff (bx, by) -> windowed_oneshot_into s dst bx by e
   | Miss, Inf -> jp_set_inf dst
 
@@ -821,7 +814,7 @@ let msm_raw ?pool (pairs : (t * scalar) array) : t =
         let e = Scalar.exponent k in
         match if small then lookup x ~scalars:1 else Miss with
         | Comb tab -> combs := (tab, e) :: !combs
-        | Window tab -> rest := (x, e, Some tab) :: !rest
+        | Window (tab, _) -> rest := (x, e, Some tab) :: !rest
         | Miss -> rest := (x, e, None) :: !rest
       end)
     pairs;
@@ -869,63 +862,59 @@ let pow2 (a : t) (j : scalar) (b : t) (k : scalar) : t =
   Atom_obs.Opcount.note_pow2 ();
   msm_raw [| (a, j); (b, k) |]
 
-(* ---- Batch fixed-base exponentiation with one shared normalization ----
+(* ---- Batched exponentiation: every ladder of a proof phase in one job ----
 
-   The per-scalar ladders are independent and go to the pool, each worker
-   running in its own session on its own arena; the single shared
-   normalization inversion stays on the caller. Any table the ladders read
-   is looked up (and built) on the caller before the parallel region and
-   only read inside it. *)
-
-let batch_raw ?pool (base : t) (ks : scalar array) : t array =
-  let cover = cover_of base ~scalars:(Array.length ks) in
-  to_affine_batch
-    (Atom_exec.Pool.map ?pool
-       (fun k ->
-         let r = jp_fresh () in
-         if Scalar.is_zero k then jp_set_inf r
-         else Modarith.with_session fp (fun s -> ladder_into base cover s r (Scalar.exponent k));
-         r)
-       ks)
-
-let pow_gen_batch ?pool (ks : scalar array) : t array =
-  Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
-  batch_raw ?pool generator ks
-
-let pow_batch ?pool (base : t) (ks : scalar array) : t array =
-  Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
-  if Array.length ks = 0 then [||]
-  else if is_one base then Array.map (fun _ -> Inf) ks
-  else batch_raw ?pool base ks
-
-(* ---- Many fresh bases, one scalar ----
-
-   The dual of [pow_batch], for the ReEnc strip D = Y^x: the scalar is
-   recoded once, every finite base gets the one-row window table of
-   [table_jps], all the rows are normalized with one inversion, the
-   ladders (mixed additions only) go to the pool, and the results are
-   normalized with one more. The tiers are never consulted: these bases
-   are seen once, and recording them would only evict the counts of
-   long-lived keys. *)
-let pow_bases ?pool (bases : t array) (k : scalar) : t array =
-  Atom_obs.Opcount.note_batch ~scalars:(Array.length bases);
-  let out = Array.make (Array.length bases) Inf in
-  let live =
-    List.filter (fun i -> not (is_one bases.(i))) (List.init (Array.length bases) Fun.id)
+   A keyed base takes the cover [pow] would give it, counted with all its
+   scalars in the call. Each distinct fresh base gets a one-row window
+   ([window_rows], all rows under one inversion) and never touches the
+   tiers: recording one-shot bases would only evict the counts of
+   long-lived keys. Tables are chosen on the caller; the ladders run as
+   one pooled job, each worker in its own session, and one more
+   inversion normalizes every result. *)
+let pow_many ?pool ~(fresh : (t * scalar) array) (keyed : (t * scalar) array) :
+    t array * t array =
+  Atom_obs.Opcount.note_batch ~scalars:(Array.length keyed + Array.length fresh);
+  let nk = Array.length keyed and nf = Array.length fresh in
+  let covers = ref [] in
+  let cover x =
+    match List.find_opt (fun (b, _) -> equal b x) !covers with
+    | Some (_, c) -> c
+    | None ->
+        let scalars = Array.fold_left (fun n (b, _) -> if equal b x then n + 1 else n) 0 keyed in
+        let c = cover_of x ~scalars in
+        covers := (x, c) :: !covers;
+        c
   in
-  if not (Scalar.is_zero k || live = []) then begin
-    let ds = signed_digits (Scalar.exponent k) in
-    let tab = window_rows (Array.of_list (List.map (fun i -> bases.(i)) live)) in
-    let live = Array.of_list live in
-    let rs =
-      Atom_exec.Pool.tabulate ?pool (Array.length live) (fun row ->
-          let r = jp_fresh () in
-          Modarith.with_session fp (fun s -> windowed_into s r tab ~row ds);
-          r)
-    in
-    Array.iteri (fun j pt -> out.(live.(j)) <- pt) (to_affine_batch rs)
-  end;
-  out
+  let rows = Hashtbl.create 16 and bases = ref [] in
+  let row x =
+    match Hashtbl.find_opt rows x with
+    | Some row -> row
+    | None ->
+        Hashtbl.add rows x (Hashtbl.length rows);
+        bases := x :: !bases;
+        Hashtbl.length rows - 1
+  in
+  let frow = Array.map (fun (x, k) -> if is_one x || Scalar.is_zero k then -1 else row x) fresh in
+  let tab = if !bases = [] then [||] else window_rows (Array.of_list (List.rev !bases)) in
+  (* Fresh ladders (double-and-add) first, keyed ones (mostly
+     doubling-free combs) last, claimed one at a time: the job ends on
+     short items. *)
+  let on_row i (x, k) = (x, k, if frow.(i) < 0 then Miss else Window (tab, frow.(i))) in
+  let items =
+    Array.append (Array.mapi on_row fresh)
+      (Array.map (fun (x, k) -> (x, k, if is_one x then Miss else cover x)) keyed)
+  in
+  let ladder (x, k, cover) =
+    let r = jp_fresh () in
+    if Scalar.is_zero k then jp_set_inf r
+    else Modarith.with_session fp (fun s -> ladder_into x cover s r (Scalar.exponent k));
+    r
+  in
+  let all = to_affine_batch (Atom_exec.Pool.map ?pool ~chunk:1 ladder items) in
+  (Array.sub all nf nk, Array.sub all 0 nf)
+
+let pow_batch ?pool base ks = fst (pow_many ?pool ~fresh:[||] (Array.map (fun k -> (base, k)) ks))
+let pow_gen_batch ?pool ks = pow_batch ?pool generator ks
 
 let element_bytes = 33
 

@@ -86,7 +86,6 @@ let make (params : params) : (module Group_intf.GROUP) =
     let inv_batch (xs : t array) : t array = Array.map norm (Modarith.inv_batch ctx_p xs)
 
     let pow_raw x k = norm (Modarith.pow ctx_p x (Scalar.exponent k))
-    let pow_gen_raw k = pow_raw generator k
 
     let pow x k =
       Atom_obs.Opcount.note_pow ();
@@ -94,15 +93,13 @@ let make (params : params) : (module Group_intf.GROUP) =
 
     let pow_gen k =
       Atom_obs.Opcount.note_pow_gen ();
-      pow_gen_raw k
+      pow_raw generator k
 
-    (* Multi-exponentiation. The batch-pow entry points are honest
-       fallbacks — [Modarith.pow]'s per-context table cache already gives
-       repeated fixed-base calls (pow_gen, pow pk) their speedup, and Z_p*
-       has no affine-normalization cost to batch — but [msm]/[pow2] ride
-       Straus interleaving in Modarith so the batched shuffle verifier's
-       single big product shares its squarings here too. The functor gets
-       the raw pows so a batch call tallies once, as a batch. *)
+    (* Multi-exponentiation. [pow_many] is the honest fallback (Z_p* has
+       no normalization to share, and [Modarith.pow] caches fixed-base
+       tables per context) but [msm]/[pow2] ride Modarith's Straus, so the
+       batched shuffle verifier's big product shares its squarings. The
+       functor gets the raw pow so a batch call tallies once. *)
     include Group_intf.Naive_multi (struct
       type nonrec t = t
       type nonrec scalar = scalar
@@ -110,20 +107,14 @@ let make (params : params) : (module Group_intf.GROUP) =
       let one = one
       let mul = mul
       let pow = pow_raw
-      let pow_gen = pow_gen_raw
     end)
 
-    let pow_batch ?pool x ks =
-      Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
-      pow_batch ?pool x ks
+    let pow_many ?pool ~fresh keyed =
+      Atom_obs.Opcount.note_batch ~scalars:(Array.length keyed + Array.length fresh);
+      pow_many ?pool ~fresh keyed
 
-    let pow_gen_batch ?pool ks =
-      Atom_obs.Opcount.note_batch ~scalars:(Array.length ks);
-      pow_gen_batch ?pool ks
-
-    let pow_bases ?pool xs k =
-      Atom_obs.Opcount.note_batch ~scalars:(Array.length xs);
-      pow_bases ?pool xs k
+    let pow_batch ?pool x ks = fst (pow_many ?pool ~fresh:[||] (Array.map (fun k -> (x, k)) ks))
+    let pow_gen_batch ?pool ks = pow_batch ?pool generator ks
 
     (* A pooled MSM splits the pairs into contiguous chunks, runs Straus
        on each chunk independently, and folds the chunk partials in index

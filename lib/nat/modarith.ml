@@ -320,12 +320,27 @@ let mont_sqr_generic (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
 (* The kernels every operation below calls: P-256's field prime gets its
    unrolled kernels (bit-identical, see [P256_field]), any other modulus
    the loops above. Inlined at every call site, so a generic-modulus call
-   costs one test of [ctx.p256] over the parent's direct call. *)
+   costs one test of [ctx.p256] over the parent's direct call.
+
+   Below [sqr_kernel_from] limbs a square runs the multiply kernel on
+   (a, a): the squaring loop's paired column bookkeeping costs more than
+   the multiplies it saves there. Both kernels pick the same q digits and
+   end in the same [finish], so the result is the same. Measured as the
+   best of 200 sessions of 1,024 dependent calls, per call, over five
+   quiet runs on a 2-vCPU shared host: the squaring kernel against the
+   multiply kernel on (a, a) read 43–53 vs 43–50 ns at 4 limbs (zp-test),
+   56–72 vs 52–60 at 5, 71–75 vs 66–69 at 6 and 87–90 vs 82–86 at 7;
+   from 8 limbs the squaring kernel is even or ahead (104 vs 106–107 ns
+   at 8, 132–136 vs 135 at 10, 238–269 vs 282–292 at 15). *)
+let sqr_kernel_from = 8
+
 let[@inline] mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
   if ctx.p256 then P256_field.mul_into dst a b else mont_mul_generic ctx tl dst a b
 
 let[@inline] mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
-  if ctx.p256 then P256_field.sqr_into dst a else mont_sqr_generic ctx tl dst a
+  if ctx.p256 then P256_field.sqr_into dst a
+  else if ctx.k < sqr_kernel_from then mont_mul_generic ctx tl dst a a
+  else mont_sqr_generic ctx tl dst a
 
 (* Generic add/sub for every other modulus, with the same results and no
    branch on limb values: carries and borrows move arithmetically ([asr]

@@ -89,6 +89,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       t : T.t;
       net : Pr.network;
       pool : Atom_exec.Pool.t option;
+      keys : eff_keys; (* the exit members' effective keys *)
       now : unit -> float;
       ph : Trace.Phase.tracker;
       failed : bool array; (* routing input; grows on send errors and sweeps *)
@@ -117,6 +118,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         t;
         net;
         pool;
+        keys = Hashtbl.create 8;
         (* Pacing and repair times ride on the caller's clock. Unbound,
            they read the tracer's, which the deterministic round harness
            leaves constant, so its repair times come out zero. *)
@@ -262,8 +264,8 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
             resumed c;
             if
               not
-                (verify_reenc ?pool:c.pool net ~gid ~iter ~pos:quorum ~next_pk:None ~input
-                   ~output proofs)
+                (verify_reenc ?pool:c.pool net ~keys:c.keys ~gid ~iter ~pos:quorum ~next_pk:None
+                   ~input ~output proofs)
             then
               c.abort <- Some (Printf.sprintf "exit proofs rejected gid=%d epoch=%d" gid epoch)
             else begin

@@ -33,6 +33,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     t : T.t;
     net : Pr.network;
     pool : Atom_exec.Pool.t option; (* crypto fan-out; None = sequential *)
+    keys : eff_keys; (* effective keys of the members whose steps it checks *)
     node_id : int;
     coord : int;
     (* quorum positions this server holds, per group: (gid, pos) —
@@ -460,7 +461,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
       ~(input : Pr.El.vec array) ~(output : Pr.El.vec array) (proofs : string array) : unit =
     if
       not
-        (verify_reenc ?pool:n.pool n.net ~gid ~iter ~pos:(step - 1)
+        (verify_reenc ?pool:n.pool n.net ~keys:n.keys ~gid ~iter ~pos:(step - 1)
            ~next_pk:(next_pk n.net ~gid ~iter ~batch_idx) ~input ~output proofs)
     then
       abort n ~code:Ctrl.abort_proof_rejected
@@ -477,7 +478,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
     let net = n.net in
     if
       not
-        (verify_reenc ?pool:n.pool net ~gid:src_gid ~iter:(iter - 1)
+        (verify_reenc ?pool:n.pool net ~keys:n.keys ~gid:src_gid ~iter:(iter - 1)
            ~pos:(Config.quorum net.Pr.config) ~next_pk:(Some (Pr.group_pk net gid)) ~input
            ~output proofs)
     then
@@ -759,6 +760,7 @@ module Make (G : Atom_group.Group_intf.GROUP) (T : Transport.S) = struct
         t;
         net;
         pool;
+        keys = Hashtbl.create 8;
         node_id;
         coord;
         roles = roles_of net node_id;

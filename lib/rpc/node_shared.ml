@@ -27,12 +27,23 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
   let iter_ctx (net : Pr.network) (gid : int) (iter : int) : string =
     Printf.sprintf "%s:iter=%d" (Pr.proof_context net gid) iter
 
+  (* Effective public keys by (gid, pos), each computed once per process.
+     A process's table is read and filled only by its event loop. *)
+  type eff_keys = (int * int, G.t) Hashtbl.t
+
   (* Effective public key of the member at Shamir position [pos]: its share
-     commitment raised to the Lagrange coefficient for the no-churn quorum. *)
-  let eff_pk (net : Pr.network) (gid : int) (pos : int) : G.t =
-    let g = net.Pr.groups.(gid) in
-    let coeff = Pr.Sh.lagrange_at_zero ~xs:(quorum_positions net) ~i:pos in
-    G.pow (Pr.Dkg.share_pk g.Pr.keys pos) coeff
+     commitment raised to the Lagrange coefficient for the no-churn quorum.
+     That is a share-key derivation and a full-width exponentiation on the
+     event loop, so it is computed on first use and kept in [keys]. *)
+  let eff_pk (net : Pr.network) (keys : eff_keys) (gid : int) (pos : int) : G.t =
+    match Hashtbl.find_opt keys (gid, pos) with
+    | Some k -> k
+    | None ->
+        let g = net.Pr.groups.(gid) in
+        let coeff = Pr.Sh.lagrange_at_zero ~xs:(quorum_positions net) ~i:pos in
+        let k = G.pow (Pr.Dkg.share_pk g.Pr.keys pos) coeff in
+        Hashtbl.add keys (gid, pos) k;
+        k
 
   let share_and_coeff (net : Pr.network) (gid : int) (pos : int) :
       G.Scalar.t * G.Scalar.t =
@@ -152,12 +163,12 @@ module Make (G : Atom_group.Group_intf.GROUP) = struct
      receives it — the next member, the next layer's head, the
      coordinator: under NIZK, the proofs of position [pos] of
      (gid, iter), re-encrypting toward [next_pk], must verify. *)
-  let verify_reenc ?pool (net : Pr.network) ~(gid : int) ~(iter : int) ~(pos : int)
-      ~(next_pk : G.t option) ~(input : Pr.El.vec array) ~(output : Pr.El.vec array)
-      (proofs : string array) : bool =
+  let verify_reenc ?pool (net : Pr.network) ~(keys : eff_keys) ~(gid : int) ~(iter : int)
+      ~(pos : int) ~(next_pk : G.t option) ~(input : Pr.El.vec array)
+      ~(output : Pr.El.vec array) (proofs : string array) : bool =
     net.Pr.config.Config.variant <> Config.Nizk
-    || verify_hop ?pool ~eff_pk:(eff_pk net gid pos) ~next_pk ~context:(iter_ctx net gid iter)
-         ~input ~output proofs
+    || verify_hop ?pool ~eff_pk:(eff_pk net keys gid pos) ~next_pk
+         ~context:(iter_ctx net gid iter) ~input ~output proofs
 
   (* ---- §4.5 failure routing ----
 

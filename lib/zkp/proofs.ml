@@ -27,25 +27,26 @@ struct
         [ context; G.to_bytes pk; G.to_bytes ct.El.r; G.to_bytes ct.El.c; G.to_bytes a ];
       Transcript.digest tr
 
-    let challenge ~pk ~context ct a = G.hash_to_scalar (challenge_digest ~pk ~context ct a)
+    (* The proof as a pure function of its nonce s and commitment a = g^s. *)
+    let respond ~pk ~context ct ~randomness ~(s : G.Scalar.t) (a : G.t) : t =
+      let t = G.hash_to_scalar (challenge_digest ~pk ~context ct a) in
+      { a; u = G.Scalar.add s (G.Scalar.mul t randomness) }
 
     (* Prove knowledge of r with ct.r = g^r. [context] binds the proof to
        the entry group (and anything else the caller includes). *)
     let prove (rng : Atom_util.Rng.t) ~(pk : G.t) ~(context : string) (ct : El.cipher)
         ~(randomness : G.Scalar.t) : t =
       let s = G.Scalar.random rng in
-      let a = G.pow_gen s in
-      let t = challenge ~pk ~context ct a in
-      { a; u = G.Scalar.add s (G.Scalar.mul t randomness) }
+      respond ~pk ~context ct ~randomness ~s (G.pow_gen s)
 
     type claim = { pk : G.t; context : string; ct : El.cipher; proof : t }
 
     (* Every claim's equation g^u = a·R^t in one weighted MSM: the
-       challenges are one pooled job, the generator's exponents are
-       summed, and the MSM is one more pooled job. *)
+       challenges are hashed on the caller, the generator's exponents are
+       summed, and the MSM is the one pooled job. *)
     let verify_batch ?pool (claims : claim array) : bool =
       Batch.check ?pool ~shared:[ G.generator ]
-        (Atom_exec.Pool.map ?pool
+        (Array.map
            (fun c ->
              Batch.claim
                ~digest:(challenge_digest ~pk:c.pk ~context:c.context c.ct c.proof.a)
@@ -67,6 +68,14 @@ struct
     let prove_vec rng ~pk ~context (v : El.vec) ~(randomness : G.Scalar.t array) : t array =
       Array.mapi (fun i ct -> prove rng ~pk ~context ct ~randomness:randomness.(i)) v
 
+    (* [El.enc_vec] then [prove_vec]: every r, then every nonce s, drawn
+       in that order, and g^r, X^r and g^s in one [G.pow_many]. *)
+    let enc_vec_with_proof ?pool rng ~pk ~context (ms : G.t array) : El.vec * t array =
+      let rs = Array.map (fun _ -> G.Scalar.random rng) ms in
+      let ss = Array.map (fun _ -> G.Scalar.random rng) ms in
+      let v, a = El.enc_vec_with ?pool ~also:(Array.map (fun s -> (G.generator, s)) ss) pk ~rs ms in
+      (v, Array.mapi (fun i ct -> respond ~pk ~context ct ~randomness:rs.(i) ~s:ss.(i) a.(i)) v)
+
     let verify_vec ~pk ~context (v : El.vec) (pis : t array) : bool =
       Array.length pis = Array.length v
       && verify_batch (Array.map2 (fun ct proof -> { pk; context; ct; proof }) v pis)
@@ -85,17 +94,16 @@ struct
         ];
       Transcript.digest tr
 
-    let challenge ~context st a1 a2 = G.hash_to_scalar (challenge_digest ~context st a1 a2)
-
-    (* The proof as a pure function of its nonce. *)
-    let prove_with ~(nonce : G.Scalar.t) ~(context : string) ~(g1 : G.t) ~(h1 : G.t)
-        ~(g2 : G.t) ~(h2 : G.t) ~(x : G.Scalar.t) : t =
-      let a1 = G.pow g1 nonce and a2 = G.pow g2 nonce in
-      let t = challenge ~context (g1, h1, g2, h2) a1 a2 in
+    (* The proof as a pure function of its nonce and the commitments
+       a1 = g1^nonce, a2 = g2^nonce. *)
+    let respond ~(nonce : G.Scalar.t) ~(context : string) ~(g1 : G.t) ~(h1 : G.t) ~(g2 : G.t)
+        ~(h2 : G.t) ~(x : G.Scalar.t) (a1 : G.t) (a2 : G.t) : t =
+      let t = G.hash_to_scalar (challenge_digest ~context (g1, h1, g2, h2) a1 a2) in
       { a1; a2; u = G.Scalar.add nonce (G.Scalar.mul t x) }
 
     let prove (rng : Atom_util.Rng.t) ~context ~g1 ~h1 ~g2 ~h2 ~x : t =
-      prove_with ~nonce:(G.Scalar.random rng) ~context ~g1 ~h1 ~g2 ~h2 ~x
+      let nonce = G.Scalar.random rng in
+      respond ~nonce ~context ~g1 ~h1 ~g2 ~h2 ~x (G.pow g1 nonce) (G.pow g2 nonce)
 
     (* The proof's two legs g1^u = a1·h1^t and g2^u = a2·h2^t, for a
        batch check. *)
@@ -131,23 +139,14 @@ struct
        step draws it: the fresh exponent r' (re-encrypting layers only),
        the strip proof's nonce, the rerandomization proof's nonce
        (re-encrypting layers only). *)
-    type draws = { fresh : G.Scalar.t; strip_nonce : G.Scalar.t; rerand_nonce : G.Scalar.t }
-
-    let draw rng ~(next_pk : G.t option) : draws =
+    let draw rng ~(next_pk : G.t option) : G.Scalar.t * G.Scalar.t * G.Scalar.t =
+      let r () = G.Scalar.random rng in
       match next_pk with
-      | None ->
-          let strip_nonce = G.Scalar.random rng in
-          { fresh = G.Scalar.zero; strip_nonce; rerand_nonce = G.Scalar.zero }
+      | None -> (G.Scalar.zero, r (), G.Scalar.zero)
       | Some _ ->
-          let fresh = G.Scalar.random rng in
-          let strip_nonce = G.Scalar.random rng in
-          let rerand_nonce = G.Scalar.random rng in
-          { fresh; strip_nonce; rerand_nonce }
-
-    (* Y and the R carried forward, of an input component: on a fresh
-       ciphertext Y is R itself and the carried R is the identity. *)
-    let carried (ct : El.cipher) : G.t * G.t =
-      match ct.El.y with None -> (ct.El.r, G.one) | Some y -> (y, ct.El.r)
+          let fresh = r () in
+          let strip_nonce = r () in
+          (fresh, strip_nonce, r ())
 
     (* The verifier's statements of every component's rerandomization
        proof, h1 = R'/R and h2 = c'·D/c, as batched products. *)
@@ -157,7 +156,7 @@ struct
       let h1 =
         G.mul_batch
           (Array.map (fun ct -> ct.El.r) output)
-          (inv_all (fun ct -> snd (carried ct)) input)
+          (inv_all (fun ct -> snd (El.carried ct)) input)
       in
       let h2 =
         G.mul_batch
@@ -166,16 +165,6 @@ struct
       in
       (h1, h2)
 
-    (* Each component's index in the flattened batch, shaped like it. *)
-    let flat_index (batch : 'a array array) : int array array =
-      let next = ref 0 in
-      Array.map
-        (Array.map (fun _ ->
-             let i = !next in
-             incr next;
-             i))
-        batch
-
     let flat (a : 'a array array) : 'a array = Array.concat (Array.to_list a)
 
     (* One proven ReEnc step over a batch of vectors, for one effective
@@ -183,44 +172,54 @@ struct
        this server uses (for anytrust groups coeff = 1 and eff_pk is the
        server's public key; for many-trust groups it is share_pk^λ). Every
        component's randomness is drawn on the caller in the elementwise
-       order; the ciphertexts are [El.reenc_batch_with] of the fresh
-       exponents, and the DLEQs one pooled job over every component. The
-       rerandomization statements R'/R and c'·D/c are exactly the factors
-       (g^{r'}, X'^{r'}) the step multiplied in (group results are
-       canonical), so they cost no group operation here. [eff_pk] draws
-       no randomness, so the proofs are the same bytes as per-component
-       [reenc_with_proof] calls. *)
+       order. [eff_pk] and every DLEQ commitment (g^nonce, and Y^nonce on
+       the strip base, X'^nonce on the next key) ride in the step's one
+       [G.pow_many]; challenges and responses are hashed on the caller.
+       The rerandomization statements R'/R and c'·D/c are exactly the
+       factors (g^{r'}, X'^{r'}) the step multiplied in (group results are
+       canonical), so they cost no group operation, and the proofs are the
+       same bytes as per-component [reenc_with_proof] calls. *)
     let reenc_batch_with_proof ?pool rng ~share ?(coeff = G.Scalar.one) ~next_pk ~context
         (batch : El.vec array) : El.vec array * t array array =
       let x_eff = G.Scalar.mul coeff share in
-      let eff_pk = G.pow_gen x_eff in
       let draws = Array.map (Array.map (fun _ -> draw rng ~next_pk)) batch in
-      let output, wits =
+      let dr = flat draws in
+      let n = Array.length dr in
+      let ys = Array.map (fun ct -> fst (El.carried ct)) (flat batch) in
+      let strip (_, s, _) = s and rerand (_, _, s) = s in
+      let on b f = Array.map (fun d -> (b, f d)) dr in
+      let rerand_pairs =
+        match next_pk with None -> [] | Some pk' -> [ on G.generator rerand; on pk' rerand ]
+      in
+      let output, wits, (k, f) =
         El.reenc_batch_with ?pool ~x_eff ~next_pk
-          ~fresh:(Array.map (Array.map (fun dr -> dr.fresh)) draws)
+          ~fresh:(Array.map (Array.map (fun (r, _, _) -> r)) draws)
+          ~also:
+            ( Array.concat ([| (G.generator, x_eff) |] :: on G.generator strip :: rerand_pairs),
+              Array.mapi (fun i y -> (y, strip dr.(i))) ys )
           batch
       in
-      let input = flat batch and dr = flat draws and wits = flat wits in
-      let proofs =
-        Atom_exec.Pool.map_nested ?pool
-          (fun i ->
-            let d = wits.(i).El.stripped in
-            let strip_proof =
-              Dleq.prove_with ~nonce:dr.(i).strip_nonce ~context ~g1:G.generator ~h1:eff_pk
-                ~g2:(fst (carried input.(i))) ~h2:d ~x:x_eff
-            in
-            let rerand_proof =
-              Option.map
-                (fun pk' ->
-                  let h1, h2 = wits.(i).El.shift in
-                  Dleq.prove_with ~nonce:dr.(i).rerand_nonce ~context ~g1:G.generator ~h1
-                    ~g2:pk' ~h2 ~x:dr.(i).fresh)
-                next_pk
-            in
-            { stripped = d; strip_proof; rerand_proof })
-          (flat_index batch)
+      let eff_pk = k.(0) and a p i = k.(1 + (p * n) + i) in
+      let i = ref (-1) in
+      let prove (w : El.reenc_witness) =
+        incr i;
+        let i = !i in
+        let dleq ~g2 ~h1 ~h2 ~x nonce a1 a2 =
+          Dleq.respond ~nonce ~context ~g1:G.generator ~h1 ~g2 ~h2 ~x a1 a2
+        in
+        let strip_proof =
+          dleq ~g2:ys.(i) ~h1:eff_pk ~h2:w.El.stripped ~x:x_eff (strip dr.(i)) (a 0 i) f.(i)
+        in
+        let rerand_proof =
+          Option.map
+            (fun pk' ->
+              let h1, h2 = w.El.shift in
+              dleq ~g2:pk' ~h1 ~h2 ~x:w.El.fresh (rerand dr.(i)) (a 1 i) (a 2 i))
+            next_pk
+        in
+        { stripped = w.El.stripped; strip_proof; rerand_proof }
       in
-      (output, proofs)
+      (output, Array.map (Array.map prove) wits)
 
     let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?coeff
         ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =
@@ -238,8 +237,8 @@ struct
        layer, the output is the pure strip c' = c/D, R' = R. Then every DLEQ
        leg of every component (the strip proof against eff_pk, the
        rerandomization proof against the batched statements R'/R and
-       c'·D/c) joins one weighted MSM, its challenges computed in one pooled
-       job. *)
+       c'·D/c) joins one weighted MSM, the one pooled job; the claims'
+       challenges are only hashing, done on the caller. *)
     let verify_batch ?pool ~eff_pk ~next_pk ~context ~(input : El.vec array)
         ~(output : El.vec array) (pis : t array array) : bool =
       let same_shape a b = Array.length a = Array.length b in
@@ -249,7 +248,7 @@ struct
       &&
       let input = flat input and output = flat output and pis = flat pis in
       let ds = Array.map (fun pi -> pi.stripped) pis in
-      let ys = Array.map (fun ct -> fst (carried ct)) input in
+      let ys = Array.map (fun ct -> fst (El.carried ct)) input in
       Array.for_all2
         (fun ct y_in -> match ct.El.y with Some y -> G.equal y y_in | None -> false)
         output ys
@@ -261,7 +260,7 @@ struct
             let pure_strip i ct =
               Option.is_none pis.(i).rerand_proof
               && G.equal ct.El.c cs.(i)
-              && G.equal ct.El.r (snd (carried input.(i)))
+              && G.equal ct.El.r (snd (El.carried input.(i)))
             in
             ( [ G.generator; eff_pk ],
               Array.for_all Fun.id (Array.mapi pure_strip output),
@@ -281,7 +280,7 @@ struct
            (Array.of_list
               (List.concat
                  (Array.to_list
-                    (Atom_exec.Pool.tabulate ?pool (Array.length input) (fun i ->
+                    (Array.init (Array.length input) (fun i ->
                          Dleq.claim ~context ~g1:G.generator ~h1:eff_pk ~g2:ys.(i) ~h2:ds.(i)
                            pis.(i).strip_proof
                          :: rerand_claims i)))))

@@ -25,8 +25,8 @@ module Make
     val verify_batch : ?pool:Atom_exec.Pool.t -> claim array -> bool
     (** Every claim's proof, checked as one weighted multi-exponentiation
         ({!Batch_verify}): [true] iff every proof verifies, except with
-        probability 2^-128. The challenges are one pooled job and the MSM
-        another. [true] on the empty batch. *)
+        probability 2^-128. The challenges are hashed on the caller and
+        the MSM is the one pooled job. [true] on the empty batch. *)
 
     val verify : pk:G.t -> context:string -> El.cipher -> t -> bool
     (** {!verify_batch} of one claim. *)
@@ -37,6 +37,12 @@ module Make
     val prove_vec :
       Atom_util.Rng.t -> pk:G.t -> context:string -> El.vec -> randomness:G.Scalar.t array ->
       t array
+
+    val enc_vec_with_proof :
+      ?pool:Atom_exec.Pool.t -> Atom_util.Rng.t -> pk:G.t -> context:string -> G.t array ->
+      El.vec * t array
+    (** [El.enc_vec] then {!prove_vec}, the same bytes from the same
+        draws, with every exponentiation in one {!G.pow_many}. *)
 
     val verify_vec : pk:G.t -> context:string -> El.vec -> t array -> bool
     (** One proof per component, as one batch; false on a length
@@ -79,11 +85,12 @@ module Make
     val reenc_batch_with_proof :
       ?pool:Atom_exec.Pool.t -> Atom_util.Rng.t -> share:G.Scalar.t -> ?coeff:G.Scalar.t ->
       next_pk:G.t option -> context:string -> El.vec array -> El.vec array * t array array
-    (** One proven ReEnc step over a batch of vectors, as one pooled job
-        over every component. All randomness is drawn on the caller first,
-        in {!reenc_with_proof}'s order component by component, so the
-        ciphertexts and proofs are the same bytes for every pool size and
-        the same as per-component {!reenc_with_proof} calls. *)
+    (** One proven ReEnc step over a batch of vectors, with all its
+        exponentiations in one {!G.pow_many}. All randomness is drawn on
+        the caller first, in {!reenc_with_proof}'s order component by
+        component, so the ciphertexts and proofs are the same bytes for
+        every pool size and the same as per-component {!reenc_with_proof}
+        calls. *)
 
     val reenc_vec_with_proof :
       Atom_util.Rng.t -> share:G.Scalar.t -> ?coeff:G.Scalar.t -> next_pk:G.t option ->

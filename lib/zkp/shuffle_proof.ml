@@ -64,8 +64,20 @@ struct
     Array.iter (fun v -> Transcript.add tr (El.vec_to_bytes v)) output;
     tr
 
-  let challenges_u (tr : Transcript.t) (n : int) : S.t array =
-    Array.map G.hash_to_scalar (Transcript.digest_n tr n)
+  let add_all (tr : Transcript.t) (xs : G.t array) : unit =
+    Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) xs
+
+  (* The challenges u, over the statement and the permutation commitments. *)
+  let challenges_u (tr : Transcript.t) (perm_comm : G.t array) : S.t array =
+    add_all tr perm_comm;
+    Array.map G.hash_to_scalar (Transcript.digest_n tr (Array.length perm_comm))
+
+  (* The challenge v, over everything the prover announced after u. *)
+  let challenge_v (tr : Transcript.t) (pi : t) : S.t =
+    add_all tr pi.chain;
+    add_all tr [| pi.t_a; pi.t_b; pi.t_c |];
+    List.iter (add_all tr) [ pi.t_chain; pi.t_er; pi.t_ec ];
+    G.hash_to_scalar (Transcript.digest tr)
 
   (* width of the vector ciphertexts; all must agree. *)
   let width_of (vs : El.vec array) : int option =
@@ -75,54 +87,89 @@ struct
       if w = 0 || Array.exists (fun v -> Array.length v <> w) vs then None else Some w
     end
 
-  (* The chain ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} (ĉ_{-1} = h) in closed form:
-     ĉ_i = g^{d_i}·h^{U_i} with d_i = ŝ_i + u'_i·d_{i-1} (d_{-1} = 0) and
-     U_i = Π_{k≤i} u'_k. Unrolled, the links no longer depend on each
-     other, so the n double exponentiations go to the pool; the exponents
-     are cheap scalar recurrences on the caller. Also returns d_{n-1},
-     the secret of relation (C). *)
-  let commitment_chain ?pool (h : G.t) ~(shat : S.t array) ~(uprime : S.t array) :
-      G.t array * S.t =
+  (* The chain ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} (ĉ_{-1} = h) and its
+     announcements t̂_i = g^{ŵ_i}·ĉ_{i-1}^{w'_i} in closed form over g and
+     h: ĉ_i = g^{d_i}·h^{U_i} with d_i = ŝ_i + u'_i·d_{i-1} (d_{-1} = 0)
+     and U_i = Π_{k≤i} u'_k (U_{-1} = 1), so
+     t̂_i = g^{ŵ_i + w'_i·d_{i-1}}·h^{w'_i·U_{i-1}}: cheap scalar
+     recurrences, after which no link's exponentiation waits on another.
+     The n links' exponents come first, then the n announcements'. *)
+  let chain_exponents ~(shat : S.t array) ~(uprime : S.t array) ~(w_hat : S.t array)
+      ~(w_prime : S.t array) : (S.t * S.t) array =
     let n = Array.length shat in
-    let d = Array.make n S.zero and uprod = Array.make n S.one in
+    let e = Array.make (2 * n) (S.zero, S.one) in
     for i = 0 to n - 1 do
-      let d_prev = if i = 0 then S.zero else d.(i - 1) in
-      let u_prev = if i = 0 then S.one else uprod.(i - 1) in
-      d.(i) <- S.add shat.(i) (S.mul uprime.(i) d_prev);
-      uprod.(i) <- S.mul u_prev uprime.(i)
+      let d, u = if i = 0 then (S.zero, S.one) else e.(i - 1) in
+      e.(i) <- (S.add shat.(i) (S.mul uprime.(i) d), S.mul u uprime.(i));
+      e.(n + i) <- (S.add w_hat.(i) (S.mul w_prime.(i) d), S.mul w_prime.(i) u)
     done;
-    ( Atom_exec.Pool.tabulate ?pool n (fun i -> G.pow2 G.generator d.(i) h uprod.(i)),
-      if n = 0 then S.zero else d.(n - 1) )
+    e
 
+  (* Two pooled jobs: every random value is drawn first, in the order
+     this proof has always drawn them; job A computes what the
+     challenges u do not depend on, and job B, after u, the rest. *)
   let prove ?pool (rng : Atom_util.Rng.t) ~(pk : G.t) ~(context : string)
       ~(input : El.vec array) ~(output : El.vec array)
       ~(witness : El.vec_shuffle_witness) : t =
     let n = Array.length input in
     let width = match width_of input with Some w -> w | None -> invalid_arg "Shuffle_proof.prove" in
     let perm = witness.El.vperm in
-    let h = generator_h context in
-    let hi = Atom_exec.Pool.tabulate ?pool n (generator_hi context) in
-    (* 1. permutation commitments: g^{r_j}·h_{π(j)} as a unit-scalar MSM so
-       curve backends spend one normalization, not two. Randomness is drawn
-       before the (pooled) commitment loop, in the elementwise order. *)
     let r = Array.init n (fun _ -> S.random rng) in
-    let perm_comm =
-      Atom_exec.Pool.tabulate ?pool n (fun j ->
-          G.msm [| (G.generator, r.(j)); (hi.(perm.(j)), S.one) |])
+    let shat = Array.init n (fun _ -> S.random rng) in
+    let w_rbar = S.random rng and w_rhat = S.random rng and w_d = S.random rng in
+    let w_s = Array.init width (fun _ -> S.random rng) in
+    let w_prime = Array.init n (fun _ -> S.random rng) in
+    let w_hat = Array.init n (fun _ -> S.random rng) in
+    let h = generator_h context in
+    (* An announcement: an MSM of n + 1 terms, (b0, k0) and base_i^{w'_i}. *)
+    let announce (b0, k0) base =
+      G.msm
+        (Array.init (n + 1) (fun i ->
+             if i = 0 then (b0, k0) else (base (i - 1), w_prime.(i - 1))))
     in
-    (* 2. challenges u, permuted u' *)
+    (* Job A, the long items first and each claimed alone: every column's
+       two announcements, each generator h_k with the permutation
+       commitment c_j = g^{r_j}·h_k of the j with π(j) = k (a unit-scalar
+       MSM, so curve backends spend one normalization, not two), then t_b
+       and t_c. *)
+    let src = Array.make n 0 in
+    Array.iteri (fun j k -> src.(k) <- j) perm;
+    let a =
+      Atom_exec.Pool.tabulate ?pool ~chunk:1 ((2 * width) + n + 2) (fun k ->
+          if k < width then (announce (G.generator, w_s.(k)) (fun i -> input.(i).(k).El.r), G.one)
+          else if k < 2 * width then
+            (announce (pk, w_s.(k - width)) (fun i -> input.(i).(k - width).El.c), G.one)
+          else if k < (2 * width) + n then begin
+            let k = k - (2 * width) in
+            let hk = generator_hi context k in
+            (hk, G.msm [| (G.generator, r.(src.(k))); (hk, S.one) |])
+          end
+          else (G.pow_gen (if k = (2 * width) + n then w_rhat else w_d), G.one))
+    in
+    let t_er = Array.init width (fun w -> fst a.(w)) in
+    let t_ec = Array.init width (fun w -> fst a.(width + w)) in
+    let hi = Array.init n (fun k -> fst a.((2 * width) + k)) in
+    let perm_comm = Array.init n (fun j -> snd a.((2 * width) + perm.(j))) in
+    let t_b = fst a.((2 * width) + n) and t_c = fst a.((2 * width) + n + 1) in
+    (* challenges u, permuted u' *)
     let tr = statement_transcript ~pk ~context input output in
-    Array.iter (fun c -> Transcript.add tr (G.to_bytes c)) perm_comm;
-    let u = challenges_u tr n in
+    let u = challenges_u tr perm_comm in
     let uprime = Array.make n S.zero in
     Array.iteri (fun j uj -> uprime.(perm.(j)) <- uj) u;
-    (* 3. chain *)
-    let shat = Array.init n (fun _ -> S.random rng) in
-    let chain, d = commitment_chain ?pool h ~shat ~uprime in
+    (* Job B: t_a (the long item), then every chain link and its
+       announcement, each claimed alone. *)
+    let e = chain_exponents ~shat ~uprime ~w_hat ~w_prime in
+    let b =
+      Atom_exec.Pool.tabulate ?pool ~chunk:1 ((2 * n) + 1) (fun i ->
+          if i = 0 then announce (G.generator, w_rbar) (fun i -> hi.(i))
+          else G.pow2 G.generator (fst e.(i - 1)) h (snd e.(i - 1)))
+    in
+    let t_a = b.(0) and chain = Array.sub b 1 n and t_chain = Array.sub b (n + 1) n in
     (* secrets of the aggregate relations *)
     let rbar = Array.fold_left ( fun acc (rj, uj) -> S.add acc (S.mul rj uj)) S.zero
         (Array.map2 (fun a b -> (a, b)) r u) in
     let rhat = Array.fold_left S.add S.zero r in
+    let d = fst e.(n - 1) in
     let stilde =
       Array.init width (fun w ->
           let acc = ref S.zero in
@@ -131,52 +178,15 @@ struct
           done;
           !acc)
     in
-    (* 4. sigma announcements *)
-    let w_rbar = S.random rng and w_rhat = S.random rng and w_d = S.random rng in
-    let w_s = Array.init width (fun _ -> S.random rng) in
-    let w_prime = Array.init n (fun _ -> S.random rng) in
-    let w_hat = Array.init n (fun _ -> S.random rng) in
-    let t_chain =
-      Atom_exec.Pool.tabulate ?pool n (fun i ->
-          let prev = if i = 0 then h else chain.(i - 1) in
-          G.pow2 G.generator w_hat.(i) prev w_prime.(i))
+    let z = S.zero in
+    let pi =
+      { perm_comm; chain; t_a; t_b; t_c; t_chain; t_er; t_ec;
+        k_rbar = z; k_rhat = z; k_d = z; k_s = [||]; k_prime = [||]; k_hat = [||] }
     in
-    (* t_a and every column's two announcements: 1 + 2·width independent
-       MSMs of n + 1 terms, one job. *)
-    let announce (b0, k0) base =
-      G.msm
-        (Array.init (n + 1) (fun i ->
-             if i = 0 then (b0, k0) else (base (i - 1), w_prime.(i - 1))))
-    in
-    let announced =
-      Atom_exec.Pool.tabulate ?pool ((2 * width) + 1) (fun k ->
-          if k = 0 then announce (G.generator, w_rbar) (fun i -> hi.(i))
-          else if k <= width then
-            announce (G.generator, w_s.(k - 1)) (fun i -> input.(i).(k - 1).El.r)
-          else announce (pk, w_s.(k - 1 - width)) (fun i -> input.(i).(k - 1 - width).El.c))
-    in
-    let t_a = announced.(0) in
-    let t_er = Array.sub announced 1 width and t_ec = Array.sub announced (1 + width) width in
-    let t_b = G.pow_gen w_rhat in
-    let t_c = G.pow_gen w_d in
-    (* 5. challenge v over everything *)
-    Array.iter (fun c -> Transcript.add tr (G.to_bytes c)) chain;
-    Transcript.add_list tr [ G.to_bytes t_a; G.to_bytes t_b; G.to_bytes t_c ];
-    Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) t_chain;
-    Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) t_er;
-    Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) t_ec;
-    let v = G.hash_to_scalar (Transcript.digest tr) in
-    (* 6. responses *)
+    let v = challenge_v tr pi in
     let resp w x = S.add w (S.mul v x) in
     {
-      perm_comm;
-      chain;
-      t_a;
-      t_b;
-      t_c;
-      t_chain;
-      t_er;
-      t_ec;
+      pi with
       k_rbar = resp w_rbar rbar;
       k_rhat = resp w_rhat rhat;
       k_d = resp w_d d;
@@ -207,14 +217,8 @@ struct
              let h = generator_h context in
              let hi = Atom_exec.Pool.tabulate ?pool n (generator_hi context) in
              let tr = statement_transcript ~pk ~context input output in
-             Array.iter (fun c -> Transcript.add tr (G.to_bytes c)) pi.perm_comm;
-             let u = challenges_u tr n in
-             Array.iter (fun c -> Transcript.add tr (G.to_bytes c)) pi.chain;
-             Transcript.add_list tr [ G.to_bytes pi.t_a; G.to_bytes pi.t_b; G.to_bytes pi.t_c ];
-             Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) pi.t_chain;
-             Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) pi.t_er;
-             Array.iter (fun x -> Transcript.add tr (G.to_bytes x)) pi.t_ec;
-             let v = G.hash_to_scalar (Transcript.digest tr) in
+             let u = challenges_u tr pi.perm_comm in
+             let v = challenge_v tr pi in
              (* Batched verification. Each relation (A)–(E) is rearranged
                 into a product that must equal the identity, scaled by an
                 independent transcript-derived coefficient ρ, and the whole

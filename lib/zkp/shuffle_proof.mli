@@ -24,7 +24,8 @@ module Make
     t
   (** @raise Invalid_argument on empty or ragged input. Randomness is
       drawn sequentially before any pooled region, so the proof bytes do
-      not depend on [?pool]. *)
+      not depend on [?pool]. The group work is two pooled jobs, one on
+      each side of the challenges u. *)
 
   val verify :
     ?pool:Atom_exec.Pool.t ->
@@ -37,13 +38,12 @@ module Make
   (** The verifier folds every relation into one big multi-exponentiation;
       [?pool] parallelizes it (the verdict is identical for any pool). *)
 
-  val commitment_chain :
-    ?pool:Atom_exec.Pool.t -> G.t -> shat:G.Scalar.t array -> uprime:G.Scalar.t array ->
-    G.t array * G.Scalar.t
-  (** [commitment_chain h ~shat ~uprime] is the prover's chain
-      ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} with ĉ_{-1} = h, computed link by link
-      in closed form as g^{d_i}·h^{Π_{k≤i} u'_k}, and its final exponent
-      d_{n-1} (zero when empty). *)
+  val chain_exponents :
+    shat:G.Scalar.t array -> uprime:G.Scalar.t array -> w_hat:G.Scalar.t array ->
+    w_prime:G.Scalar.t array -> (G.Scalar.t * G.Scalar.t) array
+  (** The exponents over (g, h) of the prover's chain
+      ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} (ĉ_{-1} = h), then of its announcements
+      t̂_i = g^{ŵ_i}·ĉ_{i-1}^{w'_i}, in closed form. *)
 
   val to_bytes : t -> string
 

@@ -5,7 +5,7 @@
    size, including the no-pool sequential path — that is what lets a
    deployment pick core counts freely without re-validating transcripts.
    These tests pin the contract at three levels: the raw pool primitives,
-   the group/ElGamal/shuffle-proof batch APIs across pool sizes 1, 2, 7,
+   the group/ElGamal/shuffle-proof batch APIs across pool sizes 1, 2, 4, 7,
    and a full simulator round whose trace must stay byte-identical when a
    default pool is installed. *)
 
@@ -16,7 +16,7 @@ let with_pool (domains : int) (f : Pool.t -> 'a) : 'a =
   let p = Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
 
-let pool_sizes = [ 1; 2; 7 ]
+let pool_sizes = [ 1; 2; 4; 7 ]
 
 (* ---- pool primitives ---- *)
 
@@ -265,7 +265,7 @@ let test_pool_nested_run_degrades () =
 
 (* ---- pooled crypto is bit-identical across pool sizes ---- *)
 
-(* Sequential reference vs pools of 1, 2, 7 for each pooled entry point;
+(* Sequential reference vs pools of 1, 2, 4, 7 for each pooled entry point;
    byte-level equality so Montgomery canonicalization bugs can't hide
    behind [G.equal]. *)
 let check_backend (name : string) (g : (module Atom_group.Group_intf.GROUP)) ~(n : int) =
@@ -278,6 +278,20 @@ let check_backend (name : string) (g : (module Atom_group.Group_intf.GROUP)) ~(n
   let ref_gen = bytes_of (G.pow_gen_batch ks) in
   let ref_pow = bytes_of (G.pow_batch base ks) in
   let ref_msm = G.to_bytes (G.msm pairs) in
+  (* Keyed pairs on the generator and one key, fresh pairs on bases that
+     repeat, with an identity and a zero scalar among them. *)
+  let keyed = Array.mapi (fun i k -> ((if i mod 3 = 0 then G.generator else base), k)) ks in
+  let fresh =
+    Array.mapi
+      (fun i k ->
+        ((if i = 5 then G.one else fst pairs.(i mod 17)), if i = 9 then G.Scalar.zero else k))
+      ks
+  in
+  let many ?pool () =
+    let k, f = G.pow_many ?pool ~fresh keyed in
+    bytes_of k ^ bytes_of f
+  in
+  let ref_many = many () in
   List.iter
     (fun domains ->
       with_pool domains (fun p ->
@@ -286,7 +300,8 @@ let check_backend (name : string) (g : (module Atom_group.Group_intf.GROUP)) ~(n
             (bytes_of (G.pow_gen_batch ~pool:p ks));
           Alcotest.(check string) (tag "pow_batch") ref_pow
             (bytes_of (G.pow_batch ~pool:p base ks));
-          Alcotest.(check string) (tag "msm") ref_msm (G.to_bytes (G.msm ~pool:p pairs))))
+          Alcotest.(check string) (tag "msm") ref_msm (G.to_bytes (G.msm ~pool:p pairs));
+          Alcotest.(check string) (tag "pow_many") ref_many (many ~pool:p ())))
     pool_sizes
 
 let test_pooled_group_ops_identical_zp () =

@@ -164,27 +164,39 @@ end = struct
     Alcotest.(check bool) "length mismatch raises" true
       (match G.mul_batch [| a |] [||] with _ -> false | exception Invalid_argument _ -> true)
 
-  (* Identity bases, a repeated base and the generator inside one batch,
-     under random, small, unit and zero scalars. *)
-  let test_pow_bases_agrees () =
+  (* Mixed arrays: the generator, a long-lived key, one-shot bases that
+     repeat (across and within the two arrays), identities and zero,
+     small and order-adjacent scalars; then empty arrays on either side. *)
+  let test_pow_many_agrees () =
     let r = rng () in
-    let x = G.random r and y = G.random r in
-    let bases = [| x; G.one; y; x; G.generator; G.random r; G.one; y |] in
-    List.iter
-      (fun (what, k) ->
-        let got = G.pow_bases bases k in
-        Alcotest.(check int) (what ^ " length") (Array.length bases) (Array.length got);
-        Array.iteri
-          (fun i b -> check (Printf.sprintf "pow_bases %s [%d]" what i) (G.pow b k) got.(i))
-          bases)
-      [ ("random", S.random r); ("k=1", S.one); ("k=7", S.of_int 7); ("k=8", S.of_int 8);
-        ("k=q-1", S.neg S.one); ("k=0", S.zero) ];
-    Alcotest.(check bool) "k=0 gives identities" true
-      (Array.for_all G.is_one (G.pow_bases bases S.zero));
-    Alcotest.(check bool) "identity bases only" true
-      (Array.for_all G.is_one (G.pow_bases [| G.one; G.one |] (S.random r)));
-    check "singleton" (G.pow y (S.of_int 5)) (G.pow_bases [| y |] (S.of_int 5)).(0);
-    Alcotest.(check int) "empty" 0 (Array.length (G.pow_bases [||] (S.random r)))
+    let key = G.random r and x = G.random r and y = G.random r in
+    let scalars = [| S.random r; S.zero; S.one; S.of_int 7; S.of_int 8; S.neg S.one |] in
+    let k i = scalars.(i mod Array.length scalars) in
+    let keyed =
+      Array.init 14 (fun i ->
+          ((match i mod 4 with 0 -> G.generator | 1 | 2 -> key | _ -> G.one), k (i + 1)))
+    in
+    let fresh =
+      Array.init 11 (fun i ->
+          ((match i mod 5 with 0 | 3 -> x | 1 -> y | 2 -> G.one | _ -> G.random r), k i))
+    in
+    let agree what pairs got =
+      Alcotest.(check int) (what ^ " length") (Array.length pairs) (Array.length got);
+      Array.iteri
+        (fun i (b, e) -> check (Printf.sprintf "pow_many %s [%d]" what i) (G.pow b e) got.(i))
+        pairs
+    in
+    let gk, gf = G.pow_many ~fresh keyed in
+    agree "keyed" keyed gk;
+    agree "fresh" fresh gf;
+    let only_keyed, none = G.pow_many ~fresh:[||] keyed in
+    agree "keyed alone" keyed only_keyed;
+    Alcotest.(check int) "no fresh" 0 (Array.length none);
+    let none, only_fresh = G.pow_many ~fresh [||] in
+    agree "fresh alone" fresh only_fresh;
+    Alcotest.(check int) "no keyed" 0 (Array.length none);
+    let a, b = G.pow_many ~fresh:[||] [||] in
+    Alcotest.(check (pair int int)) "empty" (0, 0) (Array.length a, Array.length b)
 
   (* The pooled batch entry points give the same bytes with no pool, a
      1-domain pool and a 2-domain pool. *)
@@ -196,7 +208,12 @@ end = struct
     let run pool =
       List.map
         (fun els -> Array.map G.to_bytes els)
-        [ G.pow_bases ?pool bases k; G.pow_batch ?pool bases.(0) ks; G.pow_gen_batch ?pool ks ]
+        (let keyed, fresh =
+           G.pow_many ?pool
+             ~fresh:(Array.map (fun b -> (b, k)) bases)
+             (Array.mapi (fun i k -> ((if i mod 2 = 0 then bases.(1) else G.generator), k)) ks)
+         in
+         [ keyed; fresh; G.pow_batch ?pool bases.(0) ks; G.pow_gen_batch ?pool ks ])
     in
     let reference = run None in
     List.iter
@@ -249,7 +266,7 @@ end = struct
       Alcotest.test_case (G.name ^ " pow_batch = map pow") `Quick test_pow_batch_agrees;
       Alcotest.test_case (G.name ^ " pow_gen_batch edge cases") `Quick test_pow_gen_batch_agrees;
       Alcotest.test_case (G.name ^ " mul_batch = map2 mul") `Quick test_mul_batch_agrees;
-      Alcotest.test_case (G.name ^ " pow_bases = map pow") `Quick test_pow_bases_agrees;
+      Alcotest.test_case (G.name ^ " pow_many = map pow") `Quick test_pow_many_agrees;
       Alcotest.test_case (G.name ^ " inv_batch = map inv") `Quick test_inv_batch_agrees;
       Alcotest.test_case (G.name ^ " batches pool-independent") `Quick
         test_batches_pool_independent;
@@ -330,16 +347,18 @@ module P256_tiers = struct
     check "key pow after the flood" (ref_pow key k) (P.pow key k);
     Alcotest.(check (pair int int)) "nothing rebuilt" (w0, c0 + 1) (builds ())
 
-  (* pow_bases reads no tier and feeds none: a base raised through it 32
-     times builds no table, and a later plain [pow] of it is still a
-     first sighting. *)
-  let test_pow_bases_skips_tiers () =
+  (* pow_many's fresh pairs read no tier and feed none: a base raised
+     through them 32 times, beside a keyed generator, builds no table, and
+     a later plain [pow] of it is still a first sighting. *)
+  let test_pow_many_fresh_skips_tiers () =
     let r = Atom_util.Rng.create 0xba5e in
     let y = P.random r in
     let k = S.random r in
     let w0, c0 = builds () in
     for _ = 1 to 2 do
-      Array.iter (fun d -> check "strip" (ref_pow y k) d) (P.pow_bases (Array.make 16 y) k)
+      let g, ds = P.pow_many ~fresh:(Array.make 16 (y, k)) [| (P.generator, k) |] in
+      check "keyed generator" (ref_pow P.generator k) g.(0);
+      Array.iter (fun d -> check "strip" (ref_pow y k) d) ds
     done;
     Alcotest.(check (pair int int)) "no table built" (w0, c0) (builds ());
     check "pow after the batches" (ref_pow y k) (P.pow y k);
@@ -348,7 +367,8 @@ module P256_tiers = struct
   let cases =
     [
       Alcotest.test_case "p256 miss -> window -> comb agree" `Quick test_cache_states;
-      Alcotest.test_case "p256 pow_bases skips the tiers" `Quick test_pow_bases_skips_tiers;
+      Alcotest.test_case "p256 pow_many fresh pairs skip the tiers" `Quick
+        test_pow_many_fresh_skips_tiers;
       Alcotest.test_case "p256 comb survives one-shot bases" `Quick test_comb_survives_oneshots;
     ]
 end

@@ -483,8 +483,10 @@ let test_opcount () =
   let (_ : G.t) = G.msm [| (x, k); (x, k); (x, k) |] in
   let (_ : G.t array) = G.pow_batch x [| k; k |] in
   let (_ : G.t array) = G.pow_gen_batch [| k; k; k |] in
-  (* pow_bases is one batch of its bases; mul_batch is no exponentiation. *)
-  let (_ : G.t array) = G.pow_bases [| x; x; G.one; x |] k in
+  (* pow_many is one batch of all its pairs, keyed and fresh, and the
+     batch wrappers above count once each; mul_batch is no
+     exponentiation. *)
+  let (_ : G.t array * G.t array) = G.pow_many ~fresh:[| (x, k); (G.one, k); (x, k) |] [| (x, k) |] in
   let (_ : G.t array) = G.mul_batch [| x |] [| x |] in
   let d = Opcount.diff (Opcount.snapshot ()) s0 in
   Alcotest.(check int) "pow_gen" 1 d.Opcount.pow_gen;

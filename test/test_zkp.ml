@@ -214,6 +214,7 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
 
   module Ns = Atom_rpc.Node_shared.Make (G)
   module RP = Ns.Pr.P.Reenc_proof (* the proofs [Ns]'s blobs carry *)
+  module RP_enc = Ns.Pr.P.Enc_proof
 
   let with_pool2 (f : Atom_exec.Pool.t option -> unit) : unit =
     f None;
@@ -303,27 +304,156 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
               (Ns.verify_hop ?pool ~eff_pk ~next_pk ~context:"h" ~input ~output blobs)))
       [ ("honest", output); ("tampered", tampered) ]
 
-  (* The chain's closed form equals the prover's recurrence
-     ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i}, link for link. *)
+  (* Every proof phase is one pooled job on a 2-domain pool, and the
+     shuffle prover two, one on each side of its challenges; a verifier
+     pools at most its weighted MSM. The pool's own job counter counts
+     them, and the pool is also the default, so a phase that dropped its
+     [?pool] would still be counted. *)
+  let test_jobs_per_phase () =
+    let obs = Atom_obs.Ctx.create () in
+    let pool = Atom_exec.Pool.create ~obs ~domains:2 () in
+    let prev = Atom_exec.Pool.default () in
+    Atom_exec.Pool.set_default (Some pool);
+    Fun.protect
+      ~finally:(fun () ->
+        Atom_exec.Pool.set_default prev;
+        Atom_exec.Pool.shutdown pool)
+      (fun () ->
+        let count () =
+          Atom_obs.Metrics.counter_value (Atom_obs.Ctx.metrics obs) "exec.pool.jobs"
+        in
+        let jobs f =
+          let before = count () in
+          let v = f () in
+          (v, count () -. before)
+        in
+        let pin what want f =
+          let v, n = jobs f in
+          Alcotest.(check (float 0.)) (what ^ " jobs") want n;
+          v
+        in
+        let r = rng () in
+        let kp = El.keygen r in
+        let ms () = [| G.random r; G.random r |] in
+        let units =
+          Array.init 4 (fun _ ->
+              fst
+                (pin "Enc with EncProofs" 1. (fun () ->
+                     RP_enc.enc_vec_with_proof ~pool r ~pk:kp.El.pk ~context:"j" (ms ()))))
+        in
+        ignore (pin "Enc" 1. (fun () -> El.enc_vec ~pool r kp.El.pk (ms ())));
+        let shuffled, witness =
+          Option.get (pin "shuffle_vec" 1. (fun () -> El.shuffle_vec ~pool r kp.El.pk units))
+        in
+        let pi =
+          pin "ShufProof prove" 2. (fun () ->
+              Shuf.prove ~pool r ~pk:kp.El.pk ~context:"j" ~input:units ~output:shuffled ~witness)
+        in
+        let ok, n =
+          jobs (fun () ->
+              Shuf.verify ~pool ~pk:kp.El.pk ~context:"j" ~input:units ~output:shuffled pi)
+        in
+        Alcotest.(check bool) "ShufProof verifies" true ok;
+        Alcotest.(check bool) "ShufProof verify pools its generators and its MSM" true (n <= 2.);
+        let share = G.Scalar.random r in
+        List.iter
+          (fun next_pk ->
+            let layer = if next_pk = None then "exit" else "mid" in
+            let output, pis =
+              pin (layer ^ " proven ReEnc step") 1. (fun () ->
+                  RP.reenc_batch_with_proof ~pool r ~share ~next_pk ~context:"j" shuffled)
+            in
+            ignore
+              (pin (layer ^ " ReEnc step") 1. (fun () ->
+                   El.reenc_batch ~pool r ~share ~next_pk shuffled));
+            let ok, n =
+              jobs (fun () ->
+                  RP.verify_batch ~pool ~eff_pk:(G.pow_gen share) ~next_pk ~context:"j"
+                    ~input:shuffled ~output pis)
+            in
+            Alcotest.(check bool) (layer ^ " ReEncProofs verify") true ok;
+            Alcotest.(check bool) (layer ^ " ReEncProof verify pools at most its MSM") true
+              (n <= 1.))
+          [ Some (El.keygen r).El.pk; None ])
+
+  (* The provers' bytes for a fixed seed do not depend on the pool, and
+     the one-call encryption with EncProofs is [enc_vec] then
+     [prove_vec], byte for byte. *)
+  let test_proof_bytes_pool_independent () =
+    let run pool =
+      let r = Atom_util.Rng.create 0x0b7e in
+      let kp = El.keygen r in
+      let ms = Array.init 5 (fun _ -> [| G.random r; G.random r |]) in
+      let seed = 0x5eed in
+      let er = Atom_util.Rng.create seed in
+      let split =
+        Array.map
+          (fun m ->
+            let v, rs = El.enc_vec er kp.El.pk m in
+            (v, RP_enc.prove_vec er ~pk:kp.El.pk ~context:"b" v ~randomness:rs))
+          ms
+      in
+      let er = Atom_util.Rng.create seed in
+      let joint = Array.map (RP_enc.enc_vec_with_proof ?pool er ~pk:kp.El.pk ~context:"b") ms in
+      let enc_bytes =
+        Array.map (fun (v, pis) ->
+            El.vec_to_bytes v ^ String.concat "" (Array.to_list (Array.map RP_enc.to_bytes pis)))
+      in
+      Alcotest.(check (array string)) "enc_vec_with_proof = enc_vec + prove_vec" (enc_bytes split)
+        (enc_bytes joint);
+      let units = Array.map fst joint in
+      let shuffled, witness = Option.get (El.shuffle_vec ?pool r kp.El.pk units) in
+      let shuf =
+        Shuf.to_bytes
+          (Shuf.prove ?pool r ~pk:kp.El.pk ~context:"b" ~input:units ~output:shuffled ~witness)
+      in
+      let out, pis =
+        RP.reenc_batch_with_proof ?pool r ~share:kp.El.sk ~next_pk:(Some kp.El.pk) ~context:"b"
+          shuffled
+      in
+      (enc_bytes joint, shuf, vecs_bytes out, Array.map Ns.reenc_proofs_to_blob pis)
+    in
+    let want = run None in
+    with_pool2 (fun pool ->
+        let enc, shuf, out, blobs = run pool and enc', shuf', out', blobs' = want in
+        let tag s = Printf.sprintf "%s (%s)" s (if pool = None then "no pool" else "2 domains") in
+        Alcotest.(check (array string)) (tag "EncProof units") enc' enc;
+        Alcotest.(check string) (tag "ShufProof bytes") shuf' shuf;
+        Alcotest.(check string) (tag "ReEnc ciphertexts") out' out;
+        Alcotest.(check (array string)) (tag "ReEncProof blobs") blobs' blobs)
+
+  (* The closed forms of the chain and of its announcements equal the
+     prover's recurrences ĉ_i = g^{ŝ_i}·ĉ_{i-1}^{u'_i} and
+     t̂_i = g^{ŵ_i}·ĉ_{i-1}^{w'_i} (ĉ_{-1} = h), link for link, and the
+     last link's d is the endpoint secret. *)
   let test_commitment_chain_closed_form () =
     let r = rng () in
     List.iter
       (fun n ->
         let h = G.random r in
-        let shat = Array.init n (fun _ -> G.Scalar.random r) in
-        let uprime = Array.init n (fun _ -> G.Scalar.random r) in
-        let want = Array.make n G.one and d = ref G.Scalar.zero and prev = ref h in
+        let draw () = Array.init n (fun _ -> G.Scalar.random r) in
+        let shat = draw () in
+        let uprime = draw () in
+        let w_hat = draw () in
+        let w_prime = draw () in
+        let chain = Array.make n G.one and ann = Array.make n G.one in
+        let d = ref G.Scalar.zero and prev = ref h in
         for i = 0 to n - 1 do
-          want.(i) <- G.pow2 G.generator shat.(i) !prev uprime.(i);
+          ann.(i) <- G.pow2 G.generator w_hat.(i) !prev w_prime.(i);
+          chain.(i) <- G.pow2 G.generator shat.(i) !prev uprime.(i);
           d := G.Scalar.add shat.(i) (G.Scalar.mul uprime.(i) !d);
-          prev := want.(i)
+          prev := chain.(i)
         done;
-        with_pool2 (fun pool ->
-            let chain, d' = Shuf.commitment_chain ?pool h ~shat ~uprime in
-            let bytes xs = Array.to_list (Array.map G.to_bytes xs) in
-            Alcotest.(check (list string))
-              (Printf.sprintf "chain n=%d" n) (bytes want) (bytes chain);
-            Alcotest.(check bool) (Printf.sprintf "d n=%d" n) true (G.Scalar.equal !d d')))
+        let e = Shuf.chain_exponents ~shat ~uprime ~w_hat ~w_prime in
+        let chain_e = Array.sub e 0 n and ann_e = Array.sub e n n in
+        let bytes xs = Array.to_list (Array.map G.to_bytes xs) in
+        let closed es = bytes (Array.map (fun (eg, eh) -> G.pow2 G.generator eg h eh) es) in
+        Alcotest.(check (list string)) (Printf.sprintf "chain n=%d" n) (bytes chain) (closed chain_e);
+        Alcotest.(check (list string))
+          (Printf.sprintf "announcements n=%d" n) (bytes ann) (closed ann_e);
+        Alcotest.(check bool)
+          (Printf.sprintf "d n=%d" n) true
+          (G.Scalar.equal !d (fst chain_e.(n - 1))))
       [ 1; 2; 5 ]
 
   (* ---- batch verification: soundness of the weighted MSM ---- *)
@@ -534,6 +664,9 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
       Alcotest.test_case (n ^ " pooled verify_hop verdict") `Quick test_pooled_verify_hop_verdict;
       Alcotest.test_case (n ^ " shuffle chain closed form") `Quick
         test_commitment_chain_closed_form;
+      Alcotest.test_case (n ^ " one pooled job per proof phase") `Quick test_jobs_per_phase;
+      Alcotest.test_case (n ^ " proof bytes pool-independent") `Quick
+        test_proof_bytes_pool_independent;
       Alcotest.test_case (n ^ " enc batch rejects a planted field") `Quick test_enc_batch_plants;
       Alcotest.test_case (n ^ " enc batch rejects a compensating pair") `Quick
         test_enc_batch_compensating_pair;
