@@ -367,7 +367,7 @@ module P256_tiers = struct
   let cases =
     [
       Alcotest.test_case "p256 miss -> window -> comb agree" `Quick test_cache_states;
-      Alcotest.test_case "p256 pow_many fresh pairs skip the tiers" `Quick
+      Alcotest.test_case "p256 pow_many fresh pairs skip tiers" `Quick
         test_pow_many_fresh_skips_tiers;
       Alcotest.test_case "p256 comb survives one-shot bases" `Quick test_comb_survives_oneshots;
     ]
