@@ -82,6 +82,9 @@ module Make (G : Atom_group.Group_intf.GROUP) : sig
   (* Vector ciphertexts: one component per embedded group element. *)
   type vec = cipher array
 
+  val reshape : 'a array array -> 'b array -> 'b array array
+  (** [reshape rows xs] cuts [xs] into rows shaped like [rows]. *)
+
   val enc_vec_with :
     ?pool:Atom_exec.Pool.t -> ?also:(G.t * G.Scalar.t) array -> G.t -> rs:G.Scalar.t array ->
     G.t array -> vec * G.t array

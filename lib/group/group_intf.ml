@@ -67,7 +67,7 @@ module type GROUP = sig
   (* Fast-path multi-exponentiation. Every operation below is semantically
      a composition of [pow] and [mul]; backends are free to implement them
      with shared-doubling tricks (Shamir/Straus, Pippenger buckets) and
-     batch affine normalization. [Naive_multi] provides honest fallbacks.
+     batch affine normalization, or compose them honestly.
 
      The batch entry points take an optional [?pool]: an
      [Atom_exec.Pool.t] to spread the work over. Results are bit-identical
@@ -197,37 +197,23 @@ module type GROUP = sig
       verifiable shuffle. *)
 end
 
-(** What a backend must provide before the multi-exponentiation fast path
-    is bolted on. *)
-module type POW_CORE = sig
+(** What a backend must provide before the keyed batch wrappers are
+    bolted on. *)
+module type MANY_CORE = sig
   type t
   type scalar
 
-  val one : t
-  val mul : t -> t -> t
-  val pow : t -> scalar -> t
+  val generator : t
+
+  val pow_many :
+    ?pool:Atom_exec.Pool.t -> fresh:(t * scalar) array -> (t * scalar) array -> t array * t array
 end
 
-(** Honest (naive-composition) fallbacks for the multi-exponentiation
-    operations, for backends without a bespoke fast path. Results agree
-    with the specialized implementations by construction — the property
-    tests pin the specialized paths against these shapes. *)
-module Naive_multi (B : POW_CORE) = struct
-  let pow2 a j b k = B.mul (B.pow a j) (B.pow b k)
-
-  (* Per-term exponentiations go to the pool; the fold stays on the
-     caller, in index order, so the result matches the sequential fold
-     exactly (group multiplication is exact and canonical). *)
-  let msm ?pool pairs =
-    let terms = Atom_exec.Pool.map ?pool (fun (x, k) -> B.pow x k) pairs in
-    Array.fold_left B.mul B.one terms
-
-  let pow_many ?pool ~fresh keyed =
-    let nk = Array.length keyed in
-    let all = Atom_exec.Pool.map ?pool (fun (x, k) -> B.pow x k) (Array.append keyed fresh) in
-    (Array.sub all 0 nk, Array.sub all nk (Array.length fresh))
-
-  let mul_batch xs ys = Array.map2 B.mul xs ys
+(** [pow_batch] and [pow_gen_batch] as the keyed [pow_many] calls they
+    are, for every backend. *)
+module Keyed_batches (B : MANY_CORE) = struct
+  let pow_batch ?pool x ks = fst (B.pow_many ?pool ~fresh:[||] (Array.map (fun k -> (x, k)) ks))
+  let pow_gen_batch ?pool ks = pow_batch ?pool B.generator ks
 end
 
 (** What a backend must provide before the batch membership API is bolted

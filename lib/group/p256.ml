@@ -913,8 +913,13 @@ let pow_many ?pool ~(fresh : (t * scalar) array) (keyed : (t * scalar) array) :
   let all = to_affine_batch (Atom_exec.Pool.map ?pool ~chunk:1 ladder items) in
   (Array.sub all nf nk, Array.sub all 0 nf)
 
-let pow_batch ?pool base ks = fst (pow_many ?pool ~fresh:[||] (Array.map (fun k -> (base, k)) ks))
-let pow_gen_batch ?pool ks = pow_batch ?pool generator ks
+include Group_intf.Keyed_batches (struct
+  type nonrec t = t
+  type nonrec scalar = scalar
+
+  let generator = generator
+  let pow_many = pow_many
+end)
 
 let element_bytes = 33
 

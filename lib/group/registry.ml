@@ -2,9 +2,9 @@
 
    Every backend implements the full [Group_intf.GROUP] signature including
    the multi-exponentiation fast path: [P256] with comb tables, Straus /
-   Pippenger and batch affine normalization, [Zp] with the honest
-   [Group_intf.Naive_multi] fallbacks (whose Montgomery contexts still cache
-   fixed-base window tables). *)
+   Pippenger and batch affine normalization, [Zp] with Modarith's Straus
+   and an honest [pow_many] (a pooled map of [pow], whose Montgomery
+   contexts still cache fixed-base window tables). *)
 
 let p256 () : (module Group_intf.GROUP) = (module P256)
 

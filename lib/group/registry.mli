@@ -3,7 +3,7 @@
     Every backend implements the full {!Group_intf.GROUP} signature
     including the pooled multi-exponentiation fast path: [P256] with comb
     tables, Straus / Pippenger and batch affine normalization, [Zp] with
-    the honest {!Group_intf.Naive_multi} fallbacks. *)
+    Straus and an honest [pow_many], a pooled map of [pow]. *)
 
 val p256 : unit -> (module Group_intf.GROUP)
 

@@ -95,26 +95,26 @@ let make (params : params) : (module Group_intf.GROUP) =
       Atom_obs.Opcount.note_pow_gen ();
       pow_raw generator k
 
-    (* Multi-exponentiation. [pow_many] is the honest fallback (Z_p* has
-       no normalization to share, and [Modarith.pow] caches fixed-base
-       tables per context) but [msm]/[pow2] ride Modarith's Straus, so the
-       batched shuffle verifier's big product shares its squarings. The
-       functor gets the raw pow so a batch call tallies once. *)
-    include Group_intf.Naive_multi (struct
+    (* Multi-exponentiation. [pow_many] is the honest fallback, one pooled
+       map of [pow] (Z_p* has no normalization to share, and
+       [Modarith.pow] caches fixed-base tables per context), tallied once
+       as a batch; [msm]/[pow2] ride Modarith's Straus, so the batched
+       shuffle verifier's big product shares its squarings. *)
+    let pow_many ?pool ~fresh keyed =
+      let nk = Array.length keyed and nf = Array.length fresh in
+      Atom_obs.Opcount.note_batch ~scalars:(nk + nf);
+      let all = Atom_exec.Pool.map ?pool (fun (x, k) -> pow_raw x k) (Array.append keyed fresh) in
+      (Array.sub all 0 nk, Array.sub all nk nf)
+
+    include Group_intf.Keyed_batches (struct
       type nonrec t = t
       type nonrec scalar = scalar
 
-      let one = one
-      let mul = mul
-      let pow = pow_raw
+      let generator = generator
+      let pow_many = pow_many
     end)
 
-    let pow_many ?pool ~fresh keyed =
-      Atom_obs.Opcount.note_batch ~scalars:(Array.length keyed + Array.length fresh);
-      pow_many ?pool ~fresh keyed
-
-    let pow_batch ?pool x ks = fst (pow_many ?pool ~fresh:[||] (Array.map (fun k -> (x, k)) ks))
-    let pow_gen_batch ?pool ks = pow_batch ?pool generator ks
+    let mul_batch xs ys = Array.map2 mul xs ys
 
     (* A pooled MSM splits the pairs into contiguous chunks, runs Straus
        on each chunk independently, and folds the chunk partials in index

@@ -281,66 +281,25 @@ let mont_mul_generic (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit 
   done;
   finish ctx t dst !c
 
-(* dst <- a*a*R^{-1} mod m. Column i sums its cross products a_j*a_(i-j),
-   j < i-j, once and doubles them, adds the diagonal a_(i/2)^2, and pairs
-   the terms q_j*m_(i-j) and q_(i-j)*m_j in the same loop: half a
-   multiply's iterations. A low column zeroes q_i until it is known. The
-   curve ladder's doublings (5 squarings each) land here. *)
-let mont_sqr_generic (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
-  let k = ctx.k and m = ctx.m and t = tl.scratch in
-  let c = ref 0 in
-  for i = 0 to (2 * k) - 2 do
-    if i < k then Array.unsafe_set t i 0;
-    let x = ref 0 and acc = ref !c in
-    for j = (if i < k then 0 else i - k + 1) to ((i + 1) / 2) - 1 do
-      x := !x + (Array.unsafe_get a j * Array.unsafe_get a (i - j));
-      acc :=
-        !acc
-        + (Array.unsafe_get t j * Array.unsafe_get m (i - j))
-        + (Array.unsafe_get t (i - j) * Array.unsafe_get m j)
-    done;
-    acc := !acc + !x + !x;
-    if i land 1 = 0 then begin
-      let h = i / 2 in
-      let ah = Array.unsafe_get a h in
-      acc := !acc + (ah * ah) + (Array.unsafe_get t h * Array.unsafe_get m h)
-    end;
-    if i < k then begin
-      let q = !acc * ctx.m0inv land limb_mask in
-      Array.unsafe_set t i q;
-      c := (!acc + (q * Array.unsafe_get m 0)) lsr limb_bits
-    end
-    else begin
-      Array.unsafe_set t i (!acc land limb_mask);
-      c := !acc lsr limb_bits
-    end
-  done;
-  finish ctx t dst !c
-
 (* The kernels every operation below calls: P-256's field prime gets its
    unrolled kernels (bit-identical, see [P256_field]), any other modulus
-   the loops above. Inlined at every call site, so a generic-modulus call
+   the loop above. Inlined at every call site, so a generic-modulus call
    costs one test of [ctx.p256] over the parent's direct call.
 
-   Below [sqr_kernel_from] limbs a square runs the multiply kernel on
-   (a, a): the squaring loop's paired column bookkeeping costs more than
-   the multiplies it saves there. Both kernels pick the same q digits and
-   end in the same [finish], so the result is the same. Measured as the
-   best of 200 sessions of 1,024 dependent calls, per call, over five
-   quiet runs on a 2-vCPU shared host: the squaring kernel against the
-   multiply kernel on (a, a) read 43–53 vs 43–50 ns at 4 limbs (zp-test),
-   56–72 vs 52–60 at 5, 71–75 vs 66–69 at 6 and 87–90 vs 82–86 at 7;
-   from 8 limbs the squaring kernel is even or ahead (104 vs 106–107 ns
-   at 8, 132–136 vs 135 at 10, 238–269 vs 282–292 at 15). *)
-let sqr_kernel_from = 8
-
+   A generic square is the multiply on (a, a). A dedicated squaring loop
+   (cross products summed once and doubled, reduction terms paired: half
+   the iterations) gave the same limbs but was no faster at the widths in
+   use. Best of 30 × 20 sessions of 8,192 dependent calls (and 40 × 50 of
+   1,024) on a 2-vCPU shared host: at 4 limbs (zp-test) the multiply on
+   (a, a) read even or up to 2.5 ns faster (38–40 vs 41–42 ns, and 32–39
+   ns for both); at 10 limbs (zp-medium, P-256's n) the loop read at most
+   4% faster (103–126 vs 105–127 ns), and the round squares at that width
+   only in a few P-256 scalar inversions per hop (Lagrange coefficients). *)
 let[@inline] mont_mul_into (ctx : ctx) (tl : tls) (dst : el) (a : el) (b : el) : unit =
   if ctx.p256 then P256_field.mul_into dst a b else mont_mul_generic ctx tl dst a b
 
 let[@inline] mont_sqr_into (ctx : ctx) (tl : tls) (dst : el) (a : el) : unit =
-  if ctx.p256 then P256_field.sqr_into dst a
-  else if ctx.k < sqr_kernel_from then mont_mul_generic ctx tl dst a a
-  else mont_sqr_generic ctx tl dst a
+  if ctx.p256 then P256_field.sqr_into dst a else mont_mul_generic ctx tl dst a a
 
 (* Generic add/sub for every other modulus, with the same results and no
    branch on limb values: carries and borrows move arithmetically ([asr]

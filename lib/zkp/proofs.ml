@@ -64,12 +64,9 @@ struct
           let a = Io.element r in
           { a; u = Io.scalar r })
 
-    (* Vector ciphertexts carry one proof per component. *)
-    let prove_vec rng ~pk ~context (v : El.vec) ~(randomness : G.Scalar.t array) : t array =
-      Array.mapi (fun i ct -> prove rng ~pk ~context ct ~randomness:randomness.(i)) v
-
-    (* [El.enc_vec] then [prove_vec]: every r, then every nonce s, drawn
-       in that order, and g^r, X^r and g^s in one [G.pow_many]. *)
+    (* [El.enc_vec] then a [prove] per component: every r, then every
+       nonce s, drawn in that order, and g^r, X^r and g^s in one
+       [G.pow_many]. *)
     let enc_vec_with_proof ?pool rng ~pk ~context (ms : G.t array) : El.vec * t array =
       let rs = Array.map (fun _ -> G.Scalar.random rng) ms in
       let ss = Array.map (fun _ -> G.Scalar.random rng) ms in
@@ -200,10 +197,8 @@ struct
           batch
       in
       let eff_pk = k.(0) and a p i = k.(1 + (p * n) + i) in
-      let i = ref (-1) in
-      let prove (w : El.reenc_witness) =
-        incr i;
-        let i = !i in
+      (* Flat component i: index i of [dr], [ys], [f] and each [a p]. *)
+      let prove i (w : El.reenc_witness) =
         let dleq ~g2 ~h1 ~h2 ~x nonce a1 a2 =
           Dleq.respond ~nonce ~context ~g1:G.generator ~h1 ~g2 ~h2 ~x a1 a2
         in
@@ -219,7 +214,7 @@ struct
         in
         { stripped = w.El.stripped; strip_proof; rerand_proof }
       in
-      (output, Array.map (Array.map prove) wits)
+      (output, El.reshape batch (Array.mapi prove (flat wits)))
 
     let reenc_with_proof (rng : Atom_util.Rng.t) ~(share : G.Scalar.t) ?coeff
         ~(next_pk : G.t option) ~(context : string) (ct : El.cipher) : El.cipher * t =

@@ -34,15 +34,11 @@ module Make
     val to_bytes : t -> string
     val of_bytes : string -> t option
 
-    val prove_vec :
-      Atom_util.Rng.t -> pk:G.t -> context:string -> El.vec -> randomness:G.Scalar.t array ->
-      t array
-
     val enc_vec_with_proof :
       ?pool:Atom_exec.Pool.t -> Atom_util.Rng.t -> pk:G.t -> context:string -> G.t array ->
       El.vec * t array
-    (** [El.enc_vec] then {!prove_vec}, the same bytes from the same
-        draws, with every exponentiation in one {!G.pow_many}. *)
+    (** [El.enc_vec] then a {!prove} per component, the same bytes from
+        the same draws, with every exponentiation in one {!G.pow_many}. *)
 
     val verify_vec : pk:G.t -> context:string -> El.vec -> t array -> bool
     (** One proof per component, as one batch; false on a length

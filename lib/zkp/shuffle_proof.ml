@@ -166,17 +166,10 @@ struct
     in
     let t_a = b.(0) and chain = Array.sub b 1 n and t_chain = Array.sub b (n + 1) n in
     (* secrets of the aggregate relations *)
-    let rbar = Array.fold_left ( fun acc (rj, uj) -> S.add acc (S.mul rj uj)) S.zero
-        (Array.map2 (fun a b -> (a, b)) r u) in
-    let rhat = Array.fold_left S.add S.zero r in
-    let d = fst e.(n - 1) in
+    let sum = Array.fold_left S.add S.zero in
+    let rbar = sum (Array.map2 S.mul r u) and rhat = sum r and d = fst e.(n - 1) in
     let stilde =
-      Array.init width (fun w ->
-          let acc = ref S.zero in
-          for j = 0 to n - 1 do
-            acc := S.add !acc (S.mul witness.El.vrerands.(j).(w) u.(j))
-          done;
-          !acc)
+      Array.init width (fun w -> sum (Array.map2 (fun s uj -> S.mul s.(w) uj) witness.El.vrerands u))
     in
     let z = S.zero in
     let pi =

@@ -67,7 +67,8 @@ module Rows (G : Atom_group.Group_intf.GROUP) = struct
   let unit_ct r pk ~proofs : Pr.unit_ct =
     let vec, randomness = El.enc_vec r pk [| G.random r; G.random r |] in
     let proofs =
-      if proofs then P.Enc_proof.prove_vec r ~pk ~context:"decoders" vec ~randomness else [||]
+      let prove i ct = P.Enc_proof.prove r ~pk ~context:"decoders" ct ~randomness:randomness.(i) in
+      if proofs then Array.mapi prove vec else [||]
     in
     { Pr.vec; proofs }
 

@@ -31,7 +31,9 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
     let kp = El.keygen r in
     let ms = Array.init 3 (fun _ -> G.random r) in
     let v, rands = El.enc_vec r kp.El.pk ms in
-    let pis = P.Enc_proof.prove_vec r ~pk:kp.El.pk ~context:"g" v ~randomness:rands in
+    let pis =
+      Array.mapi (fun i ct -> P.Enc_proof.prove r ~pk:kp.El.pk ~context:"g" ct ~randomness:rands.(i)) v
+    in
     Alcotest.(check bool) "vector proof accepted" true
       (P.Enc_proof.verify_vec ~pk:kp.El.pk ~context:"g" v pis);
     (* Component count mismatch rejected. *)
@@ -377,8 +379,8 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
           [ Some (El.keygen r).El.pk; None ])
 
   (* The provers' bytes for a fixed seed do not depend on the pool, and
-     the one-call encryption with EncProofs is [enc_vec] then
-     [prove_vec], byte for byte. *)
+     the one-call encryption with EncProofs is [enc_vec] then a [prove]
+     per component, byte for byte. *)
   let test_proof_bytes_pool_independent () =
     let run pool =
       let r = Atom_util.Rng.create 0x0b7e in
@@ -390,7 +392,8 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
         Array.map
           (fun m ->
             let v, rs = El.enc_vec er kp.El.pk m in
-            (v, RP_enc.prove_vec er ~pk:kp.El.pk ~context:"b" v ~randomness:rs))
+            let prove i ct = RP_enc.prove er ~pk:kp.El.pk ~context:"b" ct ~randomness:rs.(i) in
+            (v, Array.mapi prove v))
           ms
       in
       let er = Atom_util.Rng.create seed in
@@ -399,7 +402,7 @@ module Run (G : Atom_group.Group_intf.GROUP) = struct
         Array.map (fun (v, pis) ->
             El.vec_to_bytes v ^ String.concat "" (Array.to_list (Array.map RP_enc.to_bytes pis)))
       in
-      Alcotest.(check (array string)) "enc_vec_with_proof = enc_vec + prove_vec" (enc_bytes split)
+      Alcotest.(check (array string)) "enc_vec_with_proof = enc_vec + prove each" (enc_bytes split)
         (enc_bytes joint);
       let units = Array.map fst joint in
       let shuffled, witness = Option.get (El.shuffle_vec ?pool r kp.El.pk units) in
